@@ -212,6 +212,7 @@ func TestAppCrashReapedWhileNeighborUnharmed(t *testing.T) {
 	if cli.Engine().Bucket(flowA.Bucket) != nil {
 		t.Fatal("A's rate bucket not freed")
 	}
+	checkControl(t, "after app reap", srv, cli)
 	// The context slot and the listen port are immediately reusable.
 	fresh := cli.NewContext()
 	if fresh.LowLevel().ID != idA {

@@ -172,6 +172,8 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 			if s.Value > 0 {
 				v.drops = append(v.drops, dropRow{cause: s.Labels["cause"], total: s.Value, rate: rate(s)})
 			}
+		case "tas_slowpath_flows":
+			v.gauge["ctl_"+s.Labels["state"]] = s.Value
 		case "tas_flows_live", "tas_active_cores", "tas_accept_backlog",
 			"tas_half_open", "tas_slowpath_degraded", "tas_live_payload_bytes":
 			v.gauge[s.Name] = s.Value
@@ -179,9 +181,9 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "tastop — flows %.0f  active-cores %.0f  half-open %.0f  accept-backlog %.0f  excq %.0f",
+	fmt.Fprintf(&b, "tastop — flows %.0f  active-cores %.0f  half-open %.0f  accept-backlog %.0f  excq %.0f  ctl active/parked %.0f/%.0f",
 		v.gauge["tas_flows_live"], v.gauge["tas_active_cores"], v.gauge["tas_half_open"],
-		v.gauge["tas_accept_backlog"], v.gauge["excq_depth"])
+		v.gauge["tas_accept_backlog"], v.gauge["excq_depth"], v.gauge["ctl_active"], v.gauge["ctl_parked"])
 	if v.gauge["tas_slowpath_degraded"] > 0 {
 		b.WriteString("  [SLOW PATH DEGRADED]")
 	}

@@ -32,6 +32,26 @@ func coreChaosCfg() Config {
 	}
 }
 
+// waitServerEstablished blocks until the server has installed n flows.
+// Dial returns when the *client* is established; its completing ACK may
+// still sit in a server core's receive ring. A core killed in that window
+// strands the ACK until the failure verdict drains the ring
+// (CoreTimeout, 400ms here) — longer than this config's whole handshake
+// retry budget (20+40+80+160ms), so the server gives the half-open up
+// and the connection is lost before it ever existed. That is correct
+// fail-closed behaviour for a handshake, but these tests are about
+// established flows surviving a core failure.
+func waitServerEstablished(t *testing.T, srv *Service, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Engine().Table.Len() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("server established %d of %d connections", srv.Engine().Table.Len(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // victimCore returns the active core owning the most flows in eng's
 // table (ties to the lowest index) and how many flows it owns.
 func victimCore(eng *fastpath.Engine) (int, int) {
@@ -125,6 +145,8 @@ func TestChaosCoreKillMidTransfer(t *testing.T) {
 		conns[i] = c
 	}
 
+	waitServerEstablished(t, srv, nConns)
+
 	// Phase A: healthy baseline, timed — the throughput yardstick the
 	// post-recovery phase is held to.
 	preStart := time.Now()
@@ -170,6 +192,7 @@ func TestChaosCoreKillMidTransfer(t *testing.T) {
 	assertNoBucketSteersTo(t, srv.Engine(), victim, "after failure verdict")
 	srv.Engine().SetActiveCores(4)
 	assertNoBucketSteersTo(t, srv.Engine(), victim, "after SetActiveCores")
+	checkControl(t, "after migration", srv, cli)
 	rxFrozen := srv.Engine().Stats(victim).RxPackets.Load()
 
 	// Phase C: the transfer continues through the outage on survivors,
@@ -195,6 +218,7 @@ func TestChaosCoreKillMidTransfer(t *testing.T) {
 	if st := srv.Stats(); st.CoreReadmits != 1 || st.CoresFailed != 0 {
 		t.Fatalf("after revive: CoreReadmits=%d CoresFailed=%d, want 1/0", st.CoreReadmits, st.CoresFailed)
 	}
+	checkControl(t, "after revive", srv, cli)
 
 	// Phase E: post-recovery throughput within 2× of the healthy
 	// baseline (floored: sub-millisecond baselines are scheduler noise).
@@ -239,6 +263,7 @@ func TestChaosCoreKillMidTransfer(t *testing.T) {
 	if len(seen) != nConns {
 		t.Fatalf("only %d distinct streams delivered, want %d", len(seen), nConns)
 	}
+	checkControl(t, "after transfer", srv, cli)
 
 	// The episode is visible in the metrics exposition.
 	var b strings.Builder
@@ -336,6 +361,8 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 		conns[i] = c
 	}
 
+	waitServerEstablished(t, srv, nConns)
+
 	// Everyone ships the first half healthy.
 	for i, c := range conns {
 		if _, err := c.WriteTimeout(payloads[i][:half], 10*time.Second); err != nil {
@@ -378,6 +405,7 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 		t.Fatal("core failure never detected")
 	}
 	assertNoBucketSteersTo(t, srv.Engine(), victim, "after combined-chaos verdict")
+	checkControl(t, "after combined-chaos verdict", srv, cli)
 
 	// Survivors push the second half through the wreckage.
 	for i, c := range conns {
@@ -400,6 +428,7 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 	if srv.CoreFailed(victim) {
 		t.Fatal("core never re-admitted")
 	}
+	checkControl(t, "after combined-chaos revive", srv, cli)
 
 	for i, c := range conns {
 		if i != victimConn {

@@ -205,3 +205,56 @@ func TestKeepaliveDeadPeerReclaimed(t *testing.T) {
 			h.Gov.Used(resource.PoolPayload) == 0
 	})
 }
+
+// TestKeepaliveProbesParkedFlowOnSchedule: a flow idle long enough to be
+// parked off the control tick is still on the keepalive clock. The
+// parked FIFO's head is its deadline, so the first probe goes out
+// KeepaliveTime after the last segment — not before, and not a tick-set
+// sweep later — and a silent peer is declared dead on the usual ladder.
+func TestKeepaliveProbesParkedFlowOnSchedule(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	h := newHarness(t, slowpath.Config{
+		KeepaliveTime:     idle,
+		KeepaliveInterval: 20 * time.Millisecond,
+		KeepaliveProbes:   2,
+	})
+	conn, p := establish(t, h, 7034, 40034)
+	lastHeard := time.Now() // the handshake's completing ACK
+
+	h.WaitCond(idle/2, "idle flow parked well before its keepalive deadline", func() bool {
+		_, parked := h.Slow.ControlSet()
+		return parked == 1
+	})
+	if err := h.Slow.CheckControlInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	h.ExpectNone(idle/2, "keepalive probe before KeepaliveTime", func(q *protocol.Packet) bool {
+		return p.ToPeer(q) && q.DataLen() == 1
+	})
+
+	for i := 0; i < 2; i++ { // peer never answers
+		h.Expect(expectIn, "keepalive probe", func(q *protocol.Packet) bool {
+			return p.ToPeer(q) && q.DataLen() == 1 && q.Seq == p.RcvNxt-1
+		})
+		if i == 0 {
+			if late := time.Since(lastHeard) - idle; late < -5*time.Millisecond || late > 60*time.Millisecond {
+				t.Fatalf("first probe %v after the last segment, want KeepaliveTime (%v) within +60ms", time.Since(lastHeard), idle)
+			}
+			if active, parked := h.Slow.ControlSet(); active != 1 || parked != 0 {
+				t.Fatalf("probe train running with %d active, %d parked", active, parked)
+			}
+		}
+	}
+	h.Expect(expectIn, "RST after keepalive budget", func(q *protocol.Packet) bool {
+		return p.ToPeer(q) && q.Flags.Has(protocol.FlagRST)
+	})
+	if _, err := conn.Recv(make([]byte, 8), expectIn); !errors.Is(err, libtas.ErrPeerDead) {
+		t.Fatalf("Recv after keepalive exhaustion = %v, want peer-dead", err)
+	}
+	h.WaitCond(expectIn, "dead-peer flow fully reclaimed", func() bool {
+		return h.Eng.Table.Len() == 0 && h.Gov.Used(resource.PoolFlows) == 0
+	})
+	if err := h.Slow.CheckControlInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -223,6 +223,13 @@ type Engine struct {
 	excq     *shmring.SPSC[*protocol.Packet]
 	slowWake chan struct{}
 
+	// activations carries parked flows that have control work again
+	// toward the slow path (see ActivateFlow); actOverflow records that a
+	// push found the ring full, so the slow path rescans its parked list
+	// instead of trusting the ring alone.
+	activations *shmring.MPSC[*flowstate.Flow]
+	actOverflow atomic.Bool
+
 	// coarseClock caches nowNanos for per-packet last-activity stamps:
 	// refreshed wherever the run loop already reads the wall clock (the
 	// busy-loop idleSince reset) and by the slow path's heartbeat, so
@@ -236,6 +243,11 @@ type Engine struct {
 	// context registry charges slot occupancy to it — never per data
 	// packet.
 	gov atomic.Pointer[resource.Governor]
+
+	// beforeSleep, when set (tests only, before Start), runs on a core's
+	// goroutine after its last queue poll and before it publishes the
+	// sleep flag — the window in which a producer's wake is not sent.
+	beforeSleep func(core int)
 
 	start   time.Time
 	stopped atomic.Bool
@@ -266,9 +278,12 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 		Listeners: flowstate.NewListenerTable(),
 		TimeWait:  flowstate.NewTimeWaitTable(),
 		excq:      shmring.NewSPSC[*protocol.Packet](4096),
-		slowWake:  make(chan struct{}, 1),
-		start:     time.Now(),
-		watchStop: make(chan struct{}),
+		// Drained every control interval: 4096 covers 4M idle→busy
+		// edges per second at the default 1ms tick.
+		activations: shmring.NewMPSC[*flowstate.Flow](4096),
+		slowWake:    make(chan struct{}, 1),
+		start:       time.Now(),
+		watchStop:   make(chan struct{}),
 	}
 	e.Cookies = tcp.NewCookieJar(time.Now().UnixNano(), cfg.CookieRotate)
 	if cfg.ChallengeAckPerSec >= 0 {
@@ -557,6 +572,37 @@ func (e *Engine) KickFlow(f *flowstate.Flow) {
 	}
 }
 
+// ActivateFlow puts a parked flow back on the slow path's control tick:
+// the flow is queued on the activation ring and its park flag cleared.
+// The caller holds the flow spinlock and has just given the flow control
+// work (bytes to send, a FIN to supervise). A no-op for a flow that is
+// not parked. If the ring is full the flag stays set — the flow is still
+// consistently parked — and the overflow mark makes the slow path's next
+// tick find it by rescanning its parked list.
+func (e *Engine) ActivateFlow(f *flowstate.Flow) {
+	if !f.Parked {
+		return
+	}
+	if e.activations.Enqueue(f) {
+		f.Parked = false
+	} else {
+		e.actOverflow.Store(true)
+	}
+}
+
+// TakeActivation dequeues one flow from the activation ring (slow-path
+// side; single consumer).
+func (e *Engine) TakeActivation() (*flowstate.Flow, bool) { return e.activations.Dequeue() }
+
+// ActivationsLen returns the activation ring's occupancy.
+func (e *Engine) ActivationsLen() int { return e.activations.Len() }
+
+// TakeActivationOverflow reports, and clears, whether an activation was
+// refused by a full ring since the last call.
+func (e *Engine) TakeActivationOverflow() bool {
+	return e.actOverflow.Load() && e.actOverflow.Swap(false)
+}
+
 // PushTxCmd routes a TX command from a context to the owning core and
 // wakes it. It reports false if the queue is full or the descriptor is
 // obviously malformed (nil flow).
@@ -781,10 +827,14 @@ func (e *Engine) run(c *core) {
 		// Block until woken (§3.4: cores that receive no packets
 		// automatically block and are de-scheduled).
 		c.stats.Blocks.Add(1)
+		if e.beforeSleep != nil {
+			e.beforeSleep(c.idx)
+		}
 		c.asleep.Store(true)
-		// Re-check queues after publishing the sleep flag to avoid a
-		// lost wakeup.
-		if c.rxRing.Len() > 0 || c.kicks.Len() > 0 {
+		// Re-check every queue this loop polls after publishing the sleep
+		// flag to avoid a lost wakeup: a producer that enqueued before the
+		// store saw asleep == false and sent no wake.
+		if c.rxRing.Len() > 0 || c.kicks.Len() > 0 || e.ctxTxPending(c) {
 			c.asleep.Store(false)
 			continue
 		}

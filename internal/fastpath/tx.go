@@ -19,6 +19,12 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		if pending <= 0 {
 			return
 		}
+		if f.Parked {
+			// Idle→busy edge: bytes to send mean acks to count, an RTO to
+			// arm, and — if the window below is zero — a persist timer to
+			// run. Hand the flow back to the control tick.
+			e.ActivateFlow(f)
+		}
 		// Peer receive window (KiB units). A genuine zero window stalls
 		// transmission: the slow path's persist timer owns the stall
 		// (1-byte probes with backoff), and the probe ACK carrying the

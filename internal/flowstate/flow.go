@@ -110,6 +110,16 @@ type Flow struct {
 	// arriving on the wrong core during scale up/down remain safe.
 	lock SpinLock
 
+	// Parked marks a flow the slow path has taken off its control tick:
+	// nothing in flight, nothing pending, feedback counters drained, its
+	// controller at a fixed point. Guarded by the flow spinlock. The slow
+	// path sets it; whoever next gives the flow control work — the fast
+	// path's transmit, Close — clears it under the same lock and queues
+	// the flow on the engine's activation ring. It fills padding beside
+	// the lock (the line every packet already takes), off the
+	// sequence-state line.
+	Parked bool
+
 	// touched is the flow's last-activity stamp (engine-clock nanos):
 	// written by the fast path per processed packet and by libtas per
 	// Send, read by the resource governor's LRU idle-reclaim rung to
@@ -154,6 +164,17 @@ func (f *Flow) Key() protocol.FlowKey {
 // not been sent yet (the amount the fast path may still segment).
 func (f *Flow) TxPending() int {
 	return f.TxBuf.Used() - int(f.TxSent)
+}
+
+// Quiescent reports whether the flow holds no work for the slow path's
+// control tick: nothing unacknowledged, nothing unsent (which also rules
+// out a zero-window stall), no undelivered congestion feedback, and no
+// FIN awaiting its acknowledgement. Only a quiescent flow may be Parked.
+// Callers hold the flow spinlock.
+func (f *Flow) Quiescent() bool {
+	return f.TxSent == 0 && f.TxPending() <= 0 &&
+		f.CntAckB == 0 && f.CntEcnB == 0 && f.CntFrexmits == 0 &&
+		!(f.FinSent && !f.FinAcked)
 }
 
 // TakeCounters returns and clears the congestion feedback counters, as

@@ -48,6 +48,13 @@ func TestTable3Layout(t *testing.T) {
 	if sz := unsafe.Sizeof(Flow{}); sz > 192 {
 		t.Fatalf("Flow struct is %d bytes, want <= 192", sz)
 	}
+	// The park flag must not displace sequence state from the first
+	// cache line, and must share a line with the spinlock the fast path
+	// takes anyway — reading it costs transmit no extra miss.
+	var f Flow
+	if off := unsafe.Offsetof(f.Parked); off < 64 || off/64 != unsafe.Offsetof(f.lock)/64 {
+		t.Fatalf("Parked at offset %d, lock at %d: want same line, past the first", off, unsafe.Offsetof(f.lock))
+	}
 }
 
 func newTestFlow(lp, pp uint16) *Flow {

@@ -151,6 +151,13 @@ func (cn *Conn) Send(p []byte, timeout time.Duration) (int, error) {
 		if cn.peerClosed.Load() {
 			return sent, ErrClosed
 		}
+		if cn.ctx.fp.Dead() {
+			// Reaped: the buffers below are reclaimed and refuse writes, and
+			// no abort event reaches a dead context. Without this check a
+			// send that finds free space "succeeds" into the void forever;
+			// only a send that had to wait ever learned the app was dead.
+			return sent, ErrAppDead
+		}
 		f := cn.flow
 		t0, timed := cn.copyTimer(tm)
 		f.Lock()

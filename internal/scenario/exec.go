@@ -1194,6 +1194,19 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 	} else {
 		add("within-duration", true, "finished in %.0fms", rep.WallMS)
 	}
+	// Always on: whatever the timeline did to cores, slow paths and apps,
+	// no service may end with a flow stranded off the control tick.
+	var ctlErr error
+	for _, svc := range append([]*tas.Service{r.srv}, r.clients...) {
+		if ctlErr = svc.Slow().CheckControlInvariant(); ctlErr != nil {
+			break
+		}
+	}
+	if ctlErr != nil {
+		add("control-set", false, "%v", ctlErr)
+	} else {
+		add("control-set", true, "every flow active, parked or queued for activation; no parked flow holds work")
+	}
 	if a.AllComplete {
 		w := rep.Workload
 		add("all-complete", w.Completed == w.Expected && w.Failed == 0,

@@ -3,7 +3,6 @@ package slowpath
 import (
 	"time"
 
-	"repro/internal/congestion"
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
@@ -361,7 +360,7 @@ func (s *Slowpath) teardownUndeliverable(f *flowstate.Flow) {
 	s.eng.Table.Remove(f.Key())
 	s.reclaimFlowResources(f)
 	s.mu.Lock()
-	delete(s.cc, f)
+	s.dropEntry(f)
 	s.mu.Unlock()
 	s.AcceptQueueDrops.Add(1)
 	s.retireRec(f)
@@ -447,11 +446,14 @@ func (s *Slowpath) installFlow(key protocol.FlowKey, h *halfOpen, peerISS uint32
 	}
 	// Stamp activity at birth so the idle-reclaim rung never sees a
 	// fresh flow with a zero clock and takes it as ancient.
-	f.Touch(s.eng.NowNanos())
-	s.eng.Table.Insert(f)
+	now := s.eng.NowNanos()
+	f.Touch(now)
+	// Control entry before table entry, and removal in the opposite
+	// order: a flow the table can return always has one.
 	s.mu.Lock()
-	s.cc[f] = &ccEntry{ctrl: ctrl, lastUna: f.SeqNo, lastRate: ctrl.Rate()}
+	s.adoptFlow(f, ctrl, f.SeqNo, now)
 	s.mu.Unlock()
+	s.eng.Table.Insert(f)
 	return f
 }
 
@@ -791,7 +793,7 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	s.eng.Table.Remove(f.Key())
 	s.reclaimFlowResources(f)
 	s.mu.Lock()
-	delete(s.cc, f)
+	s.dropEntry(f)
 	if e, ok := s.closing[f]; ok {
 		delete(s.closing, f)
 		s.chargeTimers(-1)
@@ -801,153 +803,6 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	}
 	s.mu.Unlock()
 	s.retireRec(f)
-}
-
-// controlLoop is the per-interval congestion/timeout sweep (§3.2): read
-// and reset the fast path's feedback counters, run the congestion
-// policy, write the new rate, and restart stalled flows.
-func (s *Slowpath) controlLoop() {
-	s.mu.Lock()
-	flows := make([]*flowstate.Flow, 0, len(s.cc))
-	entries := make([]*ccEntry, 0, len(s.cc))
-	for f, e := range s.cc {
-		flows = append(flows, f)
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-
-	ivSec := s.cfg.ControlInterval.Seconds()
-	nowN := s.eng.NowNanos()
-	for i, f := range flows {
-		e := entries[i]
-		f.Lock()
-		ackB, ecnB, frex := f.TakeCounters()
-		rtt := int64(f.RTTEst) * 1000
-		una := f.SeqNo - f.TxSent
-		outstanding := f.TxSent
-		pending := f.TxPending()
-		window := f.Window
-		finSent, aborted := f.FinSent, f.Aborted
-		f.Unlock()
-
-		// Zero-window stall: the peer's receiver is full, not the
-		// network — this is flow control, so the persist timer replaces
-		// the retransmission timer (retransmitting into a closed window
-		// would only burn the abort budget). Probes are 1 byte with
-		// exponential backoff; an unanswered budget declares the peer
-		// dead.
-		if window == 0 && !finSent && !aborted && (pending > 0 || outstanding > 0) {
-			e.stallTicks = 0
-			e.consecTimeouts = 0
-			e.lastUna = una
-			if !s.persistTick(f, e) {
-				continue // probe budget exhausted; flow aborted
-			}
-			continue // stalled by flow control: no CC feedback to process
-		}
-		e.persistDeadline = time.Time{}
-		e.persistProbes = 0
-
-		// Keepalive: an established flow with nothing in flight and
-		// nothing pending that has heard nothing from the peer for
-		// KeepaliveTime gets liveness probes (opt-in; see Config).
-		if !s.keepaliveTick(f, e, nowN, finSent, aborted, outstanding, pending) {
-			continue // keepalive budget exhausted; flow aborted
-		}
-
-		// Retransmission timeout: unacknowledged data with no progress
-		// for StallIntervals control intervals. The wait must also cover
-		// several RTTs and several packet intervals at the current rate
-		// — at low rates whole control intervals legitimately pass
-		// without an ack, and declaring those stalls would collapse the
-		// rate in a self-sustaining cycle.
-		var timeouts uint32
-		if outstanding > 0 && una == e.lastUna && ackB == 0 {
-			e.stallTicks++
-			needWait := time.Duration(s.cfg.StallIntervals) * s.cfg.ControlInterval
-			if w := 8 * time.Duration(rtt); w > needWait {
-				needWait = w
-			}
-			if r := e.ctrl.Rate(); r > 0 {
-				if w := time.Duration(4 * float64(s.eng.Config().MSS) / r * 1e9); w > needWait {
-					needWait = w
-				}
-			}
-			if needWait < 10*time.Millisecond {
-				needWait = 10 * time.Millisecond
-			}
-			// Exponential backoff: each consecutive unproductive timeout
-			// doubles the wait before the next one (capped), so a dead
-			// peer costs a bounded, geometric series of retransmissions.
-			bo := e.consecTimeouts
-			if bo > 6 {
-				bo = 6
-			}
-			needWait <<= uint(bo)
-			if e.stallTicks >= s.cfg.StallIntervals &&
-				time.Duration(e.stallTicks)*s.cfg.ControlInterval >= needWait {
-				e.stallTicks = 0
-				e.consecTimeouts++
-				if e.consecTimeouts > s.cfg.MaxRetransmits {
-					// Retry budget exhausted: the peer is unreachable or
-					// dead. Abort instead of retransmitting forever.
-					s.abortFlow(f)
-					continue
-				}
-				timeouts = 1
-				s.Timeouts.Add(1)
-				recordFlow(f, telemetry.FERTOBackoff, una, 0, 0, uint64(needWait))
-				f.Lock()
-				f.SeqNo -= f.TxSent // reset as if unsent
-				f.TxSent = 0
-				f.Unlock()
-				s.eng.KickFlow(f)
-			}
-		} else {
-			e.stallTicks = 0
-			e.consecTimeouts = 0
-			e.lastUna = una
-		}
-
-		// Smooth the measured rate across intervals: at fine τ a single
-		// interval holds few packets, and the controller's send-rate cap
-		// must not clamp against quantization noise.
-		inst := float64(ackB) / ivSec
-		if e.txEwma == 0 {
-			e.txEwma = inst
-		} else {
-			e.txEwma = 0.7*e.txEwma + 0.3*inst
-		}
-		fb := congestion.Feedback{
-			AckedBytes: uint64(ackB),
-			EcnBytes:   uint64(ecnB),
-			Frexmits:   uint32(frex),
-			Timeouts:   timeouts,
-			RTT:        rtt,
-			TxRate:     e.txEwma,
-		}
-		rate := e.ctrl.Update(fb)
-		if b := s.eng.Bucket(f.Bucket); b != nil {
-			b.SetRate(rate)
-		}
-		// Trace only significant rate moves (≥25% relative, or from/to
-		// zero): the controller nudges the rate every interval, and
-		// recording each tick would wash real lifecycle events out of
-		// the bounded flight ring.
-		if d := rate - e.lastRate; d != 0 {
-			if d < 0 {
-				d = -d
-			}
-			if e.lastRate == 0 || d >= 0.25*e.lastRate {
-				recordFlow(f, telemetry.FERateChange, 0, 0, 0, uint64(rate))
-				e.lastRate = rate
-			}
-		}
-		if pending > 0 {
-			// Pending data may be sendable at the new rate.
-			s.eng.KickFlow(f)
-		}
-	}
 }
 
 // scaleLoop adjusts the number of active fast-path cores to the load

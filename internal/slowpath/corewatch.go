@@ -163,6 +163,7 @@ func (s *Slowpath) failCore(i int) {
 // entry's timeout state is re-armed at the rewound left edge, and TX is
 // kicked so the surviving core — which the RSS rewrite now names —
 // resumes the flow immediately instead of hanging until an RTO fires.
+// A parked flow goes back on the control tick.
 func (s *Slowpath) migrateFlow(f *flowstate.Flow, from int) bool {
 	f.Lock()
 	if f.Aborted {
@@ -177,8 +178,14 @@ func (s *Slowpath) migrateFlow(f *flowstate.Flow, from int) bool {
 	s.mu.Lock()
 	if e := s.cc[f]; e != nil {
 		e.lastUna = seq
-		e.stallTicks = 0
+		e.clearStall()
 		e.consecTimeouts = 0
+		if e.idx < 0 {
+			// A parked victim has nothing to rewind, but the kick below may
+			// find bytes a descriptor on the dead core never announced:
+			// supervise the new owner's first transmission from the start.
+			s.unpark(e, s.eng.NowNanos())
+		}
 	}
 	s.mu.Unlock()
 

@@ -47,10 +47,11 @@ func installWatchFlow(eng *fastpath.Engine, sp *Slowpath) *flowstate.Flow {
 		TxBuf: shmring.NewPayloadBuffer(64 << 10),
 	}
 	f.Bucket = eng.AllocBucket()
-	eng.Table.Insert(f)
 	sp.mu.Lock()
-	sp.cc[f] = &ccEntry{ctrl: sp.cfg.NewController(), lastUna: 1500, stallTicks: 3, consecTimeouts: 2}
+	sp.adoptFlow(f, sp.cfg.NewController(), 1500, eng.NowNanos())
+	sp.cc[f].stallTicks, sp.cc[f].consecTimeouts = 3, 2
 	sp.mu.Unlock()
+	eng.Table.Insert(f)
 	return f
 }
 

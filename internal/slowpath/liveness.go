@@ -19,10 +19,10 @@ import (
 // quarantine).
 
 // persistTick advances one flow's zero-window persist timer. The
-// caller (controlLoop) has established that the peer advertises a zero
-// window while we hold pending or in-flight data. Reports false when
-// the probe budget is exhausted and the flow was aborted.
-func (s *Slowpath) persistTick(f *flowstate.Flow, e *ccEntry) bool {
+// caller (tickFlow) has established that the peer advertises a zero
+// window while we hold pending or in-flight data. An exhausted probe
+// budget dooms the flow.
+func (s *Slowpath) persistTick(f *flowstate.Flow, e *ccEntry) {
 	now := time.Now()
 	if e.persistDeadline.IsZero() {
 		// Stall just detected: arm the timer; the first probe goes out
@@ -31,15 +31,15 @@ func (s *Slowpath) persistTick(f *flowstate.Flow, e *ccEntry) bool {
 		e.persistRTO = s.cfg.PersistRTO
 		e.persistProbes = 0
 		e.persistDeadline = now.Add(e.persistRTO)
-		return true
+		return
 	}
 	if now.Before(e.persistDeadline) {
-		return true
+		return
 	}
 	if e.persistProbes >= s.cfg.MaxPersistProbes {
 		s.PeerDeadZeroWindow.Add(1)
-		s.abortFlowCause(f, fastpath.AbortPeerDead)
-		return false
+		s.doom(f, fastpath.AbortPeerDead)
+		return
 	}
 	e.persistProbes++
 	e.persistRTO *= 2
@@ -48,7 +48,6 @@ func (s *Slowpath) persistTick(f *flowstate.Flow, e *ccEntry) bool {
 	}
 	e.persistDeadline = now.Add(e.persistRTO)
 	s.sendPersistProbe(f)
-	return true
 }
 
 // sendPersistProbe emits a one-byte window probe: the unacknowledged
@@ -79,6 +78,9 @@ func (s *Slowpath) sendPersistProbe(f *flowstate.Flow) {
 	ack := f.AckNo
 	window := uint16(f.RxBuf.Free() / fastpath.WindowUnit)
 	f.Unlock()
+	// Counted before it is sent: an observer that has seen the probe on
+	// the wire must find it in the counter.
+	s.PersistProbes.Add(1)
 	s.output(&protocol.Packet{
 		SrcMAC: s.eng.Config().LocalMAC, DstMAC: f.PeerMAC,
 		SrcIP: f.LocalIP, DstIP: f.PeerIP,
@@ -89,7 +91,6 @@ func (s *Slowpath) sendPersistProbe(f *flowstate.Flow) {
 		ECN:     protocol.ECNECT0,
 		Payload: payload,
 	})
-	s.PersistProbes.Add(1)
 	recordFlow(f, telemetry.FEPersistProbe, seq, ack, 1, 0)
 }
 
@@ -98,9 +99,9 @@ func (s *Slowpath) sendPersistProbe(f *flowstate.Flow) {
 // a flow with data moving proves liveness through acks, and a one-byte
 // probe below an active send window would be deposited as garbage via
 // the receiver's out-of-order path. Reports false when the probe
-// budget is exhausted and the flow was aborted.
-func (s *Slowpath) keepaliveTick(f *flowstate.Flow, e *ccEntry, nowN int64, finSent, aborted bool, outstanding uint32, pending int) bool {
-	if s.cfg.KeepaliveTime <= 0 || finSent || aborted || outstanding != 0 || pending != 0 {
+// budget is exhausted and the flow was doomed.
+func (s *Slowpath) keepaliveTick(f *flowstate.Flow, e *ccEntry, nowN int64, fs *flowSample) bool {
+	if s.cfg.KeepaliveTime <= 0 || fs.finSent || fs.aborted || fs.outstanding != 0 || fs.pending != 0 {
 		e.kaNext, e.kaProbes = 0, 0
 		return true
 	}
@@ -116,7 +117,7 @@ func (s *Slowpath) keepaliveTick(f *flowstate.Flow, e *ccEntry, nowN int64, finS
 	}
 	if e.kaProbes >= s.cfg.KeepaliveProbes {
 		s.PeerDeadKeepalive.Add(1)
-		s.abortFlowCause(f, fastpath.AbortPeerDead)
+		s.doom(f, fastpath.AbortPeerDead)
 		return false
 	}
 	e.kaProbes++
@@ -137,6 +138,7 @@ func (s *Slowpath) sendKeepalive(f *flowstate.Flow) {
 	ack := f.AckNo
 	window := uint16(f.RxBuf.Free() / fastpath.WindowUnit)
 	f.Unlock()
+	s.KeepaliveProbesSent.Add(1) // before the send, as for persist probes
 	s.output(&protocol.Packet{
 		SrcMAC: s.eng.Config().LocalMAC, DstMAC: f.PeerMAC,
 		SrcIP: f.LocalIP, DstIP: f.PeerIP,
@@ -147,7 +149,6 @@ func (s *Slowpath) sendKeepalive(f *flowstate.Flow) {
 		ECN:     protocol.ECNECT0,
 		Payload: []byte{0},
 	})
-	s.KeepaliveProbesSent.Add(1)
 	recordFlow(f, telemetry.FEKeepaliveProbe, seq, ack, 0, 0)
 }
 

@@ -156,7 +156,7 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 		s.eng.Table.Remove(f.Key())
 		s.reclaimFlowResources(f)
 		s.mu.Lock()
-		delete(s.cc, f)
+		s.dropEntry(f)
 		if _, ok := s.closing[f]; ok {
 			delete(s.closing, f)
 			s.chargeTimers(-1)
@@ -191,7 +191,7 @@ type Counters struct {
 	PersistProbes, KeepaliveProbesSent                      uint64
 	PeerDeadZeroWindow, PeerDeadKeepalive                   uint64
 	FinWait2Timeouts, TimeWaitReused                        uint64
-	StrayRsts                                               uint64
+	StrayRsts, FlowActivations                              uint64
 }
 
 // Counters returns a snapshot of the slow path's counters.
@@ -214,7 +214,7 @@ func (s *Slowpath) Counters() Counters {
 		PersistProbes: s.PersistProbes.Load(), KeepaliveProbesSent: s.KeepaliveProbesSent.Load(),
 		PeerDeadZeroWindow: s.PeerDeadZeroWindow.Load(), PeerDeadKeepalive: s.PeerDeadKeepalive.Load(),
 		FinWait2Timeouts: s.FinWait2Timeouts.Load(), TimeWaitReused: s.TimeWaitReused.Load(),
-		StrayRsts: s.StrayRsts.Load(),
+		StrayRsts: s.StrayRsts.Load(), FlowActivations: s.FlowActivations.Load(),
 	}
 }
 
@@ -259,4 +259,5 @@ func (s *Slowpath) AdoptCounters(c Counters) {
 	s.FinWait2Timeouts.Store(c.FinWait2Timeouts)
 	s.TimeWaitReused.Store(c.TimeWaitReused)
 	s.StrayRsts.Store(c.StrayRsts)
+	s.FlowActivations.Store(c.FlowActivations)
 }

@@ -44,9 +44,10 @@ type RecoveryStats struct {
 //     including the live accept-depth gauge the application side holds.
 //   - Every flow in the flow table whose context is alive and whose
 //     buffers are intact gets a fresh congestion controller (seeded
-//     into its existing rate bucket) and a cc entry whose lastUna is
-//     computed from the recorded SeqNo/TxSent — so RTO detection
-//     re-arms exactly where the crashed instance left off.
+//     into its existing rate bucket) and an active cc entry whose
+//     lastUna is computed from the recorded SeqNo/TxSent — so RTO
+//     detection re-arms exactly where the crashed instance left off;
+//     flows the crashed instance had parked re-park after a few ticks.
 //   - A flow mid-teardown (FIN sent, not yet acknowledged) gets its
 //     FIN-retransmission timer re-armed.
 //   - A flow that cannot be proven consistent — context gone or dead,
@@ -109,6 +110,9 @@ func (s *Slowpath) Recover() RecoveryStats {
 		finPending := f.FinSent && !f.FinAcked
 		finWait2 := f.FinSent && f.FinAcked && !f.FinReceived
 		finDone := f.FinSent && f.FinAcked && f.FinReceived
+		// The park flag is shared state the crashed instance set; its
+		// parked list died with it. Every survivor restarts active.
+		f.Parked = false
 		f.Unlock()
 
 		ctx := s.eng.ContextByID(ctxID)
@@ -133,9 +137,8 @@ func (s *Slowpath) Recover() RecoveryStats {
 		if b := s.eng.Bucket(f.Bucket); b != nil {
 			b.SetRate(ctrl.Rate())
 		}
-		entry := &ccEntry{ctrl: ctrl, lastUna: seq - txSent, lastRate: ctrl.Rate()}
 		s.mu.Lock()
-		s.cc[f] = entry
+		s.adoptFlow(f, ctrl, seq-txSent, s.eng.NowNanos())
 		if finPending {
 			rto := s.finRTO()
 			s.closing[f] = &closeEntry{finSeq: seq, rto: rto, deadline: now.Add(rto)}
@@ -176,6 +179,14 @@ func (s *Slowpath) Recover() RecoveryStats {
 		}
 	}
 
+	// Activations queued toward the crashed instance are moot: every
+	// surviving flow was just readopted active with its flag cleared.
+	for {
+		if _, ok := s.eng.TakeActivation(); !ok {
+			break
+		}
+	}
+
 	// Core-failure verdicts survive in the engine (failed flags + RSS
 	// exclusion mask); New() already adopted them into this instance's
 	// watchdog, but the staleness clocks must restart at resume time —
@@ -213,7 +224,7 @@ func (s *Slowpath) recoveryAbort(f *flowstate.Flow) {
 	s.eng.Table.Remove(f.Key())
 	s.reclaimFlowResources(f)
 	s.mu.Lock()
-	delete(s.cc, f)
+	s.dropEntry(f)
 	delete(s.closing, f)
 	s.mu.Unlock()
 	s.RecoveryAborts.Add(1)

@@ -1,8 +1,8 @@
 // Package slowpath implements the TAS slow path (§3.2): connection
 // control (ports, handshakes, teardown), the congestion-control loop
 // that polls per-flow feedback from fast-path state every control
-// interval and writes back rate limits, retransmission-timeout
-// detection, and the workload-proportionality monitor that scales
+// interval — for the flows that have any; idle ones are parked off the
+// tick — and writes back rate limits, retransmission-timeout detection, and the workload-proportionality monitor that scales
 // fast-path cores with load (§3.4).
 //
 // In the paper the slow path is a separate thread communicating with
@@ -322,9 +322,25 @@ type halfOpen struct {
 
 // ccEntry is the slow path's per-flow congestion/timeout state.
 type ccEntry struct {
-	ctrl       congestion.RateController
+	flow *flowstate.Flow
+	ctrl congestion.RateController
+
+	// Control-set membership (control.go): idx is the entry's slot in
+	// Slowpath.active, or -1 while it is parked; prev/next link parked
+	// entries in park order. lastTick is the engine-clock time of the
+	// last visit (feedback is averaged over the time since); quiet counts
+	// consecutive visits that found no work and left the rate unchanged;
+	// kaBase is, for a parked entry, the time its keepalive idle clock
+	// counts from.
+	idx        int
+	prev, next *ccEntry
+	lastTick   int64
+	quiet      int
+	kaBase     int64
+
 	lastUna    uint32
-	stallTicks int
+	stallTicks int           // visits without ack progress
+	stalledFor time.Duration // the time those visits span
 	// consecTimeouts counts back-to-back retransmission timeouts with
 	// no intervening ack progress; it doubles the next timeout's wait
 	// (exponential backoff) and triggers an abort past MaxRetransmits.
@@ -384,6 +400,16 @@ type Slowpath struct {
 	mu      sync.Mutex
 	cc      map[*flowstate.Flow]*ccEntry
 	closing map[*flowstate.Flow]*closeEntry
+
+	// The control set (control.go), guarded by mu: every cc entry is
+	// either in active — the dense list the control tick walks — or on
+	// the parked FIFO, which no tick touches. doomed is the tick's
+	// scratch list of flows to abort once it has released mu.
+	active     []*ccEntry
+	parkedHead *ccEntry
+	parkedTail *ccEntry
+	parkedN    int
+	doomed     []doomedFlow
 
 	// portCtr drives ephemeral port allocation (32768 + ctr%32768);
 	// atomic so concurrent Dials don't need any shared lock.
@@ -448,6 +474,9 @@ type Slowpath struct {
 	HalfOpenReaped   atomic.Uint64 // half-open handshakes reclaimed by the reaper
 	SynBacklogDrops  atomic.Uint64 // SYNs shed: listener backlog full
 	AcceptQueueDrops atomic.Uint64 // established-but-undeliverable accepts torn down
+
+	// FlowActivations counts parked flows put back on the control tick.
+	FlowActivations atomic.Uint64
 
 	// Resource-governor stats (the governor's own Snapshot carries the
 	// per-rung/per-pool detail; these two are the slow path's share).
@@ -574,6 +603,9 @@ func (s *Slowpath) run() {
 			s.noteResume(time.Now())
 		case <-s.excWake:
 			s.drainExceptions()
+			s.mu.Lock()
+			s.drainActivations(s.eng.NowNanos())
+			s.mu.Unlock()
 		case <-ctrl.C:
 			if s.panicNext.CompareAndSwap(true, false) {
 				panic("slowpath: injected event-loop panic")
@@ -598,7 +630,7 @@ func (s *Slowpath) run() {
 				// cached coarse clock (flight-recorder timestamps) fresh
 				// once per tick even when the fast path is idle.
 				t0 := telem.RefreshNow()
-				s.controlLoop()
+				s.controlTick(s.eng.NowNanos())
 				t1 := telem.RefreshNow()
 				telem.Cycles.AddSlow(telemetry.ModCC, t1-t0, 1)
 				s.handshakeSweep()
@@ -611,7 +643,7 @@ func (s *Slowpath) run() {
 				s.governorTick()
 				s.coreSweep(now)
 			} else {
-				s.controlLoop()
+				s.controlTick(s.eng.NowNanos())
 				s.handshakeSweep()
 				s.closeSweep()
 				s.timeWaitSweep()
@@ -799,6 +831,9 @@ func (s *Slowpath) Close(f *flowstate.Flow) {
 		alreadyClosed := f.FinSent
 		if !alreadyClosed {
 			f.FinSent = true
+			// An unacknowledged FIN is control work: a parked flow goes
+			// back on the tick.
+			s.eng.ActivateFlow(f)
 		}
 		seq := f.SeqNo
 		ack := f.AckNo

@@ -257,6 +257,7 @@ func TestGovernorLeakAuditSoak(t *testing.T) {
 	if st.PersistProbes == 0 {
 		t.Fatal("wedge-phase: no persist probes were sent before the verdict")
 	}
+	checkControl(t, "after zero-window verdict", srv, cli)
 	sc.Close()
 	wc.Close()
 

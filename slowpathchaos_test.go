@@ -156,6 +156,7 @@ func TestChaosSlowPathCrashMidTransfer(t *testing.T) {
 		t.Fatalf("recovery: %+v, want %d reconstructed, 0 aborted", rep, pre)
 	}
 	restartDone := time.Now()
+	checkControl(t, "after warm restart", srv, cli)
 
 	// The watchdog observes the resumed heartbeat and leaves degraded
 	// mode.
@@ -206,6 +207,8 @@ func TestChaosSlowPathCrashMidTransfer(t *testing.T) {
 			t.Fatal("transfer did not complete after recovery")
 		}
 	}
+
+	checkControl(t, "after post-restart transfer", srv, cli)
 
 	// A fresh Dial works again after recovery.
 	nc, err := cli.NewContext().Dial("10.0.0.1", 8080)

@@ -729,10 +729,20 @@ func (s *Service) registerMetrics() {
 		{"tas_keepalive_probes_total", "TCP keepalive probes transmitted.", func(c slowpath.Counters) uint64 { return c.KeepaliveProbesSent }},
 		{"tas_fin_wait2_timeouts_total", "Flows reclaimed after the peer never sent its FIN.", func(c slowpath.Counters) uint64 { return c.FinWait2Timeouts }},
 		{"tas_time_wait_reused_total", "TIME_WAIT tuples reused early by a fresh SYN (RFC 6191).", func(c slowpath.Counters) uint64 { return c.TimeWaitReused }},
+		{"tas_slowpath_flow_activations_total", "Parked flows put back on the control tick (idle-to-busy edges).", func(c slowpath.Counters) uint64 { return c.FlowActivations }},
 	} {
 		read := m.read
 		r.CounterFunc(m.name, m.help, func() float64 { return float64(read(slowCounters())) })
 	}
+
+	// Control-set occupancy: flows the control tick visits each interval
+	// against flows parked off it (list lengths, read at scrape time).
+	r.GaugeFunc("tas_slowpath_flows", "Established flows on the slow-path control tick.",
+		func() float64 { a, _ := s.Slow().ControlSet(); return float64(a) },
+		telemetry.L("state", "active"))
+	r.GaugeFunc("tas_slowpath_flows", "Established flows parked off the slow-path control tick.",
+		func() float64 { _, p := s.Slow().ControlSet(); return float64(p) },
+		telemetry.L("state", "parked"))
 
 	// Peer-liveness failure domain: dead peers by detection cause, plus
 	// the close-lifecycle gauges.

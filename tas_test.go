@@ -25,6 +25,18 @@ func newPair(t *testing.T, cfg Config) (*Fabric, *Service, *Service) {
 	return fab, srv, cli
 }
 
+// checkControl asserts the slow path's control-set invariant (every
+// flow active, parked or queued for activation; no parked flow holding
+// work) on each service. Chaos tests call it at their assertion points.
+func checkControl(t *testing.T, where string, svcs ...*Service) {
+	t.Helper()
+	for i, s := range svcs {
+		if err := s.Slow().CheckControlInvariant(); err != nil {
+			t.Fatalf("%s: service %d: %v", where, i, err)
+		}
+	}
+}
+
 func TestEchoRoundTrip(t *testing.T) {
 	_, srv, cli := newPair(t, Config{})
 	sctx := srv.NewContext()

@@ -199,6 +199,9 @@ func TestServiceMetricsExposition(t *testing.T) {
 		"tas_flows_live 1",
 		"tas_cycles_nanos_total",
 		`cause="syn_shed"`,
+		`tas_slowpath_flows{state="active"}`,
+		`tas_slowpath_flows{state="parked"}`,
+		"tas_slowpath_flow_activations_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
