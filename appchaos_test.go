@@ -227,6 +227,44 @@ func TestAppCrashReapedWhileNeighborUnharmed(t *testing.T) {
 	}
 }
 
+// TestAppReapedSendsFailOnEveryPath: once a context is reaped its
+// flows' buffers are reclaimed and silently refuse writes, and no abort
+// event reaches a dead context — so every send path, not just the
+// blocking one, must report the death itself instead of "succeeding".
+func TestAppReapedSendsFailOnEveryPath(t *testing.T) {
+	_, srv, cli := newPair(t, appCfg())
+	ln, err := srv.NewContext().Listen(9003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ln.Accept(5 * time.Second)
+	ctx := cli.NewContext()
+	conn, err := ctx.Dial("10.0.0.1", 9003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.Kill()
+	deadline := time.Now().Add(10 * time.Second)
+	for cli.Stats().AppsReaped == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("app never reaped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	msg := []byte("into the void")
+	if n, err := conn.c.SendNoWait(msg); n != 0 || !ErrAppDead(err) {
+		t.Fatalf("SendNoWait on a reaped context = %d, %v; want 0, app-dead", n, err)
+	}
+	filled := false
+	n, err := conn.WriteZeroCopy(len(msg), func(a, b []byte) int { filled = true; return copy(a, msg) })
+	if n != 0 || !ErrAppDead(err) || filled {
+		t.Fatalf("WriteZeroCopy on a reaped context = %d, %v (fill called: %v); want 0, app-dead, no fill", n, err, filled)
+	}
+	if n, err := conn.WriteTimeout(msg, time.Second); n != 0 || !ErrAppDead(err) {
+		t.Fatalf("Write on a reaped context = %d, %v; want 0, app-dead", n, err)
+	}
+}
+
 // TestAcceptBacklogOverflowShedsSyns: a listener with backlog 4 and a
 // slow accepter sheds the fifth concurrent connection (silent SYN drop,
 // counted, no RST), and accepting connections opens the gate again.

@@ -109,6 +109,7 @@ type view struct {
 type coreRow struct {
 	core                   string
 	rxPPS, txPPS, ackPPS   float64
+	parkShare, pollShare   float64 // of the refresh interval
 	rxDepth, kickDepth     float64
 	ctxEvDepth, ctxTxDepth float64
 }
@@ -151,6 +152,10 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 			core(s).txPPS = rate(s)
 		case "tas_fastpath_acks_sent_total":
 			core(s).ackPPS = rate(s)
+		case "tas_fastpath_core_park_seconds_total":
+			core(s).parkShare = rate(s)
+		case "tas_fastpath_core_poll_seconds_total":
+			core(s).pollShare = rate(s)
 		case "tas_ring_depth":
 			switch s.Labels["ring"] {
 			case "rx":
@@ -189,7 +194,7 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 	}
 	b.WriteString("\n\n")
 
-	b.WriteString("core     rx pps     tx pps    ack pps    rxq  kickq  ctx-ev  ctx-tx\n")
+	b.WriteString("core     rx pps     tx pps    ack pps  park%  poll%    rxq  kickq  ctx-ev  ctx-tx\n")
 	names := make([]string, 0, len(v.cores))
 	for c := range v.cores {
 		names = append(names, c)
@@ -197,8 +202,9 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 	sort.Strings(names)
 	for _, c := range names {
 		r := v.cores[c]
-		fmt.Fprintf(&b, "%-4s %10.0f %10.0f %10.0f %6.0f %6.0f %7.0f %7.0f\n",
-			r.core, r.rxPPS, r.txPPS, r.ackPPS, r.rxDepth, r.kickDepth, r.ctxEvDepth, r.ctxTxDepth)
+		fmt.Fprintf(&b, "%-4s %10.0f %10.0f %10.0f %6.1f %6.1f %6.0f %6.0f %7.0f %7.0f\n",
+			r.core, r.rxPPS, r.txPPS, r.ackPPS, 100*r.parkShare, 100*r.pollShare,
+			r.rxDepth, r.kickDepth, r.ctxEvDepth, r.ctxTxDepth)
 	}
 
 	b.WriteString("\nlatency (µs)        p0.5       p0.9      p0.99     p0.999\n")

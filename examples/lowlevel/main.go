@@ -55,10 +55,10 @@ func main() {
 				ch := fp.Sleep()
 				if n = fp.PollEvents(evs); n == 0 {
 					<-ch
-					fp.Awake()
+					fp.Awake(ch)
 					continue
 				}
-				fp.Awake()
+				fp.Awake(ch)
 			}
 			for i := 0; i < n; i++ {
 				switch evs[i].Kind {

@@ -275,3 +275,37 @@ func TestTimeWaitExpiry(t *testing.T) {
 		return h.Slow.TimeWaitCount() == 0 && h.Gov.Used(resource.PoolTimeWait) == 0
 	})
 }
+
+// TestPeerClosesBackBeforeFinSendReturns: the peer's FIN|ACK is handled
+// — tuple quarantined, flow removed — while the closing side is still
+// inside the call that transmitted its FIN. The close timer must already
+// own the flow by then: one registered afterwards would have the close
+// sweep quarantine, and charge, the same tuple a second time.
+func TestPeerClosesBackBeforeFinSendReturns(t *testing.T) {
+	h := newHarness(t, slowpath.Config{TimeWait: 60 * time.Millisecond})
+	conn, p := establish(t, h, 7027, 40027)
+	answered := false
+	answer := func(q *protocol.Packet) {
+		if answered || !p.ToPeer(q) || !q.Flags.Has(protocol.FlagFIN) {
+			return
+		}
+		answered = true
+		p.RcvNxt = q.Seq + 1
+		p.Send(protocol.FlagFIN|protocol.FlagACK, p.SndNxt, p.RcvNxt, nil)
+		for end := time.Now().Add(expectIn); h.Eng.Table.Len() != 0 && time.Now().Before(end); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	h.nic.onOutput.Store(&answer)
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.WaitCond(expectIn, "TIME_WAIT entered", func() bool {
+		return h.Slow.TimeWaitCount() == 1 && h.Eng.Table.Len() == 0
+	})
+	h.WaitCond(expectIn, "quarantine expires", func() bool { return h.Slow.TimeWaitCount() == 0 })
+	h.WaitCond(expectIn, "every charge returned", func() bool {
+		return h.Gov.Used(resource.PoolTimeWait) == 0 && h.Gov.Used(resource.PoolTimers) == 0 &&
+			h.Gov.Used(resource.PoolFlows) == 0
+	})
+}

@@ -34,9 +34,16 @@ import (
 type captureNIC struct {
 	ch      chan *protocol.Packet
 	dropped atomic.Uint64
+	// onOutput, when set, runs on the transmitting goroutine before the
+	// frame is queued: a peer that answers before the stack's send call
+	// has even returned.
+	onOutput atomic.Pointer[func(*protocol.Packet)]
 }
 
 func (n *captureNIC) Output(pkt *protocol.Packet) {
+	if f := n.onOutput.Load(); f != nil {
+		(*f)(pkt)
+	}
 	select {
 	case n.ch <- pkt.Clone():
 	default:

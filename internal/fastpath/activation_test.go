@@ -1,12 +1,6 @@
 package fastpath
 
-import (
-	"sync"
-	"testing"
-	"time"
-
-	"repro/internal/protocol"
-)
+import "testing"
 
 // TestTransmitActivatesParkedFlow: bytes to send on a parked flow clear
 // its flag and queue it toward the slow path exactly once — including
@@ -58,62 +52,5 @@ func TestActivationRingOverflowKeepsFlag(t *testing.T) {
 	}
 	if !e.TakeActivationOverflow() || e.TakeActivationOverflow() {
 		t.Fatal("overflow mark not raised exactly once")
-	}
-}
-
-// lockedNIC is a stubNIC safe to read while a core goroutine transmits.
-type lockedNIC struct {
-	mu  sync.Mutex
-	out int
-}
-
-func (n *lockedNIC) Output(*protocol.Packet) { n.mu.Lock(); n.out++; n.mu.Unlock() }
-func (n *lockedNIC) sent() int               { n.mu.Lock(); defer n.mu.Unlock(); return n.out }
-
-// TestBlockRecheckSeesContextTx drives the lost-wakeup interleaving on
-// the context TX queues: a descriptor pushed after the core's last
-// drainCtxTx but before it publishes asleep gets no wake (PushTxCmd saw
-// asleep == false), so only the block path's own re-check can keep it
-// from waiting out the 100ms block timeout.
-func TestBlockRecheckSeesContextTx(t *testing.T) {
-	nic := &lockedNIC{}
-	e := NewEngine(nic, Config{
-		LocalIP:      protocol.MakeIPv4(10, 0, 0, 1),
-		LocalMAC:     protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
-		MaxCores:     1,
-		BlockTimeout: time.Millisecond,
-	})
-	f := testFlow(e)
-	ctx := NewContext(0, 1, 64)
-	e.RegisterContext(ctx)
-	f.Context = 0
-
-	var once sync.Once
-	pushed := make(chan time.Time, 1)
-	e.beforeSleep = func(int) {
-		once.Do(func() {
-			f.Lock()
-			f.TxBuf.Write(make([]byte, 100))
-			f.Unlock()
-			if !e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: 100}) {
-				t.Error("PushTxCmd refused")
-			}
-			pushed <- time.Now()
-		})
-	}
-	e.Start()
-	defer e.Stop()
-
-	var at time.Time
-	select {
-	case at = <-pushed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("core never reached its block path")
-	}
-	for nic.sent() == 0 {
-		if time.Since(at) > 50*time.Millisecond {
-			t.Fatalf("descriptor pushed in the sleep window still unsent after %v: lost wakeup", time.Since(at))
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }

@@ -144,3 +144,19 @@ func BenchmarkFlowLookup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWakeParkedCore measures the doorbell: Input on a parked core
+// to the core's first processRx — the price a request pays for finding
+// the stack asleep, and the whole cost of being work-proportional.
+func BenchmarkWakeParkedCore(b *testing.B) {
+	e := oneCoreEngine(&countNIC{})
+	f := testFlow(e)
+	e.Start()
+	defer e.Stop()
+	pkt := ackPkt(f, f.SeqNo)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parkWakeRound(e, pkt)
+	}
+}

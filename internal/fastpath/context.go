@@ -100,14 +100,17 @@ type Context struct {
 	rxq []*shmring.SPSC[Event] // per-core: fast path produces, app consumes
 	txq []*shmring.MPSC[TxCmd] // per-core: app threads produce (many), fast path consumes
 
-	// Wakeup is a broadcast: Wake closes the current channel (releasing
-	// every blocked waiter) and installs a fresh one. A context may have
-	// several application goroutines blocked at once — per-connection
-	// readers sharing one accept context — and a single-token scheme
-	// loses wakeups: one waiter consumes the token, drains the event
-	// queue for everyone, and the rest sleep forever.
+	// Wakeup is a broadcast: Wake puts a token in the channel of every
+	// registered waiter. A context may have several application
+	// goroutines blocked at once — per-connection readers sharing one
+	// accept context — and one token shared by all loses wakeups: one
+	// waiter consumes it, drains the event queue for everyone, and the
+	// rest sleep forever. Each waiter therefore sleeps on a one-slot
+	// channel of its own, recycled through idle so that neither Sleep
+	// nor Wake allocates in steady state.
 	wakeMu   sync.Mutex
-	wake     chan struct{}
+	waiting  []chan struct{}
+	idle     []chan struct{}
 	sleepers atomic.Int32
 
 	// DroppedEvents counts events the fast path could not post because
@@ -128,7 +131,7 @@ type Context struct {
 // NewContext allocates a context spanning `cores` fast-path cores with
 // the given per-core queue capacity.
 func NewContext(id, cores, qcap int) *Context {
-	c := &Context{ID: id, wake: make(chan struct{})}
+	c := &Context{ID: id}
 	for i := 0; i < cores; i++ {
 		c.rxq = append(c.rxq, shmring.NewSPSC[Event](qcap))
 		c.txq = append(c.txq, shmring.NewMPSC[TxCmd](qcap))
@@ -170,10 +173,18 @@ func (c *Context) Wake() {
 		return
 	}
 	c.wakeMu.Lock()
-	close(c.wake)
-	c.wake = make(chan struct{})
+	for _, ch := range c.waiting {
+		select {
+		case ch <- struct{}{}:
+		default: // already holds a token it has not consumed
+		}
+	}
 	c.wakeMu.Unlock()
 }
+
+// Sleepers returns the number of application goroutines currently
+// registered as blocked on the context (gauge reads, tests).
+func (c *Context) Sleepers() int { return int(c.sleepers.Load()) }
 
 // PushTx enqueues a TX command toward the given core. It reports false
 // if the queue is full.
@@ -195,19 +206,43 @@ func (c *Context) PollEvents(out []Event) int {
 }
 
 // Sleep registers the caller as a blocked waiter and returns the
-// current wake channel. The caller must re-poll once after calling
-// Sleep and before blocking, to avoid lost wakeups, and must pair every
-// Sleep with exactly one Awake.
+// channel the next Wake signals. The caller must re-poll once after
+// calling Sleep and before blocking, to avoid lost wakeups, and must
+// hand the channel back with exactly one Awake.
 func (c *Context) Sleep() <-chan struct{} {
 	c.sleepers.Add(1)
 	c.wakeMu.Lock()
-	ch := c.wake
+	var ch chan struct{}
+	if n := len(c.idle); n > 0 {
+		ch, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		ch = make(chan struct{}, 1)
+	}
+	c.waiting = append(c.waiting, ch)
 	c.wakeMu.Unlock()
 	return ch
 }
 
-// Awake deregisters a waiter after the application resumes polling.
-func (c *Context) Awake() { c.sleepers.Add(-1) }
+// Awake deregisters the waiter Sleep gave ch to, once the application
+// resumes polling. A token the waiter never consumed is discarded.
+func (c *Context) Awake(ch <-chan struct{}) {
+	c.wakeMu.Lock()
+	for i, w := range c.waiting {
+		if w == ch {
+			last := len(c.waiting) - 1
+			c.waiting[i] = c.waiting[last]
+			c.waiting = c.waiting[:last]
+			select {
+			case <-w:
+			default:
+			}
+			c.idle = append(c.idle, w)
+			break
+		}
+	}
+	c.wakeMu.Unlock()
+	c.sleepers.Add(-1)
+}
 
 // Beat records an application heartbeat. In the paper the kernel tells
 // TAS when an application process dies; in this in-process reproduction

@@ -25,11 +25,6 @@ type NIC interface {
 // counts KiB.
 const WindowUnit = 1024
 
-// spinWindow is how long an idle fast-path core busy-polls (yielding)
-// before it starts dozing; covers the inter-packet gaps of an active
-// RPC conversation without monopolizing a shared CPU during real lulls.
-const spinWindow = 200 * time.Microsecond
-
 // stopTimeout bounds Engine.Stop against a wedged core: a goroutine
 // stalled inside an iteration (fault harness or a real hang) never
 // reaches its loop check, and shutdown must not inherit its fate. Past
@@ -54,11 +49,10 @@ type Config struct {
 	LocalIP  protocol.IPv4
 	LocalMAC protocol.MAC
 
-	MaxCores     int           // fast-path cores created at init (§3.4)
-	RxRingSize   int           // per-core NIC receive ring entries
-	MSS          int           // payload bytes per segment
-	BurstBytes   float64       // rate-bucket burst capacity
-	BlockTimeout time.Duration // idle time before a core blocks (10ms)
+	MaxCores   int     // fast-path cores created at init (§3.4)
+	RxRingSize int     // per-core NIC receive ring entries
+	MSS        int     // payload bytes per segment
+	BurstBytes float64 // rate-bucket burst capacity
 
 	// DisableOoo turns off the fast path's one-interval out-of-order
 	// buffering ("TAS simple recovery" in Figure 7): all out-of-order
@@ -103,9 +97,6 @@ func (c *Config) fill() {
 	if c.BurstBytes <= 0 {
 		c.BurstBytes = 64 << 10
 	}
-	if c.BlockTimeout <= 0 {
-		c.BlockTimeout = 10 * time.Millisecond
-	}
 }
 
 // CoreStats counts one fast-path core's activity.
@@ -127,9 +118,7 @@ type CoreStats struct {
 	OooDropped    atomic.Uint64
 	Frexmits      atomic.Uint64
 	WrongCore     atomic.Uint64 // packets processed on a non-RSS core
-	BusyLoops     atomic.Uint64
-	IdleLoops     atomic.Uint64
-	Blocks        atomic.Uint64
+	Blocks        atomic.Uint64 // parks: waits on the doorbell
 	Panics        atomic.Uint64 // contained panics in the core's run loop
 	Stranded      atomic.Uint64 // packets stuck in a failed core's queues, unrecoverable by drain
 	BlindAckDrops atomic.Uint64 // segments dropped: ACK field fails RFC 5961 validation
@@ -146,7 +135,17 @@ type core struct {
 	wake    chan struct{}
 	asleep  atomic.Bool
 	pending []*flowstate.Flow // rate-limited flows awaiting tokens
-	stats   CoreStats
+	// pendingAt is the earliest engine time (ns) at which a pending flow's
+	// bucket holds enough tokens again; 0 when nothing is pending.
+	pendingAt int64
+	stats     CoreStats
+
+	// Idle-time accounting (see idle.go), written by the core at state
+	// transitions only: time spent polling empty queues and parked on
+	// the doorbell. Whatever is left of wall time is work.
+	// utilAt/utilIdle are the scaling monitor's previous sample.
+	polled, parked   idleClock
+	utilAt, utilIdle atomic.Int64
 
 	// rttTicks drives the 1-in-rttSampleEvery RTT histogram sampling.
 	// Only this core's run goroutine touches it, so it needs no atomics.
@@ -231,8 +230,8 @@ type Engine struct {
 	actOverflow atomic.Bool
 
 	// coarseClock caches nowNanos for per-packet last-activity stamps:
-	// refreshed wherever the run loop already reads the wall clock (the
-	// busy-loop idleSince reset) and by the slow path's heartbeat, so
+	// refreshed wherever the run loop already reads the clock (its
+	// work/poll/park transitions) and by the slow path's heartbeat, so
 	// stamping a flow costs one atomic load + store, never a clock read.
 	// Staleness is bounded by the slow path's control interval.
 	coarseClock atomic.Int64
@@ -296,14 +295,16 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 	e.contextsV.Store([]*Context(nil))
 	e.bucketsV.Store([]*Bucket(nil))
 	for i := 0; i < cfg.MaxCores; i++ {
-		e.cores = append(e.cores, &core{
+		c := &core{
 			idx:    i,
 			rxRing: shmring.NewMPSC[*protocol.Packet](cfg.RxRingSize),
 			kicks:  shmring.NewMPSC[*flowstate.Flow](1024),
 			wake:   make(chan struct{}, 1),
 			kill:   make(chan struct{}),
 			stallC: make(chan time.Duration, 1),
-		})
+		}
+		c.parked.enter(0) // until its goroutine runs
+		e.cores = append(e.cores, c)
 	}
 	return e
 }
@@ -318,7 +319,7 @@ func (e *Engine) NowMicros() uint32 { return uint32(time.Since(e.start).Microsec
 func (e *Engine) nowNanos() int64 { return time.Since(e.start).Nanoseconds() }
 
 // CoarseNanos returns the cached engine clock (nanos since start),
-// refreshed by busy run-loop iterations and slow-path heartbeats.
+// refreshed by run-loop state transitions and slow-path heartbeats.
 // Cheap enough for per-packet stamps; staleness is bounded by the
 // control interval.
 func (e *Engine) CoarseNanos() int64 { return e.coarseClock.Load() }
@@ -387,7 +388,7 @@ func (e *Engine) ActiveCores() int { return e.RSS.Cores() }
 // decision, §3.4: eager RSS update, lazy drain). Every core is woken —
 // not just the newly active set — so a core that was just steered away
 // from drains the packets already sitting in its receive ring promptly
-// instead of waiting out its block timeout.
+// instead of waiting out its park.
 func (e *Engine) SetActiveCores(n int) {
 	if n < 1 {
 		n = 1
@@ -703,10 +704,10 @@ func (e *Engine) wakeCoreS(c *core) {
 }
 
 // run is one fast-path core's main loop: poll NIC ring, slow-path
-// kicks, context TX queues, and rate-limited retries; block after
-// BlockTimeout of idleness (§3.4 adaptive blocking with notifications).
+// kicks, context TX queues, and rate-limited retries. Between work the
+// core polls while it holds polling credit and parks on its doorbell
+// otherwise (§3.4 blocking with notifications; idlePolicy is the rule).
 func (e *Engine) run(c *core) {
-	idleSince := time.Now()
 	var pktBatch [64]*protocol.Packet
 	var cmdBatch [64]TxCmd
 	// Cycle accounting (when telemetry is on) counts items on every
@@ -724,6 +725,17 @@ func (e *Engine) run(c *core) {
 	// channel for the next incarnation, and this goroutine must keep
 	// watching the one that belongs to it.
 	kill := c.kill
+	// One timer serves every park of this core: the watchdog beat, or
+	// the earliest pacing retry when flows are waiting for tokens.
+	parkTimer := time.NewTimer(parkBeat)
+	defer parkTimer.Stop()
+	// The clock is read where the core changes state — work to idle,
+	// one idle poll to the next, park to resume — never per packet.
+	idle := idlePolicy{mark: e.nowNanos()}
+	working := false // the stretch since idle.mark did work
+	// A core whose goroutine is not running counts as parked.
+	c.parked.leave(idle.mark)
+	defer func() { c.parked.enter(e.nowNanos()) }()
 	for !e.stopped.Load() {
 		// Heartbeat: one atomic add per iteration (no clock read — see
 		// the field comment). The slow-path core watchdog decides
@@ -803,48 +815,63 @@ func (e *Engine) run(c *core) {
 		}
 
 		if did > 0 {
-			c.stats.BusyLoops.Add(1)
-			idleSince = time.Now()
-			e.coarseClock.Store(idleSince.Sub(e.start).Nanoseconds())
+			working = true
 			continue
 		}
-		c.stats.IdleLoops.Add(1)
-		idle := time.Since(idleSince)
-		if idle < spinWindow {
+		if working {
+			working = false
+			idle.worked(e.refreshCoarse())
+		}
+		if idle.mayPoll() {
 			// Busy-poll (dedicating the CPU, the paper's design) but
 			// yield the scheduler slot so application goroutines run on
-			// shared machines; time.Sleep here would add OS-timer
-			// granularity to every packet's latency.
+			// shared machines. The yield belongs to the polled stretch:
+			// time other goroutines take is credit spent.
+			c.polled.enter(idle.mark)
 			runtime.Gosched()
+			now := e.refreshCoarse()
+			idle.polled(now)
+			c.polled.leave(now)
 			continue
 		}
-		if idle < e.cfg.BlockTimeout || len(c.pending) > 0 {
-			// Doze: the flow of packets has paused; stop burning the
-			// CPU other goroutines need but stay quick to resume.
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		// Block until woken (§3.4: cores that receive no packets
-		// automatically block and are de-scheduled).
-		c.stats.Blocks.Add(1)
+
+		// Park until the doorbell rings (§3.4: cores that receive no
+		// packets automatically block and are de-scheduled).
 		if e.beforeSleep != nil {
 			e.beforeSleep(c.idx)
 		}
 		c.asleep.Store(true)
 		// Re-check every queue this loop polls after publishing the sleep
 		// flag to avoid a lost wakeup: a producer that enqueued before the
-		// store saw asleep == false and sent no wake.
+		// store saw asleep == false and rang no doorbell.
 		if c.rxRing.Len() > 0 || c.kicks.Len() > 0 || e.ctxTxPending(c) {
 			c.asleep.Store(false)
 			continue
 		}
+		d := parkBeat
+		if len(c.pending) > 0 {
+			// Flows are waiting for rate tokens: sleep no longer than the
+			// first of them needs.
+			d = min(d, time.Duration(c.pendingAt-idle.mark))
+		}
+		c.stats.Blocks.Add(1)
+		c.parked.enter(idle.mark)
+		parkTimer.Reset(d)
 		select {
 		case <-c.wake:
 		case <-kill:
-		case <-time.After(100 * time.Millisecond):
+		case <-parkTimer.C:
+		}
+		if !parkTimer.Stop() {
+			select {
+			case <-parkTimer.C:
+			default:
+			}
 		}
 		c.asleep.Store(false)
-		idleSince = time.Now()
+		now := e.refreshCoarse()
+		idle.parked(now)
+		c.parked.leave(now)
 	}
 }
 
@@ -891,19 +918,25 @@ func (e *Engine) ctxTxPending(c *core) bool {
 	return false
 }
 
-// retryPending re-attempts transmission for rate-limited flows.
+// retryPending re-attempts transmission for rate-limited flows and
+// returns how many of them sent something: a retry the bucket refused
+// again is not work, and must not keep the core out of its idle path.
 func (e *Engine) retryPending(c *core) int {
 	if len(c.pending) == 0 {
 		return 0
 	}
 	pend := c.pending
 	c.pending = c.pending[:0]
+	c.pendingAt = 0
 	did := 0
 	for _, f := range pend {
+		sent := c.stats.TxPackets.Load()
 		f.Lock()
 		e.transmit(c, f)
 		f.Unlock()
-		did++
+		if c.stats.TxPackets.Load() != sent {
+			did++
+		}
 	}
 	return did
 }
@@ -948,15 +981,26 @@ func (e *Engine) Drops() DropStats {
 	return d
 }
 
-// Utilization returns the busy fraction of core loops since the last
-// call, for the slow path's scaling monitor.
+// CoreIdleNanos returns the nanoseconds core i has spent parked on its
+// doorbell and polling empty queues since the engine started — the two
+// ways a core is not working.
+func (e *Engine) CoreIdleNanos(i int) (parked, polled int64) {
+	c, now := e.cores[i], e.nowNanos()
+	return c.parked.total(now), c.polled.total(now)
+}
+
+// Utilization returns the fraction of wall time core coreIdx spent
+// working since the last call, for the slow path's scaling monitor:
+// whatever was neither parked nor polling empty queues. A core whose
+// goroutine is not running reports 0.
 func (e *Engine) Utilization(coreIdx int) float64 {
 	c := e.cores[coreIdx]
-	busy := c.stats.BusyLoops.Swap(0)
-	idle := c.stats.IdleLoops.Swap(0)
-	total := busy + idle
-	if total == 0 {
+	now := e.nowNanos()
+	idle := c.parked.total(now) + c.polled.total(now)
+	wall := now - c.utilAt.Swap(now)
+	idle -= c.utilIdle.Swap(idle)
+	if wall <= 0 {
 		return 0
 	}
-	return float64(busy) / float64(total)
+	return min(max(1-float64(idle)/float64(wall), 0), 1)
 }

@@ -411,7 +411,7 @@ func TestContextQueuesAndWake(t *testing.T) {
 	default:
 		t.Fatal("sleeping context should be woken")
 	}
-	ctx.Awake()
+	ctx.Awake(ch)
 }
 
 // TestWakeBroadcast: one Wake must release every blocked waiter, not
@@ -431,16 +431,22 @@ func TestWakeBroadcast(t *testing.T) {
 			t.Fatalf("waiter %d not woken", i)
 		}
 	}
-	ctx.Awake()
-	ctx.Awake()
-	// With no sleepers registered, Wake is a no-op on the new channel.
-	ch3 := ctx.Sleep()
-	select {
-	case <-ch3:
-		t.Fatal("woken without a Wake")
-	default:
+	// A waiter that never consumed its token hands the channel back with
+	// the token still in it; the next sleeper must not inherit it.
+	ch4 := ctx.Sleep()
+	ctx.PostEvent(0, Event{Kind: EvData})
+	ctx.Awake(ch4)
+	ctx.Awake(ch1)
+	ctx.Awake(ch2)
+	for i := 0; i < 3; i++ {
+		ch := ctx.Sleep()
+		defer ctx.Awake(ch)
+		select {
+		case <-ch:
+			t.Fatal("woken without a Wake")
+		default:
+		}
 	}
-	ctx.Awake()
 }
 
 func TestSetActiveCoresClamps(t *testing.T) {
@@ -485,10 +491,9 @@ func TestInputDropsOnFullRing(t *testing.T) {
 func TestEngineLifecycle(t *testing.T) {
 	nic := &syncNIC{}
 	e := NewEngine(nic, Config{
-		LocalIP:      protocol.MakeIPv4(10, 0, 0, 1),
-		LocalMAC:     protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
-		MaxCores:     2,
-		BlockTimeout: time.Millisecond,
+		LocalIP:  protocol.MakeIPv4(10, 0, 0, 1),
+		LocalMAC: protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
+		MaxCores: 2,
 	})
 	f := testFlow(e)
 	ctx := NewContext(0, 2, 256)
@@ -506,11 +511,14 @@ func TestEngineLifecycle(t *testing.T) {
 	if nic.count() == 0 {
 		t.Fatal("running core never generated the ack")
 	}
-	// Let cores go idle and block, then verify a late packet wakes them.
+	// A core that has done one packet's work holds a few microseconds of
+	// polling credit, and one that has done none holds none: both park,
+	// and a late packet rings the doorbell.
 	time.Sleep(20 * time.Millisecond)
-	blocked := e.cores[0].stats.Blocks.Load() + e.cores[1].stats.Blocks.Load()
-	if blocked == 0 {
-		t.Fatal("idle cores should block after BlockTimeout")
+	for i, c := range e.cores {
+		if c.stats.Blocks.Load() == 0 || !c.asleep.Load() {
+			t.Fatalf("core %d: idle with no credit but not parked (parks %d)", i, c.stats.Blocks.Load())
+		}
 	}
 	before := nic.count()
 	e.Input(dataPkt(f, 5006, []byte("wake")))
@@ -557,21 +565,4 @@ func (n *syncNIC) count() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.out)
-}
-
-func TestUtilizationSampling(t *testing.T) {
-	e, _ := testEngine()
-	// No loops run yet: utilization 0.
-	if u := e.Utilization(0); u != 0 {
-		t.Fatalf("idle utilization %v", u)
-	}
-	e.cores[0].stats.BusyLoops.Store(30)
-	e.cores[0].stats.IdleLoops.Store(10)
-	if u := e.Utilization(0); u != 0.75 {
-		t.Fatalf("utilization %v, want 0.75", u)
-	}
-	// Counters reset after sampling.
-	if u := e.Utilization(0); u != 0 {
-		t.Fatalf("post-reset utilization %v", u)
-	}
 }

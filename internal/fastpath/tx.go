@@ -50,9 +50,12 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		// business, but the fast path enforces it.
 		if bkt := e.Bucket(f.Bucket); bkt != nil {
 			wire := n + protocol.EthHeaderLen + protocol.IPv4HeaderLen + protocol.TCPHeaderLen + protocol.TSOptLen
-			if !bkt.Take(e.nowNanos(), wire) {
-				// Out of tokens: park the flow for a pacing retry.
+			if now := e.nowNanos(); !bkt.Take(now, wire) {
+				// Out of tokens: queue the flow for a pacing retry.
 				c.pending = append(c.pending, f)
+				if at := bkt.NextAvailable(now, wire); c.pendingAt == 0 || at < c.pendingAt {
+					c.pendingAt = at
+				}
 				return
 			}
 		}

@@ -50,6 +50,16 @@ func TestWatchdogDegradedTransitions(t *testing.T) {
 	if e.Degraded() {
 		t.Fatal("watchdog never recovered")
 	}
+	// The watchdog clears the flag first, then books the outage and
+	// records the transition.
+	waitFor(t, "outage booked", func() bool {
+		for _, ev := range telem.Recorder.Ring("slowpath").Events() {
+			if ev.Kind == telemetry.FERecovered {
+				return true
+			}
+		}
+		return false
+	})
 	st := e.Outages()
 	if st.Outages != 1 || st.Degraded || st.Total <= 0 {
 		t.Fatalf("outage stats after recovery: %+v", st)

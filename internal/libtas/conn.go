@@ -38,25 +38,27 @@ type Conn struct {
 	// last window update we pushed to the peer.
 	consumedSinceUpdate int
 
-	// copyCnt drives app-copy cycle sampling: one copy in
-	// appCycleSampleEvery is wall-timed (clock reads cost ~50-90ns,
-	// comparable to a small copy). Conns are driven by one application
-	// goroutine at a time, so a plain counter suffices.
-	copyCnt uint32
+	// sendCopies and recvCopies drive app-copy cycle sampling: one copy
+	// in appCycleSampleEvery is wall-timed (clock reads cost ~50-90ns,
+	// comparable to a small copy). One counter per direction: a
+	// connection may have a sender and a receiver goroutine at once,
+	// but each direction is driven by one goroutine at a time.
+	sendCopies, recvCopies uint32
 }
 
 // appCycleSampleEvery is the app-copy cycle-accounting sampling period
-// (power of two); see Conn.copyCnt.
+// (power of two); see Conn.sendCopies.
 const appCycleSampleEvery = 32
 
-// copyTimer starts a sampled app-copy timing interval: it returns the
-// start timestamp and whether this copy is one of the timed samples.
-func (cn *Conn) copyTimer(tm *telemetry.Telemetry) (int64, bool) {
+// copyTimer starts a sampled app-copy timing interval on one
+// direction's counter: it returns the start timestamp and whether this
+// copy is one of the timed samples.
+func copyTimer(tm *telemetry.Telemetry, copies *uint32) (int64, bool) {
 	if tm == nil {
 		return 0, false
 	}
-	cn.copyCnt++
-	if cn.copyCnt&(appCycleSampleEvery-1) != 0 {
+	*copies++
+	if *copies&(appCycleSampleEvery-1) != 0 {
 		return 0, false
 	}
 	return tm.RefreshNow(), true
@@ -159,7 +161,7 @@ func (cn *Conn) Send(p []byte, timeout time.Duration) (int, error) {
 			return sent, ErrAppDead
 		}
 		f := cn.flow
-		t0, timed := cn.copyTimer(tm)
+		t0, timed := copyTimer(tm, &cn.sendCopies)
 		f.Lock()
 		free, clamped := cn.txHeadroom(f)
 		n := len(p) - sent
@@ -242,6 +244,9 @@ func (cn *Conn) SendNoWait(p []byte) (int, error) {
 	if cn.closed || cn.peerClosed.Load() {
 		return 0, ErrClosed
 	}
+	if cn.ctx.fp.Dead() {
+		return 0, ErrAppDead // reaped: see Send
+	}
 	f := cn.flow
 	f.Lock()
 	free, clamped := cn.txHeadroom(f)
@@ -279,7 +284,7 @@ func (cn *Conn) RecvNoWait(p []byte) int {
 func (cn *Conn) recvNoWait(p []byte) int {
 	f := cn.flow
 	tm := cn.ctx.stack.Telem
-	t0, timed := cn.copyTimer(tm)
+	t0, timed := copyTimer(tm, &cn.recvCopies)
 	f.Lock()
 	n := f.RxBuf.Read(p)
 	f.Unlock()
@@ -343,6 +348,9 @@ func (cn *Conn) SendZeroCopy(max int, fill func(first, second []byte) int) (int,
 	}
 	if cn.peerClosed.Load() {
 		return 0, ErrClosed
+	}
+	if cn.ctx.fp.Dead() {
+		return 0, ErrAppDead // reaped: see Send
 	}
 	f := cn.flow
 	f.Lock()

@@ -308,27 +308,59 @@ func (c *Context) wait(cond func() bool, timeout time.Duration) error {
 		// Re-poll after publishing the sleep flag (lost-wakeup guard).
 		c.dispatch()
 		if cond() {
-			c.fp.Awake()
+			c.fp.Awake(ch)
 			return nil
 		}
-		if deadline.IsZero() {
-			<-ch
-		} else {
-			d := time.Until(deadline)
-			if d <= 0 {
-				c.fp.Awake()
-				return ErrTimeout
-			}
-			select {
-			case <-ch:
-			case <-time.After(d):
-				c.fp.Awake()
-				return ErrTimeout
-			}
+		ok := sleepOn(ch, deadline)
+		if ok {
+			wokeAt = c.sampleWake()
 		}
-		wokeAt = c.sampleWake()
-		c.fp.Awake()
+		c.fp.Awake(ch)
+		if !ok {
+			return ErrTimeout
+		}
 	}
+}
+
+// waitTimers recycles the deadline timers of blocking waits, so that a
+// wait with a timeout allocates nothing in steady state. The pool is
+// per waiter, not per context: a sender and a receiver goroutine may be
+// blocked on one context at once.
+var waitTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// sleepOn blocks until ch is signalled or the deadline (zero = none)
+// arrives; it reports false only when called at or past the deadline.
+// A timer that fires merely ends the sleep — the caller polls once
+// more and its next call finds the deadline passed — so a stale tick
+// left in a recycled timer's channel can cost a spurious wakeup but
+// never a premature timeout.
+func sleepOn(ch <-chan struct{}, deadline time.Time) bool {
+	if deadline.IsZero() {
+		<-ch
+		return true
+	}
+	d := time.Until(deadline)
+	if d <= 0 {
+		return false
+	}
+	t := waitTimers.Get().(*time.Timer)
+	t.Reset(d)
+	select {
+	case <-ch:
+	case <-t.C:
+	}
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	waitTimers.Put(t)
+	return true
 }
 
 // sampleWake stamps 1-in-wakeSampleEvery wakeups (zero otherwise); the

@@ -99,24 +99,13 @@ func (p *Poller) Wait(out []Ready, timeout time.Duration) (int, error) {
 		}
 		ch := p.ctx.fp.Sleep()
 		if n := p.poll(out); n > 0 {
-			p.ctx.fp.Awake()
+			p.ctx.fp.Awake(ch)
 			return n, nil
 		}
-		if deadline.IsZero() {
-			<-ch
-		} else {
-			d := time.Until(deadline)
-			if d <= 0 {
-				p.ctx.fp.Awake()
-				return 0, ErrTimeout
-			}
-			select {
-			case <-ch:
-			case <-time.After(d):
-				p.ctx.fp.Awake()
-				return 0, ErrTimeout
-			}
+		ok := sleepOn(ch, deadline)
+		p.ctx.fp.Awake(ch)
+		if !ok {
+			return 0, ErrTimeout
 		}
-		p.ctx.fp.Awake()
 	}
 }

@@ -540,11 +540,13 @@ func TestParkActivateHammer(t *testing.T) {
 				a.eng.KickFlow(f)
 			}
 		}
-		// Mostly pause long enough to park, sometimes not.
+		// Mostly pause long enough to park, sometimes not. Long enough
+		// means parkQuietTicks ticks of an idle process, whose 100us
+		// ticker the runtime delivers about once a millisecond.
 		if i%3 == 0 {
 			time.Sleep(300 * time.Microsecond)
 		} else {
-			time.Sleep(3 * time.Millisecond)
+			time.Sleep(20 * time.Millisecond)
 		}
 	}
 	waitCond(t, "transfer drained", 5*time.Second, func() bool {

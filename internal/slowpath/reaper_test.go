@@ -133,7 +133,7 @@ func TestReapReclaimsListenPort(t *testing.T) {
 	a.ctx.Beat() // enable liveness, then crash
 
 	deadline := time.Now().Add(2 * time.Second)
-	for a.sp.Counters().ListenersReaped == 0 && time.Now().Before(deadline) {
+	for a.sp.Counters().AppsReaped == 0 && time.Now().Before(deadline) { // bumped last
 		time.Sleep(time.Millisecond)
 	}
 	if c := a.sp.Counters(); c.ListenersReaped != 1 || c.AppsReaped != 1 {

@@ -839,13 +839,18 @@ func (s *Slowpath) Close(f *flowstate.Flow) {
 		ack := f.AckNo
 		f.Unlock()
 		if !alreadyClosed {
-			s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, seq, ack)
-			recordFlow(f, telemetry.FEFinTx, seq, ack, 0, 0)
+			// The closing entry must exist before the FIN can be answered:
+			// a peer that closes back at once sends the event loop through
+			// handleFin → enterTimeWait → removeFlow, and an entry added
+			// after that would have closeSweep quarantine (and charge) the
+			// tuple a second time.
 			rto := s.finRTO()
 			s.mu.Lock()
 			s.closing[f] = &closeEntry{finSeq: seq, rto: rto, deadline: time.Now().Add(rto)}
 			s.mu.Unlock()
 			s.chargeTimers(1)
+			s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, seq, ack)
+			recordFlow(f, telemetry.FEFinTx, seq, ack, 0, 0)
 		}
 		// From here the closing entry owns the lifecycle: closeSweep
 		// retransmits the FIN until acknowledged, then finishes the

@@ -673,6 +673,11 @@ func (s *Service) registerMetrics() {
 				func() float64 { return float64(st.Exceptions.Load()) }},
 			{"tas_fastpath_fast_rexmits_total", "Fast retransmits triggered on a fast-path core.",
 				func() float64 { return float64(st.Frexmits.Load()) }},
+			// The two ways a core is not working; the rest of wall time is work.
+			{"tas_fastpath_core_park_seconds_total", "Time a fast-path core spent parked on its doorbell (or not running).",
+				func() float64 { parked, _ := eng.CoreIdleNanos(i); return float64(parked) / 1e9 }},
+			{"tas_fastpath_core_poll_seconds_total", "Time a fast-path core spent polling empty queues.",
+				func() float64 { _, polled := eng.CoreIdleNanos(i); return float64(polled) / 1e9 }},
 		} {
 			r.CounterFunc(m.name, m.help, m.read, lbl)
 		}

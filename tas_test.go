@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -424,5 +425,79 @@ func TestRandomizedChunksIntegrity(t *testing.T) {
 				t.Fatal("payload corrupted")
 			}
 		})
+	}
+}
+
+// TestCoreScalingFollowsWork: the scaling monitor reads per-core
+// utilization as a share of wall time. Cores that park between packets
+// log next to no idle loops, so a loop-count ratio reads them as
+// saturated and adds cores to an engine that is mostly asleep. Two
+// closed-loop echo connections can occupy two cores at the most; four
+// are on offer.
+func TestCoreScalingFollowsWork(t *testing.T) {
+	_, srv, cli := newPair(t, Config{FastPathCores: 4})
+	ln, err := srv.NewContext().Listen(8090)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		conn, err := cli.NewContext().Dial("10.0.0.1", 8090)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := ln.Accept(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go func() { // echo server
+			defer wg.Done()
+			buf := make([]byte, 64)
+			for {
+				n, err := peer.Read(buf)
+				if err != nil {
+					return
+				}
+				if _, err := peer.Write(buf[:n]); err != nil {
+					return
+				}
+			}
+		}()
+		go func() { // closed-loop client
+			defer wg.Done()
+			defer conn.Close()
+			buf := make([]byte, 64)
+			for !stop.Load() {
+				if _, err := conn.Write(buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	most := 0
+	for end := time.Now().Add(400 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		most = max(most, srv.Engine().ActiveCores(), cli.Engine().ActiveCores())
+	}
+	stop.Store(true)
+	wg.Wait()
+	if most > 2 {
+		t.Fatalf("scaled to %d cores under two closed-loop connections", most)
+	}
+	// Idle, the engine sheds every core but one (one step per 10ms
+	// scale interval).
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Engine().ActiveCores() != 1 || cli.Engine().ActiveCores() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle engines hold %d and %d active cores, want 1 and 1",
+				srv.Engine().ActiveCores(), cli.Engine().ActiveCores())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -202,6 +202,8 @@ func TestServiceMetricsExposition(t *testing.T) {
 		`tas_slowpath_flows{state="active"}`,
 		`tas_slowpath_flows{state="parked"}`,
 		"tas_slowpath_flow_activations_total",
+		`tas_fastpath_core_park_seconds_total{core="0"}`,
+		`tas_fastpath_core_poll_seconds_total{core="1"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -403,4 +405,60 @@ func TestFlightRecorderAbortDump(t *testing.T) {
 	if !strings.Contains(b.String(), fmt.Sprintf("%q", keys[0])) {
 		t.Fatalf("JSON dump missing flow %s", keys[0])
 	}
+}
+
+// TestPipelinedConnTelemetryOn uses one connection the way an open-loop
+// client does — a sender goroutine and a receiver goroutine at once —
+// with telemetry on, so both directions run the sampled app-copy
+// accounting concurrently. Meaningful under -race: the two directions
+// used to share one sampling counter.
+func TestPipelinedConnTelemetryOn(t *testing.T) {
+	_, srv, cli := telemetryPair(t)
+	ln, err := srv.NewContext().Listen(8300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { // echo
+		c, err := ln.Accept(5 * time.Second)
+		if err != nil {
+			return
+		}
+		buf := make([]byte, 4096)
+		for {
+			n, err := c.Read(buf)
+			if err != nil {
+				return
+			}
+			if _, err := c.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := cli.NewContext().Dial("10.0.0.1", 8300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const msgs, size = 2000, 64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // sender
+		defer wg.Done()
+		req := make([]byte, size)
+		for i := 0; i < msgs; i++ {
+			if _, err := conn.WriteTimeout(req, 5*time.Second); err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	resp := make([]byte, 4096)
+	for got := 0; got < msgs*size; {
+		n, err := conn.ReadTimeout(resp, 5*time.Second)
+		if err != nil {
+			t.Fatalf("read after %d bytes: %v", got, err)
+		}
+		got += n
+	}
+	wg.Wait()
 }
