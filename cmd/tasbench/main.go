@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +39,6 @@ func main() {
 		scen     = flag.String("scenario", "", "run a chaos scenario: library name or JSON spec file")
 		scenList = flag.Bool("scenarios", false, "list the scenario library")
 		report   = flag.String("report", "", "write the scenario run report JSON to this file")
-		traj     = flag.String("bench-json", "", "append the experiment result to this JSON trajectory file (e.g. BENCH_handshake.json)")
 	)
 	flag.Parse()
 
@@ -79,11 +77,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 			}
 		}
-		if *traj != "" {
-			if err := appendTrajectory(*traj, res, *seed, *quick); err != nil {
-				fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			}
-		}
 	}
 	if *run == "all" {
 		for _, e := range bench.All() {
@@ -103,39 +96,6 @@ func main() {
 		os.Exit(1)
 	}
 	emit(e.Run(cfg))
-}
-
-// trajectoryEntry is one recorded benchmark run; BENCH_*.json files are
-// arrays of these, appended over time so regressions show as a series.
-type trajectoryEntry struct {
-	ID    string     `json:"id"`
-	Date  string     `json:"date"`
-	Seed  int64      `json:"seed"`
-	Quick bool       `json:"quick,omitempty"`
-	Title string     `json:"title"`
-	Cols  []string   `json:"cols"`
-	Rows  [][]string `json:"rows"`
-	Notes []string   `json:"notes,omitempty"`
-}
-
-// appendTrajectory appends a run record to a BENCH_*.json file,
-// creating it if needed.
-func appendTrajectory(path string, res *bench.Result, seed int64, quick bool) error {
-	var entries []trajectoryEntry
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	entries = append(entries, trajectoryEntry{
-		ID: res.ID, Date: time.Now().UTC().Format(time.RFC3339), Seed: seed, Quick: quick,
-		Title: res.Title, Cols: res.Header, Rows: res.Rows, Notes: res.Notes,
-	})
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // runScenario resolves ref (library name first, then a JSON spec file),

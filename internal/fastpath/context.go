@@ -97,7 +97,7 @@ type TxCmd struct {
 type Context struct {
 	ID int
 
-	rxq []*shmring.SPSC[Event] // per-core: fast path produces, app consumes
+	rxq []*shmring.MPSC[Event] // per-core: that core (and, on index 0, the slow path) produces, app consumes
 	txq []*shmring.MPSC[TxCmd] // per-core: app threads produce (many), fast path consumes
 
 	// Wakeup is a broadcast: Wake puts a token in the channel of every
@@ -133,7 +133,7 @@ type Context struct {
 func NewContext(id, cores, qcap int) *Context {
 	c := &Context{ID: id}
 	for i := 0; i < cores; i++ {
-		c.rxq = append(c.rxq, shmring.NewSPSC[Event](qcap))
+		c.rxq = append(c.rxq, shmring.NewMPSC[Event](qcap))
 		c.txq = append(c.txq, shmring.NewMPSC[TxCmd](qcap))
 	}
 	return c

@@ -218,8 +218,8 @@ type Engine struct {
 	freeCtxIDs []int
 	freeBkts   []uint32
 
-	// Exception queue toward the slow path.
-	excq     *shmring.SPSC[*protocol.Packet]
+	// Exception queue toward the slow path: every active core produces.
+	excq     *shmring.MPSC[*protocol.Packet]
 	slowWake chan struct{}
 
 	// activations carries parked flows that have control work again
@@ -261,7 +261,7 @@ type Engine struct {
 	outageStart atomic.Int64  // unix nanos when the current outage began
 	outages     atomic.Uint64 // degraded-mode entries
 	outageNanos atomic.Int64  // cumulative outage time (completed outages)
-	outageHist  *telemetry.Histogram
+	outageHist  *telemetry.LogHist
 	watchStop   chan struct{}
 	stopOnce    sync.Once
 }
@@ -276,7 +276,7 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 		RSS:       flowstate.NewRSS(),
 		Listeners: flowstate.NewListenerTable(),
 		TimeWait:  flowstate.NewTimeWaitTable(),
-		excq:      shmring.NewSPSC[*protocol.Packet](4096),
+		excq:      shmring.NewMPSC[*protocol.Packet](4096),
 		// Drained every control interval: 4096 covers 4M idle→busy
 		// edges per second at the default 1ms tick.
 		activations: shmring.NewMPSC[*flowstate.Flow](4096),
@@ -289,7 +289,7 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 		e.Challenge = tcp.NewAckLimiter(cfg.ChallengeAckPerSec)
 	}
 	if cfg.Telemetry != nil {
-		e.outageHist = telemetry.NewHistogram(telemetry.DurationBounds())
+		e.outageHist = new(telemetry.LogHist)
 	}
 	e.RSS.SetLimit(cfg.MaxCores)
 	e.contextsV.Store([]*Context(nil))
@@ -638,7 +638,7 @@ func (e *Engine) validTxCmd(c *core, cmd TxCmd) bool {
 
 // Exceptions returns the exception queue (slow-path side) and the wake
 // channel signalled when it becomes non-empty.
-func (e *Engine) Exceptions() (*shmring.SPSC[*protocol.Packet], <-chan struct{}) {
+func (e *Engine) Exceptions() (*shmring.MPSC[*protocol.Packet], <-chan struct{}) {
 	return e.excq, e.slowWake
 }
 

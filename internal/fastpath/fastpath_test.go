@@ -1,7 +1,9 @@
 package fastpath
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -565,4 +567,90 @@ func (n *syncNIC) count() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.out)
+}
+
+// hammerRing runs produce on `producers` goroutines while the caller's
+// goroutine drains with take (which returns how many items it removed),
+// and returns the total drained once every producer has returned and
+// the ring is empty — or once it exceeds limit, which only a ring whose
+// indices were corrupted by overlapping producers can do.
+func hammerRing(producers int, limit uint64, produce func(p int), take func() int) (got uint64) {
+	var wg sync.WaitGroup
+	start, done := make(chan struct{}), make(chan struct{})
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			<-start
+			produce(p)
+		}(p)
+	}
+	close(start)
+	go func() { wg.Wait(); close(done) }()
+	for producing := true; producing; {
+		select {
+		case <-done:
+			producing = false
+		default:
+		}
+		for n := take(); n > 0 && got <= limit; n = take() {
+			got += uint64(n)
+		}
+		// Yield rather than spin on an empty ring: with two processors a
+		// spinning consumer leaves the producers one to share, and
+		// producers that never run side by side cannot collide.
+		runtime.Gosched()
+	}
+	return got
+}
+
+// TestPostEventManyProducers: a context's core-0 event ring is written
+// by fast-path core 0 and by every slow-path goroutine (accept,
+// connect, close and abort notifications all post to index 0), so every
+// post that reports true must reach the application — on a
+// single-producer ring two concurrent posts share one slot and one
+// event vanishes.
+func TestPostEventManyProducers(t *testing.T) {
+	const producers, perProducer = 4, 10000
+	ctx := NewContext(0, 1, 1024)
+	var posted atomic.Uint64
+	var evs [64]Event
+	got := hammerRing(producers, producers*perProducer, func(int) {
+		for i := 0; i < perProducer; i++ {
+			if ctx.PostEvent(0, Event{Kind: EvData}) {
+				posted.Add(1)
+			}
+		}
+	}, func() int { return ctx.PollEvents(evs[:]) })
+	if want := posted.Load(); got != want {
+		t.Fatalf("received %d events, %d posts returned true", got, want)
+	}
+}
+
+// TestExceptionQueueManyCores is the same property for the engine's
+// exception queue, which every active core's processRx feeds: each
+// exception not counted as an ExcqDrop reaches the slow path.
+func TestExceptionQueueManyCores(t *testing.T) {
+	const perCore = 10000
+	e := NewEngine(&stubNIC{}, Config{LocalIP: protocol.MakeIPv4(10, 0, 0, 1), MaxCores: 4})
+	q, _ := e.Exceptions()
+	got := hammerRing(len(e.cores), uint64(len(e.cores))*perCore, func(p int) {
+		pkt := &protocol.Packet{Flags: protocol.FlagACK}
+		for i := 0; i < perCore; i++ {
+			e.toSlowPath(e.cores[p], pkt)
+		}
+	}, func() int {
+		if _, ok := q.Dequeue(); ok {
+			return 1
+		}
+		return 0
+	})
+	var sent, dropped uint64
+	for _, c := range e.cores {
+		sent += c.stats.Exceptions.Load()
+		dropped += c.stats.ExcqDrop.Load()
+	}
+	if sent != uint64(len(e.cores))*perCore || got != sent-dropped {
+		t.Fatalf("dequeued %d exceptions; %d forwarded - %d dropped", got, sent, dropped)
+	}
 }

@@ -63,9 +63,9 @@ func (e *Engine) Outages() OutageStats {
 	return st
 }
 
-// OutageHistogram returns the outage-duration histogram (nil when
-// telemetry is off).
-func (e *Engine) OutageHistogram() *telemetry.Histogram { return e.outageHist }
+// OutageHistogram returns the outage-duration histogram in µs (nil
+// when telemetry is off).
+func (e *Engine) OutageHistogram() *telemetry.LogHist { return e.outageHist }
 
 // watchSlowpath is the heartbeat watchdog: a dedicated goroutine that
 // polls the slow-path heartbeat at a quarter of the timeout and flips
@@ -97,7 +97,7 @@ func (e *Engine) watchSlowpath() {
 			e.outageNanos.Add(dur)
 			e.degraded.Store(false)
 			if e.outageHist != nil {
-				e.outageHist.Observe(float64(dur) / 1e9)
+				e.outageHist.Observe(uint64(dur)/1e3, 0)
 			}
 			e.recordTransition(telemetry.FERecovered, uint64(dur))
 		}

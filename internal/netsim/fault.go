@@ -75,15 +75,14 @@ type FaultInjector struct {
 }
 
 // FaultCounters tallies verdicts with pre-registered atomics: filter
-// runs once per packet, where CounterSet's mutex-protected map lookup
-// is measurable overhead. The Get/Snapshot/String read surface matches
-// stats.CounterSet so callers and tests are unchanged.
+// runs once per packet, where a mutex-protected map lookup by name is
+// measurable overhead; names are resolved only on the read side.
 type FaultCounters struct {
 	downDrops, burstDrops, lossDrops, corruptDrops atomic.Uint64
 	corruptPass, reordered, duplicated, passed     atomic.Uint64
 }
 
-// Get returns the named counter (0 for unknown names, like CounterSet).
+// Get returns the named counter (0 for unknown names).
 func (c *FaultCounters) Get(name string) uint64 {
 	switch name {
 	case CntDownDrops:

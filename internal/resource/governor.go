@@ -217,6 +217,9 @@ type Governor struct {
 
 	rejects [NumPools]atomic.Uint64 // global-pool admission denials
 	quota   atomic.Uint64           // per-app quota denials
+	// underflow counts un-charges that drove a pool negative and were
+	// clamped: each one is an ordering or double-release bug upstream.
+	underflow [NumPools]atomic.Uint64
 
 	// txGrant is the clamped per-flow TX grant in bytes while rung 3+
 	// is engaged (0 = unclamped). Read by libtas on every Send.
@@ -273,26 +276,34 @@ func (g *Governor) Acquire(p Pool, n int64) error {
 // denial. It is the accounting hook for pools whose occupancy must be
 // tracked (and contribute pressure) but whose producers cannot be
 // refused at the charge point: timer entries, accept-backlog slots,
-// context slots. Negative n un-charges.
+// context slots. Negative n un-charges; un-charging below zero clamps
+// and counts an underflow.
 func (g *Governor) Charge(p Pool, n int64) {
 	next := g.occ[p].Add(n)
 	if next < 0 {
-		g.occ[p].Store(0)
+		g.clampUnderflow(p)
 		return
 	}
 	g.bumpPeak(p, next)
 }
 
 // Release returns n units to pool p. Releasing more than acquired is a
-// bookkeeping bug; the occupancy is clamped at zero so a stray double
-// release degrades to a visible gauge (and test failure), not a wedge.
+// bookkeeping bug; the occupancy is clamped at zero and the underflow
+// counted, so a stray double release degrades to a visible counter (and
+// test failure), not a wedge.
 func (g *Governor) Release(p Pool, n int64) {
 	if n < 0 {
 		panic("resource: negative release")
 	}
 	if next := g.occ[p].Add(-n); next < 0 {
-		g.occ[p].Store(0)
+		g.clampUnderflow(p)
 	}
+}
+
+// clampUnderflow resets a pool that went negative and counts the slip.
+func (g *Governor) clampUnderflow(p Pool) {
+	g.occ[p].Store(0)
+	g.underflow[p].Add(1)
 }
 
 func (g *Governor) bumpPeak(p Pool, v int64) {
@@ -543,6 +554,7 @@ type Stats struct {
 
 	Rejects      [NumPools]uint64 // global-pool admission denials
 	QuotaRejects uint64           // per-app quota denials
+	Underflows   [NumPools]uint64 // un-charges clamped at zero
 }
 
 // Snapshot captures the governor's current state.
@@ -556,6 +568,7 @@ func (g *Governor) Snapshot() Stats {
 		s.Cap[p] = g.caps[p]
 		s.Peak[p] = g.peak[p].Load()
 		s.Rejects[p] = g.rejects[p].Load()
+		s.Underflows[p] = g.underflow[p].Load()
 	}
 	for k := 0; k < NumLevels; k++ {
 		s.Engaged[k] = g.engaged[k].Load()

@@ -31,6 +31,23 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 	}
 }
 
+// TestUnderflowIsCountedNotSilent: an un-charge that arrives before its
+// charge (or a double release) still clamps at zero, but shows up as a
+// per-pool count, and the late charge is then visible as a leak.
+func TestUnderflowIsCountedNotSilent(t *testing.T) {
+	g := New(Limits{})
+	g.Charge(PoolAccept, -1)
+	g.Charge(PoolAccept, 1)
+	g.Release(PoolTimers, 1)
+	st := g.Snapshot()
+	if st.Underflows[PoolAccept] != 1 || st.Underflows[PoolTimers] != 1 || st.Underflows[PoolFlows] != 0 {
+		t.Fatalf("underflows = %v, want accept=1 timers=1 others=0", st.Underflows)
+	}
+	if st.Used[PoolAccept] != 1 || st.Used[PoolTimers] != 0 {
+		t.Fatalf("used accept=%d timers=%d, want 1 and 0", st.Used[PoolAccept], st.Used[PoolTimers])
+	}
+}
+
 func TestUncappedPoolNeverDenies(t *testing.T) {
 	g := New(Limits{})
 	for i := 0; i < 1000; i++ {

@@ -195,18 +195,14 @@ func (s *Slowpath) handleSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
 		// moment of establishment: refuse with RST and deliver explicit
 		// backpressure to the dialer instead of a silent hang.
 		s.sendCtl(key, protocol.FlagRST|protocol.FlagACK, h.iss+1, pkt.Seq+1, false)
-		if ctx := s.eng.ContextByID(h.ctxID); ctx != nil {
-			ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnBackpressure})
-		}
+		s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnBackpressure})
 		return
 	}
 	s.observeHandshake(h)
 	f := s.installFlow(key, h, pkt.Seq, pkt.Window)
 	// Final handshake ACK.
 	s.sendCtlFlow(f, protocol.FlagACK, h.iss+1, pkt.Seq+1)
-	if ctx := s.eng.ContextByID(h.ctxID); ctx != nil {
-		ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Flow: f})
-	}
+	s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Flow: f})
 	s.Established.Add(1)
 }
 
@@ -306,23 +302,25 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 	s.Accepted.Add(1)
 	s.observeHandshake(h)
 	f := s.installFlow(h.key, h, h.peerISS, pkt.Window)
-	ctx := s.eng.ContextByID(h.ctxID)
-	if ctx == nil || !ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvAccepted, Opaque: h.opaque, Flow: f}) {
+	// Charge before posting: an Accept already waiting dispatches the
+	// event and un-charges before PostEvent returns. The matching
+	// release happens where pending drains — libtas Accept, or the
+	// reaper tearing a listener down.
+	if h.lst != nil {
+		h.lst.pending.Add(1)
+		s.charge(resource.PoolAccept, 1)
+	}
+	if !s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvAccepted, Opaque: h.opaque, Flow: f}) {
 		// The accept event cannot be delivered (context gone, dead,
 		// or its event queue is full): tear the nascent connection
 		// down instead of orphaning installed flow state the
 		// application will never learn about.
+		if h.lst != nil {
+			h.lst.pending.Add(-1)
+			s.charge(resource.PoolAccept, -1)
+		}
 		s.teardownUndeliverable(f)
 		return
-	}
-	if h.lst != nil {
-		h.lst.pending.Add(1)
-		// Mirror the accept-backlog occupancy into the governor; the
-		// matching release happens where pending drains — libtas Accept,
-		// or the reaper tearing a listener down.
-		if g := s.cfg.Gov; g != nil {
-			g.Charge(resource.PoolAccept, 1)
-		}
 	}
 	// The completing ACK may carry data (or more may have raced):
 	// re-inject so the fast path processes it against the new flow.
@@ -409,12 +407,21 @@ func (s *Slowpath) reclaimFlowResources(f *flowstate.Flow) {
 	}
 }
 
-// chargeTimers adjusts the governor's FIN-retransmission timer pool
-// (pressure accounting only; the pool is never admission-checked).
-func (s *Slowpath) chargeTimers(n int64) {
+// charge adjusts a governor pool that is accounted for pressure only,
+// never admission-checked: FIN-retransmission timers, accept backlog.
+func (s *Slowpath) charge(p resource.Pool, n int64) {
 	if g := s.cfg.Gov; g != nil {
-		g.Charge(resource.PoolTimers, n)
+		g.Charge(p, n)
 	}
+}
+
+// notify posts a slow-path event to an application context. Slow-path
+// notifications ride the context's core-0 event ring, which is
+// multi-producer for exactly this reason. It reports false when the
+// context is gone or dead, or the ring is full.
+func (s *Slowpath) notify(ctxID uint16, ev fastpath.Event) bool {
+	ctx := s.eng.ContextByID(ctxID)
+	return ctx != nil && ctx.PostEvent(0, ev)
 }
 
 // installFlow creates fast-path state for an established connection:
@@ -505,9 +512,7 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 	s.sendCtlFlow(f, protocol.FlagACK, seq, ack)
 	if first {
 		recordFlow(f, telemetry.FEFinRx, pkt.Seq, ack, 0, 0)
-		if ctx := s.eng.ContextByID(ctxID); ctx != nil {
-			ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvClosed, Opaque: opaque})
-		}
+		s.notify(ctxID, fastpath.Event{Kind: fastpath.EvClosed, Opaque: opaque})
 	}
 	if done {
 		// Both directions are closed and we closed first (FIN_WAIT_2 →
@@ -550,9 +555,7 @@ func (s *Slowpath) handleRst(key protocol.FlowKey, pkt *protocol.Packet) {
 		st.mu.Unlock()
 		s.Rejected.Add(1)
 		if !h.passive {
-			if ctx := s.eng.ContextByID(h.ctxID); ctx != nil {
-				ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnRefused})
-			}
+			s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnRefused})
 		}
 		return
 	}
@@ -586,9 +589,7 @@ func (s *Slowpath) handleRst(key protocol.FlowKey, pkt *protocol.Packet) {
 	if first {
 		recordFlow(f, telemetry.FERstRx, pkt.Seq, 0, 0, 0)
 		recordFlow(f, telemetry.FEAborted, pkt.Seq, 0, 0, 0)
-		if ctx := s.eng.ContextByID(ctxID); ctx != nil {
-			ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque})
-		}
+		s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque})
 	}
 	s.removeFlow(f)
 }
@@ -624,9 +625,7 @@ func (s *Slowpath) abortFlowCause(f *flowstate.Flow, cause uint32) {
 	}
 	s.Aborts.Add(1)
 	s.removeFlow(f)
-	if ctx := s.eng.ContextByID(ctxID); ctx != nil {
-		ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque, Bytes: cause})
-	}
+	s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque, Bytes: cause})
 }
 
 // handshakeSweep retransmits unanswered SYNs / SYN-ACKs with
@@ -675,9 +674,7 @@ func (s *Slowpath) handshakeSweep() {
 		}
 	}
 	for _, h := range failed {
-		if ctx := s.eng.ContextByID(h.ctxID); ctx != nil {
-			ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnTimedOut})
-		}
+		s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnTimedOut})
 	}
 }
 
@@ -707,7 +704,7 @@ func (s *Slowpath) closeSweep() {
 		f.Unlock()
 		if aborted {
 			delete(s.closing, f)
-			s.chargeTimers(-1)
+			s.charge(resource.PoolTimers, -1)
 			if e.fw2 {
 				s.fw2Count.Add(-1)
 			}
@@ -719,7 +716,7 @@ func (s *Slowpath) closeSweep() {
 				// TIME_WAIT quarantine; the passive closer (LAST_ACK →
 				// CLOSED) is done outright.
 				delete(s.closing, f)
-				s.chargeTimers(-1)
+				s.charge(resource.PoolTimers, -1)
 				if e.fw2 {
 					s.fw2Count.Add(-1)
 				}
@@ -739,7 +736,7 @@ func (s *Slowpath) closeSweep() {
 			}
 			if now.After(e.deadline) {
 				delete(s.closing, f)
-				s.chargeTimers(-1)
+				s.charge(resource.PoolTimers, -1)
 				s.fw2Count.Add(-1)
 				s.FinWait2Timeouts.Add(1)
 				fw2Expired = append(fw2Expired, f)
@@ -751,7 +748,7 @@ func (s *Slowpath) closeSweep() {
 		}
 		if e.attempts >= s.cfg.MaxRetransmits {
 			delete(s.closing, f)
-			s.chargeTimers(-1)
+			s.charge(resource.PoolTimers, -1)
 			aborts = append(aborts, f)
 			continue
 		}
@@ -796,7 +793,7 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	s.dropEntry(f)
 	if e, ok := s.closing[f]; ok {
 		delete(s.closing, f)
-		s.chargeTimers(-1)
+		s.charge(resource.PoolTimers, -1)
 		if e.fw2 {
 			s.fw2Count.Add(-1)
 		}

@@ -159,7 +159,7 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 		s.dropEntry(f)
 		if _, ok := s.closing[f]; ok {
 			delete(s.closing, f)
-			s.chargeTimers(-1)
+			s.charge(resource.PoolTimers, -1)
 		}
 		s.mu.Unlock()
 		s.FlowsReaped.Add(1)

@@ -154,7 +154,7 @@ func (s *Slowpath) Recover() RecoveryStats {
 		}
 		s.mu.Unlock()
 		if finPending || finWait2 {
-			s.chargeTimers(1)
+			s.charge(resource.PoolTimers, 1)
 		}
 		s.FlowsReconstructed.Add(1)
 		recordFlow(f, telemetry.FEReconstructed, seq, ack, 0, uint64(txSent))
@@ -229,7 +229,5 @@ func (s *Slowpath) recoveryAbort(f *flowstate.Flow) {
 	s.mu.Unlock()
 	s.RecoveryAborts.Add(1)
 	s.retireRec(f)
-	if ctx := s.eng.ContextByID(ctxID); ctx != nil && !ctx.Dead() {
-		ctx.PostEvent(0, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque})
-	}
+	s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque})
 }

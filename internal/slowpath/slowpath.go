@@ -415,7 +415,7 @@ type Slowpath struct {
 	// atomic so concurrent Dials don't need any shared lock.
 	portCtr atomic.Uint32
 
-	excq    *shmring.SPSC[*protocol.Packet]
+	excq    *shmring.MPSC[*protocol.Packet]
 	excWake <-chan struct{}
 
 	stop     chan struct{}
@@ -848,7 +848,7 @@ func (s *Slowpath) Close(f *flowstate.Flow) {
 			s.mu.Lock()
 			s.closing[f] = &closeEntry{finSeq: seq, rto: rto, deadline: time.Now().Add(rto)}
 			s.mu.Unlock()
-			s.chargeTimers(1)
+			s.charge(resource.PoolTimers, 1)
 			s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, seq, ack)
 			recordFlow(f, telemetry.FEFinTx, seq, ack, 0, 0)
 		}

@@ -1,6 +1,7 @@
 package slowpath
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
+	"repro/internal/resource"
 )
 
 // testNode is one TAS instance (engine + slow path) on a fabric.
@@ -83,6 +85,61 @@ func TestHandshakeEstablishesBothSides(t *testing.T) {
 	// Rate bucket allocated and configured.
 	if a.eng.Bucket(fa.Bucket) == nil {
 		t.Fatal("no bucket")
+	}
+}
+
+// TestAcceptChargePrecedesPost: with an acceptor already waiting on the
+// context, the accept-backlog charge of a completed passive handshake
+// must be in the governor before the EvAccepted that lets the acceptor
+// return it. Charged after the post, the acceptor's un-charge clamps at
+// zero and the late +1 leaks the slot for good.
+func TestAcceptChargePrecedesPost(t *testing.T) {
+	const conns = 256
+	fab := fabric.New()
+	g := resource.New(resource.Limits{})
+	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{})
+	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), Config{Gov: g})
+	pending, err := b.sp.ListenBacklog(80, 0, 42, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The parked Accept: what libtas.Listener.Accept does per event,
+	// busy-polling while a handshake is in flight so it runs the moment
+	// the event is visible.
+	var stop atomic.Bool
+	dialing, accepted := make(chan struct{}), make(chan struct{})
+	defer func() { stop.Store(true); close(dialing) }()
+	go func() {
+		var evs [1]fastpath.Event
+		for range dialing {
+			for b.ctx.PollEvents(evs[:]) == 0 || evs[0].Kind != fastpath.EvAccepted {
+				if stop.Load() {
+					return
+				}
+			}
+			pending.Add(-1)
+			g.Charge(resource.PoolAccept, -1)
+			accepted <- struct{}{}
+		}
+	}()
+
+	for i := 0; i < conns; i++ {
+		dialing <- struct{}{}
+		if _, err := a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if ev := waitEvent(t, a.ctx, 2*time.Second); ev.Kind != fastpath.EvConnected || ev.Flow == nil {
+			t.Fatalf("dial %d: %+v", i, ev)
+		}
+		select {
+		case <-accepted:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("dial %d: connected but never accepted", i)
+		}
+	}
+	if used, under := g.Used(resource.PoolAccept), g.Snapshot().Underflows[resource.PoolAccept]; used != 0 || under != 0 || pending.Load() != 0 {
+		t.Fatalf("after %d accepts: pool used = %d, underflows = %d, pending = %d; want all 0", conns, used, under, pending.Load())
 	}
 }
 

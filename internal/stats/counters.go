@@ -1,15 +1,9 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Gauge is a concurrency-safe level indicator: unlike CounterSet's
-// monotonic counters it rises and falls, tracking the current size of a
+// Gauge is a concurrency-safe level indicator: unlike a monotonic
+// counter it rises and falls, tracking the current size of a
 // pool or queue (e.g. live payload-buffer bytes awaiting reclamation).
 type Gauge struct{ v atomic.Int64 }
 
@@ -18,60 +12,3 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Load returns the current level.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// CounterSet is a small registry of named event counters for cold
-// paths: every Add takes a mutex and a map lookup, which is fine for
-// setup, teardown, and error accounting but NOT for per-packet or
-// per-event hot paths. Hot-path callers should pre-register
-// telemetry.Counter values (striped atomics) or declare plain atomic
-// struct fields (see netsim.FaultCounters). Safe for concurrent use.
-type CounterSet struct {
-	mu   sync.Mutex
-	vals map[string]uint64
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{vals: make(map[string]uint64)}
-}
-
-// Add increments the named counter by delta.
-func (s *CounterSet) Add(name string, delta uint64) {
-	s.mu.Lock()
-	s.vals[name] += delta
-	s.mu.Unlock()
-}
-
-// Get returns the named counter (0 if never incremented).
-func (s *CounterSet) Get(name string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vals[name]
-}
-
-// Snapshot returns a copy of all counters.
-func (s *CounterSet) Snapshot() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.vals))
-	for k, v := range s.vals {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the counters in sorted-name order ("a=1 b=2"), for
-// logs and test failure messages.
-func (s *CounterSet) String() string {
-	snap := s.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, k := range names {
-		parts[i] = fmt.Sprintf("%s=%d", k, snap[k])
-	}
-	return strings.Join(parts, " ")
-}

@@ -44,23 +44,3 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 		t.Fatalf("drops not bursty: %d drops in %d runs", drops, runs)
 	}
 }
-
-func TestCounterSet(t *testing.T) {
-	c := NewCounterSet()
-	c.Add("drops", 2)
-	c.Add("drops", 3)
-	c.Add("dups", 1)
-	if got := c.Get("drops"); got != 5 {
-		t.Fatalf("drops = %d, want 5", got)
-	}
-	if got := c.Get("missing"); got != 0 {
-		t.Fatalf("missing = %d, want 0", got)
-	}
-	snap := c.Snapshot()
-	if snap["dups"] != 1 || len(snap) != 2 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	if s := c.String(); s != "drops=5 dups=1" {
-		t.Fatalf("String() = %q", s)
-	}
-}

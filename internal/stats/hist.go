@@ -74,41 +74,6 @@ func (h *Histogram) Add(v float64) {
 	}
 }
 
-// AddN records n observations of the same value.
-func (h *Histogram) AddN(v float64, n uint64) {
-	if n == 0 {
-		return
-	}
-	h.buckets[h.bucketOf(v)] += n
-	h.count += n
-	h.sum += v * float64(n)
-	if v < h.minSeen {
-		h.minSeen = v
-	}
-	if v > h.maxSeen {
-		h.maxSeen = v
-	}
-}
-
-// Merge adds all observations recorded in other into h. The histograms
-// must have identical bucket layouts.
-func (h *Histogram) Merge(other *Histogram) {
-	if h.min != other.min || h.growth != other.growth || len(h.buckets) != len(other.buckets) {
-		panic("stats: merging incompatible histograms")
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.minSeen < h.minSeen {
-		h.minSeen = other.minSeen
-	}
-	if other.maxSeen > h.maxSeen {
-		h.maxSeen = other.maxSeen
-	}
-}
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
@@ -350,38 +315,3 @@ func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation (0 if empty).
 func (r *Running) Max() float64 { return r.max }
-
-// EWMA is an exponentially weighted moving average with weight alpha for
-// new observations, as used for DCTCP's ECN-fraction estimate and RTT
-// estimators.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given new-sample weight in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha out of range")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Update folds in a new observation and returns the new average. The
-// first observation initializes the average directly.
-func (e *EWMA) Update(v float64) float64 {
-	if !e.init {
-		e.value = v
-		e.init = true
-	} else {
-		e.value = (1-e.alpha)*e.value + e.alpha*v
-	}
-	return e.value
-}
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been folded in.
-func (e *EWMA) Initialized() bool { return e.init }

@@ -98,48 +98,6 @@ func TestHistogramQuantileWithinObservedRange(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(1, 1.5, 30)
-	b := NewHistogram(1, 1.5, 30)
-	for i := 1; i <= 100; i++ {
-		a.Add(float64(i))
-	}
-	for i := 101; i <= 200; i++ {
-		b.Add(float64(i))
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", a.Count())
-	}
-	if a.Min() != 1 || a.Max() != 200 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	if math.Abs(a.Mean()-100.5) > 1e-9 {
-		t.Fatalf("merged mean = %v, want 100.5", a.Mean())
-	}
-}
-
-func TestHistogramMergeIncompatiblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on incompatible merge")
-		}
-	}()
-	NewHistogram(1, 1.5, 30).Merge(NewHistogram(1, 2, 30))
-}
-
-func TestHistogramAddN(t *testing.T) {
-	h := NewHistogram(1, 1.5, 30)
-	h.AddN(5, 10)
-	h.AddN(7, 0)
-	if h.Count() != 10 {
-		t.Fatalf("count = %d, want 10", h.Count())
-	}
-	if h.Mean() != 5 {
-		t.Fatalf("mean = %v, want 5", h.Mean())
-	}
-}
-
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := NewHistogram(1, 2, 4) // covers up to 16
 	h.Add(1e12)
@@ -244,44 +202,6 @@ func TestRunning(t *testing.T) {
 	}
 	if r.Min() != 2 || r.Max() != 9 {
 		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA should not be initialized")
-	}
-	e.Update(10)
-	if e.Value() != 10 {
-		t.Fatalf("first update should initialize directly, got %v", e.Value())
-	}
-	e.Update(20)
-	if e.Value() != 15 {
-		t.Fatalf("value = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAConverges(t *testing.T) {
-	e := NewEWMA(0.1)
-	for i := 0; i < 200; i++ {
-		e.Update(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-9 {
-		t.Fatalf("EWMA should converge to constant input, got %v", e.Value())
-	}
-}
-
-func TestEWMAInvalidAlphaPanics(t *testing.T) {
-	for _, a := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) should panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 // the <5% telemetry overhead gate, provided callers sample (the RTT
 // sampler observes 1-in-64 ACKs, mirroring the cycle sampling).
 //
-// The existing Histogram (hist.go) stays the off-path choice: float
-// bounds, arbitrary bucket layouts, CAS float sums. LogHist trades that
-// flexibility for integer-only atomics and a fixed layout.
+// It is the product's only histogram: off-path durations (slow-path
+// outages) use it too, in µs, rather than a second bucket layout.
 type LogHist struct {
 	stripes [lhStripes]lhStripe
 }

@@ -13,7 +13,7 @@ var (
 	lintMetricName = regexp.MustCompile(`^tas_[a-z0-9_]+$`)
 	lintLabelKey   = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 	// Counter names must state their unit of accumulation.
-	lintCounterSuffixes = []string{"_total", "_count", "_sum", "_bucket"}
+	lintCounterSuffixes = []string{"_total", "_count", "_sum"}
 )
 
 // TestMetricNamingConventions walks every series a fully built service
@@ -149,6 +149,7 @@ func TestGovernorMetricPresence(t *testing.T) {
 			series{"tas_pool_cap", "pool", pool},
 			series{"tas_pool_peak", "pool", pool},
 			series{"tas_pool_rejects_total", "pool", pool},
+			series{"tas_pool_underflow_total", "pool", pool},
 		)
 	}
 	for _, rung := range []string{"cookies", "shed_syn", "clamp_tx", "reclaim"} {

@@ -229,7 +229,8 @@ func TestChaosSlowPathCrashMidTransfer(t *testing.T) {
 		"tas_slowpath_restarts_total 1",
 		"tas_slowpath_flows_reconstructed_total 2",
 		"tas_slowpath_recovery_aborts_total 0",
-		`tas_slowpath_outage_seconds_bucket{le="+Inf"} 1`,
+		"tas_slowpath_outage_us_count 1",
+		`tas_slowpath_outage_us{quantile="0.99"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, out)

@@ -776,8 +776,8 @@ func (s *Service) registerMetrics() {
 	r.CounterFunc("tas_slowpath_restarts_total", "Slow-path warm restarts performed.",
 		func() float64 { return float64(s.restarts.Load()) })
 	if h := eng.OutageHistogram(); h != nil {
-		r.RegisterHistogram("tas_slowpath_outage_seconds",
-			"Duration of slow-path outages, observed when the heartbeat resumes.", h)
+		r.RegisterLogHist("tas_slowpath_outage_us",
+			"Duration of slow-path outages, observed when the heartbeat resumes (microseconds).", h)
 	}
 
 	// Data-plane failure domain: per-core failed gauges plus the
@@ -830,6 +830,8 @@ func (s *Service) registerMetrics() {
 			func() float64 { return float64(gov.Peak(p)) }, lbl)
 		r.CounterFunc("tas_pool_rejects_total", "Admissions denied because the global pool was exhausted.",
 			func() float64 { return float64(gov.Snapshot().Rejects[p]) }, lbl)
+		r.CounterFunc("tas_pool_underflow_total", "Un-charges that drove the pool negative and were clamped at zero (an accounting-order bug).",
+			func() float64 { return float64(gov.Snapshot().Underflows[p]) }, lbl)
 	}
 	for k := 1; k < resource.NumLevels; k++ {
 		k := k
