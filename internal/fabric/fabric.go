@@ -175,10 +175,14 @@ func (f *Fabric) send(pkt *protocol.Packet) {
 	if tap := f.Tap; tap != nil {
 		tap(time.Now().UnixNano(), pkt)
 	}
+	// One lock acquisition resolves everything the hop needs: fault
+	// state, the destination's handler and its link.
 	f.mu.RLock()
 	down := len(f.downHosts) > 0 && (f.downHosts[pkt.SrcIP] || f.downHosts[pkt.DstIP])
 	part := len(f.blocked) > 0 && f.blocked[pairKey(pkt.SrcIP, pkt.DstIP)]
 	hasGE := f.ge != nil
+	h := f.hosts[pkt.DstIP]
+	linked, l := f.linkCfg != nil, f.links[pkt.DstIP]
 	f.mu.RUnlock()
 	if down {
 		f.DownDrops.Add(1)
@@ -209,14 +213,14 @@ func (f *Fabric) send(pkt *protocol.Packet) {
 			return
 		}
 	}
-	f.mu.RLock()
-	h := f.hosts[pkt.DstIP]
-	f.mu.RUnlock()
 	if h == nil {
 		f.NoRoute.Add(1)
 		return
 	}
-	if l := f.linkFor(pkt.DstIP); l != nil {
+	if linked && l == nil {
+		l = f.newLink(pkt.DstIP) // first packet toward this host
+	}
+	if l != nil {
 		if !l.send(pkt, h) {
 			f.QueueDrops.Add(1)
 			f.Dropped.Add(1)

@@ -210,28 +210,19 @@ func (f *Fabric) LinkQueueLen(dst protocol.IPv4) int {
 	return n
 }
 
-// linkFor returns the link toward dst, creating it if the model is
-// installed (nil when it is not).
-func (f *Fabric) linkFor(dst protocol.IPv4) *link {
-	f.mu.RLock()
-	cfg := f.linkCfg
-	l := f.links[dst]
-	f.mu.RUnlock()
-	if cfg == nil {
-		return nil
-	}
-	if l != nil {
-		return l
-	}
+// newLink returns the link toward dst, creating it on the first packet
+// sent there while the model is installed (nil if the model was removed
+// meanwhile).
+func (f *Fabric) newLink(dst protocol.IPv4) *link {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.linkCfg == nil {
-		f.mu.Unlock()
 		return nil
 	}
-	if l = f.links[dst]; l == nil {
+	l := f.links[dst]
+	if l == nil {
 		l = &link{fab: f, cfg: *f.linkCfg}
 		f.links[dst] = l
 	}
-	f.mu.Unlock()
 	return l
 }

@@ -44,8 +44,14 @@ func (b *Bucket) refill(nowNs int64) {
 		b.lastNs = nowNs
 	}
 	dt := nowNs - b.lastNs
+	if dt <= 0 {
+		// A core whose batch clock is behind the last refill's: nothing
+		// has accrued, and the refill clock never runs backwards (that
+		// would mint the same interval's tokens twice).
+		return
+	}
 	b.lastNs = nowNs
-	if rate == 0 || dt <= 0 {
+	if rate == 0 {
 		return
 	}
 	b.tokens += rate * float64(dt) / 1e9

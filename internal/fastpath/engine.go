@@ -140,6 +140,13 @@ type core struct {
 	pendingAt int64
 	stats     CoreStats
 
+	// now is the batch clock: engine time (ns since start) as of the top
+	// of the run loop's current iteration. Everything the iteration does
+	// per packet — the rate bucket, TSVal, the RTT sample, the challenge
+	// limiter, last-activity stamps — reads this instead of the system
+	// clock, so it can be stale by at most one loop iteration.
+	now int64
+
 	// Idle-time accounting (see idle.go), written by the core at state
 	// transitions only: time spent polling empty queues and parked on
 	// the doorbell. Whatever is left of wall time is work.
@@ -318,6 +325,9 @@ func (e *Engine) NowMicros() uint32 { return uint32(time.Since(e.start).Microsec
 
 func (e *Engine) nowNanos() int64 { return time.Since(e.start).Nanoseconds() }
 
+// nowMicros is the batch clock on the TCP timestamp scale.
+func (c *core) nowMicros() uint32 { return uint32(c.now / 1000) }
+
 // CoarseNanos returns the cached engine clock (nanos since start),
 // refreshed by run-loop state transitions and slow-path heartbeats.
 // Cheap enough for per-packet stamps; staleness is bounded by the
@@ -329,6 +339,13 @@ func (e *Engine) refreshCoarse() int64 {
 	n := e.nowNanos()
 	e.coarseClock.Store(n)
 	return n
+}
+
+// tick reads the clock into core c's batch clock (and the cached engine
+// clock) and returns it.
+func (e *Engine) tick(c *core) int64 {
+	c.now = e.refreshCoarse()
+	return c.now
 }
 
 // NowNanos returns nanoseconds since engine start — the clock the
@@ -551,6 +568,7 @@ func (e *Engine) Output(pkt *protocol.Packet) { e.nic.Output(pkt) }
 // and the fabric delivers synchronously — a panic here would unwind
 // into the sending peer's core goroutine.
 func (e *Engine) Input(pkt *protocol.Packet) {
+	pkt.AssertLive()
 	idx := e.RSS.CoreForPacket(pkt)
 	if idx < 0 || idx >= len(e.cores) {
 		idx = 0
@@ -729,9 +747,10 @@ func (e *Engine) run(c *core) {
 	// the earliest pacing retry when flows are waiting for tokens.
 	parkTimer := time.NewTimer(parkBeat)
 	defer parkTimer.Stop()
-	// The clock is read where the core changes state — work to idle,
-	// one idle poll to the next, park to resume — never per packet.
-	idle := idlePolicy{mark: e.nowNanos()}
+	// The clock is read once per loop iteration, never per packet: at the
+	// top of an iteration that follows work, and where an idle core
+	// changes state — one idle poll to the next, park to resume.
+	idle := idlePolicy{mark: e.tick(c)}
 	working := false // the stretch since idle.mark did work
 	// A core whose goroutine is not running counts as parked.
 	c.parked.leave(idle.mark)
@@ -756,6 +775,12 @@ func (e *Engine) run(c *core) {
 		}
 		if c.panicNext.CompareAndSwap(true, false) {
 			panic("fastpath: injected core panic")
+		}
+
+		if working {
+			// Work takes time; an idle iteration arrives here straight
+			// from the poll or park that just read the clock.
+			c.now = e.nowNanos()
 		}
 
 		did := 0
@@ -820,7 +845,7 @@ func (e *Engine) run(c *core) {
 		}
 		if working {
 			working = false
-			idle.worked(e.refreshCoarse())
+			idle.worked(c.now)
 		}
 		if idle.mayPoll() {
 			// Busy-poll (dedicating the CPU, the paper's design) but
@@ -829,7 +854,7 @@ func (e *Engine) run(c *core) {
 			// time other goroutines take is credit spent.
 			c.polled.enter(idle.mark)
 			runtime.Gosched()
-			now := e.refreshCoarse()
+			now := e.tick(c)
 			idle.polled(now)
 			c.polled.leave(now)
 			continue
@@ -869,7 +894,7 @@ func (e *Engine) run(c *core) {
 			}
 		}
 		c.asleep.Store(false)
-		now := e.refreshCoarse()
+		now := e.tick(c)
 		idle.parked(now)
 		c.parked.leave(now)
 	}

@@ -374,6 +374,15 @@ func TestBucketTokenMath(t *testing.T) {
 	if !b2.Take(1e9, 100) {
 		t.Fatal("full burst should be available")
 	}
+	// Batch clocks of two cores can disagree by an iteration: a take
+	// stamped before the last refill mints nothing, then or later.
+	b4 := NewBucket(10000)
+	b4.SetRate(1000)
+	b4.Take(2e9, 0)
+	b4.Take(1e9, 0) // the other core's older clock
+	if b4.Take(2e9, 1) {
+		t.Fatal("a backwards clock step minted tokens")
+	}
 	// Unlimited.
 	b3 := NewBucket(10)
 	if !b3.Take(0, 1<<30) {

@@ -16,8 +16,10 @@ const blindAckHorizon = 1 << 24
 
 // processRx handles one received packet on core c: the common-case RX
 // path of §3.1. Connection-control packets (SYN/FIN/RST) and packets for
-// unknown flows are exceptions forwarded to the slow path.
+// unknown flows are exceptions forwarded to the slow path. The core owns
+// pkt on entry; on return it has released it or handed it on.
 func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
+	pkt.AssertLive()
 	c.stats.RxPackets.Add(1)
 
 	// Filter exceptions: control flags and unknown flows.
@@ -30,10 +32,9 @@ func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 		e.toSlowPath(c, pkt)
 		return
 	}
-	// Last-activity stamp for the governor's LRU idle-reclaim rung: one
-	// atomic load of the cached coarse clock plus one store — no clock
-	// read on the per-packet path.
-	f.Touch(e.CoarseNanos())
+	// Last-activity stamp for the governor's LRU idle-reclaim rung, from
+	// the batch clock: one store, no clock read on the per-packet path.
+	f.Touch(c.now)
 	if e.RSS.CoreForPacket(pkt) != c.idx {
 		c.stats.WrongCore.Add(1) // arrived during a steering transition
 		if c.idx >= e.RSS.Cores() {
@@ -57,8 +58,8 @@ func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 	// them legitimate here.
 	if pkt.Flags.Has(protocol.FlagACK) && tcp.SeqDiff(pkt.Ack, f.SeqNo-f.TxSent) < -blindAckHorizon {
 		c.stats.BlindAckDrops.Add(1)
-		if e.Challenge != nil && e.Challenge.Allow(e.nowNanos()) {
-			ack = e.buildAck(f, pkt)
+		if e.Challenge != nil && e.Challenge.Allow(c.now) {
+			ack = e.buildAck(c, f, pkt)
 			if f.Rec != nil {
 				f.Rec.Record(telemetry.FEChallengeTx, f.SeqNo, f.AckNo, 0, 0)
 			}
@@ -68,6 +69,7 @@ func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 			c.stats.AcksSent.Add(1)
 			e.nic.Output(ack)
 		}
+		pkt.Release()
 		return
 	}
 	if f.Rec != nil && pkt.DataLen() > 0 {
@@ -90,6 +92,10 @@ func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 		c.stats.AcksSent.Add(1)
 		e.nic.Output(ack)
 	}
+	// Consumed: payload deposited, header fields echoed. Exception
+	// packets (the returns above) are the slow path's and are not
+	// released here.
+	pkt.Release()
 }
 
 // processAck applies an incoming acknowledgement to flow f. Caller holds
@@ -119,7 +125,7 @@ func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) {
 		f.DupAcks = 0
 		f.Window = pkt.Window
 		if pkt.HasTS && pkt.TSEcr != 0 {
-			rtt := e.NowMicros() - pkt.TSEcr
+			rtt := c.nowMicros() - pkt.TSEcr
 			if int32(rtt) >= 0 {
 				if f.RTTEst == 0 {
 					f.RTTEst = rtt
@@ -205,7 +211,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 	// Trim data we already have.
 	if rel < 0 {
 		if tcp.SeqLEQ(seq+n, f.AckNo) {
-			return e.buildAck(f, pkt) // pure duplicate: re-ack
+			return e.buildAck(c, f, pkt) // pure duplicate: re-ack
 		}
 		skip := uint32(-rel)
 		payload = payload[skip:]
@@ -220,7 +226,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 		if int(n) > f.RxBuf.Free() {
 			// Buffer full: drop; TCP flow control makes this rare.
 			c.stats.BufFullDrop.Add(1)
-			return e.buildAck(f, pkt)
+			return e.buildAck(c, f, pkt)
 		}
 		f.RxBuf.Write(payload)
 		f.AckNo += n
@@ -240,7 +246,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 		if ctx := e.ContextByID(f.Context); ctx != nil {
 			ctx.PostEvent(c.idx, Event{Kind: EvData, Opaque: f.Opaque, Bytes: advance})
 		}
-		return e.buildAck(f, pkt)
+		return e.buildAck(c, f, pkt)
 	}
 
 	// Out-of-order arrival: track a single interval (§3.1 exception
@@ -249,7 +255,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 	if e.cfg.DisableOoo {
 		// Simple-recovery ablation: drop all out-of-order data.
 		c.stats.OooDropped.Add(1)
-		return e.buildAck(f, pkt)
+		return e.buildAck(c, f, pkt)
 	}
 	if uint32(rel)+n <= uint32(f.RxBuf.Free()) {
 		pos := f.RxBuf.Head() + uint32(rel)
@@ -270,30 +276,19 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 	} else {
 		c.stats.OooDropped.Add(1)
 	}
-	return e.buildAck(f, pkt)
+	return e.buildAck(c, f, pkt)
 }
 
 // buildAck constructs the acknowledgement for the current flow state,
 // echoing ECN marks (for DCTCP) and the peer's timestamp (for RTT
 // estimation). Caller holds the flow lock.
-func (e *Engine) buildAck(f *flowstate.Flow, data *protocol.Packet) *protocol.Packet {
-	ack := &protocol.Packet{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: f.PeerMAC,
-		SrcIP: f.LocalIP, DstIP: f.PeerIP,
-		SrcPort: f.LocalPort, DstPort: f.PeerPort,
-		Flags:  protocol.FlagACK,
-		Seq:    f.SeqNo,
-		Ack:    f.AckNo,
-		Window: e.advertisedWindow(f),
-		ECN:    protocol.ECNECT0,
-	}
+func (e *Engine) buildAck(c *core, f *flowstate.Flow, data *protocol.Packet) *protocol.Packet {
+	ack := e.fillSegment(protocol.NewPacket(), f, protocol.FlagACK)
 	if data.ECN == protocol.ECNCE {
 		ack.Flags |= protocol.FlagECE
 	}
 	if data.HasTS {
-		ack.HasTS = true
-		ack.TSVal = e.NowMicros()
-		ack.TSEcr = data.TSVal
+		ack.HasTS, ack.TSVal, ack.TSEcr = true, c.nowMicros(), data.TSVal
 	}
 	return ack
 }
@@ -301,21 +296,14 @@ func (e *Engine) buildAck(f *flowstate.Flow, data *protocol.Packet) *protocol.Pa
 // SendWindowUpdate emits a bare ACK advertising the flow's current
 // receive window — issued by libtas after the application frees a
 // substantial amount of receive-buffer space, so a flow-control-blocked
-// peer resumes promptly.
+// peer resumes promptly. It runs on an application or slow-path
+// goroutine, not on a core: like the slow path's control segments the
+// packet is not the pool's, and the core that consumes it leaves it to
+// the garbage collector (one small object per quarter receive buffer).
 func (e *Engine) SendWindowUpdate(f *flowstate.Flow) {
 	f.Lock()
-	pkt := &protocol.Packet{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: f.PeerMAC,
-		SrcIP: f.LocalIP, DstIP: f.PeerIP,
-		SrcPort: f.LocalPort, DstPort: f.PeerPort,
-		Flags:  protocol.FlagACK,
-		Seq:    f.SeqNo,
-		Ack:    f.AckNo,
-		Window: e.advertisedWindow(f),
-		ECN:    protocol.ECNECT0,
-		HasTS:  true,
-		TSVal:  e.NowMicros(),
-	}
+	pkt := e.fillSegment(new(protocol.Packet), f, protocol.FlagACK)
+	pkt.HasTS, pkt.TSVal = true, e.NowMicros()
 	f.Unlock()
 	e.nic.Output(pkt)
 }

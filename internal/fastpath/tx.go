@@ -50,31 +50,19 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		// business, but the fast path enforces it.
 		if bkt := e.Bucket(f.Bucket); bkt != nil {
 			wire := n + protocol.EthHeaderLen + protocol.IPv4HeaderLen + protocol.TCPHeaderLen + protocol.TSOptLen
-			if now := e.nowNanos(); !bkt.Take(now, wire) {
+			if !bkt.Take(c.now, wire) {
 				// Out of tokens: queue the flow for a pacing retry.
 				c.pending = append(c.pending, f)
-				if at := bkt.NextAvailable(now, wire); c.pendingAt == 0 || at < c.pendingAt {
+				if at := bkt.NextAvailable(c.now, wire); c.pendingAt == 0 || at < c.pendingAt {
 					c.pendingAt = at
 				}
 				return
 			}
 		}
 
-		payload := make([]byte, n)
-		f.TxBuf.ReadAt(f.TxBuf.Tail()+f.TxSent, payload)
-		pkt := &protocol.Packet{
-			SrcMAC: e.cfg.LocalMAC, DstMAC: f.PeerMAC,
-			SrcIP: f.LocalIP, DstIP: f.PeerIP,
-			SrcPort: f.LocalPort, DstPort: f.PeerPort,
-			Flags:   protocol.FlagACK | protocol.FlagPSH,
-			Seq:     f.SeqNo,
-			Ack:     f.AckNo,
-			Window:  e.advertisedWindow(f),
-			ECN:     protocol.ECNECT0,
-			HasTS:   true,
-			TSVal:   e.NowMicros(),
-			Payload: payload,
-		}
+		pkt := e.fillSegment(protocol.NewPacket(), f, protocol.FlagACK|protocol.FlagPSH)
+		pkt.HasTS, pkt.TSVal = true, c.nowMicros()
+		f.TxBuf.ReadAt(f.TxBuf.Tail()+f.TxSent, pkt.AllocPayload(n))
 		f.SeqNo += uint32(n)
 		f.TxSent += uint32(n)
 		c.stats.TxPackets.Add(1)
@@ -84,4 +72,19 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		}
 		e.nic.Output(pkt)
 	}
+}
+
+// fillSegment fills in what every segment of flow f carries: addresses,
+// the current sequence state and the advertised window. A core passes a
+// packet it has just drawn from the pool and owns until it hands it to
+// the NIC. Caller holds the flow lock.
+func (e *Engine) fillSegment(pkt *protocol.Packet, f *flowstate.Flow, flags protocol.TCPFlags) *protocol.Packet {
+	pkt.SrcMAC, pkt.DstMAC = e.cfg.LocalMAC, f.PeerMAC
+	pkt.SrcIP, pkt.DstIP = f.LocalIP, f.PeerIP
+	pkt.SrcPort, pkt.DstPort = f.LocalPort, f.PeerPort
+	pkt.Flags = flags
+	pkt.Seq, pkt.Ack = f.SeqNo, f.AckNo
+	pkt.Window = e.advertisedWindow(f)
+	pkt.ECN = protocol.ECNECT0
+	return pkt
 }

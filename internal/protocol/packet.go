@@ -31,6 +31,11 @@ type Packet struct {
 	// PayloadLen gives the simulated payload size.
 	Payload    []byte
 	PayloadLen int
+
+	// slab and owner belong to the packet pool (pool.go): the payload
+	// backing a pooled packet carries with it, and who may recycle it.
+	slab  []byte
+	owner uint8
 }
 
 // DataLen returns the TCP payload length in bytes.
@@ -97,9 +102,11 @@ func (p *Packet) RxKey() FlowKey {
 	return FlowKey{LocalIP: p.DstIP, LocalPort: p.DstPort, RemoteIP: p.SrcIP, RemotePort: p.SrcPort}
 }
 
-// Clone returns a deep copy of the packet (payload included).
+// Clone returns a deep copy of the packet (payload included). The copy
+// is never the pool's: whoever keeps a clone keeps it for good.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.slab, q.owner = nil, ownerNone
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
 	}

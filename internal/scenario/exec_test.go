@@ -50,6 +50,42 @@ func TestRunStream(t *testing.T) {
 	}
 }
 
+// TestRunThroughLinkModel: SHA-256-verified transfers through the netem
+// link model with a shallow ECN-marking queue, so segments sit in link
+// queues and timers between their sender's hand-off and their
+// receiver's release, some are dropped at the queue and some are
+// CE-marked by clone. Under -race the packet pool poisons what it takes
+// back: a packet recycled while the link still held it would fail the
+// digest (or panic in a contained core, and the run would not finish).
+func TestRunThroughLinkModel(t *testing.T) {
+	spec := New("link-quick").
+		Seed(11).
+		Duration(30*time.Second).
+		Clients(2).
+		Link(200, 12, 200*time.Microsecond, 8).
+		Stream(2, 2, 128<<10).
+		AssertIntact().
+		AssertAllComplete().
+		AssertDropBound("bad_desc", 0).
+		MustBuild()
+	rep, err := Run(spec, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Pass {
+		t.Fatalf("scenario failed:\n%s", rep.Summary())
+	}
+	t.Logf("fabric: %+v", rep.Fabric)
+	if rep.Fabric.CEMarks == 0 {
+		t.Fatalf("no CE marks: the link queue never reached its threshold (%+v)", rep.Fabric)
+	}
+	for _, sv := range append(rep.Clients, rep.Server) {
+		if sv.CorePanics != 0 {
+			t.Fatalf("%s: %d contained core panics", sv.Name, sv.CorePanics)
+		}
+	}
+}
+
 // TestRunRPC: the echo workload with connection churn completes.
 func TestRunRPC(t *testing.T) {
 	spec := New("rpc-quick").
