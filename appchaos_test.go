@@ -359,9 +359,9 @@ func TestCorruptQueueInjectionHarmless(t *testing.T) {
 		t.Fatal("nothing injected")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for int(cli.Stats().BadDescDrops) < injected {
+	for int(cli.Stats().BadDesc) < injected {
 		if time.Now().After(deadline) {
-			t.Fatalf("BadDescDrops = %d, want %d", cli.Stats().BadDescDrops, injected)
+			t.Fatalf("BadDesc = %d, want %d", cli.Stats().BadDesc, injected)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -464,5 +464,57 @@ func TestCloseAfterAbortIdempotent(t *testing.T) {
 	}
 	if err := peer.Close(); !ErrReset(err) {
 		t.Fatalf("peer second Close = %v, want reset", err)
+	}
+}
+
+// TestReapedFinWait2FlowReleasesGauge: a flow whose app is reaped while
+// it sits in FIN_WAIT_2 — the client closed, its FIN was acknowledged,
+// the server holds its direction open — must leave through the same
+// teardown as every other flow: out of the table, off the timer pool,
+// and out of the tas_flows_fin_wait2 gauge.
+func TestReapedFinWait2FlowReleasesGauge(t *testing.T) {
+	cfg := appCfg()
+	cfg.FinWait2Timeout = time.Minute // the reaper must win, not the timeout
+	_, srv, cli := newPair(t, cfg)
+	ln, err := srv.NewContext().Listen(9094)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan *Conn, 1)
+	go func() { // accept and never close: the client stays in FIN_WAIT_2
+		if c, err := ln.Accept(5 * time.Second); err == nil {
+			held <- c
+		}
+	}()
+	cctx := cli.NewContext()
+	conn, err := cctx.Dial("10.0.0.1", 9094)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitStat := func(what string, ok func(ServiceStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !ok(cli.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened: %+v", what, cli.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitStat("FIN_WAIT_2", func(st ServiceStats) bool { return st.FlowsFinWait2 == 1 })
+	cctx.Kill()
+	waitStat("reap", func(st ServiceStats) bool { return st.AppsReaped == 1 })
+	st := cli.Stats()
+	if st.FlowsLive != 0 || st.FlowsFinWait2 != 0 || st.PoolUsed["timers"] != 0 {
+		t.Fatalf("after the reap: %d flows live, FIN_WAIT_2 gauge %d, %d timers charged; want 0, 0, 0",
+			st.FlowsLive, st.FlowsFinWait2, st.PoolUsed["timers"])
+	}
+	select {
+	case <-held:
+	default:
+		t.Fatal("server never accepted")
 	}
 }

@@ -315,3 +315,57 @@ func TestSendBackpressureWhenClamped(t *testing.T) {
 
 	close(release)
 }
+
+// TestMaxTimeWaitRecyclesOldest: with the TIME_WAIT pool capped, the
+// active closer's quarantine never holds more tuples than the cap — the
+// oldest entry is recycled for the newest — while every close still
+// completes.
+func TestMaxTimeWaitRecyclesOldest(t *testing.T) {
+	const limit, closes = 2, 6
+	_, srv, cli := newPair(t, Config{MaxTimeWait: limit, TimeWaitDuration: time.Minute})
+	ln, err := srv.NewContext().Listen(9300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { // passive closer: read to EOF, close back
+		for {
+			c, err := ln.Accept(5 * time.Second)
+			if err != nil {
+				return
+			}
+			buf := make([]byte, 8)
+			for {
+				if _, err := c.Read(buf); err != nil {
+					break
+				}
+			}
+			c.Close()
+		}
+	}()
+	cctx := cli.NewContext()
+	for i := 0; i < closes; i++ {
+		c, err := cctx.Dial("10.0.0.1", 9300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for cli.Stats().FlowsLive != 0 { // closed both ways and quarantined
+			if time.Now().After(deadline) {
+				t.Fatalf("close %d never finished: %+v", i, cli.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		st := cli.Stats()
+		if st.PoolCap["time_wait"] != limit || st.FlowsTimeWait > limit || st.PoolUsed["time_wait"] != int64(st.FlowsTimeWait) {
+			t.Fatalf("after close %d: cap %d, %d tuples quarantined, %d charged; want cap %d and at most that many",
+				i, st.PoolCap["time_wait"], st.FlowsTimeWait, st.PoolUsed["time_wait"], limit)
+		}
+	}
+	if got := cli.Stats().FlowsTimeWait; got != limit {
+		t.Fatalf("%d tuples quarantined after %d closes, want the cap %d", got, closes, limit)
+	}
+}

@@ -224,10 +224,9 @@ func (e *Engine) DrainFailedCore(i int) int {
 // CoreFaultStats summarizes the data-plane failure domain for the
 // facade's typed stats.
 type CoreFaultStats struct {
-	Failed  int    // cores currently excluded from steering
-	Exited  int    // core goroutines currently not running
-	Panics  uint64 // contained run-loop panics, all cores
-	Strands uint64 // packets counted stranded (stalled cores)
+	Failed int    // cores currently excluded from steering
+	Exited int    // core goroutines currently not running
+	Panics uint64 // contained run-loop panics, all cores
 }
 
 // CoreFaults returns the engine-side failure-domain counters.
@@ -241,7 +240,6 @@ func (e *Engine) CoreFaults() CoreFaultStats {
 			st.Exited++
 		}
 		st.Panics += c.stats.Panics.Load()
-		st.Strands += c.stats.Stranded.Load()
 	}
 	return st
 }

@@ -49,10 +49,9 @@ type Config struct {
 	LocalIP  protocol.IPv4
 	LocalMAC protocol.MAC
 
-	MaxCores   int     // fast-path cores created at init (§3.4)
-	RxRingSize int     // per-core NIC receive ring entries
-	MSS        int     // payload bytes per segment
-	BurstBytes float64 // rate-bucket burst capacity
+	MaxCores   int // fast-path cores created at init (§3.4)
+	RxRingSize int // per-core NIC receive ring entries
+	MSS        int // payload bytes per segment
 
 	// DisableOoo turns off the fast path's one-interval out-of-order
 	// buffering ("TAS simple recovery" in Figure 7): all out-of-order
@@ -73,11 +72,6 @@ type Config struct {
 	// negative disables challenge ACKs entirely (drops stay silent).
 	ChallengeAckPerSec int
 
-	// CookieRotate is the SYN-cookie key-rotation period (0 selects
-	// tcp.DefaultCookieRotate). The jar lives on the engine — shared
-	// state — so key epochs survive a slow-path warm restart.
-	CookieRotate time.Duration
-
 	// Telemetry, when non-nil, enables per-core cycle accounting (batch
 	// section timing charged to rx/tx modules) on this engine. The flow
 	// flight recorder rides on Flow.Rec and needs no engine state.
@@ -94,10 +88,10 @@ func (c *Config) fill() {
 	if c.MSS <= 0 {
 		c.MSS = protocol.DefaultMSS
 	}
-	if c.BurstBytes <= 0 {
-		c.BurstBytes = 64 << 10
-	}
 }
+
+// burstBytes is every rate bucket's burst capacity.
+const burstBytes = 64 << 10
 
 // CoreStats counts one fast-path core's activity.
 type CoreStats struct {
@@ -291,7 +285,7 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 		start:       time.Now(),
 		watchStop:   make(chan struct{}),
 	}
-	e.Cookies = tcp.NewCookieJar(time.Now().UnixNano(), cfg.CookieRotate)
+	e.Cookies = tcp.NewCookieJar(time.Now().UnixNano(), tcp.DefaultCookieRotate)
 	if cfg.ChallengeAckPerSec >= 0 {
 		e.Challenge = tcp.NewAckLimiter(cfg.ChallengeAckPerSec)
 	}
@@ -521,11 +515,11 @@ func (e *Engine) AllocBucket() uint32 {
 		i := e.freeBkts[n-1]
 		e.freeBkts = e.freeBkts[:n-1]
 		ns := append([]*Bucket(nil), old...)
-		ns[i] = NewBucket(e.cfg.BurstBytes)
+		ns[i] = NewBucket(burstBytes)
 		e.bucketsV.Store(ns)
 		return i
 	}
-	e.bucketsV.Store(append(append([]*Bucket(nil), old...), NewBucket(e.cfg.BurstBytes)))
+	e.bucketsV.Store(append(append([]*Bucket(nil), old...), NewBucket(burstBytes)))
 	return uint32(len(old))
 }
 
@@ -637,21 +631,27 @@ func (e *Engine) PushTxCmd(ctx *Context, cmd TxCmd) bool {
 	return true
 }
 
-// validTxCmd validates one app→TAS queue descriptor before the fast
+// lockValidTxCmd validates one app→TAS queue descriptor before the fast
 // path acts on it. Applications are untrusted (§3.3): a crashed or
 // malicious app can enqueue arbitrary bit patterns, so a descriptor
 // must carry a known opcode, reference a flow that is actually
 // installed in the flow table with intact buffers, and claim a byte
 // count that could possibly be buffered. Anything else is dropped and
-// counted — never acted on, never a panic.
-func (e *Engine) validTxCmd(c *core, cmd TxCmd) bool {
+// counted — never acted on, never a panic. A valid descriptor's flow is
+// returned locked — the caller transmits under that lock anyway, and the
+// buffer size must be read under it (ResizeBuffers grows the buffer
+// there).
+func (e *Engine) lockValidTxCmd(c *core, cmd TxCmd) bool {
 	f := cmd.Flow
-	if cmd.Op != OpTx || f == nil || f.RxBuf == nil || f.TxBuf == nil ||
-		int64(cmd.Bytes) > int64(f.TxBuf.Size()) || e.Table.Lookup(f.Key()) != f {
-		c.stats.BadDescDrop.Add(1)
-		return false
+	if cmd.Op == OpTx && f != nil && f.RxBuf != nil && f.TxBuf != nil && e.Table.Lookup(f.Key()) == f {
+		f.Lock()
+		if int64(cmd.Bytes) <= int64(f.TxBuf.Size()) {
+			return true
+		}
+		f.Unlock()
 	}
-	return true
+	c.stats.BadDescDrop.Add(1)
+	return false
 }
 
 // Exceptions returns the exception queue (slow-path side) and the wake
@@ -913,10 +913,9 @@ func (e *Engine) drainCtxTx(c *core, cmdBatch []TxCmd) int {
 		k := ctx.txq[c.idx].DequeueBatch(cmdBatch)
 		for i := 0; i < k; i++ {
 			cmd := cmdBatch[i]
-			if !e.validTxCmd(c, cmd) {
+			if !e.lockValidTxCmd(c, cmd) {
 				continue
 			}
-			cmd.Flow.Lock()
 			e.transmit(c, cmd.Flow)
 			cmd.Flow.Unlock()
 		}
@@ -968,19 +967,22 @@ func (e *Engine) retryPending(c *core) int {
 
 // DropStats aggregates the engine's shed/drop counters across cores and
 // contexts — every cause that makes TAS refuse work instead of growing
-// an unbounded backlog or corrupting state.
+// an unbounded backlog or corrupting state. A field's `drop` tag is the
+// cause's one name: the cause label of its tas_drops_total series and
+// what scenario drop-cause assertions call it; `help` completes the
+// series' help text.
 type DropStats struct {
-	RxRingFull   uint64 // NIC receive ring overflow
-	RxBufFull    uint64 // per-flow receive payload buffer full
-	BadDesc      uint64 // malformed app→TAS queue descriptors
-	SynShed      uint64 // SYNs shed by slow-path admission control
-	SynShedDown  uint64 // SYNs shed while the slow path was down (degraded)
-	SynShedPress uint64 // SYNs shed by the resource governor's shed-syn rung
-	ExcqFull     uint64 // exception queue overflow (non-SYN exceptions)
-	EventsLost   uint64 // context event-queue overflow
-	OooDropped   uint64 // out-of-order segments outside the tracked interval
-	CoreStranded uint64 // packets stranded in a failed core's queues (stalled, not drainable)
-	BlindAck     uint64 // segments dropped by RFC 5961 ACK validation (blind injection)
+	RxRingFull   uint64 `drop:"rx_ring_full" help:"NIC receive ring overflow."`
+	RxBufFull    uint64 `drop:"rx_buf_full" help:"Per-flow receive payload buffer full."`
+	BadDesc      uint64 `drop:"bad_desc" help:"Malformed app-to-TAS queue descriptors."`
+	SynShed      uint64 `drop:"syn_shed" help:"SYNs shed by slow-path admission control."`
+	SynShedDown  uint64 `drop:"syn_shed_down" help:"SYNs shed because the slow path is down (degraded mode)."`
+	SynShedPress uint64 `drop:"syn_shed_pressure" help:"SYNs shed by the resource-pressure ladder (rung 2)."`
+	ExcqFull     uint64 `drop:"excq_full" help:"Exception queue overflow."`
+	EventsLost   uint64 `drop:"events_lost" help:"Context event-queue overflow."`
+	OooDropped   uint64 `drop:"ooo_dropped" help:"Out-of-order segments outside the tracked interval."`
+	CoreStranded uint64 `drop:"core_stranded" help:"Packets stranded in a failed core's queues (stalled core, not drainable)."`
+	BlindAck     uint64 `drop:"blind_ack" help:"Blind-injection ACKs rejected by RFC 5961 validation."`
 }
 
 // Drops returns the aggregated drop counters.

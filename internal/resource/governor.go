@@ -100,15 +100,14 @@ func (e *quotaErr) Unwrap() error { return ErrExhausted }
 
 // Limits configures pool capacities, per-app quotas, and the watermark
 // pair. Zero capacity means the pool is accounted but uncapped (it
-// contributes no pressure). Validate rejects inconsistent settings.
+// contributes no pressure), as the pools with no field here always are:
+// context slots, timers and the accept backlog are charged where the
+// producer cannot be refused, so a cap on them could deny nothing. Validate rejects inconsistent settings.
 type Limits struct {
 	// Global pool capacities (0 = uncapped).
 	PayloadBytes int64
 	Flows        int64
 	HalfOpen     int64
-	Contexts     int64
-	Timers       int64
-	Accept       int64
 	TimeWait     int64
 
 	// Per-app quotas (0 = none). A quota must not exceed the
@@ -180,9 +179,6 @@ func (l Limits) caps() [NumPools]int64 {
 		PoolPayload:  l.PayloadBytes,
 		PoolFlows:    l.Flows,
 		PoolHalfOpen: l.HalfOpen,
-		PoolContexts: l.Contexts,
-		PoolTimers:   l.Timers,
-		PoolAccept:   l.Accept,
 		PoolTimeWait: l.TimeWait,
 	}
 }

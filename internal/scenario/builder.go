@@ -420,14 +420,15 @@ func (b *Builder) AssertNoReaper() *Builder {
 	return b
 }
 
-// AssertPoolDrained bounds a governed pool's occupancy at the end of
-// the run (after a settle window); 0 asserts it returns exactly to
-// empty.
-func (b *Builder) AssertPoolDrained(pool string, max int64) *Builder {
+// AssertPoolsDrained asserts that each named governed pool returns
+// exactly to empty by the end of the run (after a settle window).
+func (b *Builder) AssertPoolsDrained(pools ...string) *Builder {
 	if b.s.Assert.MaxPoolUsed == nil {
 		b.s.Assert.MaxPoolUsed = map[string]int64{}
 	}
-	b.s.Assert.MaxPoolUsed[pool] = max
+	for _, p := range pools {
+		b.s.Assert.MaxPoolUsed[p] = 0
+	}
 	return b
 }
 

@@ -135,28 +135,16 @@ func baseConfig(t Topology, cores int, server bool, linkBps float64) tas.Config 
 		cfg.CoreTimeout = t.CoreTimeout.D()
 	}
 	// Peer-liveness timers apply to every service: both ends of a
-	// blackholed link must be able to give the silent peer up.
-	if t.PersistRTO > 0 {
-		cfg.PersistRTO = t.PersistRTO.D()
-	}
-	if t.MaxPersistProbes > 0 {
-		cfg.MaxPersistProbes = t.MaxPersistProbes
-	}
-	if t.KeepaliveTime > 0 {
-		cfg.KeepaliveTime = t.KeepaliveTime.D()
-	}
-	if t.KeepaliveInterval > 0 {
-		cfg.KeepaliveInterval = t.KeepaliveInterval.D()
-	}
-	if t.KeepaliveProbes > 0 {
-		cfg.KeepaliveProbes = t.KeepaliveProbes
-	}
-	if t.FinWait2Timeout > 0 {
-		cfg.FinWait2Timeout = t.FinWait2Timeout.D()
-	}
-	if t.TimeWait > 0 {
-		cfg.TimeWaitDuration = t.TimeWait.D()
-	}
+	// blackholed link must be able to give the silent peer up. Zero means
+	// the service's own default on both sides, so they pass straight
+	// through.
+	cfg.PersistRTO = t.PersistRTO.D()
+	cfg.MaxPersistProbes = t.MaxPersistProbes
+	cfg.KeepaliveTime = t.KeepaliveTime.D()
+	cfg.KeepaliveInterval = t.KeepaliveInterval.D()
+	cfg.KeepaliveProbes = t.KeepaliveProbes
+	cfg.FinWait2Timeout = t.FinWait2Timeout.D()
+	cfg.TimeWaitDuration = t.TimeWait.D()
 	if server {
 		cfg.ListenBacklog = t.ListenBacklog
 		cfg.SynCookies = t.SynCookies
@@ -423,7 +411,7 @@ waitLoop:
 			Name: fmt.Sprintf("client%d", k), ServiceStats: c.Stats(), Restarts: c.Restarts(),
 		})
 	}
-	rep.Fabric = FabricSnapshot(r.fab.Stats())
+	rep.Fabric = r.fab.Stats()
 	if t := r.srv.Telemetry(); t != nil {
 		rep.FlightFlows = len(t.Recorder.LiveKeys()) + len(t.Recorder.RetiredKeys())
 		if r.opt.Metrics {
@@ -1189,6 +1177,21 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 		out = append(out, AssertionResult{Name: name, Pass: pass, Detail: fmt.Sprintf(format, args...)})
 	}
 
+	// total sums one counter over the server and every client; atLeast is
+	// the assertion that a counter reached an asked-for minimum.
+	total := func(read func(*ServiceSnapshot) uint64) uint64 {
+		n := read(&rep.Server)
+		for i := range rep.Clients {
+			n += read(&rep.Clients[i])
+		}
+		return n
+	}
+	atLeast := func(name string, got uint64, want int, what string) {
+		if want > 0 {
+			add(name, got >= uint64(want), "%d %s (want >= %d)", got, what, want)
+		}
+	}
+
 	if capped {
 		add("within-duration", false, "run hit the %v duration cap", r.spec.Duration.D())
 	} else {
@@ -1221,71 +1224,35 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 		add("recovery", recovery <= a.MaxRecovery.D(),
 			"recovered in %v (bound %v)", recovery.Round(time.Millisecond), a.MaxRecovery.D())
 	}
-	if a.MinFlowsMigrated > 0 {
-		got := rep.Server.FlowsMigrated
-		add("flows-migrated", got >= uint64(a.MinFlowsMigrated),
-			"%d flows migrated (want >= %d)", got, a.MinFlowsMigrated)
-	}
-	if a.MinCoreFailures > 0 {
-		got := rep.Server.CoreFailures
-		add("core-failures", got >= uint64(a.MinCoreFailures),
-			"%d core failures declared (want >= %d)", got, a.MinCoreFailures)
-	}
-	if a.MinAppsReaped > 0 {
-		var got uint64
-		got += rep.Server.AppsReaped
-		for _, c := range rep.Clients {
-			got += c.AppsReaped
-		}
-		add("apps-reaped", got >= uint64(a.MinAppsReaped),
-			"%d app contexts reaped (want >= %d)", got, a.MinAppsReaped)
-	}
+	atLeast("flows-migrated", rep.Server.FlowsMigrated, a.MinFlowsMigrated, "flows migrated")
+	atLeast("core-failures", rep.Server.CoreFailures, a.MinCoreFailures, "core failures declared")
+	atLeast("apps-reaped", total(func(s *ServiceSnapshot) uint64 { return s.AppsReaped }),
+		a.MinAppsReaped, "app contexts reaped")
 	if a.RequireDegraded {
-		var outages uint64
-		outages += rep.Server.SlowPathOutages
-		for _, c := range rep.Clients {
-			outages += c.SlowPathOutages
-		}
+		outages := total(func(s *ServiceSnapshot) uint64 { return s.SlowPathOutages })
 		add("degraded-observed", outages > 0, "%d slow-path outages observed", outages)
 	}
 	if a.BoundServerAborts {
 		add("server-aborts", rep.Server.Aborts <= uint64(a.MaxServerAborts),
 			"%d server aborts (bound %d)", rep.Server.Aborts, a.MaxServerAborts)
 	}
-	sumPeerDead := func() (zw, ka uint64) {
-		zw, ka = rep.Server.PeerDeadZeroWindow, rep.Server.PeerDeadKeepalive
-		for _, c := range rep.Clients {
-			zw += c.PeerDeadZeroWindow
-			ka += c.PeerDeadKeepalive
-		}
-		return
-	}
-	if a.MinPersistProbes > 0 {
-		got := rep.Server.PersistProbes
-		for _, c := range rep.Clients {
-			got += c.PersistProbes
-		}
-		add("persist-probes", got >= uint64(a.MinPersistProbes),
-			"%d zero-window probes sent across services (want >= %d)", got, a.MinPersistProbes)
-	}
+	zw := total(func(s *ServiceSnapshot) uint64 { return s.PeerDeadZeroWindow })
+	ka := total(func(s *ServiceSnapshot) uint64 { return s.PeerDeadKeepalive })
+	atLeast("persist-probes", total(func(s *ServiceSnapshot) uint64 { return s.PersistProbes }),
+		a.MinPersistProbes, "zero-window probes sent across services")
 	if a.MinPeerDead > 0 {
-		zw, ka := sumPeerDead()
 		add("peer-dead", zw+ka >= uint64(a.MinPeerDead),
 			"%d peer-dead verdicts (%d zero-window, %d keepalive; want >= %d)",
 			zw+ka, zw, ka, a.MinPeerDead)
 	}
 	if a.BoundPeerDead {
-		zw, ka := sumPeerDead()
 		add("peer-dead-bound", zw+ka <= uint64(a.MaxPeerDead),
 			"%d peer-dead verdicts (%d zero-window, %d keepalive; bound %d)",
 			zw+ka, zw, ka, a.MaxPeerDead)
 	}
 	if a.NoReaperFired {
-		reaped, idle := rep.Server.AppsReaped, rep.Server.GovIdleReclaimed
-		for _, c := range rep.Clients {
-			reaped += c.AppsReaped
-			idle += c.GovIdleReclaimed
-		}
+		reaped := total(func(s *ServiceSnapshot) uint64 { return s.AppsReaped })
+		idle := total(func(s *ServiceSnapshot) uint64 { return s.GovIdleReclaimed })
 		add("liveness-not-reaper", reaped == 0 && idle == 0,
 			"%d app contexts reaped, %d flows idle-reclaimed (dead peers must fall to liveness probes alone)",
 			reaped, idle)
@@ -1325,16 +1292,9 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 				maxUS, len(rep.TimeSeries.AtMS), n, boundUS)
 		}
 	}
-	if len(a.DropCauses) > 0 {
-		causes := make([]string, 0, len(a.DropCauses))
-		for c := range a.DropCauses {
-			causes = append(causes, c)
-		}
-		sort.Strings(causes)
-		for _, c := range causes {
-			got := dropByCause(rep.Server.ServiceStats, c)
-			add("drops:"+c, got <= a.DropCauses[c], "%d drops (bound %d)", got, a.DropCauses[c])
-		}
+	for _, c := range sortedKeys(a.DropCauses) {
+		got, _ := rep.Server.Drop(c)
+		add("drops:"+c, got <= a.DropCauses[c], "%d drops (bound %d)", got, a.DropCauses[c])
 	}
 	if a.MinPressureLevel > 0 {
 		got := rep.Server.PeakPressureLevel
@@ -1348,11 +1308,7 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 		// a settle window before calling an occupancy a leak. The
 		// services are still live here (teardown happens after
 		// evaluation), so polling observes the drain.
-		pools := make([]string, 0, len(a.MaxPoolUsed))
-		for p := range a.MaxPoolUsed {
-			pools = append(pools, p)
-		}
-		sort.Strings(pools)
+		pools := sortedKeys(a.MaxPoolUsed)
 		used := rep.Server.PoolUsed
 		deadline := time.Now().Add(poolSettleWait)
 		for {
@@ -1379,38 +1335,6 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 // poolSettleWait bounds how long evaluate waits for governed pools to
 // drain back under their asserted bounds after the workload completes.
 const poolSettleWait = 5 * time.Second
-
-func dropByCause(s tas.ServiceStats, cause string) uint64 {
-	switch cause {
-	case "rx_ring_full":
-		return s.RxRingDrops
-	case "rx_buf_full":
-		return s.RxBufDrops
-	case "bad_desc":
-		return s.BadDescDrops
-	case "syn_shed":
-		return s.SynShed
-	case "syn_shed_down":
-		return s.SynShedDown
-	case "excq_full":
-		return s.ExcqDrops
-	case "events_lost":
-		return s.EventsLost
-	case "ooo_dropped":
-		return s.OooDropped
-	case "core_stranded":
-		return s.CoreStranded
-	case "syn_backlog":
-		return s.SynBacklogDrops
-	case "accept_queue":
-		return s.AcceptQueueDrops
-	case "blind_ack":
-		return s.BlindAckDrops
-	case "syn_shed_pressure":
-		return s.SynShedPressure
-	}
-	return 0
-}
 
 // probeSummary reduces the prober's latency samples.
 func probeSummary(lat []time.Duration, fails int) *ProbeResult {

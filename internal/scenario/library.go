@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -40,12 +39,7 @@ func Lookup(name string) (*Spec, error) {
 func Names() []string {
 	libMu.RLock()
 	defer libMu.RUnlock()
-	out := make([]string, 0, len(libMap))
-	for n := range libMap {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(libMap)
 }
 
 func init() {
@@ -92,12 +86,7 @@ func zeroWindowStall() *Spec {
 		AssertNoPeerDead().
 		AssertServerAborts(0).
 		AssertDropBound("bad_desc", 0).
-		AssertPoolDrained("flows", 0).
-		AssertPoolDrained("payload_bytes", 0).
-		AssertPoolDrained("half_open", 0).
-		AssertPoolDrained("timers", 0).
-		AssertPoolDrained("accept", 0).
-		AssertPoolDrained("time_wait", 0).
+		AssertPoolsDrained("flows", "payload_bytes", "half_open", "timers", "accept", "time_wait").
 		MustBuild()
 }
 
@@ -132,12 +121,7 @@ func silentPeer() *Spec {
 		AssertPeerDead(1).
 		AssertNoReaper().
 		AssertDropBound("bad_desc", 0).
-		AssertPoolDrained("flows", 0).
-		AssertPoolDrained("payload_bytes", 0).
-		AssertPoolDrained("half_open", 0).
-		AssertPoolDrained("timers", 0).
-		AssertPoolDrained("accept", 0).
-		AssertPoolDrained("time_wait", 0).
+		AssertPoolsDrained("flows", "payload_bytes", "half_open", "timers", "accept", "time_wait").
 		MustBuild()
 }
 
@@ -167,11 +151,7 @@ func churnStorm() *Spec {
 		AssertIntact().
 		AssertAllComplete().
 		AssertPressureLevel(1).
-		AssertPoolDrained("flows", 0).
-		AssertPoolDrained("payload_bytes", 0).
-		AssertPoolDrained("half_open", 0).
-		AssertPoolDrained("timers", 0).
-		AssertPoolDrained("accept", 0).
+		AssertPoolsDrained("flows", "payload_bytes", "half_open", "timers", "accept").
 		AssertDropBound("bad_desc", 0).
 		MustBuild()
 }
@@ -201,11 +181,7 @@ func memorySqueeze() *Spec {
 		AssertIntact().
 		AssertAllComplete().
 		AssertPressureLevel(3).
-		AssertPoolDrained("payload_bytes", 0).
-		AssertPoolDrained("flows", 0).
-		AssertPoolDrained("half_open", 0).
-		AssertPoolDrained("timers", 0).
-		AssertPoolDrained("accept", 0).
+		AssertPoolsDrained("payload_bytes", "flows", "half_open", "timers", "accept").
 		AssertDropBound("bad_desc", 0).
 		MustBuild()
 }

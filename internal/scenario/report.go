@@ -69,17 +69,6 @@ type AssertionResult struct {
 	Detail string `json:"detail"`
 }
 
-// FabricSnapshot counts what the network did to the run.
-type FabricSnapshot struct {
-	Delivered      uint64 `json:"delivered"`
-	Dropped        uint64 `json:"dropped"`
-	QueueDrops     uint64 `json:"queue_drops"`
-	CEMarks        uint64 `json:"ce_marks"`
-	DownDrops      uint64 `json:"down_drops"`
-	PartitionDrops uint64 `json:"partition_drops"`
-	BurstDrops     uint64 `json:"burst_drops"`
-}
-
 // ServiceSnapshot is one service's robustness counters at run end.
 type ServiceSnapshot struct {
 	Name string `json:"name"`
@@ -112,7 +101,7 @@ type Report struct {
 
 	Server  ServiceSnapshot   `json:"server"`
 	Clients []ServiceSnapshot `json:"clients"`
-	Fabric  FabricSnapshot    `json:"fabric"`
+	Fabric  tas.FabricStats   `json:"fabric"` // what the network did to the run
 
 	// Metrics is the server's telemetry registry at run end (opt-in via
 	// RunOptions.Metrics); FlightFlows counts flows the flight recorder

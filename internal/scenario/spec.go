@@ -17,6 +17,7 @@ import (
 	"sort"
 	"time"
 
+	tas "repro"
 	"repro/internal/resource"
 )
 
@@ -760,40 +761,36 @@ func (s *Spec) validateLiveness() error {
 	return nil
 }
 
-// knownDropCauses mirrors the tas_drops_total causes the report exposes.
-var knownDropCauses = map[string]bool{
-	"rx_ring_full": true, "rx_buf_full": true, "bad_desc": true,
-	"syn_shed": true, "syn_shed_down": true, "excq_full": true,
-	"events_lost": true, "ooo_dropped": true, "core_stranded": true,
-	"syn_backlog": true, "accept_queue": true, "blind_ack": true,
-	"syn_shed_pressure": true,
+// sortedKeys returns m's keys in order, so checks and reports that walk
+// a map are deterministic.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
-// knownPools mirrors the governed pool names ServiceStats exposes.
-var knownPools = map[string]bool{
-	"payload_bytes": true, "flows": true, "half_open": true,
-	"contexts": true, "timers": true, "accept": true, "time_wait": true,
+// knownPool reports whether name is one of the governor's pools.
+func knownPool(name string) bool {
+	for p := resource.Pool(0); p < resource.NumPools; p++ {
+		if p.String() == name {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Spec) validateAssertions() error {
 	a := &s.Assert
-	causes := make([]string, 0, len(a.DropCauses))
-	for c := range a.DropCauses {
-		causes = append(causes, c)
-	}
-	sort.Strings(causes)
-	for _, c := range causes {
-		if !knownDropCauses[c] {
+	for _, c := range sortedKeys(a.DropCauses) {
+		if _, ok := (tas.ServiceStats{}).Drop(c); !ok {
 			return specErr(ErrUnknownKind, "assert.drop_causes", "unknown drop cause %q", c)
 		}
 	}
-	pools := make([]string, 0, len(a.MaxPoolUsed))
-	for p := range a.MaxPoolUsed {
-		pools = append(pools, p)
-	}
-	sort.Strings(pools)
-	for _, p := range pools {
-		if !knownPools[p] {
+	for _, p := range sortedKeys(a.MaxPoolUsed) {
+		if !knownPool(p) {
 			return specErr(ErrUnknownKind, "assert.max_pool_used", "unknown pool %q", p)
 		}
 		if a.MaxPoolUsed[p] < 0 {

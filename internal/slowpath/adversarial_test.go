@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
+	"repro/internal/flowstate"
 	"repro/internal/protocol"
 )
 
@@ -36,13 +37,13 @@ func TestSynCookieHandshakeEndToEnd(t *testing.T) {
 	if evB.Kind != fastpath.EvAccepted || evB.Flow == nil {
 		t.Fatalf("server event: %+v", evB)
 	}
-	if got := b.sp.SynCookiesSent.Load(); got == 0 {
+	if got := b.sp.ctr.SynCookiesSent.Load(); got == 0 {
 		t.Fatal("no cookie SYN-ACK counted")
 	}
-	if got := b.sp.SynCookiesValidated.Load(); got != 1 {
+	if got := b.sp.ctr.SynCookiesValidated.Load(); got != 1 {
 		t.Fatalf("SynCookiesValidated = %d, want 1", got)
 	}
-	if b.sp.halfLen() != 0 {
+	if b.sp.HalfOpenCount() != 0 {
 		t.Fatal("stateless handshake left a half-open entry")
 	}
 	// The cookie encoded the client's MSS option; the reconstructed
@@ -105,10 +106,10 @@ func TestSynFloodEngagesCookiesAndLegitClientConnects(t *testing.T) {
 	}
 	flood(512, 0)
 	deadline := time.Now().Add(2 * time.Second)
-	for b.sp.SynCookiesSent.Load() == 0 {
+	for b.sp.ctr.SynCookiesSent.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("flood never engaged cookies (half=%d drops=%d)",
-				b.sp.halfLen(), b.sp.SynBacklogDrops.Load())
+				b.sp.HalfOpenCount(), b.sp.ctr.SynBacklogDrops.Load())
 		}
 		flood(64, 4096)
 		time.Sleep(time.Millisecond)
@@ -127,10 +128,10 @@ func TestSynFloodEngagesCookiesAndLegitClientConnects(t *testing.T) {
 	// only validates the cookie when it processes the completing ACK, so
 	// poll rather than assert instantaneously.
 	deadline = time.Now().Add(2 * time.Second)
-	for b.sp.SynCookiesValidated.Load() == 0 {
+	for b.sp.ctr.SynCookiesValidated.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("legit handshake did not complete via cookie validation (sent=%d rejected=%d half=%d)",
-				b.sp.SynCookiesSent.Load(), b.sp.SynCookiesRejected.Load(), b.sp.halfLen())
+				b.sp.ctr.SynCookiesSent.Load(), b.sp.ctr.SynCookiesRejected.Load(), b.sp.HalfOpenCount())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -182,7 +183,7 @@ func TestBlindRstRejectedInWindowChallenged(t *testing.T) {
 	if a.eng.Table.Len() != 1 {
 		t.Fatal("blind RST tore down the connection")
 	}
-	if got := a.sp.BlindRstDrops.Load(); got < 2 {
+	if got := a.sp.ctr.BlindRstDrops.Load(); got < 2 {
 		t.Fatalf("BlindRstDrops = %d, want >= 2", got)
 	}
 	// Exact sequence: real teardown.
@@ -229,7 +230,7 @@ func TestBlindRstCannotKillHandshakes(t *testing.T) {
 	if b.sp.lookupHalf(key) == nil {
 		t.Fatal("blind RST reaped the passive half-open")
 	}
-	if b.sp.BlindRstDrops.Load() == 0 {
+	if b.sp.ctr.BlindRstDrops.Load() == 0 {
 		t.Fatal("blind RST not counted")
 	}
 	// Exact RST (seq == peerISS+1): reaped.
@@ -319,7 +320,7 @@ func TestSpoofedSynCannotDisturbActiveOpen(t *testing.T) {
 // pointer, dropHalf must not decrement that listener's halfCount —
 // only passive entries own backlog slots.
 func TestDropHalfNeverTouchesListenerFromActiveOpen(t *testing.T) {
-	l := &listener{port: 80, backlog: 8, halfCount: 3, pending: new(atomic.Int32)}
+	l := &listener{ListenerEntry: &flowstate.ListenerEntry{Port: 80, Backlog: 8, Pending: new(atomic.Int32)}, halfCount: 3}
 	st := &stripe{
 		listeners: map[uint16]*listener{80: l},
 		half:      make(map[protocol.FlowKey]*halfOpen),
@@ -358,7 +359,7 @@ func TestEstablishedSynDrawsChallengeNotReset(t *testing.T) {
 	if a.eng.Table.Len() != 1 {
 		t.Fatal("spoofed SYN disturbed the established flow")
 	}
-	if a.sp.halfLen() != 0 {
+	if a.sp.HalfOpenCount() != 0 {
 		t.Fatal("spoofed SYN created a shadow half-open for a live connection")
 	}
 }

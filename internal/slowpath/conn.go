@@ -45,7 +45,7 @@ func (s *Slowpath) challengeAck(f *flowstate.Flow) {
 	f.Lock()
 	seq, ack := f.SeqNo, f.AckNo
 	f.Unlock()
-	s.sendCtlFlow(f, protocol.FlagACK, seq, ack)
+	s.sendCtlFlow(f, protocol.FlagACK, seq, ack, nil)
 	recordFlow(f, telemetry.FEChallengeTx, seq, ack, 0, 0)
 }
 
@@ -69,11 +69,9 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 			// old duplicate — recycle the quarantine early and open the
 			// new incarnation.
 			if s.eng.TimeWait.Remove(key) {
-				if g := s.cfg.Gov; g != nil {
-					g.Release(resource.PoolTimeWait, 1)
-				}
+				s.charge(resource.PoolTimeWait, -1)
 			}
-			s.TimeWaitReused.Add(1)
+			s.ctr.TimeWaitReused.Add(1)
 			// Fall through to normal SYN handling.
 		} else {
 			// Old duplicate SYN against TIME_WAIT: re-announce the final
@@ -97,13 +95,13 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 		// SYN retransmission: re-send our SYNACK.
 		iss, peer := h.iss, h.peerISS
 		st.mu.Unlock()
-		s.sendCtlSynAck(key, iss, peer+1)
+		s.sendCtl(key, protocol.FlagSYN|protocol.FlagACK, iss, peer+1, true)
 		return
 	}
 	l := st.listeners[key.LocalPort]
 	if l == nil {
 		st.mu.Unlock()
-		s.Rejected.Add(1)
+		s.ctr.Rejected.Add(1)
 		s.sendCtl(key, protocol.FlagRST|protocol.FlagACK, 0, pkt.Seq+1, false)
 		return
 	}
@@ -116,52 +114,41 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 		s.sendCookieSynAck(key, pkt)
 		return
 	}
-	if l.halfCount+int(l.pending.Load()) >= l.backlog {
-		// Accept-queue overflow: shed the SYN silently and count it.
-		// No RST — this is overload, not refusal; the peer's handshake
-		// retransmission retries when (if) the backlog drains.
-		s.SynBacklogDrops.Add(1)
+	// Admission: the listener's own backlog bound, then the half-open pool
+	// shared across every port (Acquire charges the slot; dropHalf
+	// releases it). Either one full sheds the SYN silently and counts it.
+	// No RST — this is overload, not refusal; the peer's handshake
+	// retransmission retries when (if) there is room.
+	if l.halfCount+int(l.Pending.Load()) >= l.Backlog ||
+		(st.gov != nil && st.gov.Acquire(resource.PoolHalfOpen, 1) != nil) {
+		s.ctr.SynBacklogDrops.Add(1)
 		st.mu.Unlock()
 		return
 	}
-	// Global half-open pool admission (the per-listener backlog bound
-	// above is local; this one is shared across every port). Exhaustion
-	// sheds silently, exactly like backlog overflow: overload, not
-	// refusal. Acquire charges the slot; dropHalf releases it.
-	if st.gov != nil {
-		if err := st.gov.Acquire(resource.PoolHalfOpen, 1); err != nil {
-			s.SynBacklogDrops.Add(1)
-			st.mu.Unlock()
-			return
-		}
-	}
-	iss := st.rng.Uint32()
 	now := time.Now()
-	st.half[key] = &halfOpen{
-		key: key, iss: iss, ctxID: l.ctxID, opaque: l.opaque,
+	h := &halfOpen{
+		key: key, iss: st.rng.Uint32(), ctxID: l.CtxID, opaque: l.Opaque,
 		passive: true, peerISS: pkt.Seq,
-		rto: s.cfg.HandshakeRTO, deadline: now.Add(s.cfg.HandshakeRTO),
-		lst: l, born: now,
+		rexmit: startRetry(now, s.cfg.HandshakeRTO), lst: l, born: now,
 	}
+	st.half[key] = h
 	l.halfCount++
 	st.mu.Unlock()
 	s.record(key, telemetry.FESynRx, pkt.Seq, 0, 0)
-	s.sendCtlSynAck(key, iss, pkt.Seq+1)
-	s.record(key, telemetry.FESynAckTx, iss, pkt.Seq+1, 0)
+	s.sendHandshake(h)
 }
 
-func (s *Slowpath) sendCtlSynAck(key protocol.FlowKey, iss, ack uint32) {
-	pkt := &protocol.Packet{
-		SrcMAC: s.eng.Config().LocalMAC,
-		SrcIP:  key.LocalIP, DstIP: key.RemoteIP,
-		SrcPort: key.LocalPort, DstPort: key.RemotePort,
-		Flags: protocol.FlagSYN | protocol.FlagACK, Seq: iss, Ack: ack,
-		Window: uint16(s.cfg.RxBufSize / fastpath.WindowUnit),
-		MSSOpt: uint16(s.eng.Config().MSS),
-		HasTS:  true, TSVal: s.eng.NowMicros(),
-		ECN: protocol.ECNECT0,
+// sendHandshake (re)sends h's own handshake segment — the SYN-ACK of a
+// passive open, the SYN of an active one. Everything it reads is fixed
+// at the entry's creation, so no stripe lock is needed.
+func (s *Slowpath) sendHandshake(h *halfOpen) {
+	if h.passive {
+		s.sendCtl(h.key, protocol.FlagSYN|protocol.FlagACK, h.iss, h.peerISS+1, true)
+		s.record(h.key, telemetry.FESynAckTx, h.iss, h.peerISS+1, 0)
+	} else {
+		s.sendCtl(h.key, protocol.FlagSYN, h.iss, 0, true)
+		s.record(h.key, telemetry.FESynTx, h.iss, 0, 0)
 	}
-	s.output(pkt)
 }
 
 // handleSynAck: completion of our active open.
@@ -178,7 +165,7 @@ func (s *Slowpath) handleSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
 			f.Lock()
 			seq, ack := f.SeqNo, f.AckNo
 			f.Unlock()
-			s.sendCtlFlow(f, protocol.FlagACK, seq, ack)
+			s.sendCtlFlow(f, protocol.FlagACK, seq, ack, nil)
 		}
 		return // stale
 	}
@@ -201,9 +188,9 @@ func (s *Slowpath) handleSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
 	s.observeHandshake(h)
 	f := s.installFlow(key, h, pkt.Seq, pkt.Window)
 	// Final handshake ACK.
-	s.sendCtlFlow(f, protocol.FlagACK, h.iss+1, pkt.Seq+1)
+	s.sendCtlFlow(f, protocol.FlagACK, h.iss+1, pkt.Seq+1, nil)
 	s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Flow: f})
-	s.Established.Add(1)
+	s.ctr.Established.Add(1)
 }
 
 // handlePlain: a data/ack packet the fast path didn't know. Three cases:
@@ -228,22 +215,22 @@ func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
 		s.eng.Table.Lookup(key) == nil {
 		h, ok := s.cookieHalf(key, pkt, l)
 		if !ok {
-			s.SynCookiesRejected.Add(1)
+			s.ctr.SynCookiesRejected.Add(1)
 			st.mu.Unlock()
 			s.record(key, telemetry.FESynCookieBad, pkt.Seq, pkt.Ack, 0)
 			return
 		}
-		if int(l.pending.Load()) >= l.backlog {
+		if int(l.Pending.Load()) >= l.Backlog {
 			// The cookie is genuine but the accept queue is full. The
 			// stateless handshake already told the peer "established", so
 			// shedding must fail closed: RST, not a silent wedge.
-			s.AcceptQueueDrops.Add(1)
+			s.ctr.AcceptQueueDrops.Add(1)
 			st.mu.Unlock()
 			s.sendCtl(key, protocol.FlagRST|protocol.FlagACK, pkt.Ack, pkt.Seq, false)
 			return
 		}
 		st.mu.Unlock()
-		s.SynCookiesValidated.Add(1)
+		s.ctr.SynCookiesValidated.Add(1)
 		s.record(key, telemetry.FESynCookieOK, pkt.Seq, pkt.Ack, 0)
 		s.completePassive(h, pkt)
 		return
@@ -252,7 +239,7 @@ func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
 
 	if s.eng.Table.Lookup(key) != nil {
 		// Raced installation: back to the fast path.
-		s.Reinjected.Add(1)
+		s.ctr.Reinjected.Add(1)
 		s.eng.Input(pkt)
 		return
 	}
@@ -276,7 +263,7 @@ func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
 	if s.eng.Challenge == nil || !s.eng.Challenge.Allow(s.eng.NowNanos()) {
 		return
 	}
-	s.StrayRsts.Add(1)
+	s.ctr.StrayRsts.Add(1)
 	if pkt.Flags.Has(protocol.FlagACK) {
 		// The peer told us what it expects next; a RST at exactly that
 		// sequence number is acceptable everywhere in its window.
@@ -298,8 +285,8 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 		s.sendCtl(h.key, protocol.FlagRST|protocol.FlagACK, h.iss+1, h.peerISS+1, false)
 		return
 	}
-	s.Established.Add(1)
-	s.Accepted.Add(1)
+	s.ctr.Established.Add(1)
+	s.ctr.Accepted.Add(1)
 	s.observeHandshake(h)
 	f := s.installFlow(h.key, h, h.peerISS, pkt.Window)
 	// Charge before posting: an Accept already waiting dispatches the
@@ -307,7 +294,7 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 	// release happens where pending drains — libtas Accept, or the
 	// reaper tearing a listener down.
 	if h.lst != nil {
-		h.lst.pending.Add(1)
+		h.lst.Pending.Add(1)
 		s.charge(resource.PoolAccept, 1)
 	}
 	if !s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvAccepted, Opaque: h.opaque, Flow: f}) {
@@ -316,10 +303,15 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 		// down instead of orphaning installed flow state the
 		// application will never learn about.
 		if h.lst != nil {
-			h.lst.pending.Add(-1)
+			h.lst.Pending.Add(-1)
 			s.charge(resource.PoolAccept, -1)
 		}
-		s.teardownUndeliverable(f)
+		s.ctr.AcceptQueueDrops.Add(1)
+		if seq, ack, first := markAborted(f); first {
+			s.sendRst(f, seq, ack)
+			recordFlow(f, telemetry.FEAborted, seq, ack, 0, 0)
+		}
+		s.removeFlow(f)
 		return
 	}
 	// The completing ACK may carry data (or more may have raced):
@@ -344,26 +336,6 @@ func (s *Slowpath) observeHandshake(h *halfOpen) {
 	s.cfg.Telemetry.Handshake.Observe(uint64(us), int(h.key.LocalPort))
 }
 
-// teardownUndeliverable aborts a just-installed flow whose accept event
-// could not reach the application: RST to the peer, state reclaimed,
-// and the shed connection counted.
-func (s *Slowpath) teardownUndeliverable(f *flowstate.Flow) {
-	f.Lock()
-	f.Aborted = true
-	seq, ack := f.SeqNo, f.AckNo
-	f.Unlock()
-	s.sendCtlFlow(f, protocol.FlagRST|protocol.FlagACK, seq, ack)
-	recordFlow(f, telemetry.FERstTx, seq, ack, 0, 0)
-	recordFlow(f, telemetry.FEAborted, seq, ack, 0, 0)
-	s.eng.Table.Remove(f.Key())
-	s.reclaimFlowResources(f)
-	s.mu.Lock()
-	s.dropEntry(f)
-	s.mu.Unlock()
-	s.AcceptQueueDrops.Add(1)
-	s.retireRec(f)
-}
-
 // admitFlow is the authoritative admission check for establishing a
 // connection: one flow slot plus both payload buffers, charged against
 // the app's quota and the global pools together. The charge point is
@@ -376,39 +348,15 @@ func (s *Slowpath) admitFlow(ctxID uint16) error {
 		return nil
 	}
 	if err := g.AcquireFlow(uint32(ctxID), int64(s.cfg.RxBufSize+s.cfg.TxBufSize)); err != nil {
-		s.GovFlowDenied.Add(1)
+		s.ctr.GovFlowDenied.Add(1)
 		return err
 	}
 	return nil
 }
 
-// reclaimFlowResources returns a torn-down flow's finite resources —
-// payload buffers, rate-bucket slot, and governor charges — exactly
-// once, no matter how many teardown paths (FIN, RST, abort, reaper,
-// recovery, undeliverable accept) race to it. Reclaim only fences
-// producer writes; the application side may still drain already
-// received bytes.
-func (s *Slowpath) reclaimFlowResources(f *flowstate.Flow) {
-	if !f.Retire() {
-		return
-	}
-	var payload int64
-	if f.RxBuf != nil {
-		payload += int64(f.RxBuf.Size())
-		f.RxBuf.Reclaim()
-	}
-	if f.TxBuf != nil {
-		payload += int64(f.TxBuf.Size())
-		f.TxBuf.Reclaim()
-	}
-	s.eng.FreeBucket(f.Bucket)
-	if g := s.cfg.Gov; g != nil {
-		g.ReleaseFlow(uint32(f.Context), payload)
-	}
-}
-
-// charge adjusts a governor pool that is accounted for pressure only,
-// never admission-checked: FIN-retransmission timers, accept backlog.
+// charge adjusts a governor pool with no admission check: the pools
+// accounted for pressure only (FIN-retransmission timers, accept
+// backlog), and — negative — the return of slots Acquire admitted.
 func (s *Slowpath) charge(p resource.Pool, n int64) {
 	if g := s.cfg.Gov; g != nil {
 		g.Charge(p, n)
@@ -486,7 +434,7 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 		// missing data; ack what we have.
 		seq, ack := f.SeqNo, f.AckNo
 		f.Unlock()
-		s.sendCtlFlow(f, protocol.FlagACK, seq, ack)
+		s.sendCtlFlow(f, protocol.FlagACK, seq, ack, nil)
 		return
 	}
 	first := !f.FinReceived
@@ -509,7 +457,7 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 	ctxID, opaque := f.Context, f.Opaque
 	f.Unlock()
 
-	s.sendCtlFlow(f, protocol.FlagACK, seq, ack)
+	s.sendCtlFlow(f, protocol.FlagACK, seq, ack, nil)
 	if first {
 		recordFlow(f, telemetry.FEFinRx, pkt.Seq, ack, 0, 0)
 		s.notify(ctxID, fastpath.Event{Kind: fastpath.EvClosed, Opaque: opaque})
@@ -547,13 +495,13 @@ func (s *Slowpath) handleRst(key protocol.FlowKey, pkt *protocol.Packet) {
 			valid = pkt.Flags.Has(protocol.FlagACK) && pkt.Ack == h.iss+1
 		}
 		if !valid {
-			s.BlindRstDrops.Add(1)
+			s.ctr.BlindRstDrops.Add(1)
 			st.mu.Unlock()
 			return
 		}
 		st.dropHalf(key, h)
 		st.mu.Unlock()
-		s.Rejected.Add(1)
+		s.ctr.Rejected.Add(1)
 		if !h.passive {
 			s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnRefused})
 		}
@@ -572,7 +520,7 @@ func (s *Slowpath) handleRst(key protocol.FlowKey, pkt *protocol.Packet) {
 	wnd := uint32(f.RxBuf.Free())
 	f.Unlock()
 	if pkt.Seq != expect {
-		s.BlindRstDrops.Add(1)
+		s.ctr.BlindRstDrops.Add(1)
 		if wnd == 0 {
 			wnd = 1
 		}
@@ -581,50 +529,66 @@ func (s *Slowpath) handleRst(key protocol.FlowKey, pkt *protocol.Packet) {
 		}
 		return
 	}
-	f.Lock()
-	ctxID, opaque := f.Context, f.Opaque
-	first := !f.Aborted
-	f.Aborted = true
-	f.Unlock()
-	if first {
+	if _, _, first := markAborted(f); first {
 		recordFlow(f, telemetry.FERstRx, pkt.Seq, 0, 0, 0)
 		recordFlow(f, telemetry.FEAborted, pkt.Seq, 0, 0, 0)
-		s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque})
+		s.notifyAborted(f, 0)
 	}
 	s.removeFlow(f)
+}
+
+// markAborted flags f aborted and returns its sequence state and whether
+// this call was the one that flagged it: several teardown paths can race
+// to a flow, and only the first resets the peer and tells the app.
+func markAborted(f *flowstate.Flow) (seq, ack uint32, first bool) {
+	f.Lock()
+	first = !f.Aborted
+	f.Aborted = true
+	seq, ack = f.SeqNo, f.AckNo
+	f.Unlock()
+	return seq, ack, first
+}
+
+// sendRst resets the peer, best effort, at f's sequence state.
+func (s *Slowpath) sendRst(f *flowstate.Flow, seq, ack uint32) {
+	s.sendCtlFlow(f, protocol.FlagRST|protocol.FlagACK, seq, ack, nil)
+	recordFlow(f, telemetry.FERstTx, seq, ack, 0, 0)
 }
 
 // abortFlow tears a flow down after a retransmission budget is
 // exhausted (dead peer, persistent partition): best-effort RST to the
 // peer, fast-path flow state removed, EvAborted to the application.
-func (s *Slowpath) abortFlow(f *flowstate.Flow) {
-	s.abortFlowCause(f, 0)
-}
-
-// abortFlowCause is abortFlow with an explicit cause code carried in
-// the EvAborted event (fastpath.AbortPeerDead when liveness probing —
-// persist or keepalive — declared the peer silently dead).
-func (s *Slowpath) abortFlowCause(f *flowstate.Flow, cause uint32) {
-	f.Lock()
-	already := f.Aborted
-	f.Aborted = true
+// cause rides in the event (fastpath.AbortPeerDead when liveness probing
+// — persist or keepalive — declared the peer silently dead, else 0).
+func (s *Slowpath) abortFlow(f *flowstate.Flow, cause uint32) {
 	if cause == fastpath.AbortPeerDead {
+		// Before the abort flag: whoever reads that finds the refinement.
+		f.Lock()
 		f.PeerDead = true
+		f.Unlock()
 	}
-	seq, ack := f.SeqNo, f.AckNo
-	ctxID, opaque := f.Context, f.Opaque
-	f.Unlock()
-	if already {
+	seq, ack, first := markAborted(f)
+	if !first {
 		return
 	}
-	s.sendCtlFlow(f, protocol.FlagRST|protocol.FlagACK, seq, ack)
-	recordFlow(f, telemetry.FERstTx, seq, ack, 0, 0)
+	// Counted before the RST is sent, like every counter here whose event
+	// shows on the wire: an observer that has seen the segment must find
+	// it in the counter.
+	s.ctr.Aborts.Add(1)
+	s.sendRst(f, seq, ack)
 	recordFlow(f, telemetry.FEAborted, seq, ack, 0, uint64(cause))
 	if cause == fastpath.AbortPeerDead {
 		recordFlow(f, telemetry.FEPeerDead, seq, ack, 0, 0)
 	}
-	s.Aborts.Add(1)
 	s.removeFlow(f)
+	s.notifyAborted(f, cause)
+}
+
+// notifyAborted tells the application that owns f that the flow is gone.
+func (s *Slowpath) notifyAborted(f *flowstate.Flow, cause uint32) {
+	f.Lock()
+	ctxID, opaque := f.Context, f.Opaque
+	f.Unlock()
 	s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque, Bytes: cause})
 }
 
@@ -635,43 +599,29 @@ func (s *Slowpath) abortFlowCause(f *flowstate.Flow, cause uint32) {
 // application unblocks in bounded time.
 func (s *Slowpath) handshakeSweep() {
 	now := time.Now()
-	type rexmit struct {
-		key       protocol.FlowKey
-		iss, peer uint32
-		passive   bool
-	}
-	var resend []rexmit
-	var failed []*halfOpen
+	var resend, failed []*halfOpen
 	for _, st := range s.stripes {
 		st.mu.Lock()
 		for key, h := range st.half {
-			if now.Before(h.deadline) {
+			if !h.rexmit.due(now) {
 				continue
 			}
-			if h.attempts >= s.cfg.HandshakeRetries {
+			if h.rexmit.attempts >= s.cfg.HandshakeRetries {
 				st.dropHalf(key, h)
-				s.HandshakeTimeouts.Add(1)
+				s.ctr.HandshakeTimeouts.Add(1)
 				if !h.passive {
 					failed = append(failed, h)
 				}
 				continue
 			}
-			h.attempts++
-			h.rto *= 2
-			h.deadline = now.Add(h.rto)
-			s.HandshakeRexmits.Add(1)
-			resend = append(resend, rexmit{key: key, iss: h.iss, peer: h.peerISS, passive: h.passive})
+			h.rexmit.backoff(now, 0)
+			s.ctr.HandshakeRexmits.Add(1)
+			resend = append(resend, h)
 		}
 		st.mu.Unlock()
 	}
-	for _, r := range resend {
-		if r.passive {
-			s.sendCtlSynAck(r.key, r.iss, r.peer+1)
-			s.record(r.key, telemetry.FESynAckTx, r.iss, r.peer+1, 0)
-		} else {
-			s.sendCtl(r.key, protocol.FlagSYN, r.iss, 0, true)
-			s.record(r.key, telemetry.FESynTx, r.iss, 0, 0)
-		}
+	for _, h := range resend {
+		s.sendHandshake(h)
 	}
 	for _, h := range failed {
 		s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnTimedOut})
@@ -687,7 +637,8 @@ func (s *Slowpath) handshakeSweep() {
 // the peer has not closed its direction. This replaces the old
 // fire-and-forget removal timer: every step runs on the event loop,
 // charged to the timer pool, and survives a warm restart (Recover
-// re-arms the entries from shared flow state).
+// re-arms the entries from shared flow state). Every flow whose close
+// ends here leaves through removeFlow, which releases its entry.
 func (s *Slowpath) closeSweep() {
 	now := time.Now()
 	type rexmit struct {
@@ -695,115 +646,123 @@ func (s *Slowpath) closeSweep() {
 		seq, ack uint32
 	}
 	var resend []rexmit
-	var aborts, removals, timeWaits, fw2Expired []*flowstate.Flow
+	var aborts, finished, fw2Expired []*flowstate.Flow
 	s.mu.Lock()
 	for f, e := range s.closing {
 		f.Lock()
-		acked, aborted, ack := f.FinAcked, f.Aborted, f.AckNo
-		finRecv, peerFirst := f.FinReceived, f.PeerClosedFirst
+		acked, aborted, ack, finRecv := f.FinAcked, f.Aborted, f.AckNo, f.FinReceived
 		f.Unlock()
-		if aborted {
+		switch {
+		case aborted:
+			// Orphaned: Close registered the entry after the abort's
+			// removeFlow had already looked for it.
 			delete(s.closing, f)
 			s.charge(resource.PoolTimers, -1)
-			if e.fw2 {
-				s.fw2Count.Add(-1)
-			}
-			continue
-		}
-		if acked {
-			if finRecv {
-				// Both directions closed. The active closer pays the
-				// TIME_WAIT quarantine; the passive closer (LAST_ACK →
-				// CLOSED) is done outright.
-				delete(s.closing, f)
-				s.charge(resource.PoolTimers, -1)
-				if e.fw2 {
-					s.fw2Count.Add(-1)
-				}
-				if peerFirst {
-					removals = append(removals, f)
-				} else {
-					timeWaits = append(timeWaits, f)
-				}
-				continue
-			}
-			if !e.fw2 {
-				// FIN acknowledged, peer still open: FIN_WAIT_2, bounded.
-				e.fw2 = true
-				e.deadline = now.Add(s.cfg.FinWait2Timeout)
-				s.fw2Count.Add(1)
-				continue
-			}
-			if now.After(e.deadline) {
-				delete(s.closing, f)
-				s.charge(resource.PoolTimers, -1)
-				s.fw2Count.Add(-1)
-				s.FinWait2Timeouts.Add(1)
+		case acked && finRecv:
+			finished = append(finished, f)
+		case acked && !e.fw2:
+			// FIN acknowledged, peer still open: FIN_WAIT_2, bounded.
+			e.fw2 = true
+			e.rexmit.deadline = now.Add(s.cfg.FinWait2Timeout)
+		case acked:
+			if now.After(e.rexmit.deadline) {
+				s.ctr.FinWait2Timeouts.Add(1)
 				fw2Expired = append(fw2Expired, f)
 			}
-			continue
-		}
-		if now.Before(e.deadline) {
-			continue
-		}
-		if e.attempts >= s.cfg.MaxRetransmits {
-			delete(s.closing, f)
-			s.charge(resource.PoolTimers, -1)
+		case !e.rexmit.due(now): // FIN in flight, timer running
+		case e.rexmit.attempts >= s.cfg.MaxRetransmits:
 			aborts = append(aborts, f)
-			continue
+		default:
+			e.rexmit.backoff(now, 0)
+			s.ctr.FinRexmits.Add(1)
+			resend = append(resend, rexmit{f: f, seq: e.finSeq, ack: ack})
 		}
-		e.attempts++
-		e.rto *= 2
-		e.deadline = now.Add(e.rto)
-		s.FinRexmits.Add(1)
-		resend = append(resend, rexmit{f: f, seq: e.finSeq, ack: ack})
 	}
 	s.mu.Unlock()
 	for _, r := range resend {
-		s.sendCtlFlow(r.f, protocol.FlagFIN|protocol.FlagACK, r.seq, r.ack)
+		s.sendCtlFlow(r.f, protocol.FlagFIN|protocol.FlagACK, r.seq, r.ack, nil)
 		recordFlow(r.f, telemetry.FERexmit, r.seq, r.ack, 0, 0)
 	}
-	for _, f := range removals {
-		s.removeFlow(f)
-	}
-	for _, f := range timeWaits {
-		s.enterTimeWait(f)
+	for _, f := range finished {
+		s.finishClose(f)
 	}
 	for _, f := range fw2Expired {
 		// The peer never closed its side within the bound: quiet local
 		// teardown (no RST — the peer may legitimately still be alive,
 		// just uninterested in closing; its next segment for the gone
 		// flow draws nothing).
-		f.Lock()
-		f.Aborted = true
-		seq, ack := f.SeqNo, f.AckNo
-		f.Unlock()
+		seq, ack, _ := markAborted(f)
 		recordFlow(f, telemetry.FEAborted, seq, ack, 0, 0)
 		s.removeFlow(f)
 	}
 	for _, f := range aborts {
-		s.abortFlow(f)
+		s.abortFlow(f, 0)
 	}
 }
 
+// finishClose ends a flow both directions of which are closed: the
+// passive closer (LAST_ACK → CLOSED) is done outright, the active closer
+// pays the TIME_WAIT quarantine (RFC 793).
+func (s *Slowpath) finishClose(f *flowstate.Flow) {
+	f.Lock()
+	peerFirst := f.PeerClosedFirst
+	f.Unlock()
+	if peerFirst {
+		s.removeFlow(f)
+	} else {
+		s.enterTimeWait(f)
+	}
+}
+
+// removeFlow is the one end of every flow's life: out of the flow table,
+// finite resources reclaimed, control entry dropped, a pending close
+// released (its timer-pool charge; the FIN_WAIT_2 gauge counts closing
+// entries, so it follows), flight ring retired. What differs between the
+// ways a flow can end — whether the peer gets a RST, which counter, which
+// event the application sees — stays with the caller.
 func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	s.eng.Table.Remove(f.Key())
-	s.reclaimFlowResources(f)
-	s.mu.Lock()
-	s.dropEntry(f)
-	if e, ok := s.closing[f]; ok {
-		delete(s.closing, f)
-		s.charge(resource.PoolTimers, -1)
-		if e.fw2 {
-			s.fw2Count.Add(-1)
+	// Payload buffers, rate-bucket slot and governor charges go back
+	// exactly once, however many teardown paths race here: Retire is the
+	// latch. Reclaim only fences producer writes; the application side may
+	// still drain already received bytes.
+	if f.Retire() {
+		var payload int64
+		if f.RxBuf != nil {
+			payload += int64(f.RxBuf.Size())
+			f.RxBuf.Reclaim()
+		}
+		if f.TxBuf != nil {
+			payload += int64(f.TxBuf.Size())
+			f.TxBuf.Reclaim()
+		}
+		s.eng.FreeBucket(f.Bucket)
+		if g := s.cfg.Gov; g != nil {
+			g.ReleaseFlow(uint32(f.Context), payload)
 		}
 	}
+	s.mu.Lock()
+	s.dropEntry(f)
+	if _, ok := s.closing[f]; ok {
+		delete(s.closing, f)
+		s.charge(resource.PoolTimers, -1)
+	}
 	s.mu.Unlock()
-	s.retireRec(f)
+	// The flight ring moves to the recorder's retired list, for
+	// post-mortem inspection.
+	if s.cfg.Telemetry != nil && f.Rec != nil {
+		s.cfg.Telemetry.Recorder.Retire(f.Rec.Key())
+	}
 }
 
+// Core-scaling thresholds (§3.4), in cores of aggregate idle capacity.
+const (
+	addIdle    = 0.2
+	removeIdle = 1.25
+)
+
 // scaleLoop adjusts the number of active fast-path cores to the load
-// (§3.4): >RemoveIdle aggregate idle cores -> remove one; <AddIdle ->
+// (§3.4): >removeIdle aggregate idle cores -> remove one; <addIdle ->
 // add one. Failed cores contribute no idle capacity — a dead goroutine
 // reports 0 utilization, and counting that as a spare core would make
 // the monitor scale down right after a failure, shrinking the surviving
@@ -819,9 +778,9 @@ func (s *Slowpath) scaleLoop() {
 		idle += 1 - s.eng.Utilization(i)
 	}
 	switch {
-	case idle > s.cfg.RemoveIdle && active > 1:
+	case idle > removeIdle && active > 1:
 		s.eng.SetActiveCores(active - 1)
-	case idle < s.cfg.AddIdle && active < s.eng.MaxCores():
+	case idle < addIdle && active < s.eng.MaxCores():
 		s.eng.SetActiveCores(active + 1)
 	}
 }

@@ -190,7 +190,7 @@ func (s *Slowpath) unpark(e *ccEntry, now int64) {
 		e.txEwma *= math.Pow(txEwmaKeep, float64(skipped))
 	}
 	s.pushActive(e, now)
-	s.FlowActivations.Add(1)
+	s.ctr.FlowActivations.Add(1)
 }
 
 // drainActivations unparks every flow the fast path (or Close) queued
@@ -263,7 +263,7 @@ func (s *Slowpath) controlTick(now int64) {
 	s.doomed = s.doomed[:0]
 	s.mu.Unlock()
 	for i, d := range doomed {
-		s.abortFlowCause(d.f, d.cause)
+		s.abortFlow(d.f, d.cause)
 		doomed[i] = doomedFlow{}
 	}
 }
@@ -306,8 +306,7 @@ func (s *Slowpath) tickFlow(e *ccEntry, now int64) {
 		s.persistTick(f, e)
 		return
 	}
-	e.persistDeadline = time.Time{}
-	e.persistProbes = 0
+	e.persist = retry{}
 
 	// Keepalive: an established flow with nothing in flight and nothing
 	// pending that has heard nothing from the peer for KeepaliveTime
@@ -403,7 +402,7 @@ func (s *Slowpath) rtoTick(e *ccEntry, fs *flowSample, dt int64) (timeouts uint3
 		s.doom(f, 0)
 		return 0, false
 	}
-	s.Timeouts.Add(1)
+	s.ctr.Timeouts.Add(1)
 	recordFlow(f, telemetry.FERTOBackoff, fs.una, 0, 0, uint64(needWait))
 	f.Lock()
 	f.SeqNo -= f.TxSent // reset as if unsent

@@ -37,23 +37,14 @@ import (
 // completes within a few blocked-core wakeup periods (~100ms each).
 const coreReadmitBeats = 3
 
-// coreWatch is the watchdog's per-core view.
+// coreWatch is the watchdog's per-core view. The verdict itself is the
+// engine's failed flag, so it outlives the instance: a core a previous
+// slow path failed stays excluded until it earns re-admission from this
+// one.
 type coreWatch struct {
 	lastBeat   uint64    // counter value at the previous sweep
 	lastChange time.Time // when the counter last advanced
-	failed     bool      // this instance's verdict (mirrors engine flag)
 	cleanBeats int       // advances observed since failure, toward re-admission
-}
-
-// initCoreWatch seeds the per-core watchdog state, adopting failure
-// verdicts a previous slow-path instance left in the engine (warm
-// restart): a core that was failed stays excluded until it earns
-// re-admission from the new instance.
-func (s *Slowpath) initCoreWatch() {
-	s.coresW = make([]coreWatch, s.eng.MaxCores())
-	for i := range s.coresW {
-		s.coresW[i].failed = s.eng.CoreFailed(i)
-	}
 }
 
 // coreSweep is the per-control-tick core-liveness check. Healthy-case
@@ -76,7 +67,7 @@ func (s *Slowpath) coreSweep(now time.Time) {
 			w.lastChange = now
 			continue
 		}
-		if !w.failed {
+		if !s.eng.CoreFailed(i) {
 			// Even a fully idle core advances its counter every blocked-
 			// wakeup period (≤100ms), so CoreTimeout of silence means the
 			// goroutine is gone (killed, panicked) or wedged mid-iteration.
@@ -96,7 +87,6 @@ func (s *Slowpath) coreSweep(now time.Time) {
 				if survivors == 0 {
 					continue
 				}
-				w.failed = true
 				w.cleanBeats = 0
 				s.failCore(i)
 			}
@@ -108,10 +98,9 @@ func (s *Slowpath) coreSweep(now time.Time) {
 		if advanced {
 			w.cleanBeats++
 			if w.cleanBeats >= coreReadmitBeats {
-				w.failed = false
 				w.cleanBeats = 0
 				s.eng.ClearCoreFailed(i)
-				s.CoreReadmits.Add(1)
+				s.ctr.CoreReadmits.Add(1)
 			}
 		}
 	}
@@ -121,11 +110,7 @@ func (s *Slowpath) coreSweep(now time.Time) {
 // steering, recover the work stranded in its queues, and migrate its
 // flows to the surviving cores.
 func (s *Slowpath) failCore(i int) {
-	var t0 int64
-	telem := s.cfg.Telemetry
-	if telem != nil {
-		t0 = telem.RefreshNow()
-	}
+	t0 := s.lap(0, 0, 0)
 
 	// Snapshot the victims before the rewrite: after MarkCoreFailed the
 	// RSS table no longer names the dead core, so ownership must be read
@@ -147,13 +132,10 @@ func (s *Slowpath) failCore(i int) {
 		}
 	}
 
-	s.CoreFailures.Add(1)
-	s.FlowsMigrated.Add(uint64(migrated))
-	s.CoreDrainRequeued.Add(uint64(requeued))
-
-	if telem != nil {
-		telem.Cycles.AddSlow(telemetry.ModMigrate, telem.RefreshNow()-t0, uint64(migrated))
-	}
+	s.ctr.CoreFailures.Add(1)
+	s.ctr.FlowsMigrated.Add(uint64(migrated))
+	s.ctr.CoreDrainRequeued.Add(uint64(requeued))
+	s.lap(telemetry.ModMigrate, t0, uint64(migrated))
 }
 
 // migrateFlow re-adopts one flow onto its new owner after the old

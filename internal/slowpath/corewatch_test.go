@@ -216,8 +216,7 @@ func TestCoreWatchdogSurvivesWarmRestart(t *testing.T) {
 
 	// Crash and warm-restart the slow path on the same engine.
 	sp.Kill()
-	ns := New(eng, sp.cfg)
-	ns.AdoptCounters(sp.Counters())
+	ns := sp.Successor()
 	ns.Recover()
 	ns.Start()
 	t.Cleanup(func() { ns.Stop() })

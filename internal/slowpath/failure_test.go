@@ -63,7 +63,7 @@ func TestConnectTimesOutAcrossPartition(t *testing.T) {
 	if el := time.Since(start); el > 1500*time.Millisecond {
 		t.Fatalf("timed out after %v, want bounded", el)
 	}
-	nHalf, nTO := a.sp.halfLen(), a.sp.HandshakeTimeouts.Load()
+	nHalf, nTO := a.sp.HalfOpenCount(), a.sp.ctr.HandshakeTimeouts.Load()
 	if nHalf != 0 {
 		t.Fatalf("half-open entries leaked: %d", nHalf)
 	}
@@ -95,7 +95,7 @@ func TestHandshakeSurvivesTransientPartition(t *testing.T) {
 	if ev.Kind != fastpath.EvConnected || ev.Bytes != 0 || ev.Flow == nil {
 		t.Fatalf("event = %+v, want established", ev)
 	}
-	rexmits := a.sp.HandshakeRexmits.Load()
+	rexmits := a.sp.ctr.HandshakeRexmits.Load()
 	if rexmits == 0 {
 		t.Fatal("expected SYN retransmissions")
 	}
@@ -118,7 +118,7 @@ func TestRstReapsPassiveHalfOpen(t *testing.T) {
 	})
 	deadline := time.Now().Add(time.Second)
 	for {
-		n := b.sp.halfLen()
+		n := b.sp.HalfOpenCount()
 		if n == 1 {
 			break
 		}
@@ -132,7 +132,7 @@ func TestRstReapsPassiveHalfOpen(t *testing.T) {
 		Flags: protocol.FlagRST, Seq: 101,
 	})
 	for {
-		n := b.sp.halfLen()
+		n := b.sp.HalfOpenCount()
 		if n == 0 {
 			return
 		}
@@ -159,7 +159,7 @@ func TestPassiveHalfOpenReapedWithoutFinalAck(t *testing.T) {
 	})
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		n, reaped := b.sp.halfLen(), b.sp.HandshakeTimeouts.Load()
+		n, reaped := b.sp.HalfOpenCount(), b.sp.ctr.HandshakeTimeouts.Load()
 		if n == 0 && reaped > 0 {
 			return
 		}
@@ -215,7 +215,7 @@ func TestEstablishedFlowAbortsAfterRetryBudget(t *testing.T) {
 	if a.eng.Table.Len() != 0 {
 		t.Fatal("aborted flow still in table")
 	}
-	aborts := a.sp.Aborts.Load()
+	aborts := a.sp.ctr.Aborts.Load()
 	if aborts == 0 {
 		t.Fatal("Aborts not counted")
 	}
@@ -357,7 +357,7 @@ func TestFinRetransmittedUntilAcked(t *testing.T) {
 		f.Lock()
 		acked := f.FinAcked
 		f.Unlock()
-		rexmits := a.sp.FinRexmits.Load()
+		rexmits := a.sp.ctr.FinRexmits.Load()
 		if acked {
 			if rexmits == 0 {
 				t.Fatal("FIN acked without any retransmission despite partition")

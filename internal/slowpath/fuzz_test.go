@@ -103,7 +103,7 @@ func FuzzStateMachine(f *testing.F) {
 			s.handleException(pkt)
 			checkBacklogInvariants(t, s)
 			// Drain accept events sometimes so both the deliverable and
-			// queue-full (teardownUndeliverable) paths are exercised.
+			// queue-full (undeliverable accept) paths are exercised.
 			if rec[13]&1 == 1 {
 				var evs [16]fastpath.Event
 				ctx.PollEvents(evs[:])
@@ -136,9 +136,9 @@ func checkBacklogInvariants(t *testing.T, s *Slowpath) {
 				st.mu.Unlock()
 				t.Fatalf("listener %d: halfCount %d but %d passive entries", port, l.halfCount, got)
 			}
-			if l.halfCount > l.backlog {
+			if l.halfCount > l.Backlog {
 				st.mu.Unlock()
-				t.Fatalf("listener %d: halfCount %d exceeds backlog %d", port, l.halfCount, l.backlog)
+				t.Fatalf("listener %d: halfCount %d exceeds backlog %d", port, l.halfCount, l.Backlog)
 			}
 		}
 		st.mu.Unlock()

@@ -66,8 +66,8 @@ func (s *Slowpath) reclaimIdle(g *resource.Governor) {
 		victims = victims[:s.cfg.ReclaimBatch]
 	}
 	for _, v := range victims {
-		s.abortFlow(v.f)
-		s.GovIdleReclaimed.Add(1)
+		s.abortFlow(v.f, 0)
+		s.ctr.GovIdleReclaimed.Add(1)
 		g.NoteShed(resource.LevelReclaim)
 	}
 }

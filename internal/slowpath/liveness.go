@@ -24,29 +24,22 @@ import (
 // budget dooms the flow.
 func (s *Slowpath) persistTick(f *flowstate.Flow, e *ccEntry) {
 	now := time.Now()
-	if e.persistDeadline.IsZero() {
+	if !e.persist.armed() {
 		// Stall just detected: arm the timer; the first probe goes out
 		// one PersistRTO from now (the window-closing ack often precedes
 		// an imminent reopen — don't probe instantly).
-		e.persistRTO = s.cfg.PersistRTO
-		e.persistProbes = 0
-		e.persistDeadline = now.Add(e.persistRTO)
+		e.persist = startRetry(now, s.cfg.PersistRTO)
 		return
 	}
-	if now.Before(e.persistDeadline) {
+	if !e.persist.due(now) {
 		return
 	}
-	if e.persistProbes >= s.cfg.MaxPersistProbes {
-		s.PeerDeadZeroWindow.Add(1)
+	if e.persist.attempts >= s.cfg.MaxPersistProbes {
+		s.ctr.PeerDeadZeroWindow.Add(1)
 		s.doom(f, fastpath.AbortPeerDead)
 		return
 	}
-	e.persistProbes++
-	e.persistRTO *= 2
-	if ceil := 32 * s.cfg.PersistRTO; e.persistRTO > ceil {
-		e.persistRTO = ceil
-	}
-	e.persistDeadline = now.Add(e.persistRTO)
+	e.persist.backoff(now, 32*s.cfg.PersistRTO)
 	s.sendPersistProbe(f)
 }
 
@@ -76,21 +69,9 @@ func (s *Slowpath) sendPersistProbe(f *flowstate.Flow) {
 	payload := make([]byte, 1)
 	f.TxBuf.ReadAt(f.TxBuf.Tail(), payload)
 	ack := f.AckNo
-	window := uint16(f.RxBuf.Free() / fastpath.WindowUnit)
 	f.Unlock()
-	// Counted before it is sent: an observer that has seen the probe on
-	// the wire must find it in the counter.
-	s.PersistProbes.Add(1)
-	s.output(&protocol.Packet{
-		SrcMAC: s.eng.Config().LocalMAC, DstMAC: f.PeerMAC,
-		SrcIP: f.LocalIP, DstIP: f.PeerIP,
-		SrcPort: f.LocalPort, DstPort: f.PeerPort,
-		Flags: protocol.FlagACK | protocol.FlagPSH,
-		Seq:   seq, Ack: ack, Window: window,
-		HasTS: true, TSVal: s.eng.NowMicros(),
-		ECN:     protocol.ECNECT0,
-		Payload: payload,
-	})
+	s.ctr.PersistProbes.Add(1) // before the send (see abortFlow)
+	s.sendCtlFlow(f, protocol.FlagACK|protocol.FlagPSH, seq, ack, payload)
 	recordFlow(f, telemetry.FEPersistProbe, seq, ack, 1, 0)
 }
 
@@ -116,7 +97,7 @@ func (s *Slowpath) keepaliveTick(f *flowstate.Flow, e *ccEntry, nowN int64, fs *
 		return true
 	}
 	if e.kaProbes >= s.cfg.KeepaliveProbes {
-		s.PeerDeadKeepalive.Add(1)
+		s.ctr.PeerDeadKeepalive.Add(1)
 		s.doom(f, fastpath.AbortPeerDead)
 		return false
 	}
@@ -136,19 +117,9 @@ func (s *Slowpath) sendKeepalive(f *flowstate.Flow) {
 	f.Lock()
 	seq := f.SeqNo - 1
 	ack := f.AckNo
-	window := uint16(f.RxBuf.Free() / fastpath.WindowUnit)
 	f.Unlock()
-	s.KeepaliveProbesSent.Add(1) // before the send, as for persist probes
-	s.output(&protocol.Packet{
-		SrcMAC: s.eng.Config().LocalMAC, DstMAC: f.PeerMAC,
-		SrcIP: f.LocalIP, DstIP: f.PeerIP,
-		SrcPort: f.LocalPort, DstPort: f.PeerPort,
-		Flags: protocol.FlagACK,
-		Seq:   seq, Ack: ack, Window: window,
-		HasTS: true, TSVal: s.eng.NowMicros(),
-		ECN:     protocol.ECNECT0,
-		Payload: []byte{0},
-	})
+	s.ctr.KeepaliveProbesSent.Add(1) // before the send (see abortFlow)
+	s.sendCtlFlow(f, protocol.FlagACK, seq, ack, []byte{0})
 	recordFlow(f, telemetry.FEKeepaliveProbe, seq, ack, 0, 0)
 }
 
@@ -183,15 +154,23 @@ func (s *Slowpath) enterTimeWait(f *flowstate.Flow) {
 // out, returning their pool charges.
 func (s *Slowpath) timeWaitSweep() {
 	if n := s.eng.TimeWait.Expire(s.eng.NowNanos()); n > 0 {
-		if g := s.cfg.Gov; g != nil {
-			g.Release(resource.PoolTimeWait, int64(n))
-		}
+		s.charge(resource.PoolTimeWait, -int64(n))
 	}
 }
 
 // FinWait2Count returns the number of flows currently in FIN_WAIT_2
-// (our FIN acknowledged, peer's direction still open).
-func (s *Slowpath) FinWait2Count() int64 { return s.fw2Count.Load() }
+// (our FIN acknowledged, peer's direction still open). Counted from the
+// closing table on demand, so the gauge cannot drift from the entries.
+func (s *Slowpath) FinWait2Count() (n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.closing {
+		if e.fw2 {
+			n++
+		}
+	}
+	return n
+}
 
 // TimeWaitCount returns the number of tuples in the 2MSL quarantine.
 func (s *Slowpath) TimeWaitCount() int { return s.eng.TimeWait.Len() }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
-	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/telemetry"
 )
@@ -115,13 +114,13 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 	for _, st := range s.stripes {
 		st.mu.Lock()
 		for port, l := range st.listeners {
-			if l.ctxID == id {
+			if l.CtxID == id {
 				delete(st.listeners, port)
 				s.eng.Listeners.Remove(port)
-				s.ListenersReaped.Add(1)
+				s.ctr.ListenersReaped.Add(1)
 				// Nobody will ever Accept the queued connections of a dead
 				// app's listener; return their accept-backlog charges now.
-				if p := l.pending.Load(); p > 0 && st.gov != nil {
+				if p := l.Pending.Load(); p > 0 && st.gov != nil {
 					st.gov.Charge(resource.PoolAccept, -int64(p))
 				}
 			}
@@ -129,7 +128,7 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 		for key, h := range st.half {
 			if h.ctxID == id {
 				st.dropHalf(key, h)
-				s.HalfOpenReaped.Add(1)
+				s.ctr.HalfOpenReaped.Add(1)
 			}
 		}
 		st.mu.Unlock()
@@ -143,30 +142,16 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 		}
 	})
 	for _, f := range flows {
-		f.Lock()
-		already := f.Aborted
-		f.Aborted = true
-		seq, ack := f.SeqNo, f.AckNo
-		f.Unlock()
-		if !already {
-			s.sendCtlFlow(f, protocol.FlagRST|protocol.FlagACK, seq, ack)
-			recordFlow(f, telemetry.FERstTx, seq, ack, 0, 0)
+		s.ctr.FlowsReaped.Add(1)
+		seq, ack, first := markAborted(f)
+		if first {
+			s.sendRst(f, seq, ack)
 		}
 		recordFlow(f, telemetry.FEReaped, seq, ack, 0, uint64(id))
-		s.eng.Table.Remove(f.Key())
-		s.reclaimFlowResources(f)
-		s.mu.Lock()
-		s.dropEntry(f)
-		if _, ok := s.closing[f]; ok {
-			delete(s.closing, f)
-			s.charge(resource.PoolTimers, -1)
-		}
-		s.mu.Unlock()
-		s.FlowsReaped.Add(1)
-		s.retireRec(f)
+		s.removeFlow(f)
 	}
 
-	s.AppsReaped.Add(1)
+	s.ctr.AppsReaped.Add(1)
 
 	// Release the context slot only after no live flow references the
 	// id, so a reused slot cannot receive a dead flow's events.
@@ -174,90 +159,4 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 	// Unblock any application goroutine still parked on the context's
 	// wakeup channel; it will observe the dead flag and fail fast.
 	ctx.Wake()
-}
-
-// Counters is a consistent snapshot of the slow path's event counters.
-type Counters struct {
-	Established, Accepted, Rejected, Timeouts, Reinjected   uint64
-	HandshakeRexmits, HandshakeTimeouts, FinRexmits, Aborts uint64
-	AppsReaped, FlowsReaped, ListenersReaped                uint64
-	HalfOpenReaped, SynBacklogDrops, AcceptQueueDrops       uint64
-	SynCookiesSent, SynCookiesValidated                     uint64
-	SynCookiesRejected, BlindRstDrops                       uint64
-	FlowsReconstructed, RecoveryAborts, Panics              uint64
-	CoreFailures, FlowsMigrated, CoreReadmits               uint64
-	CoreDrainRequeued                                       uint64
-	GovFlowDenied, GovIdleReclaimed                         uint64
-	PersistProbes, KeepaliveProbesSent                      uint64
-	PeerDeadZeroWindow, PeerDeadKeepalive                   uint64
-	FinWait2Timeouts, TimeWaitReused                        uint64
-	StrayRsts, FlowActivations                              uint64
-}
-
-// Counters returns a snapshot of the slow path's counters.
-func (s *Slowpath) Counters() Counters {
-	return Counters{
-		Established: s.Established.Load(), Accepted: s.Accepted.Load(), Rejected: s.Rejected.Load(),
-		Timeouts: s.Timeouts.Load(), Reinjected: s.Reinjected.Load(),
-		HandshakeRexmits: s.HandshakeRexmits.Load(), HandshakeTimeouts: s.HandshakeTimeouts.Load(),
-		FinRexmits: s.FinRexmits.Load(), Aborts: s.Aborts.Load(),
-		AppsReaped: s.AppsReaped.Load(), FlowsReaped: s.FlowsReaped.Load(),
-		ListenersReaped: s.ListenersReaped.Load(), HalfOpenReaped: s.HalfOpenReaped.Load(),
-		SynBacklogDrops: s.SynBacklogDrops.Load(), AcceptQueueDrops: s.AcceptQueueDrops.Load(),
-		SynCookiesSent: s.SynCookiesSent.Load(), SynCookiesValidated: s.SynCookiesValidated.Load(),
-		SynCookiesRejected: s.SynCookiesRejected.Load(), BlindRstDrops: s.BlindRstDrops.Load(),
-		FlowsReconstructed: s.FlowsReconstructed.Load(), RecoveryAborts: s.RecoveryAborts.Load(),
-		Panics:       s.Panics.Load(),
-		CoreFailures: s.CoreFailures.Load(), FlowsMigrated: s.FlowsMigrated.Load(),
-		CoreReadmits: s.CoreReadmits.Load(), CoreDrainRequeued: s.CoreDrainRequeued.Load(),
-		GovFlowDenied: s.GovFlowDenied.Load(), GovIdleReclaimed: s.GovIdleReclaimed.Load(),
-		PersistProbes: s.PersistProbes.Load(), KeepaliveProbesSent: s.KeepaliveProbesSent.Load(),
-		PeerDeadZeroWindow: s.PeerDeadZeroWindow.Load(), PeerDeadKeepalive: s.PeerDeadKeepalive.Load(),
-		FinWait2Timeouts: s.FinWait2Timeouts.Load(), TimeWaitReused: s.TimeWaitReused.Load(),
-		StrayRsts: s.StrayRsts.Load(), FlowActivations: s.FlowActivations.Load(),
-	}
-}
-
-// AdoptCounters seeds this instance's counters from a predecessor's
-// snapshot. In a real deployment the counters would live in shared
-// memory and survive the crash with the flow state; here the restart
-// path carries them over explicitly so exported metrics stay monotonic
-// across warm restarts.
-func (s *Slowpath) AdoptCounters(c Counters) {
-	s.Established.Store(c.Established)
-	s.Accepted.Store(c.Accepted)
-	s.Rejected.Store(c.Rejected)
-	s.Timeouts.Store(c.Timeouts)
-	s.Reinjected.Store(c.Reinjected)
-	s.HandshakeRexmits.Store(c.HandshakeRexmits)
-	s.HandshakeTimeouts.Store(c.HandshakeTimeouts)
-	s.FinRexmits.Store(c.FinRexmits)
-	s.Aborts.Store(c.Aborts)
-	s.AppsReaped.Store(c.AppsReaped)
-	s.FlowsReaped.Store(c.FlowsReaped)
-	s.ListenersReaped.Store(c.ListenersReaped)
-	s.HalfOpenReaped.Store(c.HalfOpenReaped)
-	s.SynBacklogDrops.Store(c.SynBacklogDrops)
-	s.AcceptQueueDrops.Store(c.AcceptQueueDrops)
-	s.SynCookiesSent.Store(c.SynCookiesSent)
-	s.SynCookiesValidated.Store(c.SynCookiesValidated)
-	s.SynCookiesRejected.Store(c.SynCookiesRejected)
-	s.BlindRstDrops.Store(c.BlindRstDrops)
-	s.FlowsReconstructed.Store(c.FlowsReconstructed)
-	s.RecoveryAborts.Store(c.RecoveryAborts)
-	s.Panics.Store(c.Panics)
-	s.CoreFailures.Store(c.CoreFailures)
-	s.FlowsMigrated.Store(c.FlowsMigrated)
-	s.CoreReadmits.Store(c.CoreReadmits)
-	s.CoreDrainRequeued.Store(c.CoreDrainRequeued)
-	s.GovFlowDenied.Store(c.GovFlowDenied)
-	s.GovIdleReclaimed.Store(c.GovIdleReclaimed)
-	s.PersistProbes.Store(c.PersistProbes)
-	s.KeepaliveProbesSent.Store(c.KeepaliveProbesSent)
-	s.PeerDeadZeroWindow.Store(c.PeerDeadZeroWindow)
-	s.PeerDeadKeepalive.Store(c.PeerDeadKeepalive)
-	s.FinWait2Timeouts.Store(c.FinWait2Timeouts)
-	s.TimeWaitReused.Store(c.TimeWaitReused)
-	s.StrayRsts.Store(c.StrayRsts)
-	s.FlowActivations.Store(c.FlowActivations)
 }

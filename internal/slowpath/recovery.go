@@ -3,9 +3,7 @@ package slowpath
 import (
 	"time"
 
-	"repro/internal/fastpath"
 	"repro/internal/flowstate"
-	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/telemetry"
 )
@@ -89,10 +87,7 @@ func (s *Slowpath) Recover() RecoveryStats {
 	s.eng.Listeners.ForEach(func(e *flowstate.ListenerEntry) {
 		st := s.stripeFor(e.Port)
 		st.mu.Lock()
-		st.listeners[e.Port] = &listener{
-			port: e.Port, ctxID: e.CtxID, opaque: e.Opaque,
-			backlog: e.Backlog, pending: e.Pending,
-		}
+		st.listeners[e.Port] = &listener{ListenerEntry: e}
 		st.mu.Unlock()
 		rep.ListenersRebuilt++
 	})
@@ -139,24 +134,15 @@ func (s *Slowpath) Recover() RecoveryStats {
 		}
 		s.mu.Lock()
 		s.adoptFlow(f, ctrl, seq-txSent, s.eng.NowNanos())
-		if finPending {
-			rto := s.finRTO()
-			s.closing[f] = &closeEntry{finSeq: seq, rto: rto, deadline: now.Add(rto)}
-			rep.ClosingResumed++
-		}
-		if finWait2 {
-			// Mid-FIN_WAIT_2 at the crash: re-arm a fresh full timeout —
+		if finPending || finWait2 {
+			// Mid-FIN_WAIT_2 at the crash re-arms a fresh full timeout —
 			// the old deadline died with the old instance, and a fresh
 			// bound errs toward the peer finishing its close.
-			s.closing[f] = &closeEntry{finSeq: seq, fw2: true, deadline: now.Add(s.cfg.FinWait2Timeout)}
-			s.fw2Count.Add(1)
+			s.armClose(f, seq, finWait2, now)
 			rep.ClosingResumed++
 		}
 		s.mu.Unlock()
-		if finPending || finWait2 {
-			s.charge(resource.PoolTimers, 1)
-		}
-		s.FlowsReconstructed.Add(1)
+		s.ctr.FlowsReconstructed.Add(1)
 		recordFlow(f, telemetry.FEReconstructed, seq, ack, 0, uint64(txSent))
 		rep.FlowsReconstructed++
 	})
@@ -169,14 +155,7 @@ func (s *Slowpath) Recover() RecoveryStats {
 	}
 	// Closes the crash interrupted between FIN completion and removal.
 	for _, f := range finished {
-		f.Lock()
-		peerFirst := f.PeerClosedFirst
-		f.Unlock()
-		if peerFirst {
-			s.removeFlow(f)
-		} else {
-			s.enterTimeWait(f)
-		}
+		s.finishClose(f)
 	}
 
 	// Activations queued toward the crashed instance are moot: every
@@ -188,9 +167,8 @@ func (s *Slowpath) Recover() RecoveryStats {
 	}
 
 	// Core-failure verdicts survive in the engine (failed flags + RSS
-	// exclusion mask); New() already adopted them into this instance's
-	// watchdog, but the staleness clocks must restart at resume time —
-	// the outage gap proves nothing about core liveness either way.
+	// exclusion mask), but the staleness clocks must restart at resume
+	// time — the outage gap proves nothing about core liveness either way.
 	for i := range s.coresW {
 		s.coresW[i].lastChange = now
 		s.coresW[i].lastBeat = s.eng.CoreBeat(i)
@@ -209,25 +187,13 @@ func (s *Slowpath) Recover() RecoveryStats {
 // prove consistent: best-effort RST to the peer, EvAborted toward the
 // owning context if one still exists, and full resource reclamation.
 func (s *Slowpath) recoveryAbort(f *flowstate.Flow) {
-	f.Lock()
-	already := f.Aborted
-	f.Aborted = true
-	seq, ack := f.SeqNo, f.AckNo
-	ctxID, opaque := f.Context, f.Opaque
-	buffersOK := f.RxBuf != nil && !f.RxBuf.Reclaimed()
-	f.Unlock()
-	if !already && buffersOK {
-		s.sendCtlFlow(f, protocol.FlagRST|protocol.FlagACK, seq, ack)
-		recordFlow(f, telemetry.FERstTx, seq, ack, 0, 0)
+	s.ctr.RecoveryAborts.Add(1)
+	seq, ack, first := markAborted(f)
+	// A flow whose receive buffer is gone has no window to advertise.
+	if first && f.RxBuf != nil && !f.RxBuf.Reclaimed() {
+		s.sendRst(f, seq, ack)
 	}
 	recordFlow(f, telemetry.FEAborted, seq, ack, 0, 0)
-	s.eng.Table.Remove(f.Key())
-	s.reclaimFlowResources(f)
-	s.mu.Lock()
-	s.dropEntry(f)
-	delete(s.closing, f)
-	s.mu.Unlock()
-	s.RecoveryAborts.Add(1)
-	s.retireRec(f)
-	s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque})
+	s.removeFlow(f)
+	s.notifyAborted(f, 0)
 }

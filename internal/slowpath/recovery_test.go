@@ -2,6 +2,8 @@ package slowpath
 
 import (
 	"errors"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,11 +14,10 @@ import (
 
 // restart kills a node's slow path and warm-restarts it over the same
 // engine — the production sequence (tas.Service.Restart) at this layer.
-func restart(t *testing.T, n *testNode, cfg Config) RecoveryStats {
+func restart(t *testing.T, n *testNode) RecoveryStats {
 	t.Helper()
 	n.sp.Kill()
-	ns := New(n.eng, cfg)
-	ns.AdoptCounters(n.sp.Counters())
+	ns := n.sp.Successor()
 	rep := ns.Recover()
 	ns.Start()
 	t.Cleanup(ns.Stop)
@@ -51,7 +52,7 @@ func TestWarmRestartReconstructsFlows(t *testing.T) {
 		t.Fatalf("table holds %d flows before crash, want %d", pre, flows)
 	}
 
-	rep := restart(t, a, cfg)
+	rep := restart(t, a)
 	if rep.FlowsReconstructed != pre || rep.FlowsAborted != 0 {
 		t.Fatalf("recovery: %+v, want %d reconstructed, 0 aborted", rep, pre)
 	}
@@ -84,7 +85,7 @@ func TestWarmRestartRebuildsListeners(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := restart(t, b, cfg)
+	rep := restart(t, b)
 	if rep.ListenersRebuilt != 1 {
 		t.Fatalf("recovery: %+v, want 1 listener rebuilt", rep)
 	}
@@ -129,7 +130,7 @@ func TestWarmRestartAbortsUnprovableFlows(t *testing.T) {
 
 	a.ctx.MarkDead() // the app died while the control plane was down
 
-	rep := restart(t, a, cfg)
+	rep := restart(t, a)
 	if rep.FlowsReconstructed != 0 || rep.FlowsAborted != 1 {
 		t.Fatalf("recovery: %+v, want 0 reconstructed, 1 aborted", rep)
 	}
@@ -190,7 +191,7 @@ func TestReapResumesAfterGrace(t *testing.T) {
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	a.ctx.Beat() // liveness enabled, then the app truly dies
 
-	restart(t, a, cfg)
+	restart(t, a)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for a.sp.Counters().AppsReaped == 0 && time.Now().Before(deadline) {
@@ -232,11 +233,36 @@ func TestPanicInjectionKillsLoop(t *testing.T) {
 		t.Fatalf("Listen on dead slow path: %v, want ErrDown", err)
 	}
 
-	restart(t, a, cfg)
+	restart(t, a)
 	if _, err := a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if ev := waitEvent(t, a.ctx, 2*time.Second); ev.Kind != fastpath.EvConnected || ev.Bytes != 0 {
 		t.Fatalf("post-restart connect: %+v", ev)
+	}
+}
+
+// TestSuccessorSharesEveryCounter: every counter the declaration lists
+// reads the same through a successor as through the instance that
+// counted it, and keeps counting from there — which is all the old
+// copy-out/copy-back did, field by hand-listed field.
+func TestSuccessorSharesEveryCounter(t *testing.T) {
+	fab := fabric.New()
+	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{AppTimeout: -1})
+	live := reflect.ValueOf(a.sp.ctr).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		live.Field(i).Addr().Interface().(*atomic.Uint64).Store(uint64(i + 1))
+	}
+	restart(t, a)
+	a.sp.ctr.Aborts.Add(100)
+	got := reflect.ValueOf(a.sp.Counters())
+	for i := 0; i < got.NumField(); i++ {
+		want := uint64(i + 1)
+		if got.Type().Field(i).Name == "Aborts" {
+			want += 100
+		}
+		if v := got.Field(i).Uint(); v != want {
+			t.Errorf("%s = %d after the restart, want %d", got.Type().Field(i).Name, v, want)
+		}
 	}
 }

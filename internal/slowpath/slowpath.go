@@ -163,10 +163,9 @@ type Config struct {
 	// rate-based DCTCP at 40G defaults).
 	NewController func() congestion.RateController
 
-	// Core-scaling thresholds (§3.4): add a core when aggregate idle
-	// capacity < AddIdle cores, remove one when > RemoveIdle.
-	AddIdle, RemoveIdle float64
-	ScaleInterval       time.Duration
+	// ScaleInterval is the core-scaling monitor's period (§3.4; default
+	// 10ms).
+	ScaleInterval time.Duration
 	// DisableScaling pins the core count (benchmarks that fix cores).
 	DisableScaling bool
 
@@ -246,12 +245,6 @@ func (c *Config) fill() {
 			return congestion.NewRateDCTCP(cfg)
 		}
 	}
-	if c.AddIdle <= 0 {
-		c.AddIdle = 0.2
-	}
-	if c.RemoveIdle <= 0 {
-		c.RemoveIdle = 1.25
-	}
 	if c.ScaleInterval <= 0 {
 		c.ScaleInterval = 10 * time.Millisecond
 	}
@@ -279,18 +272,16 @@ func (c *Config) fill() {
 	}
 }
 
-// listener is a registered listening port. backlog bounds halfCount
-// (in-flight handshakes) plus pending (established connections the
-// application has not yet accepted; shared with the libtas listener,
-// which decrements it on Accept). All fields besides pending are
-// guarded by the owning stripe's lock.
+// listener is a registered listening port: the registration itself — the
+// engine-side shared record a warm-restarted slow path reconstructs its
+// listeners from — plus this instance's handshake state. Backlog bounds
+// halfCount (in-flight handshakes) plus Pending (established connections
+// the application has not yet accepted; shared with the libtas listener,
+// which decrements it on Accept, and so living in the shared record too).
+// All fields besides Pending are guarded by the owning stripe's lock.
 type listener struct {
-	port      uint16
-	ctxID     uint16
-	opaque    uint64
-	backlog   int
+	*flowstate.ListenerEntry
 	halfCount int
-	pending   *atomic.Int32
 
 	// SYN-cookie pressure tracking (stripe-locked): synWinStart/synInWin
 	// is a one-second SYN arrival window; cookieUntil keeps cookie mode
@@ -301,22 +292,49 @@ type listener struct {
 	cookieUntil time.Time
 }
 
-// halfOpen is an in-progress handshake. deadline is the next
-// retransmission time; rto doubles per attempt until attempts exceeds
-// the configured retry cap and the entry is reaped.
-type halfOpen struct {
-	key      protocol.FlowKey
-	iss      uint32 // our initial sequence
-	ctxID    uint16
-	opaque   uint64
-	passive  bool // true: we sent SYNACK (accepting); false: we sent SYN
-	peerISS  uint32
+// retry is a retransmission timer with exponential backoff: the next
+// deadline, the interval that produced it, and how many times it has
+// fired. The handshake, FIN and persist timers are each one of these;
+// the zero value is a disarmed timer.
+type retry struct {
 	deadline time.Time
 	rto      time.Duration
 	attempts int
-	lst      *listener // passive only: for backlog accounting
-	mss      uint16    // cookie completions only: recovered MSS class
-	born     time.Time // handshake start, for the completion-latency histogram;
+}
+
+// startRetry arms a timer whose first firing is one rto from now.
+func startRetry(now time.Time, rto time.Duration) retry {
+	return retry{deadline: now.Add(rto), rto: rto}
+}
+
+func (r *retry) armed() bool            { return !r.deadline.IsZero() }
+func (r *retry) due(now time.Time) bool { return !now.Before(r.deadline) }
+
+// backoff counts one firing and re-arms at double the interval, capped
+// at ceil when ceil is positive.
+func (r *retry) backoff(now time.Time, ceil time.Duration) {
+	r.attempts++
+	r.rto *= 2
+	if ceil > 0 && r.rto > ceil {
+		r.rto = ceil
+	}
+	r.deadline = now.Add(r.rto)
+}
+
+// halfOpen is an in-progress handshake. rexmit is the SYN / SYN-ACK
+// retransmission timer; once its attempts reach the configured retry cap
+// the entry is reaped.
+type halfOpen struct {
+	key     protocol.FlowKey
+	iss     uint32 // our initial sequence
+	ctxID   uint16
+	opaque  uint64
+	passive bool // true: we sent SYNACK (accepting); false: we sent SYN
+	peerISS uint32
+	rexmit  retry
+	lst     *listener // passive only: for backlog accounting
+	mss     uint16    // cookie completions only: recovered MSS class
+	born    time.Time // handshake start, for the completion-latency histogram;
 	// zero on cookie reconstructions (the stateless path kept no start time).
 }
 
@@ -351,13 +369,10 @@ type ccEntry struct {
 	// (the controller returns a rate every interval).
 	lastRate float64
 
-	// Zero-window persist state: while the peer advertises window 0 and
-	// we hold data, the persist timer replaces the retransmission timer
-	// (the stall is flow control, not loss). persistDeadline zero means
-	// disarmed; persistRTO doubles per probe.
-	persistDeadline time.Time
-	persistRTO      time.Duration
-	persistProbes   int
+	// Zero-window persist timer: while the peer advertises window 0 and
+	// we hold data it replaces the retransmission timer (the stall is
+	// flow control, not loss). Disarmed whenever the window is open.
+	persist retry
 
 	// Keepalive state: kaNext is the engine-clock nanosecond of the
 	// next probe (0 = not probing); kaProbes counts unanswered probes
@@ -371,13 +386,11 @@ type ccEntry struct {
 // acknowledgement of our FIN, so lost FINs are retransmitted with
 // backoff instead of leaving the peer half-closed forever.
 type closeEntry struct {
-	finSeq   uint32
-	deadline time.Time
-	rto      time.Duration
-	attempts int
+	finSeq uint32
+	rexmit retry
 
 	// fw2 marks the entry as FIN_WAIT_2: our FIN is acknowledged but
-	// the peer has not closed its direction. deadline is then the
+	// the peer has not closed its direction. rexmit.deadline is then the
 	// FinWait2Timeout expiry instead of a retransmission deadline. The
 	// entry keeps its single timer-pool charge across the transition.
 	fw2 bool
@@ -439,66 +452,9 @@ type Slowpath struct {
 	// are unsafe until apps have had a chance to beat again.
 	lastTick time.Time
 
-	// Stats. Atomic: exception handling on different stripes updates
-	// them concurrently, and readers (metrics, tests) must not need the
-	// event loop's cooperation.
-	Established atomic.Uint64
-	Accepted    atomic.Uint64
-	Rejected    atomic.Uint64
-	Timeouts    atomic.Uint64
-	Reinjected  atomic.Uint64
-
-	// Failure-handling stats.
-	HandshakeRexmits  atomic.Uint64 // SYN/SYN-ACK retransmissions
-	HandshakeTimeouts atomic.Uint64 // half-open entries reaped after retry cap
-	FinRexmits        atomic.Uint64 // FIN retransmissions
-	Aborts            atomic.Uint64 // flows aborted (RST sent) after retry cap
-
-	// Peer-liveness stats (persist timer, keepalives, close lifecycle).
-	PersistProbes       atomic.Uint64 // zero-window probes sent
-	KeepaliveProbesSent atomic.Uint64 // keepalive probes sent
-	PeerDeadZeroWindow  atomic.Uint64 // flows aborted: persist probe budget exhausted
-	PeerDeadKeepalive   atomic.Uint64 // flows aborted: keepalive budget exhausted
-	FinWait2Timeouts    atomic.Uint64 // FIN_WAIT_2 flows torn down at the bound
-	TimeWaitReused      atomic.Uint64 // TIME_WAIT tuples recycled early by a higher-ISN SYN
-	StrayRsts           atomic.Uint64 // RSTs sent for segments that match no connection state
-
-	// fw2Count gauges flows currently in FIN_WAIT_2 (closing entries in
-	// the fw2 phase); the TIME_WAIT gauge is eng.TimeWait.Len().
-	fw2Count atomic.Int64
-
-	// Application-failure and overload stats.
-	AppsReaped       atomic.Uint64 // contexts reaped after missed heartbeats
-	FlowsReaped      atomic.Uint64 // established flows reclaimed by the reaper
-	ListenersReaped  atomic.Uint64 // listen ports reclaimed by the reaper
-	HalfOpenReaped   atomic.Uint64 // half-open handshakes reclaimed by the reaper
-	SynBacklogDrops  atomic.Uint64 // SYNs shed: listener backlog full
-	AcceptQueueDrops atomic.Uint64 // established-but-undeliverable accepts torn down
-
-	// FlowActivations counts parked flows put back on the control tick.
-	FlowActivations atomic.Uint64
-
-	// Resource-governor stats (the governor's own Snapshot carries the
-	// per-rung/per-pool detail; these two are the slow path's share).
-	GovFlowDenied    atomic.Uint64 // flow installs refused: pool or quota exhausted
-	GovIdleReclaimed atomic.Uint64 // idle flows reclaimed (RST) by the reclaim rung
-
-	// Adversarial-traffic stats.
-	SynCookiesSent      atomic.Uint64 // stateless cookie SYN-ACKs issued
-	SynCookiesValidated atomic.Uint64 // completing ACKs whose cookie checked out
-	SynCookiesRejected  atomic.Uint64 // cookie candidates that failed the MAC
-	BlindRstDrops       atomic.Uint64 // RSTs dropped by RFC 5961 sequence validation
-
-	// Control-plane failure-domain stats.
-	FlowsReconstructed atomic.Uint64 // flows rebuilt from shared state by warm restart
-	RecoveryAborts     atomic.Uint64 // flows aborted during recovery (unprovable state)
-	Panics             atomic.Uint64 // event-loop panics survived as crashes
-
-	// Data-plane failure-domain stats (see corewatch.go).
-	CoreFailures      atomic.Uint64 // cores declared failed by the watchdog
-	FlowsMigrated     atomic.Uint64 // flows re-adopted onto surviving cores
-	CoreReadmits      atomic.Uint64 // failed cores folded back into steering
-	CoreDrainRequeued atomic.Uint64 // packets/kicks requeued from dead cores' rings
+	// ctr is the counter block (counters.go), shared with this instance's
+	// successors.
+	ctr *liveCounters
 
 	// coresW is the core watchdog's per-core state; owned by the event
 	// loop (coreSweep), so it needs no lock.
@@ -511,9 +467,18 @@ type Slowpath struct {
 // New builds (but does not start) a slow path for the engine.
 func New(eng *fastpath.Engine, cfg Config) *Slowpath {
 	cfg.fill()
+	return newSlowpath(eng, cfg, new(liveCounters))
+}
+
+// Successor builds the instance that replaces s after a crash: same
+// engine, same configuration, and the same counter block, so nothing
+// s counted is lost or counted twice. Recover and Start it as for New.
+func (s *Slowpath) Successor() *Slowpath { return newSlowpath(s.eng, s.cfg, s.ctr) }
+
+func newSlowpath(eng *fastpath.Engine, cfg Config, ctr *liveCounters) *Slowpath {
 	excq, wake := eng.Exceptions()
-	s := &Slowpath{
-		eng: eng, cfg: cfg,
+	return &Slowpath{
+		eng: eng, cfg: cfg, ctr: ctr,
 		stripes:  newStripes(cfg.Stripes, cfg.Gov),
 		stripeSh: stripeShift(cfg.Stripes),
 		cc:       make(map[*flowstate.Flow]*ccEntry),
@@ -523,9 +488,8 @@ func New(eng *fastpath.Engine, cfg Config) *Slowpath {
 		stop:     make(chan struct{}),
 		kill:     make(chan struct{}),
 		stallC:   make(chan time.Duration, 1),
+		coresW:   make([]coreWatch, eng.MaxCores()),
 	}
-	s.initCoreWatch()
-	return s
 }
 
 // Start launches the slow-path goroutine.
@@ -584,7 +548,7 @@ func (s *Slowpath) run() {
 			// crash: contain it, mark the instance dead, and leave the
 			// fast path serving established flows until a warm restart.
 			s.dead.Store(true)
-			s.Panics.Add(1)
+			s.ctr.Panics.Add(1)
 		}
 	}()
 	ctrl := time.NewTicker(s.cfg.ControlInterval)
@@ -624,39 +588,42 @@ func (s *Slowpath) run() {
 			// they survive this instance's crash/restart.
 			s.eng.Cookies.MaybeRotate(s.eng.NowNanos())
 			s.drainExceptions()
-			if telem := s.cfg.Telemetry; telem != nil {
-				// Charge each control-plane module's share of the tick to
-				// the slow-path cycle account. RefreshNow also keeps the
-				// cached coarse clock (flight-recorder timestamps) fresh
-				// once per tick even when the fast path is idle.
-				t0 := telem.RefreshNow()
-				s.controlTick(s.eng.NowNanos())
-				t1 := telem.RefreshNow()
-				telem.Cycles.AddSlow(telemetry.ModCC, t1-t0, 1)
-				s.handshakeSweep()
-				s.closeSweep()
-				s.timeWaitSweep()
-				t2 := telem.RefreshNow()
-				telem.Cycles.AddSlow(telemetry.ModTimer, t2-t1, 1)
-				s.reapSweep()
-				telem.Cycles.AddSlow(telemetry.ModReaper, telem.RefreshNow()-t2, 1)
-				s.governorTick()
-				s.coreSweep(now)
-			} else {
-				s.controlTick(s.eng.NowNanos())
-				s.handshakeSweep()
-				s.closeSweep()
-				s.timeWaitSweep()
-				s.reapSweep()
-				s.governorTick()
-				s.coreSweep(now)
-			}
+			// Each control-plane module's share of the tick goes to the
+			// slow-path cycle account (lap; nothing with telemetry off).
+			t := s.lap(0, 0, 0)
+			s.controlTick(s.eng.NowNanos())
+			t = s.lap(telemetry.ModCC, t, 1)
+			s.handshakeSweep()
+			s.closeSweep()
+			s.timeWaitSweep()
+			t = s.lap(telemetry.ModTimer, t, 1)
+			s.reapSweep()
+			s.lap(telemetry.ModReaper, t, 1)
+			s.governorTick()
+			s.coreSweep(now)
 		case <-scale.C:
 			if !s.cfg.DisableScaling {
 				s.scaleLoop()
 			}
 		}
 	}
+}
+
+// lap reads the telemetry clock and charges the time since the previous
+// reading, and items of work, to mod's slow-path cycle account (since 0
+// starts the stopwatch and charges nothing). RefreshNow also keeps
+// the cached coarse clock (flight-recorder timestamps) fresh once per
+// tick even when the fast path is idle. Returns 0 with telemetry off.
+func (s *Slowpath) lap(mod telemetry.Module, since int64, items uint64) int64 {
+	telem := s.cfg.Telemetry
+	if telem == nil {
+		return 0
+	}
+	now := telem.RefreshNow()
+	if since != 0 {
+		telem.Cycles.AddSlow(mod, now-since, items)
+	}
+	return now
 }
 
 // record logs a flight-recorder event for a 4-tuple that may not have
@@ -674,14 +641,6 @@ func (s *Slowpath) record(key protocol.FlowKey, kind telemetry.FlowEventKind, se
 func recordFlow(f *flowstate.Flow, kind telemetry.FlowEventKind, seq, ack, bytes uint32, aux uint64) {
 	if f.Rec != nil {
 		f.Rec.Record(kind, seq, ack, bytes, aux)
-	}
-}
-
-// retireRec moves a removed flow's flight ring to the recorder's
-// retired list for post-mortem inspection.
-func (s *Slowpath) retireRec(f *flowstate.Flow) {
-	if s.cfg.Telemetry != nil && f.Rec != nil {
-		s.cfg.Telemetry.Recorder.Retire(f.Rec.Key())
 	}
 }
 
@@ -722,18 +681,14 @@ func (s *Slowpath) ListenBacklog(port uint16, ctxID uint16, opaque uint64, backl
 	if _, dup := st.listeners[port]; dup {
 		return nil, ErrPortInUse
 	}
-	l := &listener{port: port, ctxID: ctxID, opaque: opaque, backlog: backlog, pending: new(atomic.Int32)}
-	// Mirror the registration into the engine-side shared table — the
-	// authoritative record a warm-restarted slow path reconstructs
-	// from. The Pending gauge object lives there too, so the depth the
-	// application decrements survives restarts.
-	if !s.eng.Listeners.Insert(&flowstate.ListenerEntry{
-		Port: port, CtxID: ctxID, Opaque: opaque, Backlog: backlog, Pending: l.pending,
-	}) {
+	e := &flowstate.ListenerEntry{
+		Port: port, CtxID: ctxID, Opaque: opaque, Backlog: backlog, Pending: new(atomic.Int32),
+	}
+	if !s.eng.Listeners.Insert(e) {
 		return nil, ErrPortInUse
 	}
-	st.listeners[port] = l
-	return l.pending, nil
+	st.listeners[port] = &listener{ListenerEntry: e}
+	return e.Pending, nil
 }
 
 // Unlisten removes a listener.
@@ -790,17 +745,14 @@ func (s *Slowpath) Connect(peerIP protocol.IPv4, peerPort uint16, ctxID uint16, 
 		}
 		// Reserve the port under the stripe lock — no check-then-insert
 		// window for a concurrent Dial to race into.
-		iss := st.rng.Uint32()
 		now := time.Now()
-		st.half[key] = &halfOpen{
-			key: key, iss: iss, ctxID: ctxID, opaque: opaque,
-			rto: s.cfg.HandshakeRTO, deadline: now.Add(s.cfg.HandshakeRTO),
-			born: now,
+		h := &halfOpen{
+			key: key, iss: st.rng.Uint32(), ctxID: ctxID, opaque: opaque,
+			rexmit: startRetry(now, s.cfg.HandshakeRTO), born: now,
 		}
+		st.half[key] = h
 		st.mu.Unlock()
-
-		s.sendCtl(key, protocol.FlagSYN, iss, 0, true)
-		s.record(key, telemetry.FESynTx, iss, 0, 0)
+		s.sendHandshake(h)
 		return cand, nil
 	}
 	return 0, ErrNoPorts
@@ -844,12 +796,10 @@ func (s *Slowpath) Close(f *flowstate.Flow) {
 			// handleFin → enterTimeWait → removeFlow, and an entry added
 			// after that would have closeSweep quarantine (and charge) the
 			// tuple a second time.
-			rto := s.finRTO()
 			s.mu.Lock()
-			s.closing[f] = &closeEntry{finSeq: seq, rto: rto, deadline: time.Now().Add(rto)}
+			s.armClose(f, seq, false, time.Now())
 			s.mu.Unlock()
-			s.charge(resource.PoolTimers, 1)
-			s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, seq, ack)
+			s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, seq, ack, nil)
 			recordFlow(f, telemetry.FEFinTx, seq, ack, 0, 0)
 		}
 		// From here the closing entry owns the lifecycle: closeSweep
@@ -860,21 +810,29 @@ func (s *Slowpath) Close(f *flowstate.Flow) {
 	}()
 }
 
-// finRTO is the initial FIN retransmission timeout: several control
-// intervals, floored so loopback tests don't spin.
-func (s *Slowpath) finRTO() time.Duration {
-	rto := 4 * s.cfg.ControlInterval
-	if rto < 20*time.Millisecond {
-		rto = 20 * time.Millisecond
+// armClose registers f's locally initiated teardown with closeSweep,
+// charged to the timer pool: awaiting the acknowledgement of our FIN
+// (retransmitted from an initial timeout of several control intervals,
+// floored so loopback tests don't spin), or — fw2 — already acknowledged
+// and waiting out FinWait2Timeout for the peer's FIN. removeFlow is the
+// release. Caller holds mu.
+func (s *Slowpath) armClose(f *flowstate.Flow, finSeq uint32, fw2 bool, now time.Time) {
+	e := &closeEntry{finSeq: finSeq, fw2: fw2}
+	if fw2 {
+		e.rexmit.deadline = now.Add(s.cfg.FinWait2Timeout)
+	} else {
+		e.rexmit = startRetry(now, max(4*s.cfg.ControlInterval, 20*time.Millisecond))
 	}
-	return rto
+	s.closing[f] = e
+	s.charge(resource.PoolTimers, 1)
 }
 
-// sendCtl emits a control packet for a 4-tuple (no flow state yet).
+// sendCtl emits a control segment for a 4-tuple that has no flow state:
+// handshake segments (withMSS) and replies to stray ones.
 func (s *Slowpath) sendCtl(key protocol.FlowKey, flags protocol.TCPFlags, seq, ack uint32, withMSS bool) {
 	pkt := &protocol.Packet{
-		SrcMAC: s.eng.Config().LocalMAC, DstMAC: protocol.MAC{},
-		SrcIP: key.LocalIP, DstIP: key.RemoteIP,
+		SrcMAC: s.eng.Config().LocalMAC,
+		SrcIP:  key.LocalIP, DstIP: key.RemoteIP,
 		SrcPort: key.LocalPort, DstPort: key.RemotePort,
 		Flags: flags, Seq: seq, Ack: ack,
 		Window: uint16(s.cfg.RxBufSize / fastpath.WindowUnit),
@@ -884,25 +842,25 @@ func (s *Slowpath) sendCtl(key protocol.FlowKey, flags protocol.TCPFlags, seq, a
 	if withMSS {
 		pkt.MSSOpt = uint16(s.eng.Config().MSS)
 	}
-	s.output(pkt)
+	s.eng.Output(pkt)
 }
 
-func (s *Slowpath) sendCtlFlow(f *flowstate.Flow, flags protocol.TCPFlags, seq, ack uint32) {
-	pkt := &protocol.Packet{
+// sendCtlFlow emits a control segment on an installed flow, advertising
+// its current receive window. payload is nil except for the one-byte
+// persist and keepalive probes.
+func (s *Slowpath) sendCtlFlow(f *flowstate.Flow, flags protocol.TCPFlags, seq, ack uint32, payload []byte) {
+	f.Lock() // ResizeBuffers swaps the buffer under this lock
+	window := uint16(f.RxBuf.Free() / fastpath.WindowUnit)
+	f.Unlock()
+	s.eng.Output(&protocol.Packet{
 		SrcMAC: s.eng.Config().LocalMAC, DstMAC: f.PeerMAC,
 		SrcIP: f.LocalIP, DstIP: f.PeerIP,
 		SrcPort: f.LocalPort, DstPort: f.PeerPort,
-		Flags: flags, Seq: seq, Ack: ack,
-		Window: uint16(f.RxBuf.Free() / fastpath.WindowUnit),
-		HasTS:  true, TSVal: s.eng.NowMicros(),
-		ECN: protocol.ECNECT0,
-	}
-	s.output(pkt)
-}
-
-// output hands a packet to the NIC via the engine's sender.
-func (s *Slowpath) output(pkt *protocol.Packet) {
-	s.eng.Output(pkt)
+		Flags: flags, Seq: seq, Ack: ack, Window: window,
+		HasTS: true, TSVal: s.eng.NowMicros(),
+		ECN:     protocol.ECNECT0,
+		Payload: payload,
+	})
 }
 
 // ResizeBuffers grows a flow's payload buffers at runtime (the paper's

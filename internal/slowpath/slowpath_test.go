@@ -239,7 +239,7 @@ func TestStallTriggersRetransmission(t *testing.T) {
 		done := f.TxBuf.Used() == 0 && f.TxSent == 0
 		f.Unlock()
 		if done {
-			if s := a.sp; s.Timeouts.Load() == 0 {
+			if s := a.sp; s.ctr.Timeouts.Load() == 0 {
 				t.Fatal("expected a slow-path timeout event")
 			}
 			return
@@ -269,7 +269,7 @@ func TestFlowRemovalOnRst(t *testing.T) {
 	if a.eng.Table.Len() != 1 {
 		t.Fatal("blind RST (seq 0) tore the flow down")
 	}
-	if a.sp.BlindRstDrops.Load() == 0 {
+	if a.sp.ctr.BlindRstDrops.Load() == 0 {
 		t.Fatal("blind RST not counted")
 	}
 

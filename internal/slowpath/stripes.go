@@ -87,9 +87,9 @@ func (st *stripe) dropHalf(key protocol.FlowKey, h *halfOpen) {
 	}
 }
 
-// halfLen sums the half-open entries across stripes (tests,
-// diagnostics; takes every stripe lock in turn).
-func (s *Slowpath) halfLen() int {
+// HalfOpenCount reports the current half-open handshake occupancy (the
+// tas_half_open gauge), taking every stripe lock in turn.
+func (s *Slowpath) HalfOpenCount() int {
 	n := 0
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -110,10 +110,6 @@ func (s *Slowpath) listenerCount() int {
 	return n
 }
 
-// HalfOpenCount reports the current half-open handshake occupancy
-// across all stripes (the tas_half_open gauge).
-func (s *Slowpath) HalfOpenCount() int { return s.halfLen() }
-
 // AcceptBacklog sums established-but-unaccepted connections across
 // every listener (the tas_accept_backlog gauge).
 func (s *Slowpath) AcceptBacklog() int {
@@ -121,7 +117,7 @@ func (s *Slowpath) AcceptBacklog() int {
 	for _, st := range s.stripes {
 		st.mu.Lock()
 		for _, l := range st.listeners {
-			n += int(l.pending.Load())
+			n += int(l.Pending.Load())
 		}
 		st.mu.Unlock()
 	}

@@ -45,7 +45,7 @@ func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
 		l.cookieUntil = now.Add(time.Second)
 		return true
 	}
-	if l.halfCount >= (l.backlog+1)/2 ||
+	if l.halfCount >= (l.Backlog+1)/2 ||
 		(s.cfg.SynRateThreshold > 0 && l.synInWin > s.cfg.SynRateThreshold) {
 		l.cookieUntil = now.Add(time.Second)
 	}
@@ -82,8 +82,8 @@ func (s *Slowpath) sendCookieSynAck(key protocol.FlowKey, pkt *protocol.Packet) 
 		uint32(key.RemoteIP), key.RemotePort,
 		pkt.Seq, mss,
 	)
-	s.SynCookiesSent.Add(1)
-	s.sendCtlSynAck(key, cookie, pkt.Seq+1)
+	s.ctr.SynCookiesSent.Add(1)
+	s.sendCtl(key, protocol.FlagSYN|protocol.FlagACK, cookie, pkt.Seq+1, true)
 	s.record(key, telemetry.FESynCookieTx, cookie, pkt.Seq+1, 0)
 }
 
@@ -105,7 +105,7 @@ func (s *Slowpath) cookieHalf(key protocol.FlowKey, pkt *protocol.Packet, l *lis
 		return nil, false
 	}
 	return &halfOpen{
-		key: key, iss: cookie, ctxID: l.ctxID, opaque: l.opaque,
+		key: key, iss: cookie, ctxID: l.CtxID, opaque: l.Opaque,
 		passive: true, peerISS: peerISS, lst: l, mss: mss,
 	}, true
 }

@@ -32,11 +32,3 @@ func BenchmarkCachedNow(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkCounterAdd(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench_total", "benchmark counter")
-	for i := 0; i < b.N; i++ {
-		c.Add(0, 1)
-	}
-}

@@ -16,9 +16,8 @@ func goldenTelemetry() *Telemetry {
 	var clk int64
 	t.Recorder = NewRecorder(8, 4, func() int64 { clk += 1_500_000; return clk })
 
-	pkts := t.Registry.Counter("tas_test_packets_total", "Packets processed.", L("core", "0"))
-	pkts.Add(0, 42)
-	t.Registry.Counter("tas_test_packets_total", "Packets processed.", L("core", "1")).Add(0, 7)
+	testCounter(t.Registry, "tas_test_packets_total", "Packets processed.", L("core", "0")).Add(42)
+	testCounter(t.Registry, "tas_test_packets_total", "Packets processed.", L("core", "1")).Add(7)
 	t.Registry.GaugeFunc("tas_test_depth", "Ring occupancy.",
 		func() float64 { return 3 }, L("ring", "rx"), L("core", "0"))
 

@@ -63,8 +63,8 @@ func (m *metric) labelString() string {
 
 // Registry is the unified metrics surface: every counter, gauge, and
 // derived statistic of a service registers here once and is sampled at
-// scrape time. Registration takes a mutex; reads of hot-path Counters
-// are lock-free — the registry only merges their stripes when scraped.
+// scrape time. Registration takes a mutex; the hot paths never touch
+// the registry — a scrape reads their atomics.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
@@ -73,15 +73,10 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter allocates a striped lock-free counter and registers it.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.CounterFunc(name, help, func() float64 { return float64(c.Value()) }, labels...)
-	return c
-}
-
 // CounterFunc registers a counter whose value is sampled from read at
-// scrape time — the bridge for pre-existing atomic counters.
+// scrape time. A product counter is an atomic its owner bumps (a
+// CoreStats field, the slow path's counter block); this is how it is
+// exported.
 func (r *Registry) CounterFunc(name, help string, read func() float64, labels ...Label) {
 	r.add(&metric{name: name, help: help, kind: KindCounter, labels: labels, read: read})
 }

@@ -6,37 +6,22 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-func TestCounterStripesMerge(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	const workers, per = 8, 10000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(core int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Inc(core)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("Value = %d, want %d", got, workers*per)
-	}
-	c.Add(100, 5) // out-of-range hint must not panic
-	if got := c.Value(); got != workers*per+5 {
-		t.Fatalf("Value after Add = %d, want %d", got, workers*per+5)
-	}
+// testCounter registers a counter series over an atomic the test bumps,
+// the way product counters are exported.
+func testCounter(r *Registry, name, help string, labels ...Label) *atomic.Uint64 {
+	v := new(atomic.Uint64)
+	r.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
+	return v
 }
 
 func TestRegistryTextExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("tas_rx_packets_total", "Packets received.", L("core", "0"))
-	c.Add(0, 42)
-	r.Counter("tas_rx_packets_total", "Packets received.", L("core", "1")).Add(1, 7)
+	testCounter(r, "tas_rx_packets_total", "Packets received.", L("core", "0")).Add(42)
+	testCounter(r, "tas_rx_packets_total", "Packets received.", L("core", "1")).Add(7)
 	r.GaugeFunc("tas_flows", "Live flows.", func() float64 { return 3 })
 
 	var b bytes.Buffer
@@ -64,7 +49,7 @@ func TestRegistryTextExposition(t *testing.T) {
 
 func TestRegistryJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "A.").Add(0, 9)
+	testCounter(r, "a_total", "A.").Add(9)
 	var b bytes.Buffer
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -200,7 +185,7 @@ func TestCycleStatsRegister(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	tm := New(Config{Enabled: true}, 1)
-	tm.Registry.Counter("tas_test_total", "Test.").Add(0, 1)
+	testCounter(tm.Registry, "tas_test_total", "Test.").Add(1)
 	ring := tm.Recorder.Ring("1.2.3.4:5->6.7.8.9:10")
 	ring.Record(FESynTx, 1, 0, 0, 0)
 	ring.Record(FEEstablished, 1, 1, 0, 0)

@@ -3,13 +3,14 @@ package telemetry
 import (
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func tsFixture() (*Registry, *Counter) {
+func tsFixture() (*Registry, *atomic.Uint64) {
 	r := NewRegistry()
-	c := r.Counter("tas_ts_ops_total", "Ops.", L("core", "0"))
+	c := testCounter(r, "tas_ts_ops_total", "Ops.", L("core", "0"))
 	r.GaugeFunc("tas_ts_depth", "Depth.", func() float64 { return 5 })
 	return r, c
 }
@@ -17,9 +18,9 @@ func tsFixture() (*Registry, *Counter) {
 func TestTimeSeriesSnapAndValues(t *testing.T) {
 	r, c := tsFixture()
 	ts := NewTimeSeries(r, time.Hour, 10) // manual Snap only
-	c.Add(0, 1)
+	c.Add(1)
 	ts.Snap()
-	c.Add(0, 2)
+	c.Add(2)
 	ts.Snap()
 	d := ts.Dump()
 	if len(d.AtMS) != 2 {
@@ -44,7 +45,7 @@ func TestTimeSeriesEvictsOverCapacity(t *testing.T) {
 	r, c := tsFixture()
 	ts := NewTimeSeries(r, time.Hour, 3)
 	for i := 0; i < 10; i++ {
-		c.Add(0, 1)
+		c.Add(1)
 		ts.Snap()
 	}
 	d := ts.Dump()
@@ -63,7 +64,7 @@ func TestTimeSeriesEvictsOverCapacity(t *testing.T) {
 func TestTimeSeriesColumnChangeResets(t *testing.T) {
 	r, c := tsFixture()
 	ts := NewTimeSeries(r, time.Hour, 10)
-	c.Add(0, 1)
+	c.Add(1)
 	ts.Snap()
 	// Registering a new series changes the column set: the ring resets
 	// rather than misaligning old rows against new columns.
@@ -103,7 +104,7 @@ func TestTimeSeriesStartStop(t *testing.T) {
 func TestTimeSeriesJSONShape(t *testing.T) {
 	r, c := tsFixture()
 	ts := NewTimeSeries(r, time.Hour, 10)
-	c.Add(0, 4)
+	c.Add(4)
 	ts.Snap()
 	var b strings.Builder
 	if err := ts.WriteJSON(&b); err != nil {

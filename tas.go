@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -199,13 +200,10 @@ type Config struct {
 	// degradation ladder: SYN cookies engage at PressureEngagePct of
 	// the hottest pool, then SYN shedding, TX-grant clamping, and
 	// LRU idle-flow reclamation as pressure keeps rising.
-	MaxPayloadBytes  int64 // total payload-buffer bytes across all flows
-	MaxFlows         int   // established flow-table entries
-	MaxHalfOpen      int   // half-open handshake slots
-	MaxContexts      int   // registered application contexts
-	MaxTimers        int   // pending timer entries (FIN/closing sweeps)
-	MaxAcceptBacklog int   // not-yet-accepted connections across listeners
-	MaxTimeWait      int   // TIME_WAIT quarantine entries (oldest evicted past cap)
+	MaxPayloadBytes int64 // total payload-buffer bytes across all flows
+	MaxFlows        int   // established flow-table entries
+	MaxHalfOpen     int   // half-open handshake slots
+	MaxTimeWait     int   // TIME_WAIT quarantine entries (oldest evicted past cap)
 
 	// Per-app quotas (0 = none). A quota must not exceed the matching
 	// global capacity when both are set; NewService rejects such
@@ -390,7 +388,6 @@ type Service struct {
 	// slow is atomic because Restart swaps in a fresh instance while
 	// application goroutines and metric scrapes are running.
 	slow     atomic.Pointer[slowpath.Slowpath]
-	scfg     slowpath.Config // kept for warm restarts
 	restarts atomic.Uint64
 }
 
@@ -448,9 +445,6 @@ func (f *Fabric) NewService(addr string, cfg Config) (*Service, error) {
 		PayloadBytes:    cfg.MaxPayloadBytes,
 		Flows:           int64(cfg.MaxFlows),
 		HalfOpen:        int64(cfg.MaxHalfOpen),
-		Contexts:        int64(cfg.MaxContexts),
-		Timers:          int64(cfg.MaxTimers),
-		Accept:          int64(cfg.MaxAcceptBacklog),
 		TimeWait:        int64(cfg.MaxTimeWait),
 		AppFlows:        int64(cfg.AppMaxFlows),
 		AppPayloadBytes: cfg.AppMaxPayloadBytes,
@@ -541,7 +535,7 @@ func (f *Fabric) NewService(addr string, cfg Config) (*Service, error) {
 		eng.SetActiveCores(cfg.FastPathCores)
 	}
 	slow.Start()
-	s := &Service{IP: ip, eng: eng, fab: f, telem: telem, gov: gov, scfg: scfg}
+	s := &Service{IP: ip, eng: eng, fab: f, telem: telem, gov: gov}
 	s.slow.Store(slow)
 	s.stack = libtas.NewStack(eng, slow)
 	s.stack.Telem = telem
@@ -561,12 +555,13 @@ type RecoveryStats = slowpath.RecoveryStats
 // from the shared flow table, payload-ring positions, rate buckets, and
 // listener registry the engine kept serving throughout the outage.
 // Established connections are untouched; the fast path's watchdog
-// observes the resumed heartbeat and leaves degraded mode.
+// observes the resumed heartbeat and leaves degraded mode. The successor
+// counts into its predecessor's counter block, so every exported series
+// stays monotonic across the restart.
 func (s *Service) Restart() RecoveryStats {
 	old := s.slow.Load()
 	old.Kill()
-	ns := slowpath.New(s.eng, s.scfg)
-	ns.AdoptCounters(old.Counters())
+	ns := old.Successor()
 	rep := ns.Recover()
 	ns.Start()
 	s.slow.Store(ns)
@@ -648,10 +643,6 @@ func (s *Service) Metrics() *telemetry.Registry {
 func (s *Service) registerMetrics() {
 	r := s.telem.Registry
 	eng := s.eng
-	// Counters are read through s.Slow() at scrape time, not a captured
-	// pointer, so metrics stay live across warm restarts (AdoptCounters
-	// keeps them monotonic).
-	slowCounters := func() slowpath.Counters { return s.Slow().Counters() }
 
 	// Per-core fast-path activity.
 	for i := 0; i < eng.MaxCores(); i++ {
@@ -683,62 +674,12 @@ func (s *Service) registerMetrics() {
 		}
 	}
 
-	// Drop/shed accounting by cause (the DropStats causes).
-	for _, m := range []struct {
-		cause, help string
-		read        func(fastpath.DropStats) uint64
-	}{
-		{"rx_ring_full", "NIC receive ring overflow.", func(d fastpath.DropStats) uint64 { return d.RxRingFull }},
-		{"rx_buf_full", "Per-flow receive payload buffer full.", func(d fastpath.DropStats) uint64 { return d.RxBufFull }},
-		{"bad_desc", "Malformed app-to-TAS queue descriptors.", func(d fastpath.DropStats) uint64 { return d.BadDesc }},
-		{"syn_shed", "SYNs shed by slow-path admission control.", func(d fastpath.DropStats) uint64 { return d.SynShed }},
-		{"syn_shed_down", "SYNs shed because the slow path is down (degraded mode).", func(d fastpath.DropStats) uint64 { return d.SynShedDown }},
-		{"excq_full", "Exception queue overflow.", func(d fastpath.DropStats) uint64 { return d.ExcqFull }},
-		{"events_lost", "Context event-queue overflow.", func(d fastpath.DropStats) uint64 { return d.EventsLost }},
-		{"ooo_dropped", "Out-of-order segments outside the tracked interval.", func(d fastpath.DropStats) uint64 { return d.OooDropped }},
-		{"core_stranded", "Packets stranded in a failed core's queues (stalled core, not drainable).", func(d fastpath.DropStats) uint64 { return d.CoreStranded }},
-		{"blind_ack", "Blind-injection ACKs rejected by RFC 5961 validation.", func(d fastpath.DropStats) uint64 { return d.BlindAck }},
-		{"syn_shed_pressure", "SYNs shed by the resource-pressure ladder (rung 2).", func(d fastpath.DropStats) uint64 { return d.SynShedPress }},
-	} {
-		read := m.read
-		r.CounterFunc("tas_drops_total", "Work refused by cause: "+m.help,
-			func() float64 { return float64(read(eng.Drops())) },
-			telemetry.L("cause", m.cause))
-	}
-
-	// Slow-path lifecycle counters.
-	for _, m := range []struct {
-		name, help string
-		read       func(slowpath.Counters) uint64
-	}{
-		{"tas_slowpath_established_total", "Connections established.", func(c slowpath.Counters) uint64 { return c.Established }},
-		{"tas_slowpath_accepted_total", "Connections accepted (passive opens).", func(c slowpath.Counters) uint64 { return c.Accepted }},
-		{"tas_slowpath_rejected_total", "Connection attempts refused.", func(c slowpath.Counters) uint64 { return c.Rejected }},
-		{"tas_slowpath_timeouts_total", "Retransmission timeouts declared.", func(c slowpath.Counters) uint64 { return c.Timeouts }},
-		{"tas_slowpath_handshake_rexmits_total", "SYN/SYN-ACK retransmissions.", func(c slowpath.Counters) uint64 { return c.HandshakeRexmits }},
-		{"tas_slowpath_fin_rexmits_total", "FIN retransmissions.", func(c slowpath.Counters) uint64 { return c.FinRexmits }},
-		{"tas_slowpath_aborts_total", "Flows aborted after retry-budget exhaustion.", func(c slowpath.Counters) uint64 { return c.Aborts }},
-		{"tas_slowpath_apps_reaped_total", "Application contexts reaped after missed heartbeats.", func(c slowpath.Counters) uint64 { return c.AppsReaped }},
-		{"tas_slowpath_flows_reaped_total", "Flows reclaimed by the reaper.", func(c slowpath.Counters) uint64 { return c.FlowsReaped }},
-		{"tas_slowpath_syn_backlog_drops_total", "SYNs shed by listener backlog bounds.", func(c slowpath.Counters) uint64 { return c.SynBacklogDrops }},
-		{"tas_slowpath_flows_reconstructed_total", "Flows whose control state was rebuilt by a warm restart.", func(c slowpath.Counters) uint64 { return c.FlowsReconstructed }},
-		{"tas_slowpath_recovery_aborts_total", "Flows aborted during warm restart (state not provably consistent).", func(c slowpath.Counters) uint64 { return c.RecoveryAborts }},
-		{"tas_slowpath_panics_total", "Slow-path event-loop panics caught (loop dead until restart).", func(c slowpath.Counters) uint64 { return c.Panics }},
-		{"tas_syn_cookies_sent_total", "Stateless SYN-ACKs issued under SYN-cookie mode.", func(c slowpath.Counters) uint64 { return c.SynCookiesSent }},
-		{"tas_syn_cookies_validated_total", "Connections reconstructed from a valid cookie ACK.", func(c slowpath.Counters) uint64 { return c.SynCookiesValidated }},
-		{"tas_syn_cookies_rejected_total", "Cookie ACKs that failed MAC validation.", func(c slowpath.Counters) uint64 { return c.SynCookiesRejected }},
-		{"tas_slowpath_blind_rst_drops_total", "RSTs rejected by RFC 5961 sequence validation.", func(c slowpath.Counters) uint64 { return c.BlindRstDrops }},
-		{"tas_pressure_flow_denials_total", "Flow establishments denied by governor admission (pool or quota exhausted).", func(c slowpath.Counters) uint64 { return c.GovFlowDenied }},
-		{"tas_pressure_idle_reclaimed_total", "Idle flows reclaimed LRU-first by the ladder's last rung.", func(c slowpath.Counters) uint64 { return c.GovIdleReclaimed }},
-		{"tas_persist_probes_total", "Zero-window (persist-timer) probes transmitted.", func(c slowpath.Counters) uint64 { return c.PersistProbes }},
-		{"tas_keepalive_probes_total", "TCP keepalive probes transmitted.", func(c slowpath.Counters) uint64 { return c.KeepaliveProbesSent }},
-		{"tas_fin_wait2_timeouts_total", "Flows reclaimed after the peer never sent its FIN.", func(c slowpath.Counters) uint64 { return c.FinWait2Timeouts }},
-		{"tas_time_wait_reused_total", "TIME_WAIT tuples reused early by a fresh SYN (RFC 6191).", func(c slowpath.Counters) uint64 { return c.TimeWaitReused }},
-		{"tas_slowpath_flow_activations_total", "Parked flows put back on the control tick (idle-to-busy edges).", func(c slowpath.Counters) uint64 { return c.FlowActivations }},
-	} {
-		read := m.read
-		r.CounterFunc(m.name, m.help, func() float64 { return float64(read(slowCounters())) })
-	}
+	// Drop/shed accounting by cause and the slow-path lifecycle counters:
+	// one series per tagged field of the two structs. The slow path is
+	// read through s.Slow() at scrape time, not a captured pointer, so the
+	// series stay live across warm restarts.
+	registerCounters(r, eng.Drops)
+	registerCounters(r, func() slowpath.Counters { return s.Slow().Counters() })
 
 	// Control-set occupancy: flows the control tick visits each interval
 	// against flows parked off it (list lengths, read at scrape time).
@@ -749,14 +690,7 @@ func (s *Service) registerMetrics() {
 		func() float64 { _, p := s.Slow().ControlSet(); return float64(p) },
 		telemetry.L("state", "parked"))
 
-	// Peer-liveness failure domain: dead peers by detection cause, plus
-	// the close-lifecycle gauges.
-	r.CounterFunc("tas_peer_dead_total", "Flows aborted because persist probes went unanswered.",
-		func() float64 { return float64(slowCounters().PeerDeadZeroWindow) },
-		telemetry.L("cause", "zero_window"))
-	r.CounterFunc("tas_peer_dead_total", "Flows aborted because keepalive probes went unanswered.",
-		func() float64 { return float64(slowCounters().PeerDeadKeepalive) },
-		telemetry.L("cause", "keepalive"))
+	// The close-lifecycle gauges.
 	r.GaugeFunc("tas_flows_time_wait", "TIME_WAIT quarantine entries currently held.",
 		func() float64 { return float64(s.Slow().TimeWaitCount()) })
 	r.GaugeFunc("tas_flows_fin_wait2", "Flows currently in FIN_WAIT_2 (our FIN acked, peer's FIN pending).",
@@ -780,10 +714,9 @@ func (s *Service) registerMetrics() {
 			"Duration of slow-path outages, observed when the heartbeat resumes (microseconds).", h)
 	}
 
-	// Data-plane failure domain: per-core failed gauges plus the
-	// watchdog's failure / migration / re-admission counters.
+	// Data-plane failure domain: per-core failed gauges (the watchdog's
+	// failure / migration / re-admission counters are slow-path counters).
 	for i := 0; i < eng.MaxCores(); i++ {
-		i := i
 		r.GaugeFunc("tas_core_failed", "1 while the core is excluded from RSS steering.",
 			func() float64 {
 				if eng.CoreFailed(i) {
@@ -792,14 +725,6 @@ func (s *Service) registerMetrics() {
 				return 0
 			}, telemetry.L("core", fmt.Sprintf("%d", i)))
 	}
-	r.CounterFunc("tas_core_failures_total", "Fast-path cores declared failed by the core watchdog.",
-		func() float64 { return float64(slowCounters().CoreFailures) })
-	r.CounterFunc("tas_flows_migrated_total", "Flows migrated off failed cores onto survivors.",
-		func() float64 { return float64(slowCounters().FlowsMigrated) })
-	r.CounterFunc("tas_core_readmits_total", "Failed cores folded back into RSS steering after clean heartbeats.",
-		func() float64 { return float64(slowCounters().CoreReadmits) })
-	r.CounterFunc("tas_core_drain_requeued_total", "Packets and kicks requeued from dead cores' rings onto survivors.",
-		func() float64 { return float64(slowCounters().CoreDrainRequeued) })
 	r.CounterFunc("tas_core_panics_total", "Fast-path run-loop panics contained by the per-core harness.",
 		func() float64 { return float64(eng.CoreFaults().Panics) })
 
@@ -820,7 +745,6 @@ func (s *Service) registerMetrics() {
 	r.GaugeFunc("tas_pressure_ratio", "Occupancy fraction of the hottest capped pool (0-1).",
 		gov.Pressure)
 	for p := resource.Pool(0); p < resource.NumPools; p++ {
-		p := p
 		lbl := telemetry.L("pool", p.String())
 		r.GaugeFunc("tas_pool_used", "Governed pool occupancy (bytes for payload_bytes, slots otherwise).",
 			func() float64 { return float64(gov.Used(p)) }, lbl)
@@ -834,7 +758,6 @@ func (s *Service) registerMetrics() {
 			func() float64 { return float64(gov.Snapshot().Underflows[p]) }, lbl)
 	}
 	for k := 1; k < resource.NumLevels; k++ {
-		k := k
 		lbl := telemetry.L("rung", resource.LevelName(k))
 		r.CounterFunc("tas_pressure_engaged_total", "Times the ladder engaged a rung.",
 			func() float64 { return float64(gov.Snapshot().Engaged[k]) }, lbl)
@@ -871,32 +794,26 @@ func (s *Service) registerMetrics() {
 		lbls := append([]telemetry.Label{telemetry.L("ring", ring)}, labels...)
 		r.GaugeFunc("tas_ring_depth", "Queue occupancy by ring and core.", read, lbls...)
 	}
+	// Context queues are aggregated across live app contexts per core:
+	// contexts come and go with applications, so per-context series would
+	// churn the registry.
+	ctxDepth := func(core int, qlen func(*fastpath.Context, int) int) func() float64 {
+		return func() float64 {
+			var n int
+			for _, ctx := range eng.Contexts() {
+				if ctx != nil && core < ctx.Cores() {
+					n += qlen(ctx, core)
+				}
+			}
+			return float64(n)
+		}
+	}
 	for i := 0; i < eng.MaxCores(); i++ {
-		i := i
 		lbl := telemetry.L("core", fmt.Sprintf("%d", i))
 		depth("rx", func() float64 { d, _ := eng.RxRingDepth(i); return float64(d) }, lbl)
 		depth("kick", func() float64 { d, _ := eng.KickRingDepth(i); return float64(d) }, lbl)
-		// Context queues are aggregated across live app contexts per
-		// core: contexts come and go with applications, so per-context
-		// series would churn the registry.
-		depth("ctx_ev", func() float64 {
-			var n int
-			for _, ctx := range eng.Contexts() {
-				if ctx != nil && i < ctx.Cores() {
-					n += ctx.EventQueueLen(i)
-				}
-			}
-			return float64(n)
-		}, lbl)
-		depth("ctx_tx", func() float64 {
-			var n int
-			for _, ctx := range eng.Contexts() {
-				if ctx != nil && i < ctx.Cores() {
-					n += ctx.TxQueueLen(i)
-				}
-			}
-			return float64(n)
-		}, lbl)
+		depth("ctx_ev", ctxDepth(i, (*fastpath.Context).EventQueueLen), lbl)
+		depth("ctx_tx", ctxDepth(i, (*fastpath.Context).TxQueueLen), lbl)
 	}
 	depth("excq", func() float64 { d, _ := eng.ExcqDepth(); return float64(d) })
 	r.GaugeFunc("tas_ring_capacity", "Ring capacity by ring (per core).",
@@ -915,6 +832,30 @@ func (s *Service) registerMetrics() {
 	// is registered, so the column set is stable from the first point.
 	if s.telem.Series != nil {
 		s.telem.Series.Start()
+	}
+}
+
+// registerCounters registers one counter series per field of the stats
+// struct read returns, as the field's tag declares it: `metric` names the
+// series ("-": none) and `cause` labels it; a field with no `metric` but
+// a `drop` tag is the tas_drops_total series of that cause. The structs
+// are slowpath.Counters and fastpath.DropStats, which document the tags.
+func registerCounters[T any](r *telemetry.Registry, read func() T) {
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	for i := 0; i < t.NumField(); i++ {
+		tag := t.Field(i).Tag
+		name, help, cause := tag.Get("metric"), tag.Get("help"), tag.Get("cause")
+		if name == "" && tag.Get("drop") != "" {
+			name, help, cause = "tas_drops_total", "Work refused by cause: "+help, tag.Get("drop")
+		}
+		if name == "" || name == "-" {
+			continue
+		}
+		var labels []telemetry.Label
+		if cause != "" {
+			labels = append(labels, telemetry.L("cause", cause))
+		}
+		r.CounterFunc(name, help, func() float64 { return float64(reflect.ValueOf(read()).Field(i).Uint()) }, labels...)
 	}
 }
 
@@ -944,70 +885,30 @@ func (s *Service) Engine() *fastpath.Engine { return s.eng }
 // the instance; do not cache the pointer across restarts.
 func (s *Service) Slow() *slowpath.Slowpath { return s.slow.Load() }
 
-// ServiceStats is a consolidated robustness snapshot of one service:
-// slow-path connection/reaper counters, fast-path drop counters, and
-// live resource gauges.
+// ServiceStats is a consolidated robustness snapshot of one service: the
+// slow path's counters and the fast path's drop counters under their
+// owners' names, plus what only the service can add — limiter and
+// watchdog counts, live gauges, and the governor's state.
 type ServiceStats struct {
-	// Slow-path lifecycle counters.
-	Established, Accepted, Rejected uint64
-	Aborts                          uint64
+	slowpath.Counters  // connection lifecycle, reaper, liveness, cookies, failure domains
+	fastpath.DropStats // work the fast path refused, by cause
 
-	// Reaper counters (application-failure handling).
-	AppsReaped, FlowsReaped, ListenersReaped, HalfOpenReaped uint64
-
-	// Overload / defensive-drop counters.
-	SynBacklogDrops  uint64 // SYN shed: listener backlog full
-	AcceptQueueDrops uint64 // accepted flow torn down: context queue full or dead
-	SynShed          uint64 // SYN shed: slow-path event queue near saturation
-	SynShedDown      uint64 // SYN shed: slow path down (degraded mode)
-	ExcqDrops        uint64 // packet drops: slow-path event queue full
-	BadDescDrops     uint64 // malformed app→TAS descriptors dropped
-	RxRingDrops      uint64 // packet drops: fast-path RX ring full
-	RxBufDrops       uint64 // payload drops: receive buffer full
-	EventsLost       uint64 // app event-queue overflows
-	OooDropped       uint64 // out-of-order segments dropped
-
-	// Adversarial-traffic counters (SYN cookies, RFC 5961).
-	SynCookiesSent       uint64 // stateless SYN-ACKs issued under cookies
-	SynCookiesValidated  uint64 // connections reconstructed from a valid cookie ACK
-	SynCookiesRejected   uint64 // cookie ACKs failing MAC validation
-	BlindRstDrops        uint64 // RSTs rejected by RFC 5961 sequence validation
-	BlindAckDrops        uint64 // blind-injection ACKs rejected on the fast path
 	ChallengeAcksSent    uint64 // RFC 5961 challenge ACKs transmitted
 	ChallengeAcksLimited uint64 // challenge ACKs suppressed by the global rate limit
+	SlowPathOutages      uint64 // outages detected by the fast-path watchdog
+	CorePanics           uint64 // fast-path run-loop panics contained
 
-	// Peer-liveness counters (persist timer, keepalives, close lifecycle).
-	PersistProbes      uint64 // zero-window probes transmitted
-	KeepaliveProbes    uint64 // keepalive probes transmitted
-	PeerDeadZeroWindow uint64 // flows aborted: persist-probe budget exhausted
-	PeerDeadKeepalive  uint64 // flows aborted: keepalive budget exhausted
-	FinWait2Timeouts   uint64 // flows reclaimed: peer never sent its FIN
-	TimeWaitReused     uint64 // quarantined tuples reused early by a fresh SYN (RFC 6191)
-	FlowsTimeWait      int    // TIME_WAIT quarantine entries held (gauge)
-	FlowsFinWait2      int    // flows currently in FIN_WAIT_2 (gauge)
-
-	// Control-plane failure-domain counters.
-	FlowsReconstructed uint64 // flows rebuilt by warm restarts
-	RecoveryAborts     uint64 // flows aborted during warm restarts
-	SlowPathOutages    uint64 // outages detected by the fast-path watchdog
-
-	// Data-plane failure-domain counters.
-	CoreFailures      uint64 // cores declared failed by the core watchdog
-	FlowsMigrated     uint64 // flows re-adopted onto surviving cores
-	CoreReadmits      uint64 // failed cores folded back into steering
-	CoreDrainRequeued uint64 // packets/kicks requeued from dead cores' rings
-	CorePanics        uint64 // fast-path run-loop panics contained
-	CoreStranded      uint64 // packets stranded in stalled cores' queues
-	CoresFailed       int    // cores currently excluded from steering (gauge)
-
-	// Live resource gauges.
+	// Live gauges.
+	FlowsTimeWait    int   // TIME_WAIT quarantine entries held
+	FlowsFinWait2    int   // flows currently in FIN_WAIT_2
+	CoresFailed      int   // cores currently excluded from steering
 	FlowsLive        int   // flows currently installed in the flow table
 	LivePayloadBytes int64 // payload-buffer bytes allocated and not reclaimed
 
 	// Resource-governor state: the degradation ladder and unified pool
 	// accounting. Maps are keyed by pool name (payload_bytes, flows,
-	// half_open, contexts, timers, accept) and rung name (cookies,
-	// shed_syn, clamp_tx, reclaim).
+	// half_open, contexts, timers, accept, time_wait) and rung name
+	// (cookies, shed_syn, clamp_tx, reclaim).
 	PressureLevel     int               // current degradation-ladder rung (0 = normal)
 	PeakPressureLevel int               // highest rung reached since start
 	Pressure          float64           // hottest capped pool occupancy fraction (0-1)
@@ -1016,88 +917,57 @@ type ServiceStats struct {
 	PoolRejects       map[string]uint64 // global-pool admission denials per pool
 	PressureSheds     map[string]uint64 // shed actions per engaged rung
 	QuotaRejects      uint64            // per-app quota denials
-	GovFlowDenied     uint64            // flow establishments denied by the governor
-	GovIdleReclaimed  uint64            // idle flows reclaimed by the last rung
-	SynShedPressure   uint64            // SYNs shed by the ladder's rung 2
+}
+
+// Drop returns the refusal counter a drop cause names — the `drop` tags
+// of fastpath.DropStats and slowpath.Counters — and whether there is one.
+func (st ServiceStats) Drop(cause string) (uint64, bool) {
+	v := reflect.ValueOf(st)
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if d := f.Tag.Get("drop"); d != "" && d == cause {
+			return v.FieldByIndex(f.Index).Uint(), true
+		}
+	}
+	return 0, false
 }
 
 // Stats snapshots the service's robustness counters and gauges.
 func (s *Service) Stats() ServiceStats {
-	sc := s.slow.Load().Counters()
-	d := s.eng.Drops()
+	slow := s.slow.Load()
 	gs := s.gov.Snapshot()
-	poolUsed := make(map[string]int64, resource.NumPools)
-	poolCap := make(map[string]int64, resource.NumPools)
-	poolRejects := make(map[string]uint64, resource.NumPools)
-	for p := resource.Pool(0); p < resource.NumPools; p++ {
-		poolUsed[p.String()] = gs.Used[p]
-		poolCap[p.String()] = gs.Cap[p]
-		poolRejects[p.String()] = gs.Rejects[p]
-	}
-	sheds := make(map[string]uint64, resource.NumLevels-1)
-	for k := 1; k < resource.NumLevels; k++ {
-		sheds[resource.LevelName(k)] = gs.Shed[k]
-	}
-	return ServiceStats{
-		Established: sc.Established, Accepted: sc.Accepted, Rejected: sc.Rejected,
-		Aborts:     sc.Aborts,
-		AppsReaped: sc.AppsReaped, FlowsReaped: sc.FlowsReaped,
-		ListenersReaped: sc.ListenersReaped, HalfOpenReaped: sc.HalfOpenReaped,
-		SynBacklogDrops:  sc.SynBacklogDrops,
-		AcceptQueueDrops: sc.AcceptQueueDrops,
-		SynShed:          d.SynShed,
-		SynShedDown:      d.SynShedDown,
-		ExcqDrops:        d.ExcqFull,
-		BadDescDrops:     d.BadDesc,
-		RxRingDrops:      d.RxRingFull,
-		RxBufDrops:       d.RxBufFull,
-		EventsLost:       d.EventsLost,
-		OooDropped:       d.OooDropped,
+	st := ServiceStats{
+		Counters:  slow.Counters(),
+		DropStats: s.eng.Drops(),
 
-		SynCookiesSent:       sc.SynCookiesSent,
-		SynCookiesValidated:  sc.SynCookiesValidated,
-		SynCookiesRejected:   sc.SynCookiesRejected,
-		BlindRstDrops:        sc.BlindRstDrops,
-		BlindAckDrops:        d.BlindAck,
 		ChallengeAcksSent:    challengeSent(s.eng),
 		ChallengeAcksLimited: challengeSuppressed(s.eng),
+		SlowPathOutages:      s.eng.Outages().Outages,
+		CorePanics:           s.eng.CoreFaults().Panics,
 
-		PersistProbes:      sc.PersistProbes,
-		KeepaliveProbes:    sc.KeepaliveProbesSent,
-		PeerDeadZeroWindow: sc.PeerDeadZeroWindow,
-		PeerDeadKeepalive:  sc.PeerDeadKeepalive,
-		FinWait2Timeouts:   sc.FinWait2Timeouts,
-		TimeWaitReused:     sc.TimeWaitReused,
-		FlowsTimeWait:      s.slow.Load().TimeWaitCount(),
-		FlowsFinWait2:      int(s.slow.Load().FinWait2Count()),
-
-		FlowsReconstructed: sc.FlowsReconstructed,
-		RecoveryAborts:     sc.RecoveryAborts,
-		SlowPathOutages:    s.eng.Outages().Outages,
-
-		CoreFailures:      sc.CoreFailures,
-		FlowsMigrated:     sc.FlowsMigrated,
-		CoreReadmits:      sc.CoreReadmits,
-		CoreDrainRequeued: sc.CoreDrainRequeued,
-		CorePanics:        s.eng.CoreFaults().Panics,
-		CoreStranded:      d.CoreStranded,
-		CoresFailed:       s.eng.CoreFaults().Failed,
-
+		FlowsTimeWait:    slow.TimeWaitCount(),
+		FlowsFinWait2:    slow.FinWait2Count(),
+		CoresFailed:      s.eng.CoreFaults().Failed,
 		FlowsLive:        s.eng.Table.Len(),
 		LivePayloadBytes: shmring.LivePayloadBytes(),
 
 		PressureLevel:     gs.Level,
 		PeakPressureLevel: gs.PeakLevel,
 		Pressure:          gs.Pressure,
-		PoolUsed:          poolUsed,
-		PoolCap:           poolCap,
-		PoolRejects:       poolRejects,
-		PressureSheds:     sheds,
+		PoolUsed:          make(map[string]int64, resource.NumPools),
+		PoolCap:           make(map[string]int64, resource.NumPools),
+		PoolRejects:       make(map[string]uint64, resource.NumPools),
+		PressureSheds:     make(map[string]uint64, resource.NumLevels-1),
 		QuotaRejects:      gs.QuotaRejects,
-		GovFlowDenied:     sc.GovFlowDenied,
-		GovIdleReclaimed:  sc.GovIdleReclaimed,
-		SynShedPressure:   d.SynShedPress,
 	}
+	for p := resource.Pool(0); p < resource.NumPools; p++ {
+		st.PoolUsed[p.String()] = gs.Used[p]
+		st.PoolCap[p.String()] = gs.Cap[p]
+		st.PoolRejects[p.String()] = gs.Rejects[p]
+	}
+	for k := 1; k < resource.NumLevels; k++ {
+		st.PressureSheds[resource.LevelName(k)] = gs.Shed[k]
+	}
+	return st
 }
 
 // Governor exposes the service's unified resource governor (pool
