@@ -76,7 +76,7 @@ func main() {
 		os.Exit(runScenario(*scen))
 	}
 
-	cfg := tas.Config{FastPathCores: *cores}
+	cfg := tas.Config{MaxCores: *cores}
 	if *metrics != "" {
 		cfg.Telemetry.Enabled = true
 	}

@@ -28,12 +28,12 @@ func main() {
 	flag.Parse()
 
 	fab := tas.NewFabric()
-	srv, err := fab.NewService("10.0.0.1", tas.Config{FastPathCores: *cores})
+	srv, err := fab.NewService("10.0.0.1", tas.Config{MaxCores: *cores})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := fab.NewService("10.0.0.2", tas.Config{FastPathCores: *cores})
+	cli, err := fab.NewService("10.0.0.2", tas.Config{MaxCores: *cores})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,8 +2,11 @@ package tas
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 func TestCongestionControlVariants(t *testing.T) {
@@ -53,54 +56,61 @@ func TestCongestionControlVariants(t *testing.T) {
 			}
 		})
 	}
-	// Unknown policy is rejected.
-	fab := NewFabric()
-	if _, err := fab.NewService("10.0.9.9", Config{CongestionControl: "bogus"}); err == nil {
-		t.Fatal("unknown congestion control should fail")
+}
+
+// TestNewServiceRejectsBadConfig: the facade refuses, before building
+// anything, every configuration config.Validate rejects — the same checks
+// a scenario spec's topology gets at parse time (TestParseSpecRejections);
+// the governor's limits have their own table (TestQuotaConfigValidation).
+func TestNewServiceRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		unknown bool // rejected as an unknown name, not a range
+	}{
+		{"negative core count", Config{MaxCores: -1}, false},
+		{"negative handshake rto", Config{HandshakeRTO: -time.Millisecond}, false},
+		{"negative retransmit budget", Config{MaxRetransmits: -1}, false},
+		{"negative listen backlog", Config{ListenBacklog: -1}, false},
+		{"negative keepalive probes", Config{KeepaliveProbes: -3}, false},
+		{"negative time wait", Config{TimeWaitDuration: -time.Second}, false},
+		{"buffer size not a power of two", Config{RxBufSize: 100000}, false},
+		{"unknown congestion control", Config{CongestionControl: "bogus"}, true},
+		{"unknown syn-cookie mode", Config{SynCookies: "sometimes"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := NewFabric().NewService("10.0.9.9", tc.cfg)
+			if err == nil {
+				svc.Close()
+				t.Fatal("config accepted")
+			}
+			if got := errors.Is(err, config.ErrUnknownName); got != tc.unknown {
+				t.Fatalf("err %v: unknown-name class %v, want %v", err, got, tc.unknown)
+			}
+		})
 	}
 }
 
-func TestDisableOooStillRecovers(t *testing.T) {
-	fab, srv, cli := newPair(t, Config{DisableOoo: true})
-	sctx := srv.NewContext()
-	ln, _ := sctx.Listen(8081)
-	const total = 256 << 10
-	done := make(chan error, 1)
-	go func() {
-		c, err := ln.Accept(5 * time.Second)
-		if err != nil {
-			done <- err
-			return
-		}
-		buf := make([]byte, 32<<10)
-		got := 0
-		for got < total {
-			n, err := c.Read(buf)
-			if err != nil {
-				done <- err
-				return
-			}
-			got += n
-		}
-		done <- nil
-	}()
-	cctx := cli.NewContext()
-	c, err := cctx.Dial("10.0.0.1", 8081)
+// TestRejectedServiceLeavesNoHost: a refused NewService attaches nothing,
+// so a dial to its address finds no route instead of a host whose engine
+// swallows the SYNs and never answers.
+func TestRejectedServiceLeavesNoHost(t *testing.T) {
+	fab := NewFabric()
+	if _, err := fab.NewService("10.0.0.1", Config{CongestionControl: "bogus"}); err == nil {
+		t.Fatal("unknown congestion control accepted")
+	}
+	cli, err := fab.NewService("10.0.0.2", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab.SetLoss(0.01)
-	defer fab.SetLoss(0)
-	if _, err := c.Write(make([]byte, total)); err != nil {
-		t.Fatal(err)
+	defer cli.Close()
+	ctx := cli.NewContext()
+	defer ctx.Kill()
+	if _, err := ctx.DialTimeout("10.0.0.1", 80, 400*time.Millisecond); err == nil {
+		t.Fatal("dial to a rejected service succeeded")
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("go-back-N-only transfer with loss did not complete")
+	if st := fab.Stats(); st.Delivered != 0 {
+		t.Fatalf("fabric delivered %d packets to a rejected service's address", st.Delivered)
 	}
 }
 

@@ -15,13 +15,13 @@ import (
 
 // coreChaosCfg pins four fast-path cores (no scaling churn under the
 // fault) and arms the core watchdog. ControlInterval 10ms gives a 20ms
-// base RTO (StallIntervals=2) and a detection sweep fast enough that
+// base RTO (stallIntervals=2) and a detection sweep fast enough that
 // CoreTimeout dominates detection latency. CoreTimeout 400ms sits 4×
 // above the blocked-core heartbeat period (100ms), so a healthy core is
 // never falsely condemned even under the race detector's slowdown.
 func coreChaosCfg() Config {
 	return Config{
-		FastPathCores:      4,
+		MaxCores:           4,
 		DisableCoreScaling: true,
 		CoreTimeout:        400 * time.Millisecond,
 		ControlInterval:    10 * time.Millisecond,
@@ -292,7 +292,7 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 		t.Skip("timing-heavy chaos test; plain run covers it (core-kill chaos runs under -race)")
 	}
 	cfg := coreChaosCfg()
-	cfg.FastPathCores = 3
+	cfg.MaxCores = 3
 	cfg.SlowPathTimeout = 200 * time.Millisecond
 	cfg.AppTimeout = 150 * time.Millisecond
 	fab, srv, cli := newPair(t, cfg)

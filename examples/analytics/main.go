@@ -19,12 +19,12 @@ var words = []string{"tas", "fast", "path", "slow", "queue", "flow", "rate", "co
 
 func runPipeline(batch time.Duration) {
 	fab := tas.NewFabric()
-	hostA, err := fab.NewService("10.0.1.1", tas.Config{FastPathCores: 1})
+	hostA, err := fab.NewService("10.0.1.1", tas.Config{MaxCores: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer hostA.Close()
-	hostB, err := fab.NewService("10.0.1.2", tas.Config{FastPathCores: 1})
+	hostB, err := fab.NewService("10.0.1.2", tas.Config{MaxCores: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,12 +18,12 @@ import (
 
 func main() {
 	fab := tas.NewFabric()
-	server, err := fab.NewService("10.0.0.1", tas.Config{FastPathCores: 2})
+	server, err := fab.NewService("10.0.0.1", tas.Config{MaxCores: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer server.Close()
-	client, err := fab.NewService("10.0.0.2", tas.Config{FastPathCores: 2})
+	client, err := fab.NewService("10.0.0.2", tas.Config{MaxCores: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

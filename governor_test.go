@@ -19,25 +19,25 @@ func TestQuotaConfigValidation(t *testing.T) {
 		wantErr string // substring; "" = must succeed
 	}{
 		{"zero-config", Config{}, ""},
-		{"capped-pools", Config{MaxPayloadBytes: 1 << 20, MaxFlows: 100, MaxHalfOpen: 50}, ""},
-		{"quotas-within-pools", Config{MaxFlows: 100, AppMaxFlows: 10,
-			MaxPayloadBytes: 1 << 20, AppMaxPayloadBytes: 1 << 18}, ""},
-		{"quota-without-global", Config{AppMaxFlows: 10, AppMaxPayloadBytes: 1 << 18}, ""},
-		{"custom-watermarks", Config{PressureEngagePct: 80, PressureReleasePct: 60}, ""},
-		{"app-flows-over-pool", Config{MaxFlows: 10, AppMaxFlows: 11},
+		{"capped-pools", Config{Limits: Limits{PayloadBytes: 1 << 20, Flows: 100, HalfOpen: 50}}, ""},
+		{"quotas-within-pools", Config{Limits: Limits{Flows: 100, AppFlows: 10,
+			PayloadBytes: 1 << 20, AppPayloadBytes: 1 << 18}}, ""},
+		{"quota-without-global", Config{Limits: Limits{AppFlows: 10, AppPayloadBytes: 1 << 18}}, ""},
+		{"custom-watermarks", Config{Limits: Limits{EngagePct: 80, ReleasePct: 60}}, ""},
+		{"app-flows-over-pool", Config{Limits: Limits{Flows: 10, AppFlows: 11}},
 			"per-app flows quota 11 exceeds global pool 10"},
-		{"app-payload-over-pool", Config{MaxPayloadBytes: 1 << 10, AppMaxPayloadBytes: 1 << 11},
+		{"app-payload-over-pool", Config{Limits: Limits{PayloadBytes: 1 << 10, AppPayloadBytes: 1 << 11}},
 			"per-app payload bytes quota"},
-		{"inverted-hysteresis", Config{PressureEngagePct: 60, PressureReleasePct: 70},
+		{"inverted-hysteresis", Config{Limits: Limits{EngagePct: 60, ReleasePct: 70}},
 			"inverted hysteresis"},
-		{"equal-watermarks", Config{PressureEngagePct: 60, PressureReleasePct: 60},
+		{"equal-watermarks", Config{Limits: Limits{EngagePct: 60, ReleasePct: 60}},
 			"inverted hysteresis"},
-		{"engage-over-100", Config{PressureEngagePct: 140, PressureReleasePct: 55},
+		{"engage-over-100", Config{Limits: Limits{EngagePct: 140, ReleasePct: 55}},
 			"outside (0,100]"},
-		{"release-negative", Config{PressureEngagePct: 70, PressureReleasePct: -5},
+		{"release-negative", Config{Limits: Limits{EngagePct: 70, ReleasePct: -5}},
 			"outside (0,100]"},
-		{"negative-pool", Config{MaxFlows: -4}, "negative"},
-		{"negative-payload", Config{MaxPayloadBytes: -1}, "negative"},
+		{"negative-pool", Config{Limits: Limits{Flows: -4}}, "negative"},
+		{"negative-payload", Config{Limits: Limits{PayloadBytes: -1}}, "negative"},
 	}
 	for i, tc := range cases {
 		tc := tc
@@ -72,7 +72,7 @@ func TestDialBackpressureTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := fab.NewService("10.0.0.2", Config{MaxFlows: 2})
+	cli, err := fab.NewService("10.0.0.2", Config{Limits: Limits{Flows: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestAppQuotaBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := fab.NewService("10.0.0.2", Config{AppMaxFlows: 1})
+	cli, err := fab.NewService("10.0.0.2", Config{Limits: Limits{AppFlows: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSendBackpressureWhenClamped(t *testing.T) {
 	// reclaim's 92.5%.
 	cli, err := fab.NewService("10.0.0.2", Config{
 		RxBufSize: 32 << 10, TxBufSize: 32 << 10,
-		MaxPayloadBytes: 144 << 10,
+		Limits: Limits{PayloadBytes: 144 << 10},
 		// Flows stay deliberately idle while the ladder climbs; a long
 		// reclaim age keeps rung 4 from ever seeing them as victims
 		// even if occupancy were to brush its band.
@@ -322,7 +322,7 @@ func TestSendBackpressureWhenClamped(t *testing.T) {
 // completes.
 func TestMaxTimeWaitRecyclesOldest(t *testing.T) {
 	const limit, closes = 2, 6
-	_, srv, cli := newPair(t, Config{MaxTimeWait: limit, TimeWaitDuration: time.Minute})
+	_, srv, cli := newPair(t, Config{Limits: Limits{TimeWait: limit}, TimeWaitDuration: time.Minute})
 	ln, err := srv.NewContext().Listen(9300)
 	if err != nil {
 		t.Fatal(err)

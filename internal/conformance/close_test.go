@@ -123,7 +123,7 @@ func TestSimultaneousClose(t *testing.T) {
 // segment with a re-announcement of the final state, and stays
 // quarantined (RFC 793 TIME-WAIT processing).
 func TestTimeWaitReAcksOldDuplicates(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 5 * time.Second})
+	h := newHarness(t, slowpath.Config{TimeWaitDuration: 5 * time.Second})
 	conn, p := establish(t, h, 7022, 40022)
 	finalSeq, finalAck := gracefulActiveClose(t, h, conn, p)
 	h.Drain()
@@ -148,7 +148,7 @@ func TestTimeWaitReAcksOldDuplicates(t *testing.T) {
 // TestTimeWaitRstDoesNotAssassinate: RFC 1337 — an RST against a
 // TIME_WAIT tuple must not cut the quarantine short.
 func TestTimeWaitRstDoesNotAssassinate(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 5 * time.Second})
+	h := newHarness(t, slowpath.Config{TimeWaitDuration: 5 * time.Second})
 	conn, p := establish(t, h, 7023, 40023)
 	gracefulActiveClose(t, h, conn, p)
 
@@ -163,7 +163,7 @@ func TestTimeWaitRstDoesNotAssassinate(t *testing.T) {
 // incarnation's final receive state reuses the tuple early (RFC 6191);
 // one at or below it is an old duplicate and draws only the re-ACK.
 func TestTimeWaitSynReuse(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 5 * time.Second})
+	h := newHarness(t, slowpath.Config{TimeWaitDuration: 5 * time.Second})
 	ctx := h.Stack.NewContext()
 	ln, err := ctx.Listen(7024)
 	if err != nil {
@@ -265,7 +265,7 @@ func TestFinWait2Timeout(t *testing.T) {
 // TestTimeWaitExpiry: the 2MSL clock releases the quarantine entry and
 // its pool charge without any external stimulus.
 func TestTimeWaitExpiry(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 60 * time.Millisecond})
+	h := newHarness(t, slowpath.Config{TimeWaitDuration: 60 * time.Millisecond})
 	conn, p := establish(t, h, 7026, 40026)
 	gracefulActiveClose(t, h, conn, p)
 	if h.Gov.Used(resource.PoolTimeWait) != 1 {
@@ -282,7 +282,7 @@ func TestTimeWaitExpiry(t *testing.T) {
 // own the flow by then: one registered afterwards would have the close
 // sweep quarantine, and charge, the same tuple a second time.
 func TestPeerClosesBackBeforeFinSendReturns(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 60 * time.Millisecond})
+	h := newHarness(t, slowpath.Config{TimeWaitDuration: 60 * time.Millisecond})
 	conn, p := establish(t, h, 7027, 40027)
 	answered := false
 	answer := func(q *protocol.Packet) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/libtas"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -174,7 +175,7 @@ func TestExactRstTearsDown(t *testing.T) {
 // a keyed MAC and the slow path holds no half-open state; the
 // completing ACK alone reconstructs the connection and data flows.
 func TestSynCookieHandshake(t *testing.T) {
-	h := newHarness(t, slowpath.Config{SynCookies: slowpath.SynCookiesAlways})
+	h := newHarness(t, slowpath.Config{SynCookies: config.SynCookiesAlways})
 	ctx := h.Stack.NewContext()
 	ln, _ := ctx.Listen(7005)
 	p := h.NewPeer(40006, 7005)

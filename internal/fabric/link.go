@@ -194,6 +194,17 @@ func (f *Fabric) ClearLink() {
 	f.mu.Unlock()
 }
 
+// LinkRate returns the link model's rate in bits/s, or 0 when no model
+// is installed.
+func (f *Fabric) LinkRate() float64 {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.linkCfg == nil {
+		return 0
+	}
+	return f.linkCfg.RateBps
+}
+
 // LinkQueueLen reports the instantaneous queue depth toward dst (0 when
 // no link model is installed) — an observation point for congestion
 // assertions.

@@ -45,7 +45,7 @@ func benchProcessRx(b *testing.B, telem *telemetry.Telemetry) {
 		f.Rec = telem.Recorder.Ring(key.String())
 		// Attach the telemetry handle to the engine too, so the RTT
 		// sampler in processAck runs on this side of the comparison.
-		e.cfg.Telemetry = telem
+		e.telem = telem
 	}
 	ctx := NewContext(0, 2, 1<<16)
 	e.RegisterContext(ctx)

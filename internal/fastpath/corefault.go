@@ -127,7 +127,7 @@ func (e *Engine) MarkCoreFailed(i int) bool {
 	for j := range e.cores {
 		e.wakeCore(j)
 	}
-	if telem := e.cfg.Telemetry; telem != nil {
+	if telem := e.telem; telem != nil {
 		telem.Recorder.Ring(coresRingKey).Record(telemetry.FECoreFailed, 0, 0, 0, uint64(i))
 	}
 	return true
@@ -150,7 +150,7 @@ func (e *Engine) ClearCoreFailed(i int) {
 	for j := range e.cores {
 		e.wakeCore(j)
 	}
-	if telem := e.cfg.Telemetry; telem != nil {
+	if telem := e.telem; telem != nil {
 		telem.Recorder.Ring(coresRingKey).Record(telemetry.FECoreRevived, 0, 0, 0, uint64(i))
 	}
 }

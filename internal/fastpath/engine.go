@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -44,51 +45,11 @@ const cycleSampleEvery = 64
 // cost is a per-core non-atomic increment.
 const rttSampleEvery = 64
 
-// Config parameterizes the fast-path engine.
-type Config struct {
-	LocalIP  protocol.IPv4
-	LocalMAC protocol.MAC
-
-	MaxCores   int // fast-path cores created at init (§3.4)
-	RxRingSize int // per-core NIC receive ring entries
-	MSS        int // payload bytes per segment
-
-	// DisableOoo turns off the fast path's one-interval out-of-order
-	// buffering ("TAS simple recovery" in Figure 7): all out-of-order
-	// arrivals are dropped, forcing pure go-back-N. Ablation knob.
-	DisableOoo bool
-
-	// SlowPathTimeout is how long the slow-path heartbeat may go stale
-	// before the engine enters degraded mode: established flows keep
-	// their RX/TX service, but new SYNs are shed immediately and the
-	// application layer fails Connect/Listen fast. 0 disables the
-	// watchdog (raw-engine tests with no slow path attached).
-	SlowPathTimeout time.Duration
-
-	// ChallengeAckPerSec bounds RFC 5961 challenge-ACK emission across
-	// the whole stack instance (slow path and all fast-path cores
-	// share one limiter), so the blind-attack defense cannot be turned
-	// into an amplification primitive. 0 selects the default of 100;
-	// negative disables challenge ACKs entirely (drops stay silent).
-	ChallengeAckPerSec int
-
-	// Telemetry, when non-nil, enables per-core cycle accounting (batch
-	// section timing charged to rx/tx modules) on this engine. The flow
-	// flight recorder rides on Flow.Rec and needs no engine state.
-	Telemetry *telemetry.Telemetry
-}
-
-func (c *Config) fill() {
-	if c.MaxCores <= 0 {
-		c.MaxCores = 4
-	}
-	if c.RxRingSize <= 0 {
-		c.RxRingSize = 2048
-	}
-	if c.MSS <= 0 {
-		c.MSS = protocol.DefaultMSS
-	}
-}
+// Config is the service's one configuration (internal/config). The
+// engine reads the wiring (LocalIP, LocalMAC, Gov), MaxCores, RxRingSize,
+// SlowPathTimeout, ChallengeAckPerSec and Telemetry; raw-engine tests
+// with no slow path attached set SlowPathTimeout negative.
+type Config = config.Config
 
 // burstBytes is every rate bucket's burst capacity.
 const burstBytes = 64 << 10
@@ -177,6 +138,12 @@ type Engine struct {
 	cfg Config
 	nic NIC
 
+	// telem is the service's telemetry hub (nil when telemetry is off),
+	// built here once; the slow path, libtas and the facade read it
+	// through Telemetry. It enables per-core cycle accounting; the flow
+	// flight recorder rides on Flow.Rec and needs no engine state.
+	telem *telemetry.Telemetry
+
 	Table *flowstate.Table
 	RSS   *flowstate.RSS
 
@@ -237,8 +204,8 @@ type Engine struct {
 	// Staleness is bounded by the slow path's control interval.
 	coarseClock atomic.Int64
 
-	// gov is the unified resource governor (nil when ungoverned). The
-	// facade installs it before Start; the fast path consults it only on
+	// gov is the unified resource governor (nil when ungoverned): Config.Gov,
+	// or SetGovernor before Start. The fast path consults it only on
 	// the exception path (SYN shedding under the shed-syn rung) and the
 	// context registry charges slot occupancy to it — never per data
 	// packet.
@@ -269,7 +236,7 @@ type Engine struct {
 
 // NewEngine builds the engine (cores are started by Start).
 func NewEngine(nic NIC, cfg Config) *Engine {
-	cfg.fill()
+	cfg.Fill()
 	e := &Engine{
 		cfg:       cfg,
 		nic:       nic,
@@ -286,12 +253,14 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 		watchStop:   make(chan struct{}),
 	}
 	e.Cookies = tcp.NewCookieJar(time.Now().UnixNano(), tcp.DefaultCookieRotate)
-	if cfg.ChallengeAckPerSec >= 0 {
+	if cfg.ChallengeAckPerSec > 0 {
 		e.Challenge = tcp.NewAckLimiter(cfg.ChallengeAckPerSec)
 	}
-	if cfg.Telemetry != nil {
+	if cfg.Telemetry.Enabled {
+		e.telem = telemetry.New(cfg.Telemetry, cfg.MaxCores)
 		e.outageHist = new(telemetry.LogHist)
 	}
+	e.gov.Store(cfg.Gov)
 	e.RSS.SetLimit(cfg.MaxCores)
 	e.contextsV.Store([]*Context(nil))
 	e.bucketsV.Store([]*Bucket(nil))
@@ -312,6 +281,9 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// Telemetry returns the telemetry hub, or nil when telemetry is off.
+func (e *Engine) Telemetry() *telemetry.Telemetry { return e.telem }
 
 // NowMicros returns microseconds since engine start (TCP timestamp
 // clock).
@@ -736,7 +708,7 @@ func (e *Engine) run(c *core) {
 	// fast-path CPU and pushed echo RPC latency up ~50%. The sampled
 	// reads double as the publisher of the telemetry hub's cached
 	// coarse clock (flight-recorder timestamps).
-	telem := e.cfg.Telemetry
+	telem := e.telem
 	var loops uint32
 	var t0 int64
 	// The kill channel is captured once: ReviveCore installs a fresh

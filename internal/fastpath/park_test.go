@@ -28,7 +28,8 @@ func (n *countNIC) Output(*protocol.Packet) { n.out.Add(1) }
 
 func oneCoreEngine(nic NIC) *Engine {
 	ip := protocol.MakeIPv4(10, 0, 0, 1)
-	return NewEngine(nic, Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1})
+	// No slow path is attached, so no slow-path watchdog either.
+	return NewEngine(nic, Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1, SlowPathTimeout: -1})
 }
 
 // TestBlockRecheck drives the lost-wakeup interleaving on every queue a

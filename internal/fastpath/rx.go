@@ -143,7 +143,7 @@ func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) {
 				// Sampled histogram observation (1-in-rttSampleEvery ACKs,
 				// like the cycle sampling): two striped atomic adds per
 				// sample keeps the observatory under the overhead gate.
-				if telem := e.cfg.Telemetry; telem != nil {
+				if telem := e.telem; telem != nil {
 					c.rttTicks++
 					if c.rttTicks&(rttSampleEvery-1) == 0 {
 						telem.RTT.Observe(uint64(f.RTTEst), c.idx)
@@ -252,11 +252,6 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 	// Out-of-order arrival: track a single interval (§3.1 exception
 	// optimization 2); anything else is dropped and the duplicate ACK
 	// asks the sender to retransmit from the gap.
-	if e.cfg.DisableOoo {
-		// Simple-recovery ablation: drop all out-of-order data.
-		c.stats.OooDropped.Add(1)
-		return e.buildAck(c, f, pkt)
-	}
 	if uint32(rel)+n <= uint32(f.RxBuf.Free()) {
 		pos := f.RxBuf.Head() + uint32(rel)
 		switch {

@@ -35,7 +35,7 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		if avail <= 0 {
 			return // window-limited; the next window update resumes transmission
 		}
-		n := e.cfg.MSS
+		n := protocol.DefaultMSS
 		if f.MSSCap != 0 && int(f.MSSCap) < n {
 			n = int(f.MSSCap)
 		}

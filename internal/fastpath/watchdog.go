@@ -107,7 +107,7 @@ func (e *Engine) watchSlowpath() {
 // recordTransition logs a degraded-mode transition on the synthetic
 // slow-path flight ring (aux = outage nanos for FERecovered).
 func (e *Engine) recordTransition(kind telemetry.FlowEventKind, aux uint64) {
-	if telem := e.cfg.Telemetry; telem != nil {
+	if telem := e.telem; telem != nil {
 		telem.Recorder.Ring(slowpathRingKey).Record(kind, 0, 0, 0, aux)
 	}
 }

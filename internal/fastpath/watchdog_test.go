@@ -14,14 +14,14 @@ import (
 // observing the outage duration into the histogram.
 func TestWatchdogDegradedTransitions(t *testing.T) {
 	nic := &stubNIC{}
-	telem := telemetry.New(telemetry.Config{Enabled: true}, 1)
 	e := NewEngine(nic, Config{
 		LocalIP:         protocol.MakeIPv4(10, 0, 0, 1),
 		LocalMAC:        protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
 		MaxCores:        1,
 		SlowPathTimeout: 20 * time.Millisecond,
-		Telemetry:       telem,
+		Telemetry:       telemetry.Config{Enabled: true},
 	})
+	telem := e.Telemetry()
 	e.Start()
 	defer e.Stop()
 

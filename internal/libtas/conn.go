@@ -145,7 +145,7 @@ func (cn *Conn) Send(p []byte, timeout time.Duration) (int, error) {
 		return 0, ErrClosed
 	}
 	sent := 0
-	tm := cn.ctx.stack.Telem
+	tm := cn.ctx.stack.telem
 	for sent < len(p) {
 		if cn.aborted.Load() {
 			return sent, cn.resetErr()
@@ -283,7 +283,7 @@ func (cn *Conn) RecvNoWait(p []byte) int {
 
 func (cn *Conn) recvNoWait(p []byte) int {
 	f := cn.flow
-	tm := cn.ctx.stack.Telem
+	tm := cn.ctx.stack.telem
 	t0, timed := copyTimer(tm, &cn.recvCopies)
 	f.Lock()
 	n := f.RxBuf.Read(p)

@@ -72,16 +72,16 @@ type Stack struct {
 	// is current.
 	slow atomic.Pointer[slowpath.Slowpath]
 
-	// Telem, when non-nil, enables application-side observability:
-	// app-copy cycle accounting and app-send/app-recv flight-recorder
-	// events. Set it before creating contexts (the facade does).
-	Telem *telemetry.Telemetry
+	// telem is the engine's telemetry hub; when non-nil it enables
+	// application-side observability: app-copy cycle accounting and
+	// app-send/app-recv flight-recorder events.
+	telem *telemetry.Telemetry
 }
 
 // NewStack registers the application with the TAS service (the paper's
 // special system call + UNIX socket bootstrap, in-process here).
 func NewStack(eng *fastpath.Engine, slow *slowpath.Slowpath) *Stack {
-	s := &Stack{Eng: eng}
+	s := &Stack{Eng: eng, telem: eng.Telemetry()}
 	s.slow.Store(slow)
 	return s
 }
@@ -366,7 +366,7 @@ func sleepOn(ch <-chan struct{}, deadline time.Time) bool {
 // sampleWake stamps 1-in-wakeSampleEvery wakeups (zero otherwise); the
 // unsampled cost is one atomic increment.
 func (c *Context) sampleWake() time.Time {
-	if c.stack.Telem == nil {
+	if c.stack.telem == nil {
 		return time.Time{}
 	}
 	if c.wakeTicks.Add(1)&(wakeSampleEvery-1) != 0 {
@@ -380,7 +380,7 @@ func (c *Context) observeWake(wokeAt time.Time) {
 	if wokeAt.IsZero() {
 		return
 	}
-	if t := c.stack.Telem; t != nil {
+	if t := c.stack.telem; t != nil {
 		us := time.Since(wokeAt).Microseconds()
 		if us < 0 {
 			us = 0

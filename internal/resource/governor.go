@@ -103,25 +103,28 @@ func (e *quotaErr) Unwrap() error { return ErrExhausted }
 // contributes no pressure), as the pools with no field here always are:
 // context slots, timers and the accept backlog are charged where the
 // producer cannot be refused, so a cap on them could deny nothing. Validate rejects inconsistent settings.
+// The JSON keys are the scenario topology's (config.Config embeds Limits).
 type Limits struct {
-	// Global pool capacities (0 = uncapped).
-	PayloadBytes int64
-	Flows        int64
-	HalfOpen     int64
-	TimeWait     int64
+	// Global pool capacities (0 = uncapped): payload-buffer bytes across
+	// all flows, established flow-table entries, half-open handshake
+	// slots, and TIME_WAIT quarantine entries (oldest evicted past cap).
+	PayloadBytes int64 `json:"max_payload_bytes,omitempty"`
+	Flows        int64 `json:"max_flows,omitempty"`
+	HalfOpen     int64 `json:"max_half_open,omitempty"`
+	TimeWait     int64 `json:"-"`
 
 	// Per-app quotas (0 = none). A quota must not exceed the
 	// corresponding global capacity when both are set.
-	AppFlows        int64
-	AppPayloadBytes int64
+	AppFlows        int64 `json:"app_max_flows,omitempty"`
+	AppPayloadBytes int64 `json:"app_max_payload_bytes,omitempty"`
 
 	// Watermark pair for the degradation ladder, in percent of the
 	// hottest pool's capacity: rung 1 engages at EngagePct and releases
 	// below ReleasePct; higher rungs spread evenly from EngagePct to
 	// 100, each keeping the same hysteresis gap. ReleasePct must be
 	// strictly below EngagePct. Zero means defaults (70/55).
-	EngagePct  int
-	ReleasePct int
+	EngagePct  int `json:"pressure_engage_pct,omitempty"`
+	ReleasePct int `json:"pressure_release_pct,omitempty"`
 }
 
 const (

@@ -1,6 +1,10 @@
 package scenario
 
-import "time"
+import (
+	"time"
+
+	tas "repro"
+)
 
 // Builder assembles a Spec fluently; the JSON format and the builder
 // produce identical specs. Timeline entries must be added in time
@@ -39,57 +43,11 @@ func (b *Builder) Cores(server, client int) *Builder {
 	return b
 }
 
-// PinCores disables core scaling (all configured cores stay active) —
-// required before core-fault events so kills hit live cores.
-func (b *Builder) PinCores() *Builder { b.s.Topology.DisableCoreScaling = true; return b }
-
-// Timers overrides the failure-domain timers (zero fields keep the
-// scenario defaults).
-func (b *Builder) Timers(t Topology) *Builder {
-	if t.HandshakeRTO != 0 {
-		b.s.Topology.HandshakeRTO = t.HandshakeRTO
-	}
-	if t.MaxRetransmits != 0 {
-		b.s.Topology.MaxRetransmits = t.MaxRetransmits
-	}
-	if t.AppTimeout != 0 {
-		b.s.Topology.AppTimeout = t.AppTimeout
-	}
-	if t.SlowPathTimeout != 0 {
-		b.s.Topology.SlowPathTimeout = t.SlowPathTimeout
-	}
-	if t.CoreTimeout != 0 {
-		b.s.Topology.CoreTimeout = t.CoreTimeout
-	}
-	if t.ListenBacklog != 0 {
-		b.s.Topology.ListenBacklog = t.ListenBacklog
-	}
-	return b
-}
-
-// Persist tunes the persist timer: the base probe interval and the
-// unanswered-probe budget for zero-window stalls (0 keeps defaults).
-func (b *Builder) Persist(rto time.Duration, probes int) *Builder {
-	b.s.Topology.PersistRTO = Duration(rto)
-	b.s.Topology.MaxPersistProbes = probes
-	return b
-}
-
-// Keepalive arms TCP keepalives on every service: probe after idle of
-// idle, re-probe every interval, declare the peer dead after probes
-// unanswered probes.
-func (b *Builder) Keepalive(idle, interval time.Duration, probes int) *Builder {
-	b.s.Topology.KeepaliveTime = Duration(idle)
-	b.s.Topology.KeepaliveInterval = Duration(interval)
-	b.s.Topology.KeepaliveProbes = probes
-	return b
-}
-
-// CloseLifecycle overrides the close-side timers: the FIN_WAIT_2 bound
-// and the TIME_WAIT quarantine length (0 keeps defaults).
-func (b *Builder) CloseLifecycle(finWait2, timeWait time.Duration) *Builder {
-	b.s.Topology.FinWait2Timeout = Duration(finWait2)
-	b.s.Topology.TimeWait = Duration(timeWait)
+// Config edits the services' configuration (see Topology): knobs left
+// zero keep the defaults, server-side settings reach only the server,
+// and Cores sets the core counts.
+func (b *Builder) Config(edit func(*tas.Config)) *Builder {
+	edit(&b.s.Topology.Config)
 	return b
 }
 
@@ -131,61 +89,6 @@ func (b *Builder) RPC(conns, calls, msgBytes, callsPerConn int) *Builder {
 	b.s.Workload = Workload{
 		Kind: WorkRPC, Conns: conns, Calls: calls,
 		MsgBytes: msgBytes, CallsPerConn: callsPerConn,
-	}
-	return b
-}
-
-// SynCookies sets the server's SYN-cookie mode ("" = auto under
-// pressure, "always", "off").
-func (b *Builder) SynCookies(mode string) *Builder { b.s.Topology.SynCookies = mode; return b }
-
-// HandshakeStripes sets the server's handshake-table stripe count.
-func (b *Builder) HandshakeStripes(n int) *Builder { b.s.Topology.HandshakeStripes = n; return b }
-
-// ChallengeAckPerSec sets the server's RFC 5961 challenge-ACK budget.
-func (b *Builder) ChallengeAckPerSec(n int) *Builder {
-	b.s.Topology.ChallengeAckPerSec = n
-	return b
-}
-
-// Buffers sets the server's per-connection payload buffer sizes
-// (0 keeps the 256 KiB service default).
-func (b *Builder) Buffers(rx, tx int) *Builder {
-	b.s.Topology.RxBufBytes = rx
-	b.s.Topology.TxBufBytes = tx
-	return b
-}
-
-// Quotas sets the server's resource-governor capacities, per-app
-// quotas, and pressure watermarks (zero fields keep defaults:
-// uncapped pools, 70/55 watermarks).
-func (b *Builder) Quotas(t Topology) *Builder {
-	if t.MaxPayloadBytes != 0 {
-		b.s.Topology.MaxPayloadBytes = t.MaxPayloadBytes
-	}
-	if t.MaxFlows != 0 {
-		b.s.Topology.MaxFlows = t.MaxFlows
-	}
-	if t.MaxHalfOpen != 0 {
-		b.s.Topology.MaxHalfOpen = t.MaxHalfOpen
-	}
-	if t.AppMaxFlows != 0 {
-		b.s.Topology.AppMaxFlows = t.AppMaxFlows
-	}
-	if t.AppMaxPayloadBytes != 0 {
-		b.s.Topology.AppMaxPayloadBytes = t.AppMaxPayloadBytes
-	}
-	if t.PressureEngagePct != 0 {
-		b.s.Topology.PressureEngagePct = t.PressureEngagePct
-	}
-	if t.PressureReleasePct != 0 {
-		b.s.Topology.PressureReleasePct = t.PressureReleasePct
-	}
-	if t.IdleReclaimAge != 0 {
-		b.s.Topology.IdleReclaimAge = t.IdleReclaimAge
-	}
-	if t.ReclaimBatch != 0 {
-		b.s.Topology.ReclaimBatch = t.ReclaimBatch
 	}
 	return b
 }

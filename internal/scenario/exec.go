@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -98,71 +99,50 @@ func (r *run) logf(format string, args ...any) {
 	}
 }
 
-// baseConfig maps a scenario topology onto service configuration. The
-// defaults are chaos-tuned: fast handshake retries, a 10ms control
-// interval (20ms base RTO), and failure-domain timers that converge in
-// hundreds of milliseconds while staying above heartbeat periods even
-// under the race detector (CoreTimeout 400ms > 4x the 100ms
-// blocked-core beat). linkBps calibrates congestion control to the
-// scenario's link model (0 = the 40 Gbps default).
-func baseConfig(t Topology, cores int, server bool, linkBps float64) tas.Config {
-	cfg := tas.Config{
-		FastPathCores:      cores,
-		DisableCoreScaling: t.DisableCoreScaling,
-		HandshakeRTO:       25 * time.Millisecond,
-		HandshakeRetries:   7,
-		MaxRetransmits:     12,
-		AppTimeout:         300 * time.Millisecond,
-		SlowPathTimeout:    150 * time.Millisecond,
-		CoreTimeout:        400 * time.Millisecond,
-		ControlInterval:    10 * time.Millisecond,
-		CongestionControl:  t.CongestionControl,
-		LinkRateBps:        linkBps,
+// chaosDefaults are the scenario engine's service defaults, applied
+// under every knob a spec leaves zero: fast handshake retries, a 10ms
+// control interval (20ms base RTO), and failure-domain timers that
+// converge in hundreds of milliseconds while staying above heartbeat
+// periods even under the race detector (CoreTimeout 400ms > 4x the 100ms
+// blocked-core beat). The server records telemetry for the report.
+var chaosDefaults = tas.Config{
+	HandshakeRTO:     25 * time.Millisecond,
+	HandshakeRetries: 7,
+	MaxRetransmits:   12,
+	AppTimeout:       300 * time.Millisecond,
+	SlowPathTimeout:  150 * time.Millisecond,
+	CoreTimeout:      400 * time.Millisecond,
+	ControlInterval:  10 * time.Millisecond,
+	Telemetry:        tas.TelemetryConfig{Enabled: true},
+}
+
+// serverConfig is the spec's service configuration with chaosDefaults
+// under its zero knobs.
+func serverConfig(t Topology) tas.Config {
+	cfg := t.Config
+	v, def := reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(chaosDefaults)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			v.Field(i).Set(def.Field(i))
+		}
 	}
-	if t.HandshakeRTO > 0 {
-		cfg.HandshakeRTO = t.HandshakeRTO.D()
-	}
-	if t.MaxRetransmits > 0 {
-		cfg.MaxRetransmits = t.MaxRetransmits
-	}
-	if t.AppTimeout > 0 {
-		cfg.AppTimeout = t.AppTimeout.D()
-	}
-	if t.SlowPathTimeout > 0 {
-		cfg.SlowPathTimeout = t.SlowPathTimeout.D()
-	}
-	if t.CoreTimeout > 0 {
-		cfg.CoreTimeout = t.CoreTimeout.D()
-	}
-	// Peer-liveness timers apply to every service: both ends of a
-	// blackholed link must be able to give the silent peer up. Zero means
-	// the service's own default on both sides, so they pass straight
-	// through.
-	cfg.PersistRTO = t.PersistRTO.D()
-	cfg.MaxPersistProbes = t.MaxPersistProbes
-	cfg.KeepaliveTime = t.KeepaliveTime.D()
-	cfg.KeepaliveInterval = t.KeepaliveInterval.D()
-	cfg.KeepaliveProbes = t.KeepaliveProbes
-	cfg.FinWait2Timeout = t.FinWait2Timeout.D()
-	cfg.TimeWaitDuration = t.TimeWait.D()
-	if server {
-		cfg.ListenBacklog = t.ListenBacklog
-		cfg.SynCookies = t.SynCookies
-		cfg.HandshakeStripes = t.HandshakeStripes
-		cfg.ChallengeAckPerSec = t.ChallengeAckPerSec
-		cfg.RxBufSize = t.RxBufBytes
-		cfg.TxBufSize = t.TxBufBytes
-		cfg.MaxPayloadBytes = t.MaxPayloadBytes
-		cfg.MaxFlows = t.MaxFlows
-		cfg.MaxHalfOpen = t.MaxHalfOpen
-		cfg.AppMaxFlows = t.AppMaxFlows
-		cfg.AppMaxPayloadBytes = t.AppMaxPayloadBytes
-		cfg.PressureEngagePct = t.PressureEngagePct
-		cfg.PressureReleasePct = t.PressureReleasePct
-		cfg.IdleReclaimAge = t.IdleReclaimAge.D()
-		cfg.ReclaimBatch = t.ReclaimBatch
-		cfg.Telemetry.Enabled = true
-	}
+	cfg.MaxCores = t.ServerCores
+	return cfg
+}
+
+// clientConfig is the server's configuration minus what only a server
+// exercises: listener admission and SYN defenses, payload buffer sizes,
+// the governor's caps and reclaim, and telemetry. Every timer — the
+// peer-liveness ones included, so both ends of a blackholed link can give
+// the silent peer up — applies to both sides.
+func clientConfig(t Topology) tas.Config {
+	cfg := serverConfig(t)
+	cfg.MaxCores = t.ClientCores
+	cfg.ListenBacklog, cfg.HandshakeStripes, cfg.ChallengeAckPerSec = 0, 0, 0
+	cfg.SynCookies, cfg.SynRateThreshold = "", 0
+	cfg.RxBufSize, cfg.TxBufSize = 0, 0
+	cfg.Limits, cfg.IdleReclaimAge, cfg.ReclaimBatch = tas.Limits{}, 0, 0
+	cfg.Telemetry = tas.TelemetryConfig{}
 	return cfg
 }
 
@@ -188,7 +168,8 @@ func newRun(spec *Spec, opt RunOptions) (*run, error) {
 	// Determinism: the fabric's loss process draws from the scenario
 	// seed, not the construction-time default.
 	r.fab.Reseed(spec.Seed)
-	var linkBps float64
+	// The link model goes in first: services calibrate congestion control
+	// to its rate.
 	if l := spec.Link; l != nil {
 		cfg := tas.LinkConfig{
 			RateBps:      l.RateMbps * 1e6,
@@ -198,15 +179,14 @@ func newRun(spec *Spec, opt RunOptions) (*run, error) {
 		}
 		r.linkCfg = &cfg
 		r.fab.SetLink(cfg)
-		linkBps = cfg.RateBps
 	}
-	srv, err := r.fab.NewService("10.0.0.1", baseConfig(spec.Topology, spec.Topology.ServerCores, true, linkBps))
+	srv, err := r.fab.NewService("10.0.0.1", serverConfig(spec.Topology))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: server: %w", err)
 	}
 	r.srv = srv
 	for k := 0; k < spec.Topology.Clients; k++ {
-		cli, err := r.fab.NewService(clientAddr(k), baseConfig(spec.Topology, spec.Topology.ClientCores, false, linkBps))
+		cli, err := r.fab.NewService(clientAddr(k), clientConfig(spec.Topology))
 		if err != nil {
 			r.teardown()
 			return nil, fmt.Errorf("scenario: client %d: %w", k, err)

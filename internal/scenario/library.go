@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	tas "repro"
 )
 
 // The library: named, ready-to-run scenarios. Each entry builds a fresh
@@ -73,11 +75,13 @@ func zeroWindowStall() *Spec {
 		Seed(97).
 		Duration(60*time.Second).
 		Clients(2).
-		Buffers(16<<10, 0).
-		// Ten probes at 100ms-base exponential backoff give the stall
-		// minutes of headroom over the 1s wedge: the scenario proves
-		// patience, the never-reopen variant proves the budget.
-		Persist(100*time.Millisecond, 10).
+		Config(func(c *tas.Config) {
+			c.RxBufSize = 16 << 10
+			// Ten probes at 100ms-base exponential backoff give the stall
+			// minutes of headroom over the 1s wedge: the scenario proves
+			// patience, the never-reopen variant proves the budget.
+			c.PersistRTO, c.MaxPersistProbes = 100*time.Millisecond, 10
+		}).
 		Stream(2, 2, 256<<10).
 		ServerStall(time.Second, false).
 		AssertIntact().
@@ -112,7 +116,9 @@ func silentPeer() *Spec {
 		// the 2s blackhole point lands mid-transfer even when startup and
 		// the handshakes are slowed several-fold by a loaded CI machine.
 		Link(20, 256, 0, 0).
-		Keepalive(300*time.Millisecond, 100*time.Millisecond, 3).
+		Config(func(c *tas.Config) {
+			c.KeepaliveTime, c.KeepaliveInterval, c.KeepaliveProbes = 300*time.Millisecond, 100*time.Millisecond, 3
+		}).
 		Stream(2, 2, 2<<20).
 		LinkDown(2000*time.Millisecond, "client0").
 		LinkUp(4000*time.Millisecond, "client0").
@@ -145,7 +151,7 @@ func churnStorm() *Spec {
 		// occupancy (live + closing entries) sits around 80% of the
 		// budget, inside the ladder's engage band, so pressure is
 		// guaranteed without being a hard wall.
-		Quotas(Topology{MaxFlows: 40, MaxHalfOpen: 64}).
+		Config(func(c *tas.Config) { c.Flows, c.HalfOpen = 40, 64 }).
 		Stream(8, 40, 16<<10).
 		Reconnect().
 		AssertIntact().
@@ -172,11 +178,13 @@ func memorySqueeze() *Spec {
 		Seed(89).
 		Duration(120*time.Second).
 		Clients(2).
-		Buffers(64<<10, 64<<10).
-		// 8 flows x 128 KiB of buffers = 1 MiB against a 1.125 MiB cap:
-		// 88.9% occupancy lands in the clamp-tx band (>=85% with the
-		// default 70/55 watermarks) but under reclaim's 92.5%.
-		Quotas(Topology{MaxPayloadBytes: 1152 << 10}).
+		Config(func(c *tas.Config) {
+			c.RxBufSize, c.TxBufSize = 64<<10, 64<<10
+			// 8 flows x 128 KiB of buffers = 1 MiB against a 1.125 MiB cap:
+			// 88.9% occupancy lands in the clamp-tx band (>=85% with the
+			// default 70/55 watermarks) but under reclaim's 92.5%.
+			c.PayloadBytes = 1152 << 10
+		}).
 		Stream(4, 24, 192<<10).
 		AssertIntact().
 		AssertAllComplete().
@@ -201,7 +209,7 @@ func synFlood() *Spec {
 		Seed(71).
 		Duration(60*time.Second).
 		Clients(2).
-		Timers(Topology{ListenBacklog: 64}).
+		Config(func(c *tas.Config) { c.ListenBacklog = 64 }).
 		// Per-transfer churn keeps dials hitting the flooded port the
 		// whole run; 120 transfers per worker paces the workload past the
 		// flood window so "legit goodput during the flood" is actually
@@ -290,7 +298,7 @@ func rollingCoreFailure() *Spec {
 		Duration(90*time.Second).
 		Clients(2).
 		Cores(4, 2).
-		PinCores().
+		Config(func(c *tas.Config) { c.DisableCoreScaling = true }).
 		// The 100 Mbit/s link paces the 16 MiB workload to ~1.5s+, so
 		// flows are still live when each kill's detection window
 		// (CoreTimeout 400ms) closes and migration has victims to move.

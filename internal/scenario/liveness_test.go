@@ -3,6 +3,8 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	tas "repro"
 )
 
 // TestLibraryZeroWindowStall runs the receiver-limited wedge end to
@@ -68,8 +70,9 @@ func TestZeroWindowNeverReopens(t *testing.T) {
 			"the worker redials onto a healthy handler, and the transfer completes.").
 		Seed(101).
 		Duration(45*time.Second).
-		Buffers(16<<10, 0).
-		Persist(50*time.Millisecond, 4).
+		Config(func(c *tas.Config) {
+			c.RxBufSize, c.PersistRTO, c.MaxPersistProbes = 16<<10, 50*time.Millisecond, 4
+		}).
 		Stream(1, 1, 256<<10).
 		ServerStall(40*time.Second, true).
 		AssertIntact().

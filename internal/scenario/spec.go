@@ -14,10 +14,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"time"
 
 	tas "repro"
+	"repro/internal/config"
 	"repro/internal/resource"
 )
 
@@ -79,71 +82,42 @@ type Spec struct {
 	Assert      Assertions   `json:"assert"`
 }
 
-// Topology sizes the service mesh under test: one server plus N client
-// services on an in-process fabric, with the failure-domain timers that
-// chaos runs need to converge quickly.
+// Topology sizes the service mesh under test — one server plus N client
+// services on an in-process fabric — and configures it: its other keys
+// are tas.Config's knobs. A zero knob takes chaosDefaults' value where
+// there is one, else the service default; clients run the server's
+// configuration minus its server-side settings (clientConfig).
 type Topology struct {
 	Clients     int `json:"clients,omitempty"`      // client services (default 1)
 	ServerCores int `json:"server_cores,omitempty"` // server fast-path cores (default 2)
 	ClientCores int `json:"client_cores,omitempty"` // client fast-path cores (default 2)
 
-	// DisableCoreScaling pins every configured fast-path core active
-	// (required for core-fault scenarios, so kills hit live cores).
-	DisableCoreScaling bool `json:"disable_core_scaling,omitempty"`
+	tas.Config
+}
 
-	// Failure-domain timers (0 = scenario defaults, tuned for runs that
-	// converge in seconds: HandshakeRTO 25ms, AppTimeout 300ms,
-	// SlowPathTimeout 150ms, CoreTimeout 400ms).
-	HandshakeRTO    Duration `json:"handshake_rto,omitempty"`
-	MaxRetransmits  int      `json:"max_retransmits,omitempty"`
-	AppTimeout      Duration `json:"app_timeout,omitempty"`
-	SlowPathTimeout Duration `json:"slowpath_timeout,omitempty"`
-	CoreTimeout     Duration `json:"core_timeout,omitempty"`
-	ListenBacklog   int      `json:"listen_backlog,omitempty"`
-
-	// Peer-liveness and close-lifecycle timers (0 = service defaults),
-	// applied to the server and every client: the persist timer's probe
-	// cadence and budget for zero-window stalls, TCP keepalives for
-	// idle established flows, the FIN_WAIT_2 bound, and the TIME_WAIT
-	// quarantine length.
-	PersistRTO        Duration `json:"persist_rto,omitempty"`
-	MaxPersistProbes  int      `json:"max_persist_probes,omitempty"`
-	KeepaliveTime     Duration `json:"keepalive_time,omitempty"`
-	KeepaliveInterval Duration `json:"keepalive_interval,omitempty"`
-	KeepaliveProbes   int      `json:"keepalive_probes,omitempty"`
-	FinWait2Timeout   Duration `json:"fin_wait2_timeout,omitempty"`
-	TimeWait          Duration `json:"time_wait,omitempty"`
-
-	// CongestionControl selects the slow-path policy ("" = dctcp).
-	CongestionControl string `json:"congestion_control,omitempty"`
-
-	// Adversarial-traffic hardening knobs (server side): SYN-cookie
-	// mode ("" = engage automatically under pressure, "always", "off"),
-	// the handshake-table stripe count (0 = default 16), and the
-	// RFC 5961 challenge-ACK budget (0 = default 100/s).
-	SynCookies         string `json:"syn_cookies,omitempty"`
-	HandshakeStripes   int    `json:"handshake_stripes,omitempty"`
-	ChallengeAckPerSec int    `json:"challenge_ack_per_sec,omitempty"`
-
-	// Server per-connection payload buffer sizes (0 = the 256 KiB
-	// service default). Memory-squeeze scenarios shrink these so a
-	// small MaxPayloadBytes budget covers a meaningful flow count.
-	RxBufBytes int `json:"rx_buf_bytes,omitempty"`
-	TxBufBytes int `json:"tx_buf_bytes,omitempty"`
-
-	// Resource-governor capacities and quotas (server side; 0 =
-	// uncapped / none). Validation rejects inconsistent combinations —
-	// a per-app quota above the global pool, inverted watermarks — the
-	// same way the service itself would.
-	MaxPayloadBytes    int64    `json:"max_payload_bytes,omitempty"`
-	MaxFlows           int      `json:"max_flows,omitempty"`
-	MaxHalfOpen        int      `json:"max_half_open,omitempty"`
-	AppMaxFlows        int      `json:"app_max_flows,omitempty"`
-	AppMaxPayloadBytes int64    `json:"app_max_payload_bytes,omitempty"`
-	PressureEngagePct  int      `json:"pressure_engage_pct,omitempty"`
-	PressureReleasePct int      `json:"pressure_release_pct,omitempty"`
-	IdleReclaimAge     Duration `json:"idle_reclaim_age,omitempty"`
-	ReclaimBatch       int      `json:"reclaim_batch,omitempty"`
+// UnmarshalJSON decodes a topology strictly, accepting each duration
+// knob as a Go duration string ("25ms") or integer nanoseconds, like
+// every other spec duration.
+func (t *Topology) UnmarshalJSON(b []byte) error {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(t.Config)) {
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if v, ok := raw[key]; ok && f.Type == reflect.TypeOf(time.Duration(0)) {
+			var d Duration
+			if err := d.UnmarshalJSON(v); err != nil {
+				return fmt.Errorf("topology.%s: %w", key, err)
+			}
+			raw[key], _ = json.Marshal(int64(d))
+		}
+	}
+	b, _ = json.Marshal(raw)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	type plain Topology // no UnmarshalJSON: decode the fields themselves
+	return dec.Decode((*plain)(t))
 }
 
 // LinkSpec installs the fabric's netem-grade link model for the run:
@@ -500,17 +474,24 @@ func (s *Spec) Validate() error {
 		return specErr(ErrBadSpec, "link.rate_mbps", "link model needs a positive rate, got %v", s.Link.RateMbps)
 	}
 
-	switch s.Topology.SynCookies {
-	case "", "always", "off":
-	default:
-		return specErr(ErrUnknownKind, "topology.syn_cookies",
-			"unknown SYN-cookie mode %q (want \"\", \"always\", or \"off\")", s.Topology.SynCookies)
+	// The service's own check, so a config the server would refuse fails
+	// at parse time instead of mid-run.
+	if err := s.Topology.Validate(); err != nil {
+		class := ErrBadSpec
+		if errors.Is(err, config.ErrUnknownName) {
+			class = ErrUnknownKind
+		}
+		return specErr(class, "topology", "%v", err)
 	}
-	if err := s.validateQuotas(); err != nil {
-		return err
+	w := s.Workload
+	if w.ServerStall < 0 {
+		return specErr(ErrBadSpec, "workload.server_stall", "negative stall %v", w.ServerStall.D())
 	}
-	if err := s.validateLiveness(); err != nil {
-		return err
+	if w.ServerStall > 0 && w.Kind != WorkStream {
+		return specErr(ErrBadSpec, "workload.server_stall", "server stalls apply to stream workloads only")
+	}
+	if w.StallFirstConnOnly && w.ServerStall == 0 {
+		return specErr(ErrBadSpec, "workload.stall_first_conn_only", "needs a positive server_stall")
 	}
 
 	if err := s.validateImpairments(); err != nil {
@@ -694,69 +675,6 @@ func (s *Spec) validateFaults() error {
 			end++ // instantaneous events still occupy their instant
 		}
 		busyUntil[unit] = end
-	}
-	return nil
-}
-
-// validateQuotas rejects inconsistent resource-governor settings the
-// same way the service constructor would, so a bad spec fails at parse
-// time instead of mid-run.
-func (s *Spec) validateQuotas() error {
-	t := s.Topology
-	lim := resource.Limits{
-		PayloadBytes:    t.MaxPayloadBytes,
-		Flows:           int64(t.MaxFlows),
-		HalfOpen:        int64(t.MaxHalfOpen),
-		AppFlows:        int64(t.AppMaxFlows),
-		AppPayloadBytes: t.AppMaxPayloadBytes,
-		EngagePct:       t.PressureEngagePct,
-		ReleasePct:      t.PressureReleasePct,
-	}
-	if err := lim.Validate(); err != nil {
-		return specErr(ErrBadSpec, "topology", "%v", err)
-	}
-	if t.RxBufBytes < 0 || t.TxBufBytes < 0 {
-		return specErr(ErrBadSpec, "topology.rx_buf_bytes", "negative buffer size")
-	}
-	if t.IdleReclaimAge < 0 {
-		return specErr(ErrBadSpec, "topology.idle_reclaim_age", "negative reclaim age %v", t.IdleReclaimAge.D())
-	}
-	if t.ReclaimBatch < 0 {
-		return specErr(ErrBadSpec, "topology.reclaim_batch", "negative reclaim batch %d", t.ReclaimBatch)
-	}
-	return nil
-}
-
-// validateLiveness rejects nonsensical peer-liveness settings and
-// misapplied stream-server stalls.
-func (s *Spec) validateLiveness() error {
-	t := s.Topology
-	for _, f := range []struct {
-		name string
-		d    Duration
-	}{
-		{"persist_rto", t.PersistRTO},
-		{"keepalive_time", t.KeepaliveTime},
-		{"keepalive_interval", t.KeepaliveInterval},
-		{"fin_wait2_timeout", t.FinWait2Timeout},
-		{"time_wait", t.TimeWait},
-	} {
-		if f.d < 0 {
-			return specErr(ErrBadSpec, "topology."+f.name, "negative duration %v", f.d.D())
-		}
-	}
-	if t.MaxPersistProbes < 0 || t.KeepaliveProbes < 0 {
-		return specErr(ErrBadSpec, "topology.max_persist_probes", "negative probe budget")
-	}
-	w := s.Workload
-	if w.ServerStall < 0 {
-		return specErr(ErrBadSpec, "workload.server_stall", "negative stall %v", w.ServerStall.D())
-	}
-	if w.ServerStall > 0 && w.Kind != WorkStream {
-		return specErr(ErrBadSpec, "workload.server_stall", "server stalls apply to stream workloads only")
-	}
-	if w.StallFirstConnOnly && w.ServerStall == 0 {
-		return specErr(ErrBadSpec, "workload.stall_first_conn_only", "needs a positive server_stall")
 	}
 	return nil
 }

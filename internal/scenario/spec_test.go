@@ -78,6 +78,82 @@ func TestParseSpecRejections(t *testing.T) {
 			        "topology":{"max_payload_bytes":-1}}`,
 			want: ErrBadSpec,
 		},
+		// The service's own config.Validate, one row per check.
+		{
+			name: "negative buffer size",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"rx_buf_bytes":-1}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "buffer size not a power of two",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"rx_buf_bytes":100000}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative idle reclaim age",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"idle_reclaim_age":"-1s"}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative reclaim batch",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"reclaim_batch":-1}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative persist rto",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"persist_rto":"-100ms"}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative keepalive interval",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"keepalive_interval":-5}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative probe budget",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"max_persist_probes":-1}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative handshake rto",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"handshake_rto":"-25ms"}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative retransmit budget",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"max_retransmits":-1}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative listen backlog",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"listen_backlog":-1}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "negative handshake stripes",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"handshake_stripes":-16}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "unknown syn-cookie mode",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"syn_cookies":"sometimes"}}`,
+			want: ErrUnknownKind,
+		},
+		{
+			name: "unknown congestion control",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"congestion_control":"bbr"}}`,
+			want: ErrUnknownKind,
+		},
+		{
+			name: "malformed topology duration",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"handshake_rto":"soon"}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "config knob that is no topology key",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"control_interval":"1ms"}}`,
+			want: ErrBadSpec,
+		},
 		{
 			name: "unknown governed pool",
 			json: `{"name":"x","workload":{"kind":"rpc"},
@@ -216,7 +292,7 @@ func TestParseSpecValid(t *testing.T) {
 	  "name": "roundtrip",
 	  "seed": 99,
 	  "duration": "5s",
-	  "topology": {"clients": 2, "server_cores": 4},
+	  "topology": {"clients": 2, "server_cores": 4, "handshake_rto": "40ms", "time_wait": 2000000000, "max_flows": 64},
 	  "link": {"rate_mbps": 100, "delay": "2ms"},
 	  "impairments": [
 	    {"at": "100ms", "kind": "loss", "rate": 0.05},
@@ -251,6 +327,9 @@ func TestParseSpecValid(t *testing.T) {
 	}
 	if again.Assert.MaxRecovery.D() != 10*time.Second || len(again.Impairments) != 3 {
 		t.Fatalf("round-trip lost data: %+v", again)
+	}
+	if tp := again.Topology; tp.HandshakeRTO != 40*time.Millisecond || tp.TimeWaitDuration != 2*time.Second || tp.Flows != 64 {
+		t.Fatalf("topology knobs lost in the round trip: %+v", tp)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
@@ -21,7 +22,7 @@ func TestSynCookieHandshakeEndToEnd(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
 	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{SynCookies: SynCookiesAlways})
+	b := newNode(t, fab, ipB, Config{SynCookies: config.SynCookiesAlways})
 	if err := b.sp.Listen(80, 0, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestSynCookieHandshakeEndToEnd(t *testing.T) {
 	if fb.MSSCap == 0 {
 		t.Fatal("cookie-reconstructed flow has no MSS cap")
 	}
-	if fb.MSSCap > uint16(a.eng.Config().MSS) {
-		t.Fatalf("MSSCap %d exceeds peer MSS %d", fb.MSSCap, a.eng.Config().MSS)
+	if fb.MSSCap > protocol.DefaultMSS {
+		t.Fatalf("MSSCap %d exceeds peer MSS %d", fb.MSSCap, protocol.DefaultMSS)
 	}
 	// Sequence numbers line up exactly as in a stateful handshake.
 	fa := evA.Flow
@@ -371,7 +372,7 @@ func TestStripedDialsConcurrent(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
 	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{Stripes: 8})
+	b := newNode(t, fab, ipB, Config{HandshakeStripes: 8})
 	const listeners = 8
 	for p := 0; p < listeners; p++ {
 		if err := b.sp.Listen(uint16(7000+p), 0, uint64(p)); err != nil {

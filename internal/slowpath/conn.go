@@ -326,14 +326,14 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 // (born is zero) — the stateless path deliberately keeps no state to
 // timestamp — and are skipped.
 func (s *Slowpath) observeHandshake(h *halfOpen) {
-	if s.cfg.Telemetry == nil || h.born.IsZero() {
+	if s.telem == nil || h.born.IsZero() {
 		return
 	}
 	us := time.Since(h.born).Microseconds()
 	if us < 0 {
 		us = 0
 	}
-	s.cfg.Telemetry.Handshake.Observe(uint64(us), int(h.key.LocalPort))
+	s.telem.Handshake.Observe(uint64(us), int(h.key.LocalPort))
 }
 
 // admitFlow is the authoritative admission check for establishing a
@@ -393,10 +393,10 @@ func (s *Slowpath) installFlow(key protocol.FlowKey, h *halfOpen, peerISS uint32
 	f.Bucket = s.eng.AllocBucket()
 	ctrl := s.cfg.NewController()
 	s.eng.Bucket(f.Bucket).SetRate(ctrl.Rate())
-	if s.cfg.Telemetry != nil {
+	if s.telem != nil {
 		// Adopt the handshake-phase ring (keyed by the same 4-tuple) so
 		// the flow's trace runs SYN through reap.
-		f.Rec = s.cfg.Telemetry.Recorder.Ring(key.String())
+		f.Rec = s.telem.Recorder.Ring(key.String())
 		f.Rec.Record(telemetry.FEEstablished, f.SeqNo, f.AckNo, 0, 0)
 	}
 	// Stamp activity at birth so the idle-reclaim rung never sees a
@@ -424,7 +424,7 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 			// Retransmitted peer FIN against TIME_WAIT: our final ACK was
 			// lost. Re-ack and restart the 2MSL clock (RFC 793).
 			s.sendCtl(key, protocol.FlagACK, tw.FinalSeq, tw.FinalAck, false)
-			s.eng.TimeWait.Extend(key, s.eng.NowNanos()+s.cfg.TimeWait.Nanoseconds())
+			s.eng.TimeWait.Extend(key, s.eng.NowNanos()+s.cfg.TimeWaitDuration.Nanoseconds())
 		}
 		return
 	}
@@ -750,8 +750,8 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	s.mu.Unlock()
 	// The flight ring moves to the recorder's retired list, for
 	// post-mortem inspection.
-	if s.cfg.Telemetry != nil && f.Rec != nil {
-		s.cfg.Telemetry.Recorder.Retire(f.Rec.Key())
+	if s.telem != nil && f.Rec != nil {
+		s.telem.Recorder.Retire(f.Rec.Key())
 	}
 }
 

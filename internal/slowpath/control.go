@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/congestion"
 	"repro/internal/flowstate"
+	"repro/internal/protocol"
 	"repro/internal/telemetry"
 )
 
@@ -337,7 +338,7 @@ func (s *Slowpath) tickFlow(e *ccEntry, now int64) {
 }
 
 // rtoTick detects a retransmission timeout: unacknowledged data with no
-// progress for StallIntervals control intervals. The wait must also
+// progress for stallIntervals control intervals. The wait must also
 // cover several RTTs and several packet intervals at the current rate —
 // at low rates whole control intervals legitimately pass without an
 // ack, and declaring those stalls would collapse the rate in a
@@ -370,12 +371,12 @@ func (s *Slowpath) rtoTick(e *ccEntry, fs *flowSample, dt int64) (timeouts uint3
 	} else {
 		e.stalledFor += time.Duration(dt)
 	}
-	needWait := time.Duration(s.cfg.StallIntervals) * s.cfg.ControlInterval
+	needWait := time.Duration(stallIntervals) * s.cfg.ControlInterval
 	if w := 8 * time.Duration(fs.rtt); w > needWait {
 		needWait = w
 	}
 	if r := e.ctrl.Rate(); r > 0 {
-		if w := time.Duration(4 * float64(s.eng.Config().MSS) / r * 1e9); w > needWait {
+		if w := time.Duration(4 * float64(protocol.DefaultMSS) / r * 1e9); w > needWait {
 			needWait = w
 		}
 	}
@@ -390,7 +391,7 @@ func (s *Slowpath) rtoTick(e *ccEntry, fs *flowSample, dt int64) (timeouts uint3
 		bo = 6
 	}
 	needWait <<= uint(bo)
-	if e.stallTicks < s.cfg.StallIntervals || e.stalledFor < needWait {
+	if e.stallTicks < stallIntervals || e.stalledFor < needWait {
 		return 0, true
 	}
 	e.clearStall()

@@ -27,7 +27,7 @@ func (nullNIC) Output(*protocol.Packet) {}
 func newTickRig(cfg Config) (*fastpath.Engine, *Slowpath) {
 	ip := protocol.MakeIPv4(10, 0, 0, 1)
 	eng := fastpath.NewEngine(nullNIC{}, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1})
-	cfg.DisableScaling = true
+	cfg.DisableCoreScaling = true
 	return eng, New(eng, cfg)
 }
 

@@ -24,9 +24,9 @@ func newCoreWatchNode(t *testing.T, coreTimeout time.Duration) (*fastpath.Engine
 		LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 2,
 	})
 	sp := New(eng, Config{
-		ControlInterval: time.Millisecond,
-		CoreTimeout:     coreTimeout,
-		DisableScaling:  true,
+		ControlInterval:    time.Millisecond,
+		CoreTimeout:        coreTimeout,
+		DisableCoreScaling: true,
 	})
 	eng.Start()
 	eng.SetActiveCores(2)
@@ -190,12 +190,13 @@ func TestCoreWatchdogSparesLastCore(t *testing.T) {
 	}
 }
 
-// TestCoreWatchdogDisabled: CoreTimeout 0 turns the watchdog off — a
-// dead core is never declared failed (raw-engine compatibility).
+// TestCoreWatchdogDisabled: a negative CoreTimeout turns the watchdog
+// off — a dead core is never declared failed, even well past the 500ms
+// default.
 func TestCoreWatchdogDisabled(t *testing.T) {
-	eng, sp := newCoreWatchNode(t, 0)
+	eng, sp := newCoreWatchNode(t, -1)
 	eng.KillCore(1)
-	time.Sleep(400 * time.Millisecond)
+	time.Sleep(800 * time.Millisecond)
 	if c := sp.Counters().CoreFailures; c != 0 {
 		t.Fatalf("disabled watchdog declared %d failures", c)
 	}

@@ -64,7 +64,7 @@ func FuzzStateMachine(f *testing.F) {
 			// flows, and the default 2×256KB per flow would turn large
 			// inputs into allocation storms.
 			RxBufSize: 4096, TxBufSize: 4096,
-			ListenBacklog: 4, Stripes: 4,
+			ListenBacklog: 4, HandshakeStripes: 4,
 			SynRateThreshold: 8,
 		})
 		ctx := fastpath.NewContext(0, 1, 64)

@@ -144,7 +144,7 @@ func (s *Slowpath) enterTimeWait(f *flowstate.Flow) {
 	}
 	s.eng.TimeWait.Insert(&flowstate.TimeWaitEntry{
 		Key: f.Key(), FinalSeq: finalSeq, FinalAck: finalAck,
-		Expiry: s.eng.NowNanos() + s.cfg.TimeWait.Nanoseconds(),
+		Expiry: s.eng.NowNanos() + s.cfg.TimeWaitDuration.Nanoseconds(),
 	})
 	recordFlow(f, telemetry.FETimeWait, finalSeq, finalAck, 0, 0)
 	s.removeFlow(f)

@@ -204,7 +204,7 @@ func (f fixedRate) Rate() float64                      { return f.rate }
 
 func TestStallTriggersRetransmission(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, StallIntervals: 2}
+	cfg := Config{ControlInterval: time.Millisecond}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	b.sp.Listen(80, 0, 1)
@@ -304,7 +304,7 @@ func TestScaleLoopRespondsToLoad(t *testing.T) {
 	ip := protocol.MakeIPv4(10, 0, 0, 1)
 	nic := fab.Attach(ip, func(p *protocol.Packet) { eng.Input(p) })
 	eng = fastpath.NewEngine(nic, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 4})
-	sp := New(eng, Config{ScaleInterval: 5 * time.Millisecond})
+	sp := New(eng, Config{})
 	// Don't start the engine: drive utilization synthetically through
 	// the scale loop's own inputs by pre-setting active cores.
 	eng.SetActiveCores(3)

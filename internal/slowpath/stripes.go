@@ -34,7 +34,7 @@ type stripe struct {
 	_         [64]byte
 }
 
-// newStripes builds n stripes (n must be a power of two; fill()
+// newStripes builds n stripes (n must be a power of two; Config.Fill
 // guarantees it) with independently seeded ISS generators.
 func newStripes(n int, gov *resource.Governor) []*stripe {
 	ss := make([]*stripe, n)

@@ -3,6 +3,7 @@ package slowpath
 import (
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/telemetry"
@@ -26,9 +27,9 @@ import (
 // sawtoothing attack doesn't flap the listener between modes.
 func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
 	switch s.cfg.SynCookies {
-	case SynCookiesAlways:
+	case config.SynCookiesAlways:
 		return true
-	case SynCookiesOff:
+	case config.SynCookiesOff:
 		return false
 	}
 	if l.synWinStart.IsZero() || now.Sub(l.synWinStart) >= time.Second {
@@ -60,9 +61,9 @@ func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
 // still validates. Caller holds the stripe lock.
 func (s *Slowpath) cookiesActive(l *listener, now time.Time) bool {
 	switch s.cfg.SynCookies {
-	case SynCookiesAlways:
+	case config.SynCookiesAlways:
 		return true
-	case SynCookiesOff:
+	case config.SynCookiesOff:
 		return false
 	}
 	return !l.cookieUntil.IsZero() && now.Before(l.cookieUntil.Add(2*time.Second))
@@ -75,7 +76,7 @@ func (s *Slowpath) cookiesActive(l *listener, now time.Time) bool {
 func (s *Slowpath) sendCookieSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
 	mss := pkt.MSSOpt
 	if mss == 0 {
-		mss = uint16(s.eng.Config().MSS)
+		mss = uint16(protocol.DefaultMSS)
 	}
 	cookie := s.eng.Cookies.Issue(
 		uint32(key.LocalIP), key.LocalPort,

@@ -19,9 +19,8 @@ type SenderConfig struct {
 	// ControlInterval is the slow-path control interval τ for rate
 	// senders (default 100us). The rate controller runs once per τ, and
 	// stall detection (the slow path's retransmission timeout, §3.2)
-	// fires after StallIntervals τ without ack progress (default 2).
+	// fires after stallIntervals τ without ack progress.
 	ControlInterval sim.Time
-	StallIntervals  int
 	// AdaptiveInterval makes τ track 2x the measured RTT (the paper's
 	// default: "every control interval (by default every 2 RTTs)"),
 	// with ControlInterval as the floor. Keeps the control loop stable
@@ -48,6 +47,10 @@ type SenderConfig struct {
 	OnComplete func(fct sim.Time)
 }
 
+// stallIntervals control intervals without ack progress make a rate
+// sender's retransmission timeout, as in the live slow path.
+const stallIntervals = 2
+
 func (c *SenderConfig) fill() {
 	if c.MSS <= 0 {
 		c.MSS = protocol.DefaultMSS
@@ -57,9 +60,6 @@ func (c *SenderConfig) fill() {
 	}
 	if c.ControlInterval <= 0 {
 		c.ControlInterval = 100 * sim.Microsecond
-	}
-	if c.StallIntervals <= 0 {
-		c.StallIntervals = 2
 	}
 	if c.MinRTO <= 0 {
 		c.MinRTO = sim.Millisecond
@@ -342,13 +342,13 @@ func (s *Sender) controlTick() {
 	s.cfg.Rate.Update(fb)
 
 	// Stall detection: unacknowledged data with no cumulative-ack
-	// progress for StallIntervals control intervals triggers a
+	// progress for stallIntervals control intervals triggers a
 	// retransmission restart (§3.2, Retransmission timeouts). Guard with
 	// the RTT estimate so that control intervals much shorter than the
 	// RTT do not declare spurious timeouts.
 	if s.inflight() > 0 && s.cumAck == s.stallAck {
 		s.stallCount++
-		minWait := sim.Time(s.cfg.StallIntervals) * s.cfg.ControlInterval
+		minWait := sim.Time(stallIntervals) * s.cfg.ControlInterval
 		if srtt := sim.Time(3 * s.rtt.SRTT()); srtt > minWait {
 			minWait = srtt
 		}
@@ -359,7 +359,7 @@ func (s *Sender) controlTick() {
 		// at the rate floor is not re-collapsed every interval while its
 		// retransmission is still draining.
 		minWait <<= uint(s.stallBackoff)
-		if s.stallCount >= s.cfg.StallIntervals &&
+		if s.stallCount >= stallIntervals &&
 			sim.Time(s.stallCount)*s.cfg.ControlInterval >= minWait {
 			s.stallCount = 0
 			if s.stallBackoff < 10 {

@@ -12,7 +12,7 @@ import (
 
 // slowpathChaosCfg tunes the control-plane failure domain for fast
 // tests: a 50ms control interval makes the configured RTO
-// (StallIntervals × ControlInterval) an even 100ms, and a 200ms
+// (stallIntervals × ControlInterval) an even 100ms, and a 200ms
 // slow-path timeout bounds degraded-mode detection.
 func slowpathChaosCfg() Config {
 	return Config{
@@ -169,7 +169,7 @@ func TestChaosSlowPathCrashMidTransfer(t *testing.T) {
 	}
 
 	// The reconstructed RTO state must detect the stalled chunk within
-	// 2× the configured RTO (StallIntervals × ControlInterval = 100ms).
+	// 2× the configured RTO (stallIntervals × ControlInterval = 100ms).
 	rtoDeadline := restartDone.Add(2 * 2 * 50 * time.Millisecond)
 	for cli.Slow().Counters().Timeouts == timeoutsBefore && time.Now().Before(rtoDeadline) {
 		time.Sleep(2 * time.Millisecond)

@@ -37,7 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/congestion"
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/libtas"
@@ -50,181 +50,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes one TAS service instance.
-type Config struct {
-	// FastPathCores is the maximum number of fast-path cores (default
-	// 2). The slow path scales the active count with load unless
-	// DisableCoreScaling is set.
-	FastPathCores int
+// Config parameterizes one TAS service instance. Every knob is declared,
+// documented, defaulted and validated once, in internal/config; the fast
+// and slow path read the same value.
+type Config = config.Config
 
-	// RxBufSize / TxBufSize are the fixed per-connection payload buffer
-	// sizes in bytes (powers of two; default 256 KiB).
-	RxBufSize, TxBufSize int
-
-	// CongestionControl selects the slow-path policy: "dctcp" (rate-
-	// based DCTCP, the paper's default), "timely", or "none" (no rate
-	// enforcement). Default "dctcp".
-	CongestionControl string
-
-	// ControlInterval is the slow-path control loop period (default
-	// 1ms).
-	ControlInterval time.Duration
-
-	// LinkRateBps calibrates congestion control (default 40 Gbps, the
-	// paper's server NIC).
-	LinkRateBps float64
-
-	// DisableCoreScaling pins the fast path at FastPathCores.
-	DisableCoreScaling bool
-
-	// DisableOoo turns off the fast path's one-interval out-of-order
-	// buffering ("TAS simple recovery", Figure 7's ablation).
-	DisableOoo bool
-
-	// HandshakeRTO is the initial SYN / SYN-ACK retransmission timeout;
-	// it doubles per unanswered attempt (default 250ms). Lower it in
-	// fault-injection tests to bound handshake failure detection.
-	HandshakeRTO time.Duration
-
-	// HandshakeRetries caps handshake retransmissions before a connect
-	// fails with a timeout error (default 3).
-	HandshakeRetries int
-
-	// MaxRetransmits caps consecutive unproductive retransmission
-	// timeouts on an established flow before it is aborted: RST to the
-	// peer and ErrReset to the application (default 6).
-	MaxRetransmits int
-
-	// PersistRTO is the initial persist-timer interval: when the peer
-	// advertises a zero receive window while data is pending, the slow
-	// path probes with 1-byte window probes starting at this interval and
-	// backing off exponentially (default 200ms).
-	PersistRTO time.Duration
-
-	// MaxPersistProbes caps consecutive unanswered zero-window probes
-	// before the flow is declared dead and aborted with a peer-dead error
-	// (default 8). A probe is "answered" whenever the peer reopens its
-	// window; mere duplicate zero-window ACKs keep the count rising.
-	MaxPersistProbes int
-
-	// KeepaliveTime enables TCP keepalives: an established flow idle in
-	// both directions for this long gets liveness probes. Zero disables
-	// keepalives (the default — idle connections are legitimate).
-	KeepaliveTime time.Duration
-
-	// KeepaliveInterval is the spacing between successive keepalive
-	// probes once the idle threshold has passed (default KeepaliveTime/4,
-	// floored at 10ms).
-	KeepaliveInterval time.Duration
-
-	// KeepaliveProbes is how many unanswered keepalive probes declare the
-	// peer dead: the flow is aborted (RST best-effort) and every resource
-	// it held is reclaimed (default 3).
-	KeepaliveProbes int
-
-	// FinWait2Timeout bounds FIN_WAIT_2: after our FIN is acknowledged,
-	// the peer has this long to send its own FIN before the flow is
-	// quietly reclaimed (default 5s). A crashed peer that acked the FIN
-	// but never closes would otherwise pin the flow forever.
-	FinWait2Timeout time.Duration
-
-	// TimeWaitDuration is the 2MSL quarantine on the active closer's
-	// 4-tuple (default 1s here — scaled for an in-process fabric). While
-	// quarantined, old duplicate segments get the RFC 793 re-ACK and the
-	// tuple is not picked for new outbound connections; a new SYN with a
-	// sequence number above the quarantined flow's final sequence may
-	// reuse the tuple early (RFC 6191).
-	TimeWaitDuration time.Duration
-
-	// AppTimeout is how long an application context may go without a
-	// heartbeat before the slow path declares the app dead and reclaims
-	// everything it held: flows (RST to peers), listen ports, context
-	// slot, payload buffers. Default 30s; negative disables reaping.
-	AppTimeout time.Duration
-
-	// ListenBacklog bounds per-listener admission: half-open handshakes
-	// plus not-yet-accepted connections. SYNs beyond it are shed
-	// (dropped silently, so well-behaved peers retry). Default 128.
-	ListenBacklog int
-
-	// SynCookies selects the SYN-cookie mode: "" (auto — engage per
-	// listener while half-open occupancy or SYN arrival rate indicates
-	// a flood), "always" (every handshake stateless), or "off". Under
-	// cookies the SYN-ACK's initial sequence number is a keyed MAC over
-	// the 4-tuple, so a flood costs the slow path no memory and the
-	// completing ACK alone reconstructs the connection.
-	SynCookies string
-
-	// ChallengeAckPerSec bounds RFC 5961 challenge ACKs per second
-	// across the whole service (0 = default 100; negative disables
-	// challenge ACKs entirely). Challenge ACKs answer in-window-but-
-	// inexact RSTs and SYNs on established connections.
-	ChallengeAckPerSec int
-
-	// HandshakeStripes is the number of lock stripes sharding the
-	// slow path's listener and half-open tables (default 16, rounded up
-	// to a power of two). More stripes mean a SYN flood on one port
-	// contends with less unrelated connection setup.
-	HandshakeStripes int
-
-	// SlowPathTimeout is how long the slow-path heartbeat may go stale
-	// before the fast path enters degraded mode: established flows keep
-	// transferring, but new SYNs are shed and Dial/Listen fail fast
-	// with ErrSlowPathDown until Service.Restart recovers the control
-	// plane. Default 1s; negative disables the watchdog.
-	SlowPathTimeout time.Duration
-
-	// CoreTimeout is how long a fast-path core's per-iteration heartbeat
-	// may go without advancing before the slow path declares the core
-	// failed: its RSS buckets are rewritten to surviving cores (and no
-	// scale event ever steers back to it), its flows are migrated —
-	// state re-adopted, retransmission re-armed, TX kicked — and packets
-	// stranded in its queues are requeued. A revived core
-	// (Service.ReviveCore) is folded back in after it proves clean
-	// heartbeats. Default 500ms; negative disables the core watchdog.
-	// Values below 250ms are floored there: even an idle healthy core
-	// only advances its counter every blocked-wakeup period (~100ms).
-	CoreTimeout time.Duration
-
-	// Telemetry opts into the observability subsystem: a unified metrics
-	// registry (Service.Metrics), a per-flow flight recorder, and
-	// per-core cycle accounting. Zero value = off, leaving only
-	// nil-pointer checks on the hot paths.
-	Telemetry TelemetryConfig
-
-	// Resource-governor capacities. Every finite pool is accounted by
-	// the unified governor regardless; a zero capacity leaves that pool
-	// uncapped (accounted but never denied, contributing no pressure).
-	// When capped, admission beyond the capacity fails with
-	// backpressure (see ErrBackpressure) and occupancy drives the
-	// degradation ladder: SYN cookies engage at PressureEngagePct of
-	// the hottest pool, then SYN shedding, TX-grant clamping, and
-	// LRU idle-flow reclamation as pressure keeps rising.
-	MaxPayloadBytes int64 // total payload-buffer bytes across all flows
-	MaxFlows        int   // established flow-table entries
-	MaxHalfOpen     int   // half-open handshake slots
-	MaxTimeWait     int   // TIME_WAIT quarantine entries (oldest evicted past cap)
-
-	// Per-app quotas (0 = none). A quota must not exceed the matching
-	// global capacity when both are set; NewService rejects such
-	// configs.
-	AppMaxFlows        int
-	AppMaxPayloadBytes int64
-
-	// PressureEngagePct / PressureReleasePct are the degradation
-	// ladder's hysteresis watermarks in percent of the hottest capped
-	// pool (defaults 70/55). Release must be strictly below engage;
-	// NewService rejects inverted or out-of-range pairs.
-	PressureEngagePct  int
-	PressureReleasePct int
-
-	// IdleReclaimAge is how long a flow must sit with no packet or
-	// application activity before the ladder's last rung may reclaim it
-	// (default 1s). ReclaimBatch bounds reclaims per control tick
-	// (default 32).
-	IdleReclaimAge time.Duration
-	ReclaimBatch   int
-}
+// Limits are the resource governor's pool capacities, per-app quotas and
+// pressure watermarks, embedded in Config.
+type Limits = resource.Limits
 
 // TelemetryConfig configures the observability subsystem (see
 // internal/telemetry).
@@ -398,36 +231,20 @@ func (f *Fabric) NewService(addr string, cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FastPathCores <= 0 {
-		cfg.FastPathCores = 2
+	// Validate before anything is built: a rejected config must leave no
+	// host attached to the fabric.
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("tas: invalid config: %w", err)
 	}
-	var telem *telemetry.Telemetry
-	if cfg.Telemetry.Enabled {
-		telem = telemetry.New(cfg.Telemetry, cfg.FastPathCores)
+	cfg.LocalIP, cfg.LocalMAC = ip, protocol.MACForIPv4(ip)
+	if link := f.f.LinkRate(); link > 0 && cfg.NewController == nil {
+		cfg.NewController = config.Controller(cfg.CongestionControl, link)
 	}
-	spTimeout := cfg.SlowPathTimeout
-	switch {
-	case spTimeout == 0:
-		spTimeout = time.Second
-	case spTimeout < 0:
-		spTimeout = 0 // watchdog disabled
-	}
-	coreTimeout := cfg.CoreTimeout
-	switch {
-	case coreTimeout == 0:
-		coreTimeout = 500 * time.Millisecond
-	case coreTimeout < 0:
-		coreTimeout = 0 // core watchdog disabled
-	}
-	ecfg := fastpath.Config{
-		LocalIP:            ip,
-		LocalMAC:           protocol.MACForIPv4(ip),
-		MaxCores:           cfg.FastPathCores,
-		DisableOoo:         cfg.DisableOoo,
-		SlowPathTimeout:    spTimeout,
-		ChallengeAckPerSec: cfg.ChallengeAckPerSec,
-		Telemetry:          telem,
-	}
+	cfg.Fill()
+	// The governor always runs — accounting is how leaks are caught —
+	// but only capped pools can deny admission or raise pressure.
+	cfg.Gov = resource.New(cfg.Limits)
+
 	// The fabric handler closes over the engine variable, which is
 	// assigned immediately after attaching; no packets flow until a
 	// peer sends to this IP.
@@ -437,30 +254,13 @@ func (f *Fabric) NewService(addr string, cfg Config) (*Service, error) {
 			eng.Input(pkt)
 		}
 	})
-	eng = fastpath.NewEngine(nic, ecfg)
-
-	// The governor always runs — accounting is how leaks are caught —
-	// but only capped pools can deny admission or raise pressure.
-	lim := resource.Limits{
-		PayloadBytes:    cfg.MaxPayloadBytes,
-		Flows:           int64(cfg.MaxFlows),
-		HalfOpen:        int64(cfg.MaxHalfOpen),
-		TimeWait:        int64(cfg.MaxTimeWait),
-		AppFlows:        int64(cfg.AppMaxFlows),
-		AppPayloadBytes: cfg.AppMaxPayloadBytes,
-		EngagePct:       cfg.PressureEngagePct,
-		ReleasePct:      cfg.PressureReleasePct,
-	}
-	if err := lim.Validate(); err != nil {
-		return nil, fmt.Errorf("tas: invalid resource limits: %w", err)
-	}
-	gov := resource.New(lim)
-	eng.SetGovernor(gov)
+	eng = fastpath.NewEngine(nic, cfg)
+	telem := eng.Telemetry()
 	if telem != nil {
 		// The "pressure" ring is materialized on the first transition,
 		// not eagerly: an unpressured run leaves no synthetic flow in
 		// the recorder.
-		gov.OnTransition(func(from, to int) {
+		cfg.Gov.OnTransition(func(from, to int) {
 			kind := telemetry.FEPressureUp
 			if to < from {
 				kind = telemetry.FEPressureDown
@@ -469,76 +269,19 @@ func (f *Fabric) NewService(addr string, cfg Config) (*Service, error) {
 		})
 	}
 
-	scfg := slowpath.Config{
-		RxBufSize:         cfg.RxBufSize,
-		TxBufSize:         cfg.TxBufSize,
-		ControlInterval:   cfg.ControlInterval,
-		DisableScaling:    cfg.DisableCoreScaling,
-		HandshakeRTO:      cfg.HandshakeRTO,
-		HandshakeRetries:  cfg.HandshakeRetries,
-		MaxRetransmits:    cfg.MaxRetransmits,
-		PersistRTO:        cfg.PersistRTO,
-		MaxPersistProbes:  cfg.MaxPersistProbes,
-		KeepaliveTime:     cfg.KeepaliveTime,
-		KeepaliveInterval: cfg.KeepaliveInterval,
-		KeepaliveProbes:   cfg.KeepaliveProbes,
-		FinWait2Timeout:   cfg.FinWait2Timeout,
-		TimeWait:          cfg.TimeWaitDuration,
-		AppTimeout:        cfg.AppTimeout,
-		ListenBacklog:     cfg.ListenBacklog,
-		SynCookies:        cfg.SynCookies,
-		Stripes:           cfg.HandshakeStripes,
-		CoreTimeout:       coreTimeout,
-		Telemetry:         telem,
-		Gov:               gov,
-		IdleReclaimAge:    cfg.IdleReclaimAge,
-		ReclaimBatch:      cfg.ReclaimBatch,
-	}
-	link := cfg.LinkRateBps
-	if link <= 0 {
-		link = 40e9
-	}
-	switch cfg.CongestionControl {
-	case "", "dctcp":
-		scfg.NewController = func() congestion.RateController {
-			c := congestion.DefaultConfig(link)
-			c.InitRate = link / 8 / 10
-			return congestion.NewRateDCTCP(c)
-		}
-	case "timely":
-		scfg.NewController = func() congestion.RateController {
-			c := congestion.DefaultConfig(link)
-			c.InitRate = link / 8 / 10
-			return congestion.NewTIMELY(c)
-		}
-	case "dctcp-window":
-		// Window-based DCTCP behind the rate-bucket enforcement (§3.2:
-		// TAS supports both rate- and window-based control).
-		scfg.NewController = func() congestion.RateController {
-			return congestion.NewRateFromWindow(
-				congestion.NewWindowDCTCP(protocol.DefaultMSS, 2<<20),
-				congestion.DefaultConfig(link))
-		}
-	case "none":
-		scfg.NewController = func() congestion.RateController { return unlimited{} }
-	default:
-		return nil, fmt.Errorf("tas: unknown congestion control %q", cfg.CongestionControl)
-	}
-
-	slow := slowpath.New(eng, scfg)
+	slow := slowpath.New(eng, cfg)
 	eng.Start()
 	if cfg.DisableCoreScaling {
 		// With scaling off nothing would ever grow the active set past
 		// the initial single core; pin the full complement so every
 		// configured core carries traffic (and a core-failure re-steer
 		// has survivors to steer to).
-		eng.SetActiveCores(cfg.FastPathCores)
+		eng.SetActiveCores(cfg.MaxCores)
 	}
 	slow.Start()
-	s := &Service{IP: ip, eng: eng, fab: f, telem: telem, gov: gov}
+	s := &Service{IP: ip, eng: eng, fab: f, telem: telem, gov: cfg.Gov}
 	s.slow.Store(slow)
 	s.stack = libtas.NewStack(eng, slow)
-	s.stack.Telem = telem
 	if telem != nil {
 		s.registerMetrics()
 	}
@@ -858,13 +601,6 @@ func registerCounters[T any](r *telemetry.Registry, read func() T) {
 		r.CounterFunc(name, help, func() float64 { return float64(reflect.ValueOf(read()).Field(i).Uint()) }, labels...)
 	}
 }
-
-// unlimited is the "none" congestion controller: no rate enforcement.
-type unlimited struct{}
-
-func (unlimited) Name() string                       { return "none" }
-func (unlimited) Update(congestion.Feedback) float64 { return 0 }
-func (unlimited) Rate() float64                      { return 0 }
 
 // Close stops the service and detaches it from the fabric.
 func (s *Service) Close() {

@@ -292,7 +292,7 @@ func TestLossRecoveryLive(t *testing.T) {
 }
 
 func TestConcurrentContexts(t *testing.T) {
-	_, srv, cli := newPair(t, Config{FastPathCores: 2})
+	_, srv, cli := newPair(t, Config{MaxCores: 2})
 	sctx := srv.NewContext()
 	ln, _ := sctx.Listen(9400)
 	go func() {
@@ -435,7 +435,7 @@ func TestRandomizedChunksIntegrity(t *testing.T) {
 // closed-loop echo connections can occupy two cores at the most; four
 // are on offer.
 func TestCoreScalingFollowsWork(t *testing.T) {
-	_, srv, cli := newPair(t, Config{FastPathCores: 4})
+	_, srv, cli := newPair(t, Config{MaxCores: 4})
 	ln, err := srv.NewContext().Listen(8090)
 	if err != nil {
 		t.Fatal(err)
