@@ -210,6 +210,53 @@ func TestAppQuotaBackpressure(t *testing.T) {
 	c2.Close()
 }
 
+// TestAppQuotaSurvivesRebind: an accepted flow is charged to the
+// listener's context, and Rebind moves its events to another context,
+// not its charge — closing it must give the listener's quota back. Eight
+// connections through a listener capped at four flows, each accepted,
+// rebound and closed before the next, all succeed.
+func TestAppQuotaSurvivesRebind(t *testing.T) {
+	fab := NewFabric()
+	srv, err := fab.NewService("10.0.0.1", Config{Limits: Limits{AppFlows: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := fab.NewService("10.0.0.2", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); cli.Close() })
+
+	ln, err := srv.NewContext().Listen(8090)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx := cli.NewContext()
+	for i := 0; i < 8; i++ {
+		c, err := cctx.DialTimeout("10.0.0.1", 8090, 2*time.Second)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		s, err := ln.Accept(2 * time.Second)
+		if err != nil {
+			t.Fatalf("accept %d (listener quota 4): %v", i, err)
+		}
+		s.Rebind(srv.NewContext())
+		s.Close()
+		c.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Stats().FlowsLive > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("connection %d never torn down", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if q := srv.Stats().QuotaRejects; q != 0 {
+		t.Fatalf("%d quota denials with at most one flow open", q)
+	}
+}
+
 // TestSendBackpressureWhenClamped drives the ladder to the TX-clamp
 // rung with a nearly-full payload budget and verifies a bounded write
 // against a non-reading peer surfaces backpressure (the clamp binding),

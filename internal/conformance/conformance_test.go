@@ -88,6 +88,39 @@ func TestActiveOpenHandshake(t *testing.T) {
 	}
 }
 
+// TestPushMarksEndOfBurst: RFC 9293 push — a send segmented into three
+// carries PSH on the segment that empties the unsent bytes, the third,
+// and on no other (the receiver steps its core inline on that segment
+// alone).
+func TestPushMarksEndOfBurst(t *testing.T) {
+	h := newHarness(t, slowpath.Config{})
+	ctx := h.Stack.NewContext()
+	ln, _ := ctx.Listen(7006)
+	p := h.NewPeer(40007, 7006)
+	p.Handshake(expectIn)
+	conn, err := ln.Accept(expectIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Drain()
+
+	payload := bytes.Repeat([]byte{0x5C}, 2*protocol.DefaultMSS+100)
+	if _, err := conn.Send(payload, expectIn); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{protocol.DefaultMSS, protocol.DefaultMSS, 100} {
+		seg := h.Expect(expectIn, "data segment", func(q *protocol.Packet) bool {
+			return p.ToPeer(q) && q.DataLen() > 0
+		})
+		if seg.DataLen() != want || seg.Seq != p.RcvNxt+uint32(i*protocol.DefaultMSS) {
+			t.Fatalf("segment %d: %v, want %d bytes at %d", i, seg, want, p.RcvNxt+uint32(i*protocol.DefaultMSS))
+		}
+		if push := seg.Flags.Has(protocol.FlagPSH); push != (i == 2) {
+			t.Fatalf("segment %d of 3: PSH %v", i, push)
+		}
+	}
+}
+
 // TestSynOnEstablishedDrawsChallengeAck: RFC 5961 §4 — a SYN landing
 // on an established connection must not disturb it; the stack answers
 // with a challenge ACK announcing its exact state.

@@ -13,13 +13,13 @@ func TestTransmitActivatesParkedFlow(t *testing.T) {
 		f.Window = window
 		f.Parked = true
 
-		e.transmit(e.cores[0], f) // nothing buffered: not an edge
+		e.transmitFlow(e.cores[0], f) // nothing buffered: not an edge
 		if !f.Parked || e.ActivationsLen() != 0 {
 			t.Fatalf("window %d: idle transmit activated the flow", window)
 		}
 
 		f.TxBuf.Write(make([]byte, 3000))
-		e.transmit(e.cores[0], f)
+		e.transmitFlow(e.cores[0], f)
 		if f.Parked {
 			t.Fatalf("window %d: flag still set after the idle→busy edge", window)
 		}
@@ -31,7 +31,7 @@ func TestTransmitActivatesParkedFlow(t *testing.T) {
 		}
 
 		f.TxBuf.Write(make([]byte, 100))
-		e.transmit(e.cores[0], f) // already active: no second push
+		e.transmitFlow(e.cores[0], f) // already active: no second push
 		if e.ActivationsLen() != 0 {
 			t.Fatalf("window %d: active flow pushed again", window)
 		}

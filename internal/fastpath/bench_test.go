@@ -27,7 +27,7 @@ func BenchmarkProcessRxInOrder(b *testing.B) { benchProcessRx(b, nil) }
 // telemetry surface attached: flight-ring event per data segment plus
 // the run loop's per-batch cycle accounting (items every batch, wall
 // time sampled 1-in-cycleSampleEvery), replicated here because the
-// benchmark drives processRx directly rather than through run.
+// benchmark drives processRx directly rather than through step.
 // TestTelemetryOverheadSmoke gates the delta against the plain path.
 func BenchmarkProcessRxTelemetryOn(b *testing.B) {
 	benchProcessRx(b, telemetry.New(telemetry.Config{Enabled: true}, 2))
@@ -62,7 +62,7 @@ func benchProcessRx(b *testing.B, telem *telemetry.Telemetry) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%64 == 0 {
-			e.tick(c) // the run loop's clock read, once per 64-packet batch
+			c.now = e.refreshCoarse() // a step's clock read, once per 64-packet batch
 		}
 		pkt.Seq, pkt.Ack = f.AckNo, f.SeqNo
 		pkt.TSVal, pkt.TSEcr = c.nowMicros(), c.nowMicros()
@@ -121,9 +121,7 @@ func BenchmarkTransmit(b *testing.B) {
 	b.SetBytes(1448)
 	for i := 0; i < b.N; i++ {
 		f.TxBuf.Write(chunk)
-		f.Lock()
-		e.transmit(e.cores[0], f)
-		f.Unlock()
+		e.transmitFlow(e.cores[0], f)
 		// Ack everything so buffers stay empty.
 		f.Lock()
 		f.TxBuf.Release(int(f.TxSent))

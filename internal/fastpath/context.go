@@ -113,6 +113,12 @@ type Context struct {
 	idle     []chan struct{}
 	sleepers atomic.Int32
 
+	// spin is the waiters' poll-or-block rule (Engine.PollOnCredit): the
+	// cores' idlePolicy, earning credit only from steps run inline for
+	// this context. spinMu orders the goroutines sharing the context.
+	spinMu sync.Mutex
+	spin   idlePolicy
+
 	// DroppedEvents counts events the fast path could not post because
 	// the queue was full (the app will observe the data on its next
 	// poll of the payload buffer).

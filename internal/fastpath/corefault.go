@@ -1,6 +1,7 @@
 package fastpath
 
 import (
+	"runtime"
 	"time"
 
 	"repro/internal/telemetry"
@@ -23,9 +24,11 @@ import (
 //     rewritten around it, so neither this re-steer nor any later
 //     SetCores/scale event sends a bucket back to it.
 //   - DrainFailedCore requeues the packets and kicks stranded in the
-//     dead core's single-consumer rings — but only once the goroutine
-//     has provably exited; a stalled core still owns its rings, and its
-//     backlog is counted stranded and left to TCP retransmission.
+//     dead core's rings — but only once the goroutine has provably
+//     exited, and under the core's run token; a stalled core sleeps
+//     holding its token, so it still owns its rings, and its backlog is
+//     counted stranded and left to TCP retransmission. Producers step no
+//     killed, failed or exited core inline (Engine.mayInline).
 //   - ReviveCore relaunches the goroutine; the slow path folds the core
 //     back into steering (ClearCoreFailed) after it proves itself with
 //     clean heartbeats, the normal scale-up path.
@@ -98,8 +101,8 @@ func (e *Engine) InjectCorePanic(i int) {
 func (e *Engine) CoreBeat(i int) uint64 { return e.cores[i].beat.Load() }
 
 // CoreExited reports whether core i's goroutine has provably exited
-// (crash, contained panic, or engine stop). Only then may anyone else
-// consume the core's single-consumer rings.
+// (crash, contained panic, or engine stop). Only then may the
+// core-failure drain consume the core's rings.
 func (e *Engine) CoreExited(i int) bool { return e.cores[i].exited.Load() }
 
 // CoreFailed reports whether the slow path has marked core i failed.
@@ -185,10 +188,10 @@ func (e *Engine) ReviveCore(i int) bool {
 }
 
 // DrainFailedCore recovers the work stranded in a failed core's queues.
-// If the goroutine has exited, its single-consumer rings have no
-// consumer and may be safely drained here: received packets are
-// re-Input (RSS now steers them to a survivor) and pending kicks
-// re-issued. If the goroutine is merely stalled it still owns the
+// If the goroutine has exited, its rings are consumed here once the run
+// token is free (a producer may be finishing an inline step): received
+// packets are re-Input (RSS now steers them to a survivor) and pending
+// kicks re-issued. If the goroutine is merely stalled it still owns the
 // rings; the backlog is counted stranded — those flows recover via
 // normal RTO/fast-rexmit once migration kicks them. Returns how many
 // items were requeued.
@@ -201,6 +204,10 @@ func (e *Engine) DrainFailedCore(i int) int {
 		c.stats.Stranded.Add(uint64(c.rxRing.Len() + c.kicks.Len()))
 		return 0
 	}
+	for !c.token.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+	defer c.token.Store(false)
 	requeued := 0
 	for {
 		pkt, ok := c.rxRing.Dequeue()

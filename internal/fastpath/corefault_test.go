@@ -121,11 +121,14 @@ func TestDrainFailedCoreRequeues(t *testing.T) {
 	if got := e.cores[0].rxRing.Len(); got != 0 {
 		t.Fatalf("dead core ring still holds %d packets", got)
 	}
-	// The survivor actually processed them: the flow acked the payload.
+	// The survivor actually processed them: the flow acked the payload,
+	// and the four duplicates are out of its ring too — the first one
+	// sets AckNo, and any still queued when the stall below begins would
+	// be counted stranded with the probe packet.
 	waitFor(t, "survivor processes requeued data", func() bool {
 		f.Lock()
 		defer f.Unlock()
-		return f.AckNo == 5005
+		return f.AckNo == 5005 && e.cores[1].rxRing.Len() == 0
 	})
 
 	// Stalled core: goroutine alive, rings untouchable.

@@ -179,9 +179,7 @@ func TestAckFreesTxBufferAndNotifies(t *testing.T) {
 	e.RegisterContext(ctx)
 
 	f.TxBuf.Write(make([]byte, 3000))
-	f.Lock()
-	e.transmit(e.cores[0], f)
-	f.Unlock()
+	e.transmitFlow(e.cores[0], f)
 	if f.TxSent != 3000 {
 		t.Fatalf("TxSent = %d", f.TxSent)
 	}
@@ -206,9 +204,7 @@ func TestEcnEchoCountsMarkedBytes(t *testing.T) {
 	e, _ := testEngine()
 	f := testFlow(e)
 	f.TxBuf.Write(make([]byte, 1448))
-	f.Lock()
-	e.transmit(e.cores[0], f)
-	f.Unlock()
+	e.transmitFlow(e.cores[0], f)
 	ack := ackPkt(f, 1000+1448)
 	ack.Flags |= protocol.FlagECE
 	e.processRx(e.cores[0], ack)
@@ -221,9 +217,7 @@ func TestDupAcksTriggerFastRecovery(t *testing.T) {
 	e, nic := testEngine()
 	f := testFlow(e)
 	f.TxBuf.Write(make([]byte, 5000))
-	f.Lock()
-	e.transmit(e.cores[0], f)
-	f.Unlock()
+	e.transmitFlow(e.cores[0], f)
 	sent := len(nic.out)
 	if f.TxSent != 5000 {
 		t.Fatalf("TxSent = %d", f.TxSent)
@@ -247,9 +241,7 @@ func TestWindowUpdateNotCountedAsDupAck(t *testing.T) {
 	e, _ := testEngine()
 	f := testFlow(e)
 	f.TxBuf.Write(make([]byte, 2000))
-	f.Lock()
-	e.transmit(e.cores[0], f)
-	f.Unlock()
+	e.transmitFlow(e.cores[0], f)
 	for i := 0; i < 5; i++ {
 		upd := ackPkt(f, 1000)
 		upd.Window = uint16(40 + i) // changing window: an update, not a dup
@@ -268,9 +260,7 @@ func TestTransmitHonorsPeerWindow(t *testing.T) {
 	f := testFlow(e)
 	f.Window = 2 // 2 KiB
 	f.TxBuf.Write(make([]byte, 10000))
-	f.Lock()
-	e.transmit(e.cores[0], f)
-	f.Unlock()
+	e.transmitFlow(e.cores[0], f)
 	if f.TxSent > 2048 {
 		t.Fatalf("TxSent = %d exceeds 2KiB window", f.TxSent)
 	}
@@ -292,9 +282,7 @@ func TestTransmitHonorsRateBucket(t *testing.T) {
 	if !f.TxBuf.Write(make([]byte, 30000)) {
 		t.Fatal("tx buffer write failed")
 	}
-	f.Lock()
-	e.transmit(e.cores[0], f)
-	f.Unlock()
+	e.transmitFlow(e.cores[0], f)
 	if len(nic.out) > 1 {
 		t.Fatalf("rate-limited flow sent %d packets", len(nic.out))
 	}

@@ -54,6 +54,7 @@ func TestProcessRxInvariantFuzz(t *testing.T) {
 				e.transmit(e.cores[0], f)
 				f.RxBuf.Read(appRead[:rng.Intn(len(appRead))])
 				f.Unlock()
+				e.flush(e.cores[0])
 				continue
 			}
 			e.processRx(e.cores[rng.Intn(2)], pkt)
@@ -215,6 +216,7 @@ func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 			}
 			ea.transmit(ea.cores[0], fa.a)
 			fa.a.Unlock()
+			ea.flush(ea.cores[0])
 
 			// Network: shuffle, drop, deliver A->B.
 			pkts := nicA.out
@@ -248,6 +250,7 @@ func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 				ea.resetSender(fa.a)
 				ea.transmit(ea.cores[0], fa.a)
 				fa.a.Unlock()
+				ea.flush(ea.cores[0])
 			}
 		}
 		if len(delivered) == 0 {
@@ -265,7 +268,7 @@ func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 // engine B).
 type testFlowPair struct{ a, b *flowstate.Flow }
 
-func (p *testFlowPair) wire(t *testing.T, ea, eb *Engine) {
+func (p *testFlowPair) wire(t testing.TB, ea, eb *Engine) {
 	t.Helper()
 	p.a = testFlow(ea)
 	// Mirror on B: local/peer swapped, sequence spaces aligned.

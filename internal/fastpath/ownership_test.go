@@ -196,9 +196,7 @@ func TestBatchClockRTT(t *testing.T) {
 			f.TxBuf.Write(make([]byte, 100))
 			// The segment leaves at t0; its core read the clock sendLag ago.
 			tx.now = t0 - int64(tc.sendLag)
-			f.Lock()
-			e.transmit(tx, f)
-			f.Unlock()
+			e.transmitFlow(tx, f)
 			seg := nic.out[0]
 			// The ACK is processed trueRTT later by a core that read the
 			// clock ackLag before that.
@@ -220,9 +218,7 @@ func TestBatchClockRTT(t *testing.T) {
 		f.RTTEst, f.RTTVarEst = 400, 50
 		f.TxBuf.Write(make([]byte, 100))
 		tx.now = t0
-		f.Lock()
-		e.transmit(tx, f)
-		f.Unlock()
+		e.transmitFlow(tx, f)
 		// The other core was descheduled mid-iteration: its batch clock
 		// predates the stamp it is about to be shown.
 		rx.now = t0 - int64(30*time.Microsecond)

@@ -36,17 +36,19 @@ func oneCoreEngine(nic NIC) *Engine {
 // core polls: an item enqueued after the core's last poll but before it
 // publishes asleep rings no doorbell (the producer saw asleep == false),
 // so only the park path's own re-check keeps it from waiting out the
-// 100ms park beat.
+// 100ms park beat. The items are ones that take the doorbell, not an
+// inline edge: a two-segment send, a segment without PSH, a kick.
 func TestBlockRecheck(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		produce func(t *testing.T, e *Engine, ctx *Context, f *flowstate.Flow)
 	}{
 		{"SeesContextTx", func(t *testing.T, e *Engine, ctx *Context, f *flowstate.Flow) {
+			n := 2 * protocol.DefaultMSS
 			f.Lock()
-			f.TxBuf.Write(make([]byte, 100))
+			f.TxBuf.Write(make([]byte, n))
 			f.Unlock()
-			if !e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: 100}) {
+			if !e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: uint32(n)}) {
 				t.Error("PushTxCmd refused")
 			}
 		}},

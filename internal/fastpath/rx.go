@@ -17,7 +17,9 @@ const blindAckHorizon = 1 << 24
 // processRx handles one received packet on core c: the common-case RX
 // path of §3.1. Connection-control packets (SYN/FIN/RST) and packets for
 // unknown flows are exceptions forwarded to the slow path. The core owns
-// pkt on entry; on return it has released it or handed it on.
+// pkt on entry; on return it has released it or handed it on. What the
+// packet provokes — its ACK, segments the ACK released — is flushed
+// after the flow lock is released.
 func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 	pkt.AssertLive()
 	c.stats.RxPackets.Add(1)
@@ -45,7 +47,6 @@ func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 		}
 	}
 
-	var ack *protocol.Packet
 	f.Lock()
 	// RFC 5961 §5 ACK validation: a blind attacker who cannot see the
 	// connection's sequence space guesses ACK values; one landing far
@@ -59,17 +60,14 @@ func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 	if pkt.Flags.Has(protocol.FlagACK) && tcp.SeqDiff(pkt.Ack, f.SeqNo-f.TxSent) < -blindAckHorizon {
 		c.stats.BlindAckDrops.Add(1)
 		if e.Challenge != nil && e.Challenge.Allow(c.now) {
-			ack = e.buildAck(c, f, pkt)
+			e.emitAck(c, e.buildAck(c, f, pkt))
 			if f.Rec != nil {
 				f.Rec.Record(telemetry.FEChallengeTx, f.SeqNo, f.AckNo, 0, 0)
 			}
 		}
 		f.Unlock()
-		if ack != nil {
-			c.stats.AcksSent.Add(1)
-			e.nic.Output(ack)
-		}
 		pkt.Release()
+		e.flush(c)
 		return
 	}
 	if f.Rec != nil && pkt.DataLen() > 0 {
@@ -81,21 +79,28 @@ func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
 	if pkt.Flags.Has(protocol.FlagACK) {
 		e.processAck(c, f, pkt)
 	}
+	var ack *protocol.Packet
 	if pkt.DataLen() > 0 {
 		ack = e.processData(c, f, pkt)
 	}
 	// An ack may have opened the send window or freed buffer space.
 	e.transmit(c, f)
+	if ack != nil {
+		e.emitAck(c, ack)
+	}
 	f.Unlock()
 
-	if ack != nil {
-		c.stats.AcksSent.Add(1)
-		e.nic.Output(ack)
-	}
 	// Consumed: payload deposited, header fields echoed. Exception
 	// packets (the returns above) are the slow path's and are not
 	// released here.
 	pkt.Release()
+	e.flush(c)
+}
+
+// emitAck queues an acknowledgement on core c's output batch.
+func (e *Engine) emitAck(c *core, ack *protocol.Packet) {
+	c.stats.AcksSent.Add(1)
+	c.out = append(c.out, ack)
 }
 
 // processAck applies an incoming acknowledgement to flow f. Caller holds

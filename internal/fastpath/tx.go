@@ -6,10 +6,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// transmit sends as much pending payload as the peer window and the
+// transmit segments as much pending payload as the peer window and the
 // slow-path-configured rate bucket allow (§3.1 common-case send:
-// segmentation, header production, timestamps). Caller holds the flow
-// lock.
+// segmentation, header production, timestamps) onto core c's output
+// batch, which the caller flushes once it has released the flow lock it
+// holds here.
 func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 	if f.FinSent || f.Aborted {
 		return
@@ -60,7 +61,13 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 			}
 		}
 
-		pkt := e.fillSegment(protocol.NewPacket(), f, protocol.FlagACK|protocol.FlagPSH)
+		flags := protocol.FlagACK
+		if n == pending {
+			// RFC 9293 push: the segment that empties the unsent bytes
+			// ends the burst (the receiver's inline edge, Engine.Input).
+			flags |= protocol.FlagPSH
+		}
+		pkt := e.fillSegment(protocol.NewPacket(), f, flags)
 		pkt.HasTS, pkt.TSVal = true, c.nowMicros()
 		f.TxBuf.ReadAt(f.TxBuf.Tail()+f.TxSent, pkt.AllocPayload(n))
 		f.SeqNo += uint32(n)
@@ -70,14 +77,14 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		if f.Rec != nil {
 			f.Rec.Record(telemetry.FESegTx, pkt.Seq, pkt.Ack, uint32(n), 0)
 		}
-		e.nic.Output(pkt)
+		c.out = append(c.out, pkt)
 	}
 }
 
 // fillSegment fills in what every segment of flow f carries: addresses,
 // the current sequence state and the advertised window. A core passes a
-// packet it has just drawn from the pool and owns until it hands it to
-// the NIC. Caller holds the flow lock.
+// packet it has just drawn from the pool and owns until its flush hands
+// it to the NIC. Caller holds the flow lock.
 func (e *Engine) fillSegment(pkt *protocol.Packet, f *flowstate.Flow, flags protocol.TCPFlags) *protocol.Packet {
 	pkt.SrcMAC, pkt.DstMAC = e.cfg.LocalMAC, f.PeerMAC
 	pkt.SrcIP, pkt.DstIP = f.LocalIP, f.PeerIP

@@ -23,6 +23,11 @@ import (
 type Flow struct {
 	Opaque  uint64 // opaque, 64: application-defined flow identifier
 	Context uint16 // context, 16: RX/TX context queue number
+	// Charged is the context the resource governor charged the flow to
+	// at installation. Unlike Context, which Rebind moves, it never
+	// changes, so the release needs no lock and goes to the app that was
+	// charged. Outside Table 3 (it fills padding).
+	Charged uint16
 	Bucket  uint32 // bucket, 24: rate bucket number
 
 	RxBuf *shmring.PayloadBuffer // rx_start|size|head|tail
@@ -151,6 +156,10 @@ func (f *Flow) LastTouched() int64 { return f.touched.Load() }
 
 // Lock acquires the flow's spinlock.
 func (f *Flow) Lock() { f.lock.Lock() }
+
+// TryLock acquires the flow's spinlock if it is free and reports
+// whether it did.
+func (f *Flow) TryLock() bool { return f.lock.TryLock() }
 
 // Unlock releases the flow's spinlock.
 func (f *Flow) Unlock() { f.lock.Unlock() }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +77,18 @@ type Stack struct {
 	// application-side observability: app-copy cycle accounting and
 	// app-send/app-recv flight-recorder events.
 	telem *telemetry.Telemetry
+
+	// Waits counts how the application's blocking calls waited.
+	Waits WaitStats
+}
+
+// WaitStats counts the ends of the application's waits (Context.wait),
+// the application half of the hand-off account: a blocked wait is a
+// goroutine hand-off, a polled one is not. A field tagged `metric` is
+// exported once per service under that name, with its `help` text.
+type WaitStats struct {
+	Blocks atomic.Uint64 `metric:"tas_app_blocks_total" help:"Application waits that blocked on the context's wake channel."`
+	Polled atomic.Uint64 `metric:"tas_app_polled_total" help:"Application waits satisfied while polling on inline-step credit."`
 }
 
 // NewStack registers the application with the TAS service (the paper's
@@ -281,9 +294,12 @@ func (c *Context) dispatch() int {
 }
 
 // wait polls until cond holds, blocking on the context's wakeup channel
-// between polls (the epoll analogue). A zero timeout waits forever. A
-// context reaped by the slow path fails fast with ErrAppDead instead of
-// blocking on queues nobody serves anymore.
+// between polls (the epoll analogue). Before it blocks it polls for as
+// long as the fast-path steps its goroutine ran inline earned
+// (Engine.PollOnCredit): a Send that delivered the request itself
+// expects the reply soon. A zero timeout waits forever. A context reaped
+// by the slow path fails fast with ErrAppDead instead of blocking on
+// queues nobody serves anymore.
 func (c *Context) wait(cond func() bool, timeout time.Duration) error {
 	var deadline time.Time
 	if timeout > 0 {
@@ -294,16 +310,24 @@ func (c *Context) wait(cond func() bool, timeout time.Duration) error {
 	// firing the wake channel to the condition (data/event visible to
 	// the app) holding.
 	var wokeAt time.Time
+	polled := false
 	for {
 		if c.fp.Dead() {
 			return ErrAppDead
 		}
 		c.dispatch()
 		if cond() {
+			if polled {
+				c.stack.Waits.Polled.Add(1)
+			}
 			c.observeWake(wokeAt)
 			return nil
 		}
 		wokeAt = time.Time{}
+		if polled = c.stack.Eng.PollOnCredit(c.fp); polled {
+			runtime.Gosched()
+			continue
+		}
 		ch := c.fp.Sleep()
 		// Re-poll after publishing the sleep flag (lost-wakeup guard).
 		c.dispatch()
@@ -311,6 +335,7 @@ func (c *Context) wait(cond func() bool, timeout time.Duration) error {
 			c.fp.Awake(ch)
 			return nil
 		}
+		c.stack.Waits.Blocks.Add(1)
 		ok := sleepOn(ch, deadline)
 		if ok {
 			wokeAt = c.sampleWake()

@@ -378,6 +378,7 @@ func (s *Slowpath) installFlow(key protocol.FlowKey, h *halfOpen, peerISS uint32
 	f := &flowstate.Flow{
 		Opaque:    h.opaque,
 		Context:   h.ctxID,
+		Charged:   h.ctxID, // admitFlow's charge
 		LocalIP:   key.LocalIP,
 		LocalPort: key.LocalPort,
 		PeerIP:    key.RemoteIP,
@@ -738,7 +739,7 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 		}
 		s.eng.FreeBucket(f.Bucket)
 		if g := s.cfg.Gov; g != nil {
-			g.ReleaseFlow(uint32(f.Context), payload)
+			g.ReleaseFlow(uint32(f.Charged), payload)
 		}
 	}
 	s.mu.Lock()

@@ -207,9 +207,11 @@ func TestUndeliverableAcceptTornDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Client either never establishes or is aborted right after; the
-	// server must not retain the flow either way.
+	// server must not retain the flow either way. The drop is counted
+	// before the RST goes out and the flow is removed after it, so wait
+	// for both.
 	deadline := time.Now().Add(2 * time.Second)
-	for b.sp.Counters().AcceptQueueDrops == 0 && time.Now().Before(deadline) {
+	for (b.sp.Counters().AcceptQueueDrops == 0 || b.eng.Table.Len() != 0) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := b.sp.Counters().AcceptQueueDrops; got == 0 {

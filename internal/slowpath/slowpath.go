@@ -683,7 +683,7 @@ func (s *Slowpath) growPayload(f *flowstate.Flow, delta int64) bool {
 	if g == nil {
 		return true
 	}
-	return g.GrowPayload(uint32(f.Context), delta) == nil
+	return g.GrowPayload(uint32(f.Charged), delta) == nil
 }
 
 func ceilPow2(v int) int {

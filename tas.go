@@ -387,35 +387,18 @@ func (s *Service) registerMetrics() {
 	r := s.telem.Registry
 	eng := s.eng
 
-	// Per-core fast-path activity.
+	// Per-core fast-path activity (the hand-off account included) and
+	// the application waits: one series per tagged field.
 	for i := 0; i < eng.MaxCores(); i++ {
-		st := eng.Stats(i)
 		lbl := telemetry.L("core", fmt.Sprintf("%d", i))
-		for _, m := range []struct {
-			name, help string
-			read       func() float64
-		}{
-			{"tas_fastpath_rx_packets_total", "Packets received by a fast-path core.",
-				func() float64 { return float64(st.RxPackets.Load()) }},
-			{"tas_fastpath_tx_packets_total", "Segments transmitted by a fast-path core.",
-				func() float64 { return float64(st.TxPackets.Load()) }},
-			{"tas_fastpath_tx_bytes_total", "Payload bytes transmitted by a fast-path core.",
-				func() float64 { return float64(st.TxBytes.Load()) }},
-			{"tas_fastpath_acks_sent_total", "Acknowledgements generated by a fast-path core.",
-				func() float64 { return float64(st.AcksSent.Load()) }},
-			{"tas_fastpath_exceptions_total", "Packets forwarded to the slow path by a fast-path core.",
-				func() float64 { return float64(st.Exceptions.Load()) }},
-			{"tas_fastpath_fast_rexmits_total", "Fast retransmits triggered on a fast-path core.",
-				func() float64 { return float64(st.Frexmits.Load()) }},
-			// The two ways a core is not working; the rest of wall time is work.
-			{"tas_fastpath_core_park_seconds_total", "Time a fast-path core spent parked on its doorbell (or not running).",
-				func() float64 { parked, _ := eng.CoreIdleNanos(i); return float64(parked) / 1e9 }},
-			{"tas_fastpath_core_poll_seconds_total", "Time a fast-path core spent polling empty queues.",
-				func() float64 { _, polled := eng.CoreIdleNanos(i); return float64(polled) / 1e9 }},
-		} {
-			r.CounterFunc(m.name, m.help, m.read, lbl)
-		}
+		registerAtomics(r, eng.Stats(i), lbl)
+		// The two ways a core's goroutine is not working.
+		r.CounterFunc("tas_fastpath_core_park_seconds_total", "Time a fast-path core spent parked on its doorbell (or not running).",
+			func() float64 { parked, _ := eng.CoreIdleNanos(i); return float64(parked) / 1e9 }, lbl)
+		r.CounterFunc("tas_fastpath_core_poll_seconds_total", "Time a fast-path core spent polling empty queues.",
+			func() float64 { _, polled := eng.CoreIdleNanos(i); return float64(polled) / 1e9 }, lbl)
 	}
+	registerAtomics(r, &s.stack.Waits)
 
 	// Drop/shed accounting by cause and the slow-path lifecycle counters:
 	// one series per tagged field of the two structs. The slow path is
@@ -599,6 +582,21 @@ func registerCounters[T any](r *telemetry.Registry, read func() T) {
 			labels = append(labels, telemetry.L("cause", cause))
 		}
 		r.CounterFunc(name, help, func() float64 { return float64(reflect.ValueOf(read()).Field(i).Uint()) }, labels...)
+	}
+}
+
+// registerAtomics registers one counter series, with labels, per
+// `metric`-tagged atomic.Uint64 field of the live counter block at
+// block (a pointer to a struct that outlives the registry).
+func registerAtomics(r *telemetry.Registry, block any, labels ...telemetry.Label) {
+	v := reflect.ValueOf(block).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		tag := v.Type().Field(i).Tag
+		if tag.Get("metric") == "" {
+			continue
+		}
+		ctr := v.Field(i).Addr().Interface().(*atomic.Uint64)
+		r.CounterFunc(tag.Get("metric"), tag.Get("help"), func() float64 { return float64(ctr.Load()) }, labels...)
 	}
 }
 
