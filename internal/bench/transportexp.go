@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/congestion"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -114,6 +112,3 @@ func runFig7(cfg RunConfig) *Result {
 	r.Note("paper: TAS penalty <=1.5%% up to 1%% loss, 13%% at 5%%; TAS ~2x Linux; simple recovery ~3x TAS")
 	return r
 }
-
-// fmtGbps is a tiny helper used by several drivers.
-func fmtGbps(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -10,7 +10,6 @@ package fastpath
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/flowstate"
 	"repro/internal/shmring"
@@ -124,7 +123,7 @@ type Context struct {
 	// poll of the payload buffer).
 	DroppedEvents atomic.Uint64
 
-	// lastBeat is the unix-nano timestamp of the most recent application
+	// lastBeat is the engine-clock timestamp of the most recent application
 	// heartbeat; 0 means liveness tracking is not enabled for this
 	// context (raw low-level users) and the reaper leaves it alone.
 	lastBeat atomic.Int64
@@ -254,10 +253,11 @@ func (c *Context) Awake(ch <-chan struct{}) {
 // TAS when an application process dies; in this in-process reproduction
 // each libtas context runs a keepalive goroutine standing in for the
 // live process, and the slow path's reaper declares the app dead when
-// heartbeats stop arriving.
-func (c *Context) Beat() { c.lastBeat.Store(time.Now().UnixNano()) }
+// heartbeats stop arriving. now is the engine clock (Engine.NowNanos),
+// the clock the reaper compares against.
+func (c *Context) Beat(now int64) { c.lastBeat.Store(now) }
 
-// LastBeat returns the unix-nano time of the most recent heartbeat
+// LastBeat returns the engine-clock time of the most recent heartbeat
 // (0 = liveness tracking never enabled).
 func (c *Context) LastBeat() int64 { return c.lastBeat.Load() }
 

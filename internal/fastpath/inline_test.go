@@ -88,8 +88,7 @@ func TestRunTokenExclusive(t *testing.T) {
 		rounds = 500
 	}
 	msg := make([]byte, 64)
-	var wg sync.WaitGroup
-	for i, put := range []func(){
+	puts := []func(){
 		func() { // inline edge 1
 			tx.Lock()
 			if tx.TxBuf.Free() >= len(msg) {
@@ -106,29 +105,35 @@ func TestRunTokenExclusive(t *testing.T) {
 			e.Input(ackPkt(tx, seq))
 		},
 		func() { e.KickFlow(tx) },
-	} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i)))
-			for r := 0; r < rounds; r++ {
-				put()
-				if rng.Intn(8) == 0 {
-					time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond) // let the core park
-				}
-			}
-		}()
 	}
-	wg.Wait()
-	waitFor(t, "queues drained", func() bool { return !e.hasWork(c) })
+	// A starved box can run a whole hammer without one inline step or one
+	// park; run it again, a bounded number of times, until both occurred.
+	for attempt := 0; c.stats.InlineSteps.Load() == 0 || c.stats.Blocks.Load() == 0; attempt++ {
+		if attempt == 5 {
+			t.Fatalf("inline steps %d, parks %d: the hammer missed a side", c.stats.InlineSteps.Load(), c.stats.Blocks.Load())
+		}
+		var wg sync.WaitGroup
+		for i, put := range puts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(attempt*len(puts) + i)))
+				for r := 0; r < rounds; r++ {
+					put()
+					if rng.Intn(8) == 0 {
+						time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond) // let the core park
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		waitFor(t, "queues drained", func() bool { return !e.hasWork(c) })
+	}
 	if n := nic.overlaps.Load(); n != 0 {
 		t.Fatalf("%d flushes overlapped another step of the same core", n)
 	}
 	if n := nic.unowned.Load(); n != 0 {
 		t.Fatalf("%d segments left a step that did not hold the run token", n)
-	}
-	if c.stats.InlineSteps.Load() == 0 || c.stats.Blocks.Load() == 0 {
-		t.Fatalf("inline steps %d, parks %d: the hammer missed a side", c.stats.InlineSteps.Load(), c.stats.Blocks.Load())
 	}
 }
 
@@ -254,7 +259,11 @@ func TestInlineSkipsFailedCore(t *testing.T) {
 		e, c, f := start(t)
 		e.MarkCoreFailed(0)
 		c.rxRing.Enqueue(pshPkt(f, 5000, []byte("hello")))
-		if e.inline(c, nil) {
+		// The verdict's wake may have the core's own goroutine holding the
+		// token, and then inline reports the segment left to it; either
+		// way the producer must not step the core.
+		e.inline(c, nil)
+		if n := c.stats.InlineSteps.Load(); n != 0 {
 			t.Fatal("a producer stepped a failed core")
 		}
 		e.notify(c)

@@ -30,17 +30,9 @@ import (
 // lifecycle events that belong to no single flow.
 const slowpathRingKey = "slowpath"
 
-// SlowpathBeat stamps the slow-path heartbeat; the slow path calls it
-// once per event-loop iteration.
-func (e *Engine) SlowpathBeat() {
-	e.slowBeat.Store(time.Now().UnixNano())
-	e.refreshCoarse()
-}
-
-// SlowpathLastBeat returns the unix-nano timestamp of the most recent
-// slow-path heartbeat (0 if no watchdog is configured and the slow path
-// never stamped).
-func (e *Engine) SlowpathLastBeat() int64 { return e.slowBeat.Load() }
+// SlowpathBeat stamps the slow-path heartbeat on the engine clock; the
+// slow path calls it once per event-loop iteration.
+func (e *Engine) SlowpathBeat() { e.slowBeat.Store(e.refreshCoarse()) }
 
 // Degraded reports whether the engine considers the slow path down
 // (heartbeat stale beyond SlowPathTimeout).
@@ -58,7 +50,7 @@ func (e *Engine) Outages() OutageStats {
 	st := OutageStats{Outages: e.outages.Load(), Degraded: e.degraded.Load()}
 	st.Total = time.Duration(e.outageNanos.Load())
 	if st.Degraded {
-		st.Total += time.Duration(time.Now().UnixNano() - e.outageStart.Load())
+		st.Total += time.Duration(e.nowNanos() - e.outageStart.Load())
 	}
 	return st
 }
@@ -84,7 +76,7 @@ func (e *Engine) watchSlowpath() {
 			return
 		case <-t.C:
 		}
-		now := time.Now().UnixNano()
+		now := e.nowNanos()
 		stale := now-e.slowBeat.Load() > int64(e.cfg.SlowPathTimeout)
 		switch {
 		case stale && !e.degraded.Load():
@@ -93,7 +85,7 @@ func (e *Engine) watchSlowpath() {
 			e.degraded.Store(true)
 			e.recordTransition(telemetry.FEDegraded, 0)
 		case !stale && e.degraded.Load():
-			dur := time.Now().UnixNano() - e.outageStart.Load()
+			dur := now - e.outageStart.Load()
 			e.outageNanos.Add(dur)
 			e.degraded.Store(false)
 			if e.outageHist != nil {

@@ -84,6 +84,12 @@ type Flow struct {
 	FinReceived bool
 	FinAcked    bool
 
+	// CloseRequested latches the application's Close: the slow path
+	// supervises the close from then until the flow leaves the table, and
+	// a warm-restarted one resumes it from here. Outside Table 3 (it fills
+	// padding); guarded by the flow spinlock.
+	CloseRequested bool
+
 	// PeerClosedFirst records which side initiated the close: set when
 	// the peer's FIN arrives before we have sent ours. The passive
 	// closer (LAST_ACK) goes straight to CLOSED when its FIN is acked;
@@ -178,12 +184,12 @@ func (f *Flow) TxPending() int {
 // Quiescent reports whether the flow holds no work for the slow path's
 // control tick: nothing unacknowledged, nothing unsent (which also rules
 // out a zero-window stall), no undelivered congestion feedback, and no
-// FIN awaiting its acknowledgement. Only a quiescent flow may be Parked.
-// Callers hold the flow spinlock.
+// close in progress. Only a quiescent flow may be Parked. Callers hold
+// the flow spinlock.
 func (f *Flow) Quiescent() bool {
 	return f.TxSent == 0 && f.TxPending() <= 0 &&
 		f.CntAckB == 0 && f.CntEcnB == 0 && f.CntFrexmits == 0 &&
-		!(f.FinSent && !f.FinAcked)
+		!f.CloseRequested
 }
 
 // TakeCounters returns and clears the congestion feedback counters, as

@@ -318,13 +318,6 @@ func (cn *Conn) Buffered() int { return cn.flow.RxBuf.Used() }
 // TxFree returns the writable transmit-buffer space.
 func (cn *Conn) TxFree() int { return cn.flow.TxBuf.Free() }
 
-// PeerClosed reports whether the remote side has closed (after
-// dispatching pending events).
-func (cn *Conn) PeerClosed() bool {
-	cn.ctx.dispatch()
-	return cn.peerClosed.Load()
-}
-
 // Aborted reports whether the connection failed (RST received or
 // retransmission budget exhausted), after dispatching pending events.
 func (cn *Conn) Aborted() bool {

@@ -143,7 +143,7 @@ func (s *Stack) NewContext() *Context {
 	ctx := &Context{stack: s, hbStop: make(chan struct{})}
 	ctx.fp = fastpath.NewContext(0, s.Eng.MaxCores(), 1024)
 	s.Eng.RegisterContext(ctx.fp)
-	ctx.fp.Beat()
+	ctx.fp.Beat(s.Eng.NowNanos())
 	go ctx.heartbeatLoop(s.Slow().HeartbeatInterval())
 	return ctx
 }
@@ -161,7 +161,7 @@ func (c *Context) heartbeatLoop(interval time.Duration) {
 			if time.Now().UnixNano() < c.hbStall.Load() {
 				continue // StallApp window: the app is wedged
 			}
-			c.fp.Beat()
+			c.fp.Beat(c.stack.Eng.NowNanos())
 		}
 	}
 }

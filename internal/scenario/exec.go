@@ -1178,7 +1178,8 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 		add("within-duration", true, "finished in %.0fms", rep.WallMS)
 	}
 	// Always on: whatever the timeline did to cores, slow paths and apps,
-	// no service may end with a flow stranded off the control tick.
+	// no service may end with a flow stranded off the control tick or a
+	// close off its timer.
 	var ctlErr error
 	for _, svc := range append([]*tas.Service{r.srv}, r.clients...) {
 		if ctlErr = svc.Slow().CheckControlInvariant(); ctlErr != nil {
@@ -1188,7 +1189,7 @@ func (r *run) evaluate(rep *Report, capped bool, recovery time.Duration) []Asser
 	if ctlErr != nil {
 		add("control-set", false, "%v", ctlErr)
 	} else {
-		add("control-set", true, "every flow active, parked or queued for activation; no parked flow holds work")
+		add("control-set", true, "every flow active, parked or queued for activation; no parked flow holds work; every close on its timer, the timer pool exact")
 	}
 	if a.AllComplete {
 		w := rep.Workload

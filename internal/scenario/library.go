@@ -147,11 +147,12 @@ func churnStorm() *Spec {
 		Seed(83).
 		Duration(120*time.Second).
 		Clients(4).
-		// 32 concurrent workers against 40 flow slots: steady-state
-		// occupancy (live + closing entries) sits around 80% of the
-		// budget, inside the ladder's engage band, so pressure is
-		// guaranteed without being a hard wall.
-		Config(func(c *tas.Config) { c.Flows, c.HalfOpen = 40, 64 }).
+		// 32 concurrent workers against 40 flow slots: occupancy (live +
+		// closing entries) swings through the ladder's engage band, so
+		// pressure is guaranteed without being a hard wall. The ladder
+		// samples it once per tick, at the stack's default 1ms: slots free
+		// within milliseconds, and 10ms ticks can miss every swing.
+		Config(func(c *tas.Config) { c.Flows, c.HalfOpen, c.ControlInterval = 40, 64, time.Millisecond }).
 		Stream(8, 40, 16<<10).
 		Reconnect().
 		AssertIntact().

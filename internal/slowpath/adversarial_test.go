@@ -66,19 +66,11 @@ func TestSynCookieHandshakeEndToEnd(t *testing.T) {
 	fa.TxBuf.Write([]byte("cookie payload"))
 	fa.Unlock()
 	a.eng.KickFlow(fa)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	waitCond(t, "the payload delivered", 2*time.Second, func() bool {
 		fb.Lock()
-		got := fb.RxBuf.Used()
-		fb.Unlock()
-		if got == len("cookie payload") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("payload not delivered (got %d bytes)", got)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer fb.Unlock()
+		return fb.RxBuf.Used() == len("cookie payload")
+	})
 }
 
 // TestSynFloodEngagesCookiesAndLegitClientConnects: a spoofed SYN flood
@@ -106,15 +98,13 @@ func TestSynFloodEngagesCookiesAndLegitClientConnects(t *testing.T) {
 		}
 	}
 	flood(512, 0)
-	deadline := time.Now().Add(2 * time.Second)
-	for b.sp.ctr.SynCookiesSent.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("flood never engaged cookies (half=%d drops=%d)",
-				b.sp.HalfOpenCount(), b.sp.ctr.SynBacklogDrops.Load())
+	waitCond(t, "the flood to engage cookies", 2*time.Second, func() bool {
+		if b.sp.ctr.SynCookiesSent.Load() != 0 {
+			return true
 		}
 		flood(64, 4096)
-		time.Sleep(time.Millisecond)
-	}
+		return false
+	})
 
 	// Legitimate client dials mid-flood: the stateless path admits it
 	// even though the stateful backlog is saturated.
@@ -128,14 +118,9 @@ func TestSynFloodEngagesCookiesAndLegitClientConnects(t *testing.T) {
 	// The client is connected the moment the SYN-ACK lands; the server
 	// only validates the cookie when it processes the completing ACK, so
 	// poll rather than assert instantaneously.
-	deadline = time.Now().Add(2 * time.Second)
-	for b.sp.ctr.SynCookiesValidated.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("legit handshake did not complete via cookie validation (sent=%d rejected=%d half=%d)",
-				b.sp.ctr.SynCookiesSent.Load(), b.sp.ctr.SynCookiesRejected.Load(), b.sp.HalfOpenCount())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, "the legit handshake to complete via cookie validation", 2*time.Second, func() bool {
+		return b.sp.ctr.SynCookiesValidated.Load() != 0
+	})
 }
 
 // TestBlindRstRejectedInWindowChallenged covers RFC 5961 §3 on an
@@ -171,13 +156,7 @@ func TestBlindRstRejectedInWindowChallenged(t *testing.T) {
 
 	// In-window but inexact: challenge ACK, connection survives.
 	rst(expect + 1000)
-	deadline := time.Now().Add(time.Second)
-	for challenges.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-window RST drew no challenge ACK")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, "a challenge ACK for the in-window RST", time.Second, func() bool { return challenges.Load() != 0 })
 	// Out-of-window: dropped silently.
 	rst(expect - 100000)
 	time.Sleep(20 * time.Millisecond)
@@ -189,13 +168,7 @@ func TestBlindRstRejectedInWindowChallenged(t *testing.T) {
 	}
 	// Exact sequence: real teardown.
 	rst(expect)
-	deadline = time.Now().Add(time.Second)
-	for a.eng.Table.Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("exact-sequence RST did not tear down")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, "the exact-sequence RST to tear down", time.Second, func() bool { return a.eng.Table.Len() == 0 })
 }
 
 // TestBlindRstCannotKillHandshakes: RSTs against half-open state are
@@ -203,81 +176,58 @@ func TestBlindRstRejectedInWindowChallenged(t *testing.T) {
 // SYN-ACK acknowledged; an active open only to an RST|ACK of exactly
 // our ISS+1.
 func TestBlindRstCannotKillHandshakes(t *testing.T) {
-	fab := fabric.New()
-	ipB := protocol.MakeIPv4(10, 0, 0, 2)
-	b := newNode(t, fab, ipB, fastCfg())
-	b.sp.Listen(80, 0, 1)
+	eng, sp, _ := newWireRig(fastCfg())
+	sp.Listen(80, 0, 1)
 
 	// Passive half-open from a ghost SYN.
-	ghost := protocol.MakeIPv4(10, 0, 0, 99)
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ghost, DstIP: ipB, SrcPort: 4000, DstPort: 80,
-		Flags: protocol.FlagSYN, Seq: 5000,
-	})
-	key := protocol.FlowKey{LocalIP: ipB, LocalPort: 80, RemoteIP: ghost, RemotePort: 4000}
-	deadline := time.Now().Add(time.Second)
-	for b.sp.lookupHalf(key) == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("half-open never created")
-		}
-		time.Sleep(time.Millisecond)
+	syn := ghostSyn(4000, 5000)
+	sp.handleException(syn)
+	key := syn.RxKey()
+	if sp.lookupHalf(key) == nil {
+		t.Fatal("half-open never created")
+	}
+	rst := func(seq uint32) {
+		p := ghostSyn(4000, seq)
+		p.Flags = protocol.FlagRST
+		sp.handleException(p)
 	}
 	// Blind RST (wrong seq): entry survives.
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ghost, DstIP: ipB, SrcPort: 4000, DstPort: 80,
-		Flags: protocol.FlagRST, Seq: 9999,
-	})
-	time.Sleep(20 * time.Millisecond)
-	if b.sp.lookupHalf(key) == nil {
+	rst(9999)
+	if sp.lookupHalf(key) == nil {
 		t.Fatal("blind RST reaped the passive half-open")
 	}
-	if b.sp.ctr.BlindRstDrops.Load() == 0 {
+	if sp.ctr.BlindRstDrops.Load() == 0 {
 		t.Fatal("blind RST not counted")
 	}
 	// Exact RST (seq == peerISS+1): reaped.
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ghost, DstIP: ipB, SrcPort: 4000, DstPort: 80,
-		Flags: protocol.FlagRST, Seq: 5001,
-	})
-	deadline = time.Now().Add(time.Second)
-	for b.sp.lookupHalf(key) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("exact RST did not reap the half-open")
-		}
-		time.Sleep(time.Millisecond)
+	rst(5001)
+	if sp.lookupHalf(key) != nil {
+		t.Fatal("exact RST did not reap the half-open")
 	}
 
 	// Active open toward an unattached peer: the half-open must survive
 	// RSTs that don't ack our ISS.
 	ipGhost := protocol.MakeIPv4(10, 0, 0, 77)
-	lport, err := b.sp.Connect(ipGhost, 81, 0, 9)
+	lport, err := sp.Connect(ipGhost, 81, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	akey := protocol.FlowKey{LocalIP: ipB, LocalPort: lport, RemoteIP: ipGhost, RemotePort: 81}
-	h := b.sp.lookupHalf(akey)
+	akey := protocol.FlowKey{LocalIP: eng.Config().LocalIP, LocalPort: lport, RemoteIP: ipGhost, RemotePort: 81}
+	h := sp.lookupHalf(akey)
 	if h == nil {
 		t.Fatal("active half-open missing")
 	}
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ipGhost, DstIP: ipB, SrcPort: 81, DstPort: lport,
-		Flags: protocol.FlagRST | protocol.FlagACK, Ack: h.iss + 12345,
-	})
-	b.eng.Input(&protocol.Packet{ // no ACK flag at all
-		SrcIP: ipGhost, DstIP: ipB, SrcPort: 81, DstPort: lport,
-		Flags: protocol.FlagRST, Seq: 1,
-	})
-	time.Sleep(20 * time.Millisecond)
-	if b.sp.lookupHalf(akey) == nil {
+	fromGhost := func(flags protocol.TCPFlags, seq, ack uint32) *protocol.Packet {
+		return &protocol.Packet{SrcIP: ipGhost, DstIP: akey.LocalIP, SrcPort: 81, DstPort: lport, Flags: flags, Seq: seq, Ack: ack}
+	}
+	sp.handleException(fromGhost(protocol.FlagRST|protocol.FlagACK, 0, h.iss+12345))
+	sp.handleException(fromGhost(protocol.FlagRST, 1, 0)) // no ACK flag at all
+	if sp.lookupHalf(akey) == nil {
 		t.Fatal("blind RST killed the active open")
 	}
 	// The legitimate refusal form lands.
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ipGhost, DstIP: ipB, SrcPort: 81, DstPort: lport,
-		Flags: protocol.FlagRST | protocol.FlagACK, Ack: h.iss + 1,
-	})
-	ev := waitCtlEvent(t, b.ctx, 2*time.Second)
-	if ev.Kind != fastpath.EvConnected || ev.Bytes != fastpath.ConnRefused {
+	sp.handleException(fromGhost(protocol.FlagRST|protocol.FlagACK, 0, h.iss+1))
+	if ev := nextEvent(t, eng); ev.Kind != fastpath.EvConnected || ev.Bytes != fastpath.ConnRefused {
 		t.Fatalf("event = %+v, want ConnRefused", ev)
 	}
 }
@@ -286,28 +236,25 @@ func TestBlindRstCannotKillHandshakes(t *testing.T) {
 // in-flight active open's 4-tuple must neither perturb the handshake
 // nor touch any listener's backlog accounting (the dropHalf audit).
 func TestSpoofedSynCannotDisturbActiveOpen(t *testing.T) {
-	fab := fabric.New()
-	ipB := protocol.MakeIPv4(10, 0, 0, 2)
-	b := newNode(t, fab, ipB, fastCfg())
+	eng, sp, _ := newWireRig(fastCfg())
 
 	ipGhost := protocol.MakeIPv4(10, 0, 0, 77)
-	lport, err := b.sp.Connect(ipGhost, 81, 0, 9)
+	lport, err := sp.Connect(ipGhost, 81, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := protocol.FlowKey{LocalIP: ipB, LocalPort: lport, RemoteIP: ipGhost, RemotePort: 81}
-	h := b.sp.lookupHalf(key)
+	key := protocol.FlowKey{LocalIP: eng.Config().LocalIP, LocalPort: lport, RemoteIP: ipGhost, RemotePort: 81}
+	h := sp.lookupHalf(key)
 	if h == nil || h.passive {
 		t.Fatalf("active half-open missing or wrong kind: %+v", h)
 	}
 	issBefore := h.iss
 
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ipGhost, DstIP: ipB, SrcPort: 81, DstPort: lport,
+	sp.handleException(&protocol.Packet{
+		SrcIP: ipGhost, DstIP: key.LocalIP, SrcPort: 81, DstPort: lport,
 		Flags: protocol.FlagSYN, Seq: 31337,
 	})
-	time.Sleep(20 * time.Millisecond)
-	h2 := b.sp.lookupHalf(key)
+	h2 := sp.lookupHalf(key)
 	if h2 == nil {
 		t.Fatal("spoofed SYN destroyed the active open")
 	}
@@ -345,22 +292,14 @@ func TestDropHalfNeverTouchesListenerFromActiveOpen(t *testing.T) {
 // TestEstablishedSynDrawsChallengeNotReset: RFC 5961 §4 — a SYN
 // matching an established connection must not reset or duplicate it.
 func TestEstablishedSynDrawsChallengeNotReset(t *testing.T) {
-	fab := fabric.New()
-	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{})
-	f, _ := establish(t, a, b, ipB)
+	eng, sp, _ := newWireRig(Config{})
+	f := rigFlow(eng, sp, 1, eng.NowNanos())
 
-	a.eng.Input(&protocol.Packet{
-		SrcIP: ipB, DstIP: ipA,
-		SrcPort: f.PeerPort, DstPort: f.LocalPort,
-		Flags: protocol.FlagSYN, Seq: 12345,
-	})
-	time.Sleep(20 * time.Millisecond)
-	if a.eng.Table.Len() != 1 {
+	sp.handleException(peerSegment(f, protocol.FlagSYN, 12345, 0))
+	if eng.Table.Len() != 1 {
 		t.Fatal("spoofed SYN disturbed the established flow")
 	}
-	if a.sp.HalfOpenCount() != 0 {
+	if sp.HalfOpenCount() != 0 {
 		t.Fatal("spoofed SYN created a shadow half-open for a live connection")
 	}
 }
@@ -427,17 +366,16 @@ func TestStripedDialsConcurrent(t *testing.T) {
 	}
 	// All dials complete (events delivered) despite the flood.
 	got := 0
-	deadline := time.Now().Add(20 * time.Second)
 	var evs [64]fastpath.Event
-	for got < dials && time.Now().Before(deadline) {
+	waitCond(t, "every dial to connect under the flood", 20*time.Second, func() bool {
 		n := a.ctx.PollEvents(evs[:])
 		for i := 0; i < n; i++ {
 			if evs[i].Kind == fastpath.EvConnected && evs[i].Flow != nil {
 				got++
 			}
 		}
-		time.Sleep(time.Millisecond)
-	}
+		return got >= dials
+	})
 	close(stopFlood)
 	floodWG.Wait()
 	if got != dials {

@@ -1,8 +1,6 @@
 package slowpath
 
 import (
-	"time"
-
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
@@ -105,7 +103,8 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 		s.sendCtl(key, protocol.FlagRST|protocol.FlagACK, 0, pkt.Seq+1, false)
 		return
 	}
-	if s.cookiesEngaged(l, time.Now()) {
+	now := s.eng.NowNanos()
+	if s.cookiesEngaged(l, now) {
 		st.mu.Unlock()
 		// Stateless handshake: no half-open entry, no backlog slot — the
 		// completing ACK proves the initiator is reachable and carries
@@ -125,7 +124,6 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 		st.mu.Unlock()
 		return
 	}
-	now := time.Now()
 	h := &halfOpen{
 		key: key, iss: st.rng.Uint32(), ctxID: l.CtxID, opaque: l.Opaque,
 		passive: true, peerISS: pkt.Seq,
@@ -140,14 +138,16 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 
 // sendHandshake (re)sends h's own handshake segment — the SYN-ACK of a
 // passive open, the SYN of an active one. Everything it reads is fixed
-// at the entry's creation, so no stripe lock is needed.
+// at the entry's creation, so no stripe lock is needed. The segment is
+// recorded before it leaves: the fabric may deliver the answer, and the
+// event loop record it, before the send returns.
 func (s *Slowpath) sendHandshake(h *halfOpen) {
 	if h.passive {
-		s.sendCtl(h.key, protocol.FlagSYN|protocol.FlagACK, h.iss, h.peerISS+1, true)
 		s.record(h.key, telemetry.FESynAckTx, h.iss, h.peerISS+1, 0)
+		s.sendCtl(h.key, protocol.FlagSYN|protocol.FlagACK, h.iss, h.peerISS+1, true)
 	} else {
-		s.sendCtl(h.key, protocol.FlagSYN, h.iss, 0, true)
 		s.record(h.key, telemetry.FESynTx, h.iss, 0, 0)
+		s.sendCtl(h.key, protocol.FlagSYN, h.iss, 0, true)
 	}
 }
 
@@ -211,7 +211,7 @@ func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
 	// stateless handshake: validate the cookie carried in the ack
 	// number and reconstruct the connection the slow path never stored.
 	if l := st.listeners[key.LocalPort]; l != nil &&
-		pkt.Flags.Has(protocol.FlagACK) && s.cookiesActive(l, time.Now()) &&
+		pkt.Flags.Has(protocol.FlagACK) && s.cookiesActive(l, s.eng.NowNanos()) &&
 		s.eng.Table.Lookup(key) == nil {
 		h, ok := s.cookieHalf(key, pkt, l)
 		if !ok {
@@ -250,16 +250,21 @@ func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
 		s.sendCtl(key, protocol.FlagACK, tw.FinalSeq, tw.FinalAck, false)
 		return
 	}
-	// Otherwise the segment matches no connection state at all. A peer
-	// can legitimately still hold state for this tuple — we may have
-	// declared it dead during a partition and reclaimed everything — and
-	// if we stay silent it will retransmit into the void until its own
-	// retry budget runs dry. Answer with a reset (RFC 793 reset
-	// generation for a CLOSED tuple) so it tears down immediately. The
-	// send shares the challenge-ACK budget: stray segments are
-	// attacker-writable, so unmetered replies would be a reflection
-	// amplifier. Peers in TIME_WAIT are safe from these resets —
-	// handleRst never consults the TIME_WAIT table (RFC 1337).
+	s.resetStray(key, pkt)
+}
+
+// resetStray answers a segment that matches no connection state at all.
+// A peer can legitimately still hold state for this tuple — we may have
+// declared it dead during a partition and reclaimed everything, or our
+// late segments re-created, from its SYN cookie, a connection it had
+// already reset — and if we stay silent it will retransmit (its FIN too)
+// into the void until its own retry budget runs dry. Answer with a reset (RFC 793 reset
+// generation for a CLOSED tuple) so it tears down immediately. The send
+// shares the challenge-ACK budget: stray segments are attacker-writable,
+// so unmetered replies would be a reflection amplifier. Peers in
+// TIME_WAIT are safe from these resets — handleRst never consults the
+// TIME_WAIT table (RFC 1337).
+func (s *Slowpath) resetStray(key protocol.FlowKey, pkt *protocol.Packet) {
 	if s.eng.Challenge == nil || !s.eng.Challenge.Allow(s.eng.NowNanos()) {
 		return
 	}
@@ -326,14 +331,11 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 // (born is zero) — the stateless path deliberately keeps no state to
 // timestamp — and are skipped.
 func (s *Slowpath) observeHandshake(h *halfOpen) {
-	if s.telem == nil || h.born.IsZero() {
+	if s.telem == nil || h.born == 0 {
 		return
 	}
-	us := time.Since(h.born).Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	s.telem.Handshake.Observe(uint64(us), int(h.key.LocalPort))
+	// The engine clock is monotonic, so the latency is never negative.
+	s.telem.Handshake.Observe(uint64((s.eng.NowNanos()-h.born)/1000), int(h.key.LocalPort))
 }
 
 // admitFlow is the authoritative admission check for establishing a
@@ -426,6 +428,8 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 			// lost. Re-ack and restart the 2MSL clock (RFC 793).
 			s.sendCtl(key, protocol.FlagACK, tw.FinalSeq, tw.FinalAck, false)
 			s.eng.TimeWait.Extend(key, s.eng.NowNanos()+s.cfg.TimeWaitDuration.Nanoseconds())
+		} else {
+			s.resetStray(key, pkt)
 		}
 		return
 	}
@@ -467,7 +471,7 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 		// Both directions are closed and we closed first (FIN_WAIT_2 →
 		// TIME_WAIT, or the tail of a simultaneous close): quarantine the
 		// tuple and reclaim the flow now. The passive-close and
-		// not-yet-acked cases stay with closeSweep.
+		// not-yet-acked cases stay with the tick (closeTick).
 		s.enterTimeWait(f)
 	}
 }
@@ -598,8 +602,7 @@ func (s *Slowpath) notifyAborted(f *flowstate.Flow, cause uint32) {
 // exhausted — the slow path owns handshake timeouts (§3.2). An active
 // open that gives up delivers EvConnected/ConnTimedOut so the
 // application unblocks in bounded time.
-func (s *Slowpath) handshakeSweep() {
-	now := time.Now()
+func (s *Slowpath) handshakeSweep(now int64) {
 	var resend, failed []*halfOpen
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -629,75 +632,47 @@ func (s *Slowpath) handshakeSweep() {
 	}
 }
 
-// closeSweep drives locally initiated teardowns from the control tick:
-// it retransmits unacknowledged FINs with exponential backoff (budget
-// exhaustion aborts so neither side hangs half-closed forever), and
-// once the FIN is acknowledged it finishes the close — straight
-// removal for a passive closer, TIME_WAIT quarantine when both sides
-// are done and we closed first, or a FinWait2Timeout-bounded wait when
-// the peer has not closed its direction. This replaces the old
-// fire-and-forget removal timer: every step runs on the event loop,
-// charged to the timer pool, and survives a warm restart (Recover
-// re-arms the entries from shared flow state). Every flow whose close
-// ends here leaves through removeFlow, which releases its entry.
-func (s *Slowpath) closeSweep() {
-	now := time.Now()
-	type rexmit struct {
-		f        *flowstate.Flow
-		seq, ack uint32
-	}
-	var resend []rexmit
-	var aborts, finished, fw2Expired []*flowstate.Flow
-	s.mu.Lock()
-	for f, e := range s.closing {
-		f.Lock()
-		acked, aborted, ack, finRecv := f.FinAcked, f.Aborted, f.AckNo, f.FinReceived
-		f.Unlock()
-		switch {
-		case aborted:
-			// Orphaned: Close registered the entry after the abort's
-			// removeFlow had already looked for it.
-			delete(s.closing, f)
-			s.charge(resource.PoolTimers, -1)
-		case acked && finRecv:
-			finished = append(finished, f)
-		case acked && !e.fw2:
-			// FIN acknowledged, peer still open: FIN_WAIT_2, bounded.
-			e.fw2 = true
-			e.rexmit.deadline = now.Add(s.cfg.FinWait2Timeout)
-		case acked:
-			if now.After(e.rexmit.deadline) {
-				s.ctr.FinWait2Timeouts.Add(1)
-				fw2Expired = append(fw2Expired, f)
-			}
-		case !e.rexmit.due(now): // FIN in flight, timer running
-		case e.rexmit.attempts >= s.cfg.MaxRetransmits:
-			aborts = append(aborts, f)
-		default:
-			e.rexmit.backoff(now, 0)
-			s.ctr.FinRexmits.Add(1)
-			resend = append(resend, rexmit{f: f, seq: e.finSeq, ack: ack})
+// closeTick supervises a close the application asked for, from the
+// flow's own visit: the FIN goes out once the transmit buffer drains (or
+// closeDrainLimit after Close), is retransmitted with backoff until acked
+// (an exhausted budget aborts, so neither side hangs half-closed), and the
+// close finishes once the peer's FIN is in — removal for a passive closer,
+// TIME_WAIT for an active one — or after FinWait2Timeout. Caller holds mu.
+func (s *Slowpath) closeTick(e *ccEntry, now int64, fs *flowSample) {
+	f := e.flow
+	switch {
+	case fs.aborted:
+	case !fs.finSent:
+		if fs.pending <= 0 && fs.outstanding == 0 || now-e.closeAt >= closeDrainLimit.Nanoseconds() {
+			s.sendFin(e, now)
 		}
-	}
-	s.mu.Unlock()
-	for _, r := range resend {
-		s.sendCtlFlow(r.f, protocol.FlagFIN|protocol.FlagACK, r.seq, r.ack, nil)
-		recordFlow(r.f, telemetry.FERexmit, r.seq, r.ack, 0, 0)
-	}
-	for _, f := range finished {
-		s.finishClose(f)
-	}
-	for _, f := range fw2Expired {
-		// The peer never closed its side within the bound: quiet local
-		// teardown (no RST — the peer may legitimately still be alive,
-		// just uninterested in closing; its next segment for the gone
-		// flow draws nothing).
-		seq, ack, _ := markAborted(f)
-		recordFlow(f, telemetry.FEAborted, seq, ack, 0, 0)
-		s.removeFlow(f)
-	}
-	for _, f := range aborts {
-		s.abortFlow(f, 0)
+	case fs.finAcked && fs.finRecv:
+		s.later(func() { s.finishClose(f) })
+	case fs.finAcked && !e.fw2:
+		// FIN acknowledged, peer still open: FIN_WAIT_2, bounded. The
+		// timer keeps its one pool charge across the transition.
+		e.fw2 = true
+		e.fin.deadline = now + s.cfg.FinWait2Timeout.Nanoseconds()
+	case fs.finAcked:
+		if e.fin.due(now) {
+			// The peer never closed its side: quiet local teardown, no RST
+			// (it may be alive, just uninterested in closing; only its next
+			// segment for the gone flow draws one).
+			s.ctr.FinWait2Timeouts.Add(1)
+			s.later(func() {
+				seq, ack, _ := markAborted(f)
+				recordFlow(f, telemetry.FEAborted, seq, ack, 0, 0)
+				s.removeFlow(f)
+			})
+		}
+	case !e.fin.due(now): // FIN in flight, timer running
+	case e.fin.attempts >= s.cfg.MaxRetransmits:
+		s.doom(f, 0)
+	default:
+		e.fin.backoff(now, 0)
+		s.ctr.FinRexmits.Add(1)
+		recordFlow(f, telemetry.FERexmit, e.finSeq, fs.ack, 0, 0)
+		s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, e.finSeq, fs.ack, nil)
 	}
 }
 
@@ -716,18 +691,20 @@ func (s *Slowpath) finishClose(f *flowstate.Flow) {
 }
 
 // removeFlow is the one end of every flow's life: out of the flow table,
-// finite resources reclaimed, control entry dropped, a pending close
-// released (its timer-pool charge; the FIN_WAIT_2 gauge counts closing
-// entries, so it follows), flight ring retired. What differs between the
-// ways a flow can end — whether the peer gets a RST, which counter, which
-// event the application sees — stays with the caller.
+// finite resources reclaimed, control entry dropped (with it a close's
+// timer-pool charge; the FIN_WAIT_2 gauge counts entries, so it follows),
+// flight ring retired. What differs between the ways a flow can end —
+// whether the peer gets a RST, which counter, which event the application
+// sees — stays with the caller.
 func (s *Slowpath) removeFlow(f *flowstate.Flow) {
-	s.eng.Table.Remove(f.Key())
-	// Payload buffers, rate-bucket slot and governor charges go back
-	// exactly once, however many teardown paths race here: Retire is the
-	// latch. Reclaim only fences producer writes; the application side may
-	// still drain already received bytes.
+	// The table entry, payload buffers, rate-bucket slot and governor
+	// charges go back exactly once, however many teardown paths race here:
+	// Retire is the latch, taken before the table forgets the flow so a
+	// descriptor the fast path no longer finds installed reads as stale,
+	// not malformed. Reclaim only fences producer writes; the application
+	// side may still drain already received bytes.
 	if f.Retire() {
+		s.eng.Table.Remove(f.Key())
 		var payload int64
 		if f.RxBuf != nil {
 			payload += int64(f.RxBuf.Size())
@@ -744,10 +721,6 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	}
 	s.mu.Lock()
 	s.dropEntry(f)
-	if _, ok := s.closing[f]; ok {
-		delete(s.closing, f)
-		s.charge(resource.PoolTimers, -1)
-	}
 	s.mu.Unlock()
 	// The flight ring moves to the recorder's retired list, for
 	// post-mortem inspection.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/congestion"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
+	"repro/internal/resource"
 	"repro/internal/telemetry"
 )
 
@@ -25,10 +26,11 @@ import (
 //     sets Flow.Parked under the flow spinlock.
 //   - Whoever next gives the flow work clears the flag under that same
 //     lock and queues the flow on the engine's activation ring
-//     (fastpath.Engine.ActivateFlow: transmit's idle→busy edge, Close);
-//     the tick drains the ring first thing. Work the slow path itself
-//     originates (core-failure migration, warm-restart readoption)
-//     unparks directly.
+//     (fastpath.Engine.ActivateFlow: transmit's idle→busy edge); the tick
+//     drains the ring first thing. Work the slow path itself originates
+//     (Close, core-failure migration, warm-restart readoption) unparks
+//     directly. A close in progress is work until the flow is gone, so a
+//     closing flow never parks: its timers run from its own visit.
 //   - Parked entries queue in park order, and KeepaliveTime is one
 //     constant, so the FIFO head is the next keepalive deadline: the
 //     tick pops expired heads only, re-reads LastTouched, and either
@@ -60,40 +62,45 @@ type flowSample struct {
 	rtt              int64  // ns
 	una, outstanding uint32 // oldest unacked sequence; bytes in flight
 	pending          int    // bytes buffered but unsent
+	ack              uint32
 	window           uint16
 	finSent, aborted bool
+	closeReq         bool // the app asked to close: closeTick's work
+	finAcked         bool
+	finRecv          bool
 	quiescent        bool // Flow.Quiescent, before the counters were taken
 }
 
 // clearStall resets the no-progress clock RTO detection runs on.
 func (e *ccEntry) clearStall() { e.stallTicks, e.stalledFor = 0, 0 }
 
-// doomedFlow is a flow the tick decided to abort; the abort itself runs
-// after the tick releases mu (teardown re-takes it).
-type doomedFlow struct {
-	f     *flowstate.Flow
-	cause uint32
-}
+// later queues a teardown the tick decided on; it runs once the tick
+// has released mu (teardown re-takes it).
+func (s *Slowpath) later(teardown func()) { s.ended = append(s.ended, teardown) }
 
-func (s *Slowpath) doom(f *flowstate.Flow, cause uint32) {
-	s.doomed = append(s.doomed, doomedFlow{f, cause})
-}
+// doom aborts f after the tick: a retry or probe budget ran out.
+func (s *Slowpath) doom(f *flowstate.Flow, cause uint32) { s.later(func() { s.abortFlow(f, cause) }) }
 
 // adoptFlow creates f's control entry on the active list. Caller holds
 // mu.
-func (s *Slowpath) adoptFlow(f *flowstate.Flow, ctrl congestion.RateController, una uint32, now int64) {
+func (s *Slowpath) adoptFlow(f *flowstate.Flow, ctrl congestion.RateController, una uint32, now int64) *ccEntry {
 	e := &ccEntry{flow: f, ctrl: ctrl, lastUna: una, lastRate: ctrl.Rate()}
 	s.cc[f] = e
 	s.pushActive(e, now)
+	return e
 }
 
-// dropEntry forgets f's control entry, wherever it is. Caller holds mu.
+// dropEntry forgets f's control entry, wherever it is, releasing its FIN
+// timer's pool charge. Caller holds mu.
 func (s *Slowpath) dropEntry(f *flowstate.Flow) {
 	e := s.cc[f]
 	if e == nil {
 		return
 	}
 	delete(s.cc, f)
+	if e.fin.armed() {
+		s.charge(resource.PoolTimers, -1)
+	}
 	if e.idx >= 0 {
 		s.popActive(e)
 	} else {
@@ -194,7 +201,7 @@ func (s *Slowpath) unpark(e *ccEntry, now int64) {
 	s.ctr.FlowActivations.Add(1)
 }
 
-// drainActivations unparks every flow the fast path (or Close) queued
+// drainActivations unparks every flow the fast path queued
 // since the last drain. A full ring refused some pushes — those flows
 // kept their flag — so after an overflow the parked list itself is
 // searched for flows with work. Caller holds mu.
@@ -247,8 +254,9 @@ func (s *Slowpath) keepaliveDue(now int64) {
 
 // controlTick is the per-interval congestion/timeout pass (§3.2) over
 // the active set: read and reset the fast path's feedback counters, run
-// the congestion policy, write the new rate, restart stalled flows, and
-// park flows that have nothing left to control. now is the engine clock.
+// the congestion policy, write the new rate, restart stalled flows,
+// supervise closes, and park flows that have nothing left to control. now
+// is the engine clock.
 func (s *Slowpath) controlTick(now int64) {
 	s.mu.Lock()
 	s.drainActivations(now)
@@ -260,12 +268,12 @@ func (s *Slowpath) controlTick(now int64) {
 			i++ // else e was parked and another entry took its slot
 		}
 	}
-	doomed := s.doomed
-	s.doomed = s.doomed[:0]
+	ended := s.ended
+	s.ended = s.ended[:0]
 	s.mu.Unlock()
-	for i, d := range doomed {
-		s.abortFlow(d.f, d.cause)
-		doomed[i] = doomedFlow{}
+	for i, teardown := range ended {
+		teardown()
+		ended[i] = nil
 	}
 }
 
@@ -289,9 +297,14 @@ func (s *Slowpath) tickFlow(e *ccEntry, now int64) {
 	fs.una = f.SeqNo - f.TxSent
 	fs.outstanding = f.TxSent
 	fs.pending = f.TxPending()
-	fs.window = f.Window
+	fs.ack, fs.window = f.AckNo, f.Window
 	fs.finSent, fs.aborted = f.FinSent, f.Aborted
+	fs.closeReq, fs.finAcked, fs.finRecv = f.CloseRequested, f.FinAcked, f.FinReceived
 	f.Unlock()
+
+	if fs.closeReq {
+		s.closeTick(e, now, &fs)
+	}
 
 	// Zero-window stall: the peer's receiver is full, not the network —
 	// this is flow control, so the persist timer replaces the
@@ -304,7 +317,7 @@ func (s *Slowpath) tickFlow(e *ccEntry, now int64) {
 		e.consecTimeouts = 0
 		e.lastUna = fs.una
 		e.quiet = 0
-		s.persistTick(f, e)
+		s.persistTick(f, e, now)
 		return
 	}
 	e.persist = retry{}
@@ -464,14 +477,20 @@ func (s *Slowpath) ControlSet() (active, parked int) {
 //     exactly one of {active list, parked FIFO}; a parked entry whose
 //     flow's flag is already clear is in the activation ring;
 //   - an active entry's flow is not flagged Parked;
-//   - a flagged flow holds no control work (flowstate.Flow.Quiescent).
+//   - a flagged flow holds no control work (flowstate.Flow.Quiescent) —
+//     in particular no close in progress, which keeps a closing flow on
+//     the active list;
+//   - a closing flow's FIN is out with its timer armed, or waits behind
+//     bytes still in the transmit buffer;
+//   - the governor's timer pool holds exactly the armed FIN timers.
 //
 // It is meant for tests and the scenario executor's assertion points,
-// and is safe against a running stack. One condition is asynchronous by
+// and is safe against a running stack. Two conditions are asynchronous by
 // construction — the application appends bytes to a parked flow's
 // transmit buffer before the fast path sees the descriptor and activates
-// it — so a flagged flow found holding work is re-examined for a grace
-// period before it is reported.
+// it, and a closing flow's buffer drains between the ticks that would
+// send its FIN — so a flow found in either state is re-examined for a
+// grace period before it is reported.
 func (s *Slowpath) CheckControlInvariant() error {
 	var flows []*flowstate.Flow
 	s.eng.Table.ForEach(func(f *flowstate.Flow) { flows = append(flows, f) })
@@ -485,14 +504,13 @@ func (s *Slowpath) CheckControlInvariant() error {
 		deadline := time.Now().Add(200 * time.Millisecond)
 		for {
 			f.Lock()
-			bad := f.Parked && !f.Quiescent()
-			desc := fmt.Sprintf("TxSent=%d pending=%d window=%d fin=%v/%v", f.TxSent, f.TxPending(), f.Window, f.FinSent, f.FinAcked)
+			why := unattended(f)
 			f.Unlock()
-			if !bad {
+			if why == "" || f.Retired() {
 				break
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("parked flow %v holds control work: %s", f.Key(), desc)
+				return fmt.Errorf("flow %v: %s", f.Key(), why)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -500,9 +518,23 @@ func (s *Slowpath) CheckControlInvariant() error {
 	return nil
 }
 
+// unattended describes control work f holds that nothing is about to act
+// on, or returns "": a parked flow's work, or a close whose FIN is due —
+// nothing left to send — but not out. Caller holds the flow lock.
+func unattended(f *flowstate.Flow) string {
+	switch {
+	case f.Parked && !f.Quiescent():
+		return fmt.Sprintf("parked flow holds control work: TxSent=%d pending=%d window=%d close=%v fin=%v/%v",
+			f.TxSent, f.TxPending(), f.Window, f.CloseRequested, f.FinSent, f.FinAcked)
+	case f.CloseRequested && !f.FinSent && !f.Aborted && f.TxBuf.Used() == 0:
+		return "close requested with nothing left to send, but no FIN sent"
+	}
+	return ""
+}
+
 // checkControlSet is CheckControlInvariant's structural half. It returns
-// the flagged flows found holding work, for the caller to re-examine.
-// Caller holds mu.
+// the flows found unattended, for the caller to re-examine. Caller holds
+// mu.
 func (s *Slowpath) checkControlSet(tableFlows []*flowstate.Flow) (suspects []*flowstate.Flow, err error) {
 	for _, f := range tableFlows {
 		if s.cc[f] == nil && s.eng.Table.Lookup(f.Key()) == f {
@@ -530,22 +562,32 @@ func (s *Slowpath) checkControlSet(tableFlows []*flowstate.Flow) (suspects []*fl
 	if parked != s.parkedN || len(s.active)+parked != len(s.cc) {
 		return nil, fmt.Errorf("control set: %d active + %d parked (count %d) != %d entries", len(s.active), parked, s.parkedN, len(s.cc))
 	}
-	inRing := 0
+	inRing, armed := 0, int64(0)
 	for f, e := range s.cc {
 		f.Lock()
-		flagged, quiescent := f.Parked, f.Quiescent()
+		flagged, why := f.Parked, unattended(f)
+		finUnwatched := f.FinSent && !f.Aborted && !e.fin.armed()
 		f.Unlock()
+		if e.fin.armed() {
+			armed++
+		}
 		switch {
 		case e.idx >= 0 && flagged:
 			return nil, fmt.Errorf("flow %v is flagged parked but on the active list", f.Key())
+		case finUnwatched:
+			return nil, fmt.Errorf("flow %v sent its FIN with no FIN timer armed", f.Key())
 		case e.idx < 0 && !flagged:
 			inRing++ // the push precedes the flag clear, and mu keeps the drain out
-		case flagged && !quiescent:
+		}
+		if why != "" {
 			suspects = append(suspects, f)
 		}
 	}
 	if ring := s.eng.ActivationsLen(); inRing > ring {
 		return nil, fmt.Errorf("%d parked entries have a cleared flag but the activation ring holds %d", inRing, ring)
+	}
+	if g := s.cfg.Gov; g != nil && g.Used(resource.PoolTimers) != armed {
+		return nil, fmt.Errorf("timers pool holds %d, but %d FIN timers are armed", g.Used(resource.PoolTimers), armed)
 	}
 	return suspects, nil
 }

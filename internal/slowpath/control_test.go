@@ -16,19 +16,62 @@ import (
 	"repro/internal/shmring"
 )
 
-// nullNIC drops everything: the control tests drive ticks by hand.
-type nullNIC struct{}
+// wireNIC records what a rig transmits, for the tests that assert on
+// segments; nobody answers.
+type wireNIC struct {
+	mu   sync.Mutex
+	pkts []*protocol.Packet
+}
 
-func (nullNIC) Output(*protocol.Packet) {}
+func (n *wireNIC) Output(p *protocol.Packet) {
+	n.mu.Lock()
+	n.pkts = append(n.pkts, p.Clone())
+	n.mu.Unlock()
+}
+
+// take returns, and forgets, the segments sent so far that match.
+func (n *wireNIC) take(match func(*protocol.Packet) bool) []*protocol.Packet {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var got []*protocol.Packet
+	for _, p := range n.pkts {
+		if match(p) {
+			got = append(got, p)
+		}
+	}
+	n.pkts = n.pkts[:0]
+	return got
+}
 
 // newTickRig builds an engine and slow path that are never started, so a
-// test (or benchmark) owns the clock: it calls controlTick with whatever
-// "now" it likes.
+// test (or benchmark) owns the clock: it calls controlTick — or the whole
+// event-loop tick — with whatever "now" it likes.
 func newTickRig(cfg Config) (*fastpath.Engine, *Slowpath) {
+	eng, sp, _ := newWireRig(cfg)
+	return eng, sp
+}
+
+// newWireRig is newTickRig plus the NIC the rig transmits into and the
+// application context 0 its events go to.
+func newWireRig(cfg Config) (*fastpath.Engine, *Slowpath, *wireNIC) {
 	ip := protocol.MakeIPv4(10, 0, 0, 1)
-	eng := fastpath.NewEngine(nullNIC{}, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1})
+	nic := &wireNIC{}
+	eng := fastpath.NewEngine(nic, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1})
+	eng.RegisterContext(fastpath.NewContext(0, 1, 256))
 	cfg.DisableCoreScaling = true
-	return eng, New(eng, cfg)
+	return eng, New(eng, cfg), nic
+}
+
+// nextEvent takes the next event a never-started rig posted to context
+// 0, which the handlers and ticks have already done by the time they
+// return.
+func nextEvent(t *testing.T, eng *fastpath.Engine) fastpath.Event {
+	t.Helper()
+	var evs [1]fastpath.Event
+	if eng.ContextByID(0).PollEvents(evs[:]) == 0 {
+		t.Fatal("no event posted")
+	}
+	return evs[0]
 }
 
 // rigFlow installs the i-th established, silent flow.
@@ -63,6 +106,20 @@ func (c *tickClock) tick(n int) {
 		c.now += c.sp.cfg.ControlInterval.Nanoseconds()
 		c.sp.controlTick(c.now)
 	}
+}
+
+// run advances the clock by d, running the whole event-loop tick once
+// per control interval, and reports whether until came true on the way
+// (it is checked after every tick; nil never does).
+func (c *tickClock) run(d time.Duration, until func() bool) bool {
+	for end := c.now + d.Nanoseconds(); c.now < end; {
+		c.now += c.sp.cfg.ControlInterval.Nanoseconds()
+		c.sp.tick(c.now)
+		if until != nil && until() {
+			return true
+		}
+	}
+	return false
 }
 
 func mustInvariant(t testing.TB, sp *Slowpath) {
@@ -457,7 +514,7 @@ func TestIdleReclaimTakesParkedFlowsLRUFirst(t *testing.T) {
 		flows[i].Touch(base - int64(time.Second) + int64(age)*int64(time.Millisecond))
 	}
 	for round := 0; round < 2; round++ {
-		sp.reclaimIdle(g)
+		sp.reclaimIdle(g, eng.NowNanos())
 		for _, i := range order[:2*(round+1)] {
 			if eng.Table.Lookup(flows[i].Key()) != nil {
 				t.Fatalf("round %d: flow %d (among the oldest) survived", round, i)

@@ -1,8 +1,6 @@
 package slowpath
 
 import (
-	"time"
-
 	"repro/internal/flowstate"
 	"repro/internal/telemetry"
 )
@@ -42,14 +40,14 @@ const coreReadmitBeats = 3
 // slow path failed stays excluded until it earns re-admission from this
 // one.
 type coreWatch struct {
-	lastBeat   uint64    // counter value at the previous sweep
-	lastChange time.Time // when the counter last advanced
-	cleanBeats int       // advances observed since failure, toward re-admission
+	lastBeat   uint64 // counter value at the previous sweep
+	lastChange int64  // when the counter last advanced (engine clock)
+	cleanBeats int    // advances observed since failure, toward re-admission
 }
 
 // coreSweep is the per-control-tick core-liveness check. Healthy-case
 // cost is one atomic load and one comparison per core.
-func (s *Slowpath) coreSweep(now time.Time) {
+func (s *Slowpath) coreSweep(now int64) {
 	if s.cfg.CoreTimeout <= 0 {
 		return
 	}
@@ -61,7 +59,7 @@ func (s *Slowpath) coreSweep(now time.Time) {
 			w.lastBeat = beat
 			w.lastChange = now
 		}
-		if w.lastChange.IsZero() {
+		if w.lastChange == 0 {
 			// First observation of this core: start the staleness clock
 			// now rather than at the zero time.
 			w.lastChange = now
@@ -71,7 +69,7 @@ func (s *Slowpath) coreSweep(now time.Time) {
 			// Even a fully idle core advances its counter every blocked-
 			// wakeup period (≤100ms), so CoreTimeout of silence means the
 			// goroutine is gone (killed, panicked) or wedged mid-iteration.
-			if !advanced && now.Sub(w.lastChange) > s.cfg.CoreTimeout {
+			if !advanced && now-w.lastChange > s.cfg.CoreTimeout.Nanoseconds() {
 				// Never condemn the last eligible core: with everyone else
 				// already failed there is nothing to re-steer to, so the
 				// verdict would only blackhole traffic that the core — if

@@ -35,6 +35,42 @@ func newCoreWatchNode(t *testing.T, coreTimeout time.Duration) (*fastpath.Engine
 	return eng, sp
 }
 
+// newCoreWatchRig is newCoreWatchNode with the slow path never started:
+// the two cores live (and die) for real, and the test runs the
+// watchdog's sweeps itself on the clock it returns.
+func newCoreWatchRig(t *testing.T, coreTimeout time.Duration) (*fastpath.Engine, *Slowpath, *tickClock) {
+	t.Helper()
+	ip := protocol.MakeIPv4(10, 0, 0, 1)
+	eng := fastpath.NewEngine(&wireNIC{}, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 2})
+	sp := New(eng, Config{CoreTimeout: coreTimeout, DisableCoreScaling: true})
+	eng.Start()
+	eng.SetActiveCores(2)
+	t.Cleanup(eng.Stop)
+	return eng, sp, &tickClock{sp: sp, now: eng.NowNanos()}
+}
+
+// sweepAfter advances the clock by d and runs one watchdog sweep, the
+// cores named live having first shown a fresh heartbeat.
+func (c *tickClock) sweepAfter(t *testing.T, d time.Duration, live ...int) {
+	t.Helper()
+	eng := c.sp.eng
+	for _, i := range live {
+		b := eng.CoreBeat(i)
+		eng.Nudge(i)
+		waitCond(t, "a heartbeat", time.Second, func() bool { return eng.CoreBeat(i) != b })
+	}
+	c.now += d.Nanoseconds()
+	c.sp.coreSweep(c.now)
+}
+
+// killCore kills core i and waits for its goroutine to exit.
+func killCore(t *testing.T, eng *fastpath.Engine, i int) {
+	t.Helper()
+	eng.KillCore(i)
+	eng.Nudge(i)
+	waitCond(t, "the core to exit", time.Second, func() bool { return eng.CoreExited(i) })
+}
+
 // installWatchFlow inserts a flow with unacked in-flight data and a cc
 // entry, as an established connection mid-transfer would have.
 func installWatchFlow(eng *fastpath.Engine, sp *Slowpath) *flowstate.Flow {
@@ -161,14 +197,19 @@ func TestCoreWatchdogStallAutoRecovers(t *testing.T) {
 // place. Once core 1 revives and is re-admitted, the still-dead core 0
 // finally draws its deferred verdict.
 func TestCoreWatchdogSparesLastCore(t *testing.T) {
-	eng, sp := newCoreWatchNode(t, 250*time.Millisecond)
-	eng.KillCore(1)
-	waitCond(t, "first failure verdict", 2*time.Second, func() bool {
-		return sp.Counters().CoreFailures == 1 && eng.CoreFailed(1)
-	})
+	const timeout = 250 * time.Millisecond
+	eng, sp, clk := newCoreWatchRig(t, timeout)
+	killCore(t, eng, 1)
+	clk.sweepAfter(t, 0, 0)
+	clk.sweepAfter(t, timeout+time.Millisecond, 0)
+	if sp.Counters().CoreFailures != 1 || !eng.CoreFailed(1) {
+		t.Fatal("no failure verdict on the dead core 1")
+	}
 
-	eng.KillCore(0)
-	time.Sleep(600 * time.Millisecond) // well past CoreTimeout
+	killCore(t, eng, 0)
+	for i := 0; i < 4; i++ { // well past CoreTimeout
+		clk.sweepAfter(t, timeout)
+	}
 	if eng.CoreFailed(0) {
 		t.Fatal("watchdog condemned the last eligible core")
 	}
@@ -181,10 +222,12 @@ func TestCoreWatchdogSparesLastCore(t *testing.T) {
 	if !eng.ReviveCore(1) {
 		t.Fatal("ReviveCore failed")
 	}
-	waitCond(t, "deferred verdict on core 0", 3*time.Second, func() bool {
-		c := sp.Counters()
-		return c.CoreReadmits == 1 && c.CoreFailures == 2 && eng.CoreFailed(0)
-	})
+	for i := 0; i <= coreReadmitBeats; i++ {
+		clk.sweepAfter(t, time.Millisecond, 1)
+	}
+	if c := sp.Counters(); c.CoreReadmits != 1 || c.CoreFailures != 2 || !eng.CoreFailed(0) {
+		t.Fatalf("deferred verdict on core 0 missing: %+v, core 0 failed %v", c, eng.CoreFailed(0))
+	}
 	if eng.CoreFailed(1) {
 		t.Fatal("revived core 1 not re-admitted")
 	}
@@ -194,9 +237,10 @@ func TestCoreWatchdogSparesLastCore(t *testing.T) {
 // off — a dead core is never declared failed, even well past the 500ms
 // default.
 func TestCoreWatchdogDisabled(t *testing.T) {
-	eng, sp := newCoreWatchNode(t, -1)
-	eng.KillCore(1)
-	time.Sleep(800 * time.Millisecond)
+	eng, sp, clk := newCoreWatchRig(t, -1)
+	killCore(t, eng, 1)
+	clk.sweepAfter(t, 0)
+	clk.sweepAfter(t, 10*time.Second)
 	if c := sp.Counters().CoreFailures; c != 0 {
 		t.Fatalf("disabled watchdog declared %d failures", c)
 	}
@@ -209,31 +253,36 @@ func TestCoreWatchdogDisabled(t *testing.T) {
 // adopts the predecessor's failure verdicts (the failed core stays
 // excluded) and can still re-admit the core after revival.
 func TestCoreWatchdogSurvivesWarmRestart(t *testing.T) {
-	eng, sp := newCoreWatchNode(t, 250*time.Millisecond)
-	eng.KillCore(1)
-	waitCond(t, "failure verdict", 2*time.Second, func() bool {
-		return sp.Counters().CoreFailures == 1
-	})
+	const timeout = 250 * time.Millisecond
+	eng, sp, clk := newCoreWatchRig(t, timeout)
+	killCore(t, eng, 1)
+	clk.sweepAfter(t, 0, 0)
+	clk.sweepAfter(t, timeout+time.Millisecond, 0)
+	if sp.Counters().CoreFailures != 1 {
+		t.Fatal("no failure verdict")
+	}
 
 	// Crash and warm-restart the slow path on the same engine.
 	sp.Kill()
 	ns := sp.Successor()
 	ns.Recover()
-	ns.Start()
-	t.Cleanup(func() { ns.Stop() })
+	clk = &tickClock{sp: ns, now: eng.NowNanos()}
 
 	if !eng.CoreFailed(1) {
 		t.Fatal("warm restart lost the failure verdict")
 	}
-	time.Sleep(100 * time.Millisecond)
-	if eng.CoreFailed(1) == false || ns.Counters().CoreFailures != 1 {
+	clk.sweepAfter(t, 4*timeout, 0)
+	if !eng.CoreFailed(1) || ns.Counters().CoreFailures != 1 {
 		t.Fatalf("restarted instance re-judged the core: %+v", ns.Counters())
 	}
 
 	if !eng.ReviveCore(1) {
 		t.Fatal("ReviveCore failed")
 	}
-	waitCond(t, "re-admission by restarted instance", 3*time.Second, func() bool {
-		return ns.Counters().CoreReadmits == 1 && !eng.CoreFailed(1)
-	})
+	for i := 0; i < coreReadmitBeats; i++ {
+		clk.sweepAfter(t, time.Millisecond, 0, 1)
+	}
+	if ns.Counters().CoreReadmits != 1 || eng.CoreFailed(1) {
+		t.Fatalf("restarted instance did not re-admit core 1: %+v", ns.Counters())
+	}
 }

@@ -1,7 +1,6 @@
 package slowpath
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,31 +43,33 @@ func fastCfg() Config {
 // unreachable peer must fail with ConnTimedOut after the handshake
 // retry budget, in bounded time, leaving no half-open state behind.
 func TestConnectTimesOutAcrossPartition(t *testing.T) {
-	fab := fabric.New()
-	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, fastCfg())
-	b := newNode(t, fab, ipB, fastCfg())
-	b.sp.Listen(80, 0, 1)
-	fab.Partition(ipA, ipB)
-
-	start := time.Now()
-	if _, err := a.sp.Connect(ipB, 80, 0, 5); err != nil {
+	eng, sp, nic := newWireRig(fastCfg())
+	ipB := protocol.MakeIPv4(10, 0, 0, 2)
+	lport, err := sp.Connect(ipB, 80, 0, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ev := waitEvent(t, a.ctx, 2*time.Second)
-	if ev.Kind != fastpath.EvConnected || ev.Bytes != fastpath.ConnTimedOut {
+	// The clock starts where Connect started the handshake's timer.
+	h := sp.lookupHalf(protocol.FlowKey{LocalIP: eng.Config().LocalIP, LocalPort: lport, RemoteIP: ipB, RemotePort: 80})
+	clk := &tickClock{sp: sp, now: h.rexmit.deadline - sp.cfg.HandshakeRTO.Nanoseconds()}
+	start := clk.now
+	timedOut := func() bool { return sp.ctr.HandshakeTimeouts.Load() > 0 }
+	if !clk.run(time.Second, timedOut) {
+		t.Fatal("the handshake never gave up")
+	}
+	// Budget: 10 + 20 + 40 ms of backoff, and not a tick more.
+	if el := time.Duration(clk.now - start); el != 70*time.Millisecond {
+		t.Fatalf("timed out after %v, want 70ms", el)
+	}
+	if ev := nextEvent(t, eng); ev.Kind != fastpath.EvConnected || ev.Bytes != fastpath.ConnTimedOut {
 		t.Fatalf("event = %+v, want EvConnected/ConnTimedOut", ev)
 	}
-	// Budget: 10 + 20 + 40 ms of backoff plus sweep slack.
-	if el := time.Since(start); el > 1500*time.Millisecond {
-		t.Fatalf("timed out after %v, want bounded", el)
+	syns := nic.take(func(p *protocol.Packet) bool { return p.Flags == protocol.FlagSYN })
+	if len(syns) != 3 {
+		t.Fatalf("%d SYNs sent, want the first and 2 retransmissions", len(syns))
 	}
-	nHalf, nTO := a.sp.HalfOpenCount(), a.sp.ctr.HandshakeTimeouts.Load()
-	if nHalf != 0 {
-		t.Fatalf("half-open entries leaked: %d", nHalf)
-	}
-	if nTO == 0 {
-		t.Fatal("HandshakeTimeouts not counted")
+	if n := sp.HalfOpenCount(); n != 0 {
+		t.Fatalf("half-open entries leaked: %d", n)
 	}
 }
 
@@ -88,7 +89,9 @@ func TestHandshakeSurvivesTransientPartition(t *testing.T) {
 	if _, err := a.sp.Connect(ipB, 80, 0, 5); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(15 * time.Millisecond) // at least the first SYN is lost
+	waitCond(t, "a SYN lost and retransmitted", time.Second, func() bool {
+		return a.sp.ctr.HandshakeRexmits.Load() > 0
+	})
 	fab.Heal(ipA, ipB)
 
 	ev := waitCtlEvent(t, a.ctx, 2*time.Second)
@@ -101,45 +104,30 @@ func TestHandshakeSurvivesTransientPartition(t *testing.T) {
 	}
 }
 
+// ghostSyn is a SYN to port 80 from a host nobody can answer for.
+func ghostSyn(port uint16, seq uint32) *protocol.Packet {
+	return &protocol.Packet{
+		SrcIP: protocol.MakeIPv4(10, 0, 0, 99), DstIP: protocol.MakeIPv4(10, 0, 0, 1),
+		SrcPort: port, DstPort: 80, Flags: protocol.FlagSYN, Seq: seq,
+	}
+}
+
 // TestRstReapsPassiveHalfOpen: a peer that gives up mid-handshake
 // (RST after our SYN-ACK) must not leave a half-open entry behind.
 func TestRstReapsPassiveHalfOpen(t *testing.T) {
-	fab := fabric.New()
-	ipB := protocol.MakeIPv4(10, 0, 0, 2)
-	b := newNode(t, fab, ipB, fastCfg())
-	b.sp.Listen(80, 0, 1)
+	_, sp, _ := newWireRig(fastCfg())
+	sp.Listen(80, 0, 1)
 
-	// Forge a SYN from a host that is not attached (its SYN-ACK
-	// disappears), then a RST from the same 4-tuple.
-	ghost := protocol.MakeIPv4(10, 0, 0, 99)
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ghost, DstIP: ipB, SrcPort: 4000, DstPort: 80,
-		Flags: protocol.FlagSYN, Seq: 100,
-	})
-	deadline := time.Now().Add(time.Second)
-	for {
-		n := b.sp.HalfOpenCount()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("passive half-open never created")
-		}
-		time.Sleep(time.Millisecond)
+	syn := ghostSyn(4000, 100)
+	sp.handleException(syn)
+	if n := sp.HalfOpenCount(); n != 1 {
+		t.Fatalf("passive half-open never created (%d entries)", n)
 	}
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ghost, DstIP: ipB, SrcPort: 4000, DstPort: 80,
-		Flags: protocol.FlagRST, Seq: 101,
-	})
-	for {
-		n := b.sp.HalfOpenCount()
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("half-open entry not reaped by RST")
-		}
-		time.Sleep(time.Millisecond)
+	rst := ghostSyn(4000, 101)
+	rst.Flags = protocol.FlagRST
+	sp.handleException(rst)
+	if n := sp.HalfOpenCount(); n != 0 {
+		t.Fatal("half-open entry not reaped by RST")
 	}
 }
 
@@ -147,26 +135,23 @@ func TestRstReapsPassiveHalfOpen(t *testing.T) {
 // ACK never arrives, the passive entry retransmits its SYN-ACK and is
 // eventually reaped — the deadline satellite of the issue.
 func TestPassiveHalfOpenReapedWithoutFinalAck(t *testing.T) {
-	fab := fabric.New()
-	ipB := protocol.MakeIPv4(10, 0, 0, 2)
-	b := newNode(t, fab, ipB, fastCfg())
-	b.sp.Listen(80, 0, 1)
+	eng, sp, nic := newWireRig(fastCfg())
+	sp.Listen(80, 0, 1)
 
-	ghost := protocol.MakeIPv4(10, 0, 0, 99)
-	b.eng.Input(&protocol.Packet{
-		SrcIP: ghost, DstIP: ipB, SrcPort: 4001, DstPort: 80,
-		Flags: protocol.FlagSYN, Seq: 100,
-	})
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n, reaped := b.sp.HalfOpenCount(), b.sp.ctr.HandshakeTimeouts.Load()
-		if n == 0 && reaped > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("half-open not reaped: entries=%d timeouts=%d", n, reaped)
-		}
-		time.Sleep(time.Millisecond)
+	syn := ghostSyn(4001, 100)
+	sp.handleException(syn)
+	h := sp.lookupHalf(syn.RxKey())
+	clk := &tickClock{sp: sp, now: h.rexmit.deadline - sp.cfg.HandshakeRTO.Nanoseconds()}
+	reaped := func() bool { return sp.HalfOpenCount() == 0 && sp.ctr.HandshakeTimeouts.Load() > 0 }
+	if !clk.run(time.Second, reaped) {
+		t.Fatalf("half-open not reaped: entries=%d timeouts=%d", sp.HalfOpenCount(), sp.ctr.HandshakeTimeouts.Load())
+	}
+	synAcks := nic.take(func(p *protocol.Packet) bool { return p.Flags == protocol.FlagSYN|protocol.FlagACK })
+	if len(synAcks) != 3 {
+		t.Fatalf("%d SYN-ACKs sent, want the first and 2 retransmissions", len(synAcks))
+	}
+	if eng.Table.Len() != 0 {
+		t.Fatal("an unfinished handshake installed a flow")
 	}
 }
 
@@ -227,146 +212,116 @@ func TestEstablishedFlowAbortsAfterRetryBudget(t *testing.T) {
 	}
 }
 
+// peerSegment is a segment from f's peer.
+func peerSegment(f *flowstate.Flow, flags protocol.TCPFlags, seq, ack uint32) *protocol.Packet {
+	return &protocol.Packet{
+		SrcIP: f.PeerIP, DstIP: f.LocalIP, SrcPort: f.PeerPort, DstPort: f.LocalPort,
+		Flags: flags, Seq: seq, Ack: ack, Window: 64,
+	}
+}
+
 // TestFinWithDataGapDefersClose: a FIN arriving ahead of missing data
 // (sequence gap) must not close the connection; the receiver re-acks
 // and waits for the retransmission to fill the gap first.
 func TestFinWithDataGapDefersClose(t *testing.T) {
-	fab := fabric.New()
-	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, fastCfg())
-	b := newNode(t, fab, ipB, fastCfg())
-	f, _ := establish(t, a, b, ipB)
-
-	f.Lock()
+	eng, sp, nic := newWireRig(fastCfg())
+	f := rigFlow(eng, sp, 1, eng.NowNanos())
 	ackNo, localSeq := f.AckNo, f.SeqNo
-	f.Unlock()
 
 	// FIN 10 bytes ahead of what we have: in-flight data was lost.
-	a.eng.Input(&protocol.Packet{
-		SrcIP: f.PeerIP, DstIP: f.LocalIP,
-		SrcPort: f.PeerPort, DstPort: f.LocalPort,
-		Flags: protocol.FlagFIN | protocol.FlagACK, Seq: ackNo + 10, Ack: localSeq,
-	})
-	time.Sleep(20 * time.Millisecond)
-	f.Lock()
-	finRcvd := f.FinReceived
-	f.Unlock()
-	if finRcvd {
+	sp.handleException(peerSegment(f, protocol.FlagFIN|protocol.FlagACK, ackNo+10, localSeq))
+	if f.FinReceived {
 		t.Fatal("FIN with a data gap was accepted early")
 	}
-	if a.eng.Table.Len() != 1 {
+	if eng.Table.Len() != 1 {
 		t.Fatal("flow removed despite unfilled gap")
+	}
+	if acks := nic.take(func(p *protocol.Packet) bool { return p.Flags == protocol.FlagACK && p.Ack == ackNo }); len(acks) != 1 {
+		t.Fatalf("%d re-ACKs of the gap, want 1", len(acks))
 	}
 
 	// The retransmitted in-order FIN closes normally.
-	a.eng.Input(&protocol.Packet{
-		SrcIP: f.PeerIP, DstIP: f.LocalIP,
-		SrcPort: f.PeerPort, DstPort: f.LocalPort,
-		Flags: protocol.FlagFIN | protocol.FlagACK, Seq: ackNo, Ack: localSeq,
-	})
-	ev := waitCtlEvent(t, a.ctx, 2*time.Second)
-	if ev.Kind != fastpath.EvClosed {
+	sp.handleException(peerSegment(f, protocol.FlagFIN|protocol.FlagACK, ackNo, localSeq))
+	if ev := nextEvent(t, eng); ev.Kind != fastpath.EvClosed {
 		t.Fatalf("event = %+v, want EvClosed", ev)
 	}
 }
 
 // TestLingerReAcksRetransmittedFin: after both sides close, the flow
-// lingers briefly (removeFlowSoon); a retransmitted peer FIN during the
-// linger window must be re-acked so the peer can finish its teardown.
+// lingers until our FIN is acknowledged; a retransmitted peer FIN during
+// the linger must be re-acked so the peer can finish its teardown.
 func TestLingerReAcksRetransmittedFin(t *testing.T) {
-	fab := fabric.New()
-	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, fastCfg())
-	b := newNode(t, fab, ipB, fastCfg())
-	f, _ := establish(t, a, b, ipB)
-
-	var reAcks atomic.Int64
-	f.Lock()
+	eng, sp, nic := newWireRig(fastCfg())
+	f := rigFlow(eng, sp, 1, eng.NowNanos())
 	finSeq, localSeq := f.AckNo, f.SeqNo
-	f.Unlock()
-	fab.Tap = func(ts int64, pkt *protocol.Packet) {
-		if pkt.SrcIP == ipA && pkt.Flags.Has(protocol.FlagACK) && pkt.Ack == finSeq+1 {
-			reAcks.Add(1)
-		}
-	}
-	defer func() { fab.Tap = nil }()
 
-	// Local close first (FIN out), then the peer's FIN arrives.
-	a.sp.Close(f)
-	deadline := time.Now().Add(time.Second)
-	for {
-		f.Lock()
-		sent := f.FinSent
-		f.Unlock()
-		if sent {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("local FIN never sent")
-		}
-		time.Sleep(time.Millisecond)
+	// Local close first: nothing left to send, so the FIN is out when
+	// Close returns. Then the peer's FIN arrives.
+	sp.Close(f)
+	if fins := nic.take(func(p *protocol.Packet) bool { return p.Flags.Has(protocol.FlagFIN) }); len(fins) != 1 || !f.FinSent {
+		t.Fatalf("Close sent %d FINs, FinSent %v", len(fins), f.FinSent)
 	}
-	peerFin := &protocol.Packet{
-		SrcIP: f.PeerIP, DstIP: f.LocalIP,
-		SrcPort: f.PeerPort, DstPort: f.LocalPort,
-		Flags: protocol.FlagFIN | protocol.FlagACK, Seq: finSeq, Ack: localSeq,
-	}
-	a.eng.Input(peerFin)
-	ev := waitCtlEvent(t, a.ctx, 2*time.Second)
-	if ev.Kind != fastpath.EvClosed {
+	peerFin := peerSegment(f, protocol.FlagFIN|protocol.FlagACK, finSeq, localSeq)
+	sp.handleException(peerFin)
+	if ev := nextEvent(t, eng); ev.Kind != fastpath.EvClosed {
 		t.Fatalf("event = %+v, want EvClosed", ev)
 	}
 
 	// Retransmit the peer's FIN inside the linger window: must be
 	// re-acked from the still-present flow state.
-	a.eng.Input(peerFin)
-	time.Sleep(10 * time.Millisecond)
-	if n := reAcks.Load(); n < 2 {
+	sp.handleException(peerFin)
+	if n := len(nic.take(func(p *protocol.Packet) bool { return p.Flags == protocol.FlagACK && p.Ack == finSeq+1 })); n < 2 {
 		t.Fatalf("re-acks = %d, want the lingering flow to re-ack the duplicate FIN", n)
 	}
 
-	// After the linger the flow is gone.
-	deadline = time.Now().Add(time.Second)
-	for a.eng.Table.Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flow not removed after linger")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The peer's ACK of our FIN ends the linger: the fast path marks it,
+	// and the next tick quarantines the tuple (we closed first).
+	eng.Start()
+	defer eng.Stop()
+	eng.Input(peerSegment(f, protocol.FlagACK, finSeq+1, localSeq+1))
+	waitCond(t, "FIN acked", time.Second, func() bool {
+		f.Lock()
+		defer f.Unlock()
+		return f.FinAcked
+	})
+	clk := &tickClock{sp: sp, now: eng.NowNanos()}
+	if !clk.run(10*time.Millisecond, func() bool { return eng.Table.Len() == 0 }) {
+		t.Fatal("flow not removed after linger")
+	}
+	if sp.TimeWaitCount() != 1 {
+		t.Fatal("the active closer's tuple is not in TIME_WAIT")
 	}
 }
 
 // TestFinRetransmittedUntilAcked: a FIN lost to a partition is
 // retransmitted with backoff; once the partition heals the peer acks it
-// and the closing entry clears.
+// and the close moves on to FIN_WAIT_2.
 func TestFinRetransmittedUntilAcked(t *testing.T) {
-	fab := fabric.New()
-	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
 	cfg := fastCfg()
 	cfg.MaxRetransmits = 10
-	a := newNode(t, fab, ipA, cfg)
-	b := newNode(t, fab, ipB, cfg)
-	f, _ := establish(t, a, b, ipB)
+	eng, sp, nic := newWireRig(cfg)
+	f := rigFlow(eng, sp, 1, eng.NowNanos())
+	localSeq, peerSeq := f.SeqNo, f.AckNo
 
-	fab.Partition(ipA, ipB)
-	a.sp.Close(f)
-	time.Sleep(60 * time.Millisecond) // FIN and its first retransmits are lost
-	fab.Heal(ipA, ipB)
+	clk := &tickClock{sp: sp, now: eng.NowNanos()}
+	sp.Close(f)
+	clk.run(60*time.Millisecond, nil) // FIN and its first retransmits are lost
+	fins := nic.take(func(p *protocol.Packet) bool { return p.Flags.Has(protocol.FlagFIN) && p.Seq == localSeq })
+	rexmits := sp.ctr.FinRexmits.Load()
+	if rexmits == 0 || len(fins) != int(rexmits)+1 {
+		t.Fatalf("%d FINs on the wire, %d counted retransmissions", len(fins), rexmits)
+	}
 
-	deadline := time.Now().Add(3 * time.Second)
-	for {
+	eng.Start()
+	defer eng.Stop()
+	eng.Input(peerSegment(f, protocol.FlagACK, peerSeq, localSeq+1))
+	waitCond(t, "FIN acked", time.Second, func() bool {
 		f.Lock()
-		acked := f.FinAcked
-		f.Unlock()
-		rexmits := a.sp.ctr.FinRexmits.Load()
-		if acked {
-			if rexmits == 0 {
-				t.Fatal("FIN acked without any retransmission despite partition")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("FIN never acked (rexmits=%d)", rexmits)
-		}
-		time.Sleep(5 * time.Millisecond)
+		defer f.Unlock()
+		return f.FinAcked
+	})
+	clk.run(5*time.Millisecond, nil)
+	if n := sp.FinWait2Count(); n != 1 {
+		t.Fatalf("FinWait2Count = %d after the ACK, want 1", n)
 	}
 }

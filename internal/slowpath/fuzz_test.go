@@ -110,7 +110,7 @@ func FuzzStateMachine(f *testing.F) {
 			}
 		}
 		// Final sweep must also hold the invariants.
-		s.handshakeSweep()
+		s.handshakeSweep(eng.NowNanos())
 		checkBacklogInvariants(t, s)
 	})
 }

@@ -18,7 +18,7 @@ import (
 // configured: re-evaluate pool pressure against the hysteresis
 // thresholds, publish the TX-grant clamp while rung 3 is engaged, and
 // run the LRU idle reclaimer while rung 4 is.
-func (s *Slowpath) governorTick() {
+func (s *Slowpath) governorTick(now int64) {
 	g := s.cfg.Gov
 	if g == nil {
 		return
@@ -33,7 +33,7 @@ func (s *Slowpath) governorTick() {
 		g.SetTxGrant(0)
 	}
 	if level >= resource.LevelReclaim {
-		s.reclaimIdle(g)
+		s.reclaimIdle(g, now)
 	}
 }
 
@@ -42,8 +42,7 @@ func (s *Slowpath) governorTick() {
 // best-effort RST to the peer, EvAborted to the app, full resource
 // reclamation — up to ReclaimBatch per tick. Oldest-first, batched:
 // pressure relief is incremental and never touches active transfers.
-func (s *Slowpath) reclaimIdle(g *resource.Governor) {
-	now := s.eng.NowNanos()
+func (s *Slowpath) reclaimIdle(g *resource.Governor, now int64) {
 	minAge := now - s.cfg.IdleReclaimAge.Nanoseconds()
 	type victim struct {
 		f       *flowstate.Flow

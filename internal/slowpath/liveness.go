@@ -1,8 +1,6 @@
 package slowpath
 
 import (
-	"time"
-
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
@@ -22,8 +20,7 @@ import (
 // caller (tickFlow) has established that the peer advertises a zero
 // window while we hold pending or in-flight data. An exhausted probe
 // budget dooms the flow.
-func (s *Slowpath) persistTick(f *flowstate.Flow, e *ccEntry) {
-	now := time.Now()
+func (s *Slowpath) persistTick(f *flowstate.Flow, e *ccEntry, now int64) {
 	if !e.persist.armed() {
 		// Stall just detected: arm the timer; the first probe goes out
 		// one PersistRTO from now (the window-closing ack often precedes
@@ -152,19 +149,20 @@ func (s *Slowpath) enterTimeWait(f *flowstate.Flow) {
 
 // timeWaitSweep expires quarantined tuples whose 2MSL clock has run
 // out, returning their pool charges.
-func (s *Slowpath) timeWaitSweep() {
-	if n := s.eng.TimeWait.Expire(s.eng.NowNanos()); n > 0 {
+func (s *Slowpath) timeWaitSweep(now int64) {
+	if n := s.eng.TimeWait.Expire(now); n > 0 {
 		s.charge(resource.PoolTimeWait, -int64(n))
 	}
 }
 
 // FinWait2Count returns the number of flows currently in FIN_WAIT_2
 // (our FIN acknowledged, peer's direction still open). Counted from the
-// closing table on demand, so the gauge cannot drift from the entries.
+// control entries on demand, so the gauge cannot drift from them; a
+// closing flow never parks, so the active list holds them all.
 func (s *Slowpath) FinWait2Count() (n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.closing {
+	for _, e := range s.active {
 		if e.fw2 {
 			n++
 		}

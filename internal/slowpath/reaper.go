@@ -53,7 +53,7 @@ func (s *Slowpath) stallGap() time.Duration {
 // context, so only apps that stay silent for a further AppTimeout are
 // reaped — the mass-reap false positive the grace window exists to
 // prevent.
-func (s *Slowpath) noteResume(now time.Time) {
+func (s *Slowpath) noteResume(now int64) {
 	s.mu.Lock()
 	s.reapResume = now
 	s.mu.Unlock()
@@ -61,21 +61,22 @@ func (s *Slowpath) noteResume(now time.Time) {
 
 // reapSweep scans registered contexts for missed heartbeats and reaps
 // dead ones. It self-rate-limits to a quarter of AppTimeout so the
-// per-control-interval cost is negligible.
-func (s *Slowpath) reapSweep() {
-	if s.cfg.AppTimeout <= 0 {
+// per-control-interval cost is negligible. now and the beats are engine
+// clock.
+func (s *Slowpath) reapSweep(now int64) {
+	timeout := s.cfg.AppTimeout.Nanoseconds()
+	if timeout <= 0 {
 		return
 	}
-	now := time.Now()
 	s.mu.Lock()
-	if now.Sub(s.lastReap) < s.cfg.AppTimeout/4 {
+	if now-s.lastReap < timeout/4 {
 		s.mu.Unlock()
 		return
 	}
 	s.lastReap = now
 	resume := s.reapResume
 	s.mu.Unlock()
-	if !resume.IsZero() && now.Sub(resume) < s.cfg.AppTimeout {
+	if resume != 0 && now-resume < timeout {
 		// Post-stall/restart grace: last-beat stamps predating the gap
 		// prove nothing about liveness. Resume reaping only after every
 		// live app has had a full AppTimeout to beat again.
@@ -90,7 +91,7 @@ func (s *Slowpath) reapSweep() {
 		if lb == 0 {
 			continue // liveness never enabled (raw low-level context)
 		}
-		if now.UnixNano()-lb > int64(s.cfg.AppTimeout) {
+		if now-lb > timeout {
 			s.ReapContext(ctx)
 		}
 	}

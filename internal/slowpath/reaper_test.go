@@ -28,7 +28,7 @@ func TestReapOnMissedHeartbeat(t *testing.T) {
 
 	// The client app beats once (liveness enabled) and then goes silent —
 	// an app that crashed right after connecting.
-	a.ctx.Beat()
+	a.ctx.Beat(a.eng.NowNanos())
 	if _, err := a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestReapOnMissedHeartbeat(t *testing.T) {
 	}
 	f := evA.Flow
 	waitEvent(t, b.ctx, 2*time.Second) // EvAccepted
-	b.ctx.Beat()                       // keep the server app alive
+	b.ctx.Beat(b.eng.NowNanos())       // keep the server app alive
 	stopBeat := make(chan struct{})
 	defer close(stopBeat)
 	go func() {
@@ -49,17 +49,14 @@ func TestReapOnMissedHeartbeat(t *testing.T) {
 			case <-stopBeat:
 				return
 			case <-tick.C:
-				b.ctx.Beat()
+				b.ctx.Beat(b.eng.NowNanos())
 			}
 		}
 	}()
 
 	// The reaper must declare the client app dead and take everything
 	// back.
-	deadline := time.Now().Add(2 * time.Second)
-	for a.sp.Counters().AppsReaped == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, "client app reaped", 2*time.Second, func() bool { return a.sp.Counters().AppsReaped != 0 })
 	c := a.sp.Counters()
 	if c.AppsReaped != 1 || c.FlowsReaped != 1 {
 		t.Fatalf("counters: %+v", c)
@@ -91,23 +88,17 @@ func TestReapOnMissedHeartbeat(t *testing.T) {
 }
 
 func TestHeartbeatPreventsReap(t *testing.T) {
-	fab := fabric.New()
-	// A generous timeout relative to the beat cadence: on a loaded
-	// single-CPU machine the busy-polling fast-path core can starve this
-	// goroutine for tens of milliseconds between beats.
-	cfg := reaperCfg()
-	cfg.AppTimeout = 250 * time.Millisecond
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
-
-	end := time.Now().Add(600 * time.Millisecond) // several AppTimeouts
-	for time.Now().Before(end) {
-		a.ctx.Beat()
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := a.sp.Counters().AppsReaped; got != 0 {
+	eng, sp, _ := newWireRig(reaperCfg())
+	ctx := eng.ContextByID(0)
+	clk := &tickClock{sp: sp, now: eng.NowNanos()}
+	clk.run(15*reaperCfg().AppTimeout, func() bool { // several AppTimeouts
+		ctx.Beat(clk.now)
+		return false
+	})
+	if got := sp.Counters().AppsReaped; got != 0 {
 		t.Fatalf("beating app was reaped: %d", got)
 	}
-	if a.ctx.Dead() {
+	if ctx.Dead() {
 		t.Fatal("beating context marked dead")
 	}
 }
@@ -116,33 +107,32 @@ func TestHeartbeatPreventsReap(t *testing.T) {
 // liveness disabled (lastBeat == 0) — the low-level API contract — and
 // must never be reaped no matter how long it idles.
 func TestRawContextExemptFromReaping(t *testing.T) {
-	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), reaperCfg())
-	time.Sleep(120 * time.Millisecond)
-	if got := a.sp.Counters().AppsReaped; got != 0 {
+	eng, sp, _ := newWireRig(reaperCfg())
+	clk := &tickClock{sp: sp, now: eng.NowNanos()}
+	clk.run(10*reaperCfg().AppTimeout, nil)
+	if got := sp.Counters().AppsReaped; got != 0 {
 		t.Fatalf("silent raw context reaped: %d", got)
 	}
 }
 
 func TestReapReclaimsListenPort(t *testing.T) {
-	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), reaperCfg())
-	if err := a.sp.Listen(80, 0, 1); err != nil {
+	eng, sp, _ := newWireRig(reaperCfg())
+	if err := sp.Listen(80, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	a.ctx.Beat() // enable liveness, then crash
+	clk := &tickClock{sp: sp, now: eng.NowNanos()}
+	eng.ContextByID(0).Beat(clk.now) // enable liveness, then crash
 
-	deadline := time.Now().Add(2 * time.Second)
-	for a.sp.Counters().AppsReaped == 0 && time.Now().Before(deadline) { // bumped last
-		time.Sleep(time.Millisecond)
+	if !clk.run(2*reaperCfg().AppTimeout, func() bool { return sp.Counters().AppsReaped != 0 }) { // bumped last
+		t.Fatal("silent app not reaped")
 	}
-	if c := a.sp.Counters(); c.ListenersReaped != 1 || c.AppsReaped != 1 {
+	if c := sp.Counters(); c.ListenersReaped != 1 || c.AppsReaped != 1 {
 		t.Fatalf("counters: %+v", c)
 	}
 	// The port is free again for the next (live) app.
 	ctx2 := fastpath.NewContext(0, 1, 256)
-	id := a.eng.RegisterContext(ctx2)
-	if err := a.sp.Listen(80, id, 2); err != nil {
+	id := eng.RegisterContext(ctx2)
+	if err := sp.Listen(80, id, 2); err != nil {
 		t.Fatalf("re-listen after reap: %v", err)
 	}
 }
@@ -210,10 +200,9 @@ func TestUndeliverableAcceptTornDown(t *testing.T) {
 	// server must not retain the flow either way. The drop is counted
 	// before the RST goes out and the flow is removed after it, so wait
 	// for both.
-	deadline := time.Now().Add(2 * time.Second)
-	for (b.sp.Counters().AcceptQueueDrops == 0 || b.eng.Table.Len() != 0) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, "accept drop counted and flow removed", 2*time.Second, func() bool {
+		return b.sp.Counters().AcceptQueueDrops != 0 && b.eng.Table.Len() == 0
+	})
 	if got := b.sp.Counters().AcceptQueueDrops; got == 0 {
 		t.Fatal("no AcceptQueueDrops counted")
 	}

@@ -1,8 +1,6 @@
 package slowpath
 
 import (
-	"time"
-
 	"repro/internal/flowstate"
 	"repro/internal/resource"
 	"repro/internal/telemetry"
@@ -14,7 +12,7 @@ import (
 // table's Table-3 records with sequence state, the shmring payload
 // buffers with their positions, the rate buckets, the listener registry
 // — lives on the engine side of the boundary. The slow path's private
-// maps (cc entries, half-opens, FIN timers) are pure derived or
+// maps (cc entries with their timers, half-opens) are pure derived or
 // in-progress state: derived state is rebuilt from shared memory, and
 // in-progress state that cannot be proven from shared memory is
 // abandoned (half-open handshakes) or aborted (inconsistent flows).
@@ -46,8 +44,10 @@ type RecoveryStats struct {
 //     lastUna is computed from the recorded SeqNo/TxSent — so RTO
 //     detection re-arms exactly where the crashed instance left off;
 //     flows the crashed instance had parked re-park after a few ticks.
-//   - A flow mid-teardown (FIN sent, not yet acknowledged) gets its
-//     FIN-retransmission timer re-armed.
+//   - A flow the application asked to close resumes its close from the
+//     shared flags, like every other Fin* decision: a FIN still waiting
+//     for the transmit buffer to drain waits again (its bound restarts),
+//     and a FIN in flight or in FIN_WAIT_2 gets its timer re-armed.
 //   - A flow that cannot be proven consistent — context gone or dead,
 //     buffers reclaimed, or already aborted — is aborted: best-effort
 //     RST, state reclaimed, counted in RecoveryAborts.
@@ -59,7 +59,7 @@ type RecoveryStats struct {
 // stamps from before the outage prove nothing about app liveness.
 func (s *Slowpath) Recover() RecoveryStats {
 	var rep RecoveryStats
-	now := time.Now()
+	now := s.eng.NowNanos()
 
 	// Reconcile the governor pools whose entries died with the crashed
 	// instance: half-open handshakes are simply gone (peers re-drive
@@ -102,6 +102,7 @@ func (s *Slowpath) Recover() RecoveryStats {
 			f.RxBuf.Reclaimed() || f.TxBuf.Reclaimed()
 		seq, txSent := f.SeqNo, f.TxSent
 		ack := f.AckNo
+		closeReq := f.CloseRequested
 		finPending := f.FinSent && !f.FinAcked
 		finWait2 := f.FinSent && f.FinAcked && !f.FinReceived
 		finDone := f.FinSent && f.FinAcked && f.FinReceived
@@ -133,12 +134,15 @@ func (s *Slowpath) Recover() RecoveryStats {
 			b.SetRate(ctrl.Rate())
 		}
 		s.mu.Lock()
-		s.adoptFlow(f, ctrl, seq-txSent, s.eng.NowNanos())
+		e := s.adoptFlow(f, ctrl, seq-txSent, now)
+		if closeReq {
+			e.closeAt = now
+		}
 		if finPending || finWait2 {
 			// Mid-FIN_WAIT_2 at the crash re-arms a fresh full timeout —
 			// the old deadline died with the old instance, and a fresh
 			// bound errs toward the peer finishing its close.
-			s.armClose(f, seq, finWait2, now)
+			s.armFin(e, seq, now, finWait2)
 			rep.ClosingResumed++
 		}
 		s.mu.Unlock()

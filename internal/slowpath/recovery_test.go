@@ -157,48 +157,49 @@ func TestWarmRestartAbortsUnprovableFlows(t *testing.T) {
 // control plane stalled must NOT be reaped when the loop resumes —
 // stale heartbeat stamps from before the gap prove nothing.
 func TestReapGraceAfterStall(t *testing.T) {
-	fab := fabric.New()
 	cfg := reaperCfg() // AppTimeout 40ms
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
-	a.ctx.Beat() // liveness enabled
+	eng, sp, _ := newWireRig(cfg)
+	ctx := eng.ContextByID(0)
+	clk := &tickClock{sp: sp, now: eng.NowNanos()}
+	ctx.Beat(clk.now) // liveness enabled
+	clk.run(5*time.Millisecond, nil)
 
-	// Stall the control plane for several AppTimeouts. The app goes
-	// silent too (blocked on the stalled control plane) and only beats
-	// again once the loop resumes.
-	a.sp.Stall(150 * time.Millisecond)
-	time.Sleep(170 * time.Millisecond)
+	// The control plane stalls for several AppTimeouts: no tick runs, and
+	// the app goes silent too (blocked on the stalled control plane) and
+	// only beats again once the loop resumes.
+	clk.now += (150 * time.Millisecond).Nanoseconds()
 
 	// Resume beating promptly and keep it up past the grace window.
-	end := time.Now().Add(3 * cfg.AppTimeout)
-	for time.Now().Before(end) {
-		a.ctx.Beat()
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := a.sp.Counters().AppsReaped; got != 0 {
+	clk.run(3*cfg.AppTimeout, func() bool {
+		ctx.Beat(clk.now)
+		return false
+	})
+	if got := sp.Counters().AppsReaped; got != 0 {
 		t.Fatalf("live app reaped after stall: AppsReaped = %d", got)
 	}
-	if a.ctx.Dead() {
+	if ctx.Dead() {
 		t.Fatal("live context marked dead after stall")
 	}
 }
 
 // TestReapResumesAfterGrace: the grace window is not amnesty — an app
 // that stays silent after the restart is still reaped once the window
-// plus AppTimeout pass.
+// plus AppTimeout pass, and not before the window ends.
 func TestReapResumesAfterGrace(t *testing.T) {
-	fab := fabric.New()
 	cfg := reaperCfg()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
-	a.ctx.Beat() // liveness enabled, then the app truly dies
+	eng, sp, _ := newWireRig(cfg)
+	eng.ContextByID(0).Beat(eng.NowNanos()) // liveness enabled, then the app truly dies
 
-	restart(t, a)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for a.sp.Counters().AppsReaped == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	sp.Kill()
+	ns := sp.Successor()
+	ns.Recover()
+	clk := &tickClock{sp: ns, now: ns.reapResume}
+	reaped := func() bool { return ns.Counters().AppsReaped != 0 }
+	if clk.run(cfg.AppTimeout-cfg.ControlInterval, reaped) {
+		t.Fatal("dead app reaped inside the grace window")
 	}
-	if got := a.sp.Counters().AppsReaped; got != 1 {
-		t.Fatalf("dead app not reaped after grace: AppsReaped = %d", got)
+	if !clk.run(cfg.AppTimeout, reaped) {
+		t.Fatalf("dead app not reaped after grace: AppsReaped = %d", ns.Counters().AppsReaped)
 	}
 }
 
@@ -216,10 +217,7 @@ func TestPanicInjectionKillsLoop(t *testing.T) {
 	}
 
 	a.sp.InjectPanic()
-	deadline := time.Now().Add(2 * time.Second)
-	for !a.sp.Down() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, "the loop to die", 2*time.Second, a.sp.Down)
 	if !a.sp.Down() {
 		t.Fatal("injected panic did not kill the loop")
 	}

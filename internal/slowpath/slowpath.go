@@ -54,6 +54,10 @@ const stallIntervals = 2
 // scaleInterval is the core-scaling monitor's period (§3.4).
 const scaleInterval = 10 * time.Millisecond
 
+// closeDrainLimit bounds how long a requested close's FIN waits for the
+// transmit buffer to drain before it is sent anyway.
+const closeDrainLimit = 5 * time.Second
+
 // listener is a registered listening port: the registration itself — the
 // engine-side shared record a warm-restarted slow path reconstructs its
 // listeners from — plus this instance's handshake state. Backlog bounds
@@ -65,42 +69,42 @@ type listener struct {
 	*flowstate.ListenerEntry
 	halfCount int
 
-	// SYN-cookie pressure tracking (stripe-locked): synWinStart/synInWin
-	// is a one-second SYN arrival window; cookieUntil keeps cookie mode
-	// sticky briefly after the trigger so a sawtoothing flood doesn't
-	// flap between stateful and stateless handshakes.
-	synWinStart time.Time
+	// SYN-cookie pressure tracking (stripe-locked, engine-clock ns):
+	// synWinStart/synInWin is a one-second SYN arrival window; cookieUntil
+	// keeps cookie mode sticky briefly after the trigger so a sawtoothing
+	// flood doesn't flap between stateful and stateless handshakes.
+	synWinStart int64
 	synInWin    int
-	cookieUntil time.Time
+	cookieUntil int64
 }
 
 // retry is a retransmission timer with exponential backoff: the next
-// deadline, the interval that produced it, and how many times it has
-// fired. The handshake, FIN and persist timers are each one of these;
-// the zero value is a disarmed timer.
+// deadline (engine-clock ns), the interval that produced it, and how many
+// times it has fired. The handshake, FIN and persist timers are each one
+// of these; the zero value is a disarmed timer.
 type retry struct {
-	deadline time.Time
+	deadline int64
 	rto      time.Duration
 	attempts int
 }
 
 // startRetry arms a timer whose first firing is one rto from now.
-func startRetry(now time.Time, rto time.Duration) retry {
-	return retry{deadline: now.Add(rto), rto: rto}
+func startRetry(now int64, rto time.Duration) retry {
+	return retry{deadline: now + rto.Nanoseconds(), rto: rto}
 }
 
-func (r *retry) armed() bool            { return !r.deadline.IsZero() }
-func (r *retry) due(now time.Time) bool { return !now.Before(r.deadline) }
+func (r *retry) armed() bool        { return r.deadline != 0 }
+func (r *retry) due(now int64) bool { return now >= r.deadline }
 
 // backoff counts one firing and re-arms at double the interval, capped
 // at ceil when ceil is positive.
-func (r *retry) backoff(now time.Time, ceil time.Duration) {
+func (r *retry) backoff(now int64, ceil time.Duration) {
 	r.attempts++
 	r.rto *= 2
 	if ceil > 0 && r.rto > ceil {
 		r.rto = ceil
 	}
-	r.deadline = now.Add(r.rto)
+	r.deadline = now + r.rto.Nanoseconds()
 }
 
 // halfOpen is an in-progress handshake. rexmit is the SYN / SYN-ACK
@@ -116,8 +120,8 @@ type halfOpen struct {
 	rexmit  retry
 	lst     *listener // passive only: for backlog accounting
 	mss     uint16    // cookie completions only: recovered MSS class
-	born    time.Time // handshake start, for the completion-latency histogram;
-	// zero on cookie reconstructions (the stateless path kept no start time).
+	born    int64     // handshake start (engine clock), for the completion-latency
+	// histogram; zero on cookie reconstructions (the stateless path kept no start time).
 }
 
 // ccEntry is the slow path's per-flow congestion/timeout state.
@@ -162,20 +166,15 @@ type ccEntry struct {
 	// flow, which resets both.
 	kaNext   int64
 	kaProbes int
-}
 
-// closeEntry tracks a locally initiated teardown awaiting the peer's
-// acknowledgement of our FIN, so lost FINs are retransmitted with
-// backoff instead of leaving the peer half-closed forever.
-type closeEntry struct {
-	finSeq uint32
-	rexmit retry
-
-	// fw2 marks the entry as FIN_WAIT_2: our FIN is acknowledged but
-	// the peer has not closed its direction. rexmit.deadline is then the
-	// FinWait2Timeout expiry instead of a retransmission deadline. The
-	// entry keeps its single timer-pool charge across the transition.
-	fw2 bool
+	// Close supervision (closeTick): closeAt is when Close was called,
+	// bounding the FIN's wait for the buffer to drain; fin retransmits the
+	// FIN at finSeq or — fw2, once it is acked — is the FIN_WAIT_2
+	// deadline. An armed fin holds one timers-pool charge (dropEntry).
+	closeAt int64
+	finSeq  uint32
+	fin     retry
+	fw2     bool
 }
 
 // Slowpath drives one TAS instance's control plane.
@@ -193,23 +192,22 @@ type Slowpath struct {
 	stripes  []*stripe
 	stripeSh uint
 
-	// mu guards the remaining central state: the congestion map, the
-	// FIN-retransmission map, and the reaper's clocks. These are
-	// touched by the single event-loop goroutine plus occasional API
-	// calls — they were never the SYN-flood bottleneck.
-	mu      sync.Mutex
-	cc      map[*flowstate.Flow]*ccEntry
-	closing map[*flowstate.Flow]*closeEntry
+	// mu guards the remaining central state: the control entries and
+	// the reaper's clocks. These are touched by the single event-loop
+	// goroutine plus occasional API calls — they were never the SYN-flood
+	// bottleneck.
+	mu sync.Mutex
+	cc map[*flowstate.Flow]*ccEntry
 
 	// The control set (control.go), guarded by mu: every cc entry is
 	// either in active — the dense list the control tick walks — or on
-	// the parked FIFO, which no tick touches. doomed is the tick's
-	// scratch list of flows to abort once it has released mu.
+	// the parked FIFO, which no tick touches. ended is the tick's scratch
+	// list of flows to tear down once it has released mu.
 	active     []*ccEntry
 	parkedHead *ccEntry
 	parkedTail *ccEntry
 	parkedN    int
-	doomed     []doomedFlow
+	ended      []func()
 
 	// portCtr drives ephemeral port allocation (32768 + ctr%32768);
 	// atomic so concurrent Dials don't need any shared lock.
@@ -233,11 +231,11 @@ type Slowpath struct {
 	panicNext atomic.Bool
 	dead      atomic.Bool
 
-	// lastTick is the event loop's view of when it last ran; a gap much
-	// larger than the control interval means the loop was stalled (GC
-	// pause, fault-harness Stall) and wall-clock liveness comparisons
-	// are unsafe until apps have had a chance to beat again.
-	lastTick time.Time
+	// lastTick is when the control tick last ran (engine clock); a gap
+	// much larger than the control interval means the loop was stalled
+	// (GC pause, fault-harness Stall) and liveness comparisons are unsafe
+	// until apps have had a chance to beat again.
+	lastTick int64
 
 	// ctr is the counter block (counters.go), shared with this instance's
 	// successors.
@@ -247,8 +245,8 @@ type Slowpath struct {
 	// loop (coreSweep), so it needs no lock.
 	coresW []coreWatch
 
-	lastReap   time.Time // rate-limits the liveness sweep
-	reapResume time.Time // post-stall/restart grace: treat as everyone's beat
+	lastReap   int64 // rate-limits the liveness sweep (engine clock)
+	reapResume int64 // post-stall/restart grace: treat as everyone's beat
 }
 
 // New builds (but does not start) a slow path for the engine.
@@ -269,7 +267,6 @@ func newSlowpath(eng *fastpath.Engine, cfg Config, ctr *liveCounters) *Slowpath 
 		stripes:  newStripes(cfg.HandshakeStripes, cfg.Gov),
 		stripeSh: stripeShift(cfg.HandshakeStripes),
 		cc:       make(map[*flowstate.Flow]*ccEntry),
-		closing:  make(map[*flowstate.Flow]*closeEntry),
 		excq:     excq,
 		excWake:  wake,
 		stop:     make(chan struct{}),
@@ -299,11 +296,14 @@ func (s *Slowpath) Stop() {
 // would leave them. The shared state (flow table, buffers, buckets,
 // listener registry) survives in the engine; heartbeats cease, so the
 // fast path's watchdog enters degraded mode. Kill waits for the loop to
-// exit so recovery can scan quiescent state.
+// exit, and for an API call past its liveness check (mu), so recovery
+// scans quiescent state.
 func (s *Slowpath) Kill() {
 	s.dead.Store(true)
 	s.killOnce.Do(func() { close(s.kill) })
 	s.wg.Wait()
+	s.mu.Lock()
+	s.mu.Unlock()
 }
 
 // Down reports whether this instance has crashed (Kill or an event-loop
@@ -351,49 +351,54 @@ func (s *Slowpath) run() {
 			return
 		case d := <-s.stallC:
 			time.Sleep(d) // wedged: no beats, no processing
-			s.noteResume(time.Now())
+			s.noteResume(s.eng.NowNanos())
 		case <-s.excWake:
 			s.drainExceptions()
 			s.mu.Lock()
 			s.drainActivations(s.eng.NowNanos())
 			s.mu.Unlock()
 		case <-ctrl.C:
-			if s.panicNext.CompareAndSwap(true, false) {
-				panic("slowpath: injected event-loop panic")
-			}
-			now := time.Now()
-			// Detect that the loop itself was stalled (fault harness,
-			// scheduler starvation): wall-clock-vs-heartbeat comparisons
-			// are not meaningful across the gap, so open the reaper's
-			// grace window instead of mass-reaping apps whose beats are
-			// merely older than the stall.
-			if !s.lastTick.IsZero() && now.Sub(s.lastTick) > s.stallGap() {
-				s.noteResume(now)
-			}
-			s.lastTick = now
-			// SYN-cookie key epochs advance on the engine-side jar so
-			// they survive this instance's crash/restart.
-			s.eng.Cookies.MaybeRotate(s.eng.NowNanos())
-			s.drainExceptions()
-			// Each control-plane module's share of the tick goes to the
-			// slow-path cycle account (lap; nothing with telemetry off).
-			t := s.lap(0, 0, 0)
-			s.controlTick(s.eng.NowNanos())
-			t = s.lap(telemetry.ModCC, t, 1)
-			s.handshakeSweep()
-			s.closeSweep()
-			s.timeWaitSweep()
-			t = s.lap(telemetry.ModTimer, t, 1)
-			s.reapSweep()
-			s.lap(telemetry.ModReaper, t, 1)
-			s.governorTick()
-			s.coreSweep(now)
+			s.tick(s.eng.NowNanos())
 		case <-scale.C:
 			if !s.cfg.DisableCoreScaling {
 				s.scaleLoop()
 			}
 		}
 	}
+}
+
+// tick is one control interval. Every deadline the slow path keeps —
+// the control entries' timers, half-opens, TIME_WAIT, the reaper, the
+// core watchdog — is compared against its one engine-clock now, which
+// tests pass directly to a slow path that was never started.
+func (s *Slowpath) tick(now int64) {
+	if s.panicNext.CompareAndSwap(true, false) {
+		panic("slowpath: injected event-loop panic")
+	}
+	// Detect that the loop itself was stalled (fault harness, scheduler
+	// starvation): clock-vs-heartbeat comparisons are not meaningful
+	// across the gap, so open the reaper's grace window instead of
+	// mass-reaping apps whose beats are merely older than the stall.
+	if s.lastTick != 0 && now-s.lastTick > s.stallGap().Nanoseconds() {
+		s.noteResume(now)
+	}
+	s.lastTick = now
+	// SYN-cookie key epochs advance on the engine-side jar so they
+	// survive this instance's crash/restart.
+	s.eng.Cookies.MaybeRotate(now)
+	s.drainExceptions()
+	// Each control-plane module's share of the tick goes to the
+	// slow-path cycle account (lap; nothing with telemetry off).
+	t := s.lap(0, 0, 0)
+	s.controlTick(now)
+	t = s.lap(telemetry.ModCC, t, 1)
+	s.handshakeSweep(now)
+	s.timeWaitSweep(now)
+	t = s.lap(telemetry.ModTimer, t, 1)
+	s.reapSweep(now)
+	s.lap(telemetry.ModReaper, t, 1)
+	s.governorTick(now)
+	s.coreSweep(now)
 }
 
 // lap reads the telemetry clock and charges the time since the previous
@@ -532,7 +537,7 @@ func (s *Slowpath) Connect(peerIP protocol.IPv4, peerPort uint16, ctxID uint16, 
 		}
 		// Reserve the port under the stripe lock — no check-then-insert
 		// window for a concurrent Dial to race into.
-		now := time.Now()
+		now := s.eng.NowNanos()
 		h := &halfOpen{
 			key: key, iss: st.rng.Uint32(), ctxID: ctxID, opaque: opaque,
 			rexmit: startRetry(now, s.cfg.HandshakeRTO), born: now,
@@ -545,72 +550,69 @@ func (s *Slowpath) Connect(peerIP protocol.IPv4, peerPort uint16, ctxID uint16, 
 	return 0, ErrNoPorts
 }
 
-// Close initiates connection teardown: once the transmit buffer drains,
-// a FIN goes out; the flow is removed when both directions have closed.
-// The FIN is retransmitted with exponential backoff by closeSweep until
-// the peer acknowledges it (or the retry budget aborts the flow).
+// Close initiates connection teardown. The request is recorded in shared
+// flow state (CloseRequested), where a warm-restarted successor finds it;
+// the FIN goes out at once if nothing is left to send, and otherwise from
+// the control tick once the transmit buffer drains (closeTick), which then
+// supervises the close to its end. Idempotent.
 func (s *Slowpath) Close(f *flowstate.Flow) {
-	go func() {
-		// Wait for the transmit buffer to drain (bounded).
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			f.Lock()
-			drained := f.TxBuf.Used() == 0
-			aborted := f.Aborted
-			f.Unlock()
-			if aborted {
-				return // already torn down by failure handling
-			}
-			if drained || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		f.Lock()
-		alreadyClosed := f.FinSent
-		if !alreadyClosed {
-			f.FinSent = true
-			// An unacknowledged FIN is control work: a parked flow goes
-			// back on the tick.
-			s.eng.ActivateFlow(f)
-		}
-		seq := f.SeqNo
-		ack := f.AckNo
-		f.Unlock()
-		if !alreadyClosed {
-			// The closing entry must exist before the FIN can be answered:
-			// a peer that closes back at once sends the event loop through
-			// handleFin → enterTimeWait → removeFlow, and an entry added
-			// after that would have closeSweep quarantine (and charge) the
-			// tuple a second time.
-			s.mu.Lock()
-			s.armClose(f, seq, false, time.Now())
-			s.mu.Unlock()
-			s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, seq, ack, nil)
-			recordFlow(f, telemetry.FEFinTx, seq, ack, 0, 0)
-		}
-		// From here the closing entry owns the lifecycle: closeSweep
-		// retransmits the FIN until acknowledged, then finishes the
-		// close — straight removal for a passive closer (the peer's FIN
-		// came first), TIME_WAIT quarantine for an active one, or a
-		// bounded FIN_WAIT_2 wait if the peer never closes its side.
-	}()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f.Lock()
+	first := !f.CloseRequested && !f.Aborted
+	if first {
+		f.CloseRequested = true
+		// A close in progress is control work: a parked flow goes back on
+		// the tick — this instance's below, or a successor's from the ring.
+		s.eng.ActivateFlow(f)
+	}
+	drained := f.TxBuf.Used() == 0
+	f.Unlock()
+	e := s.cc[f]
+	if !first || e == nil || s.dead.Load() {
+		return // already closing, torn down, or left to the successor
+	}
+	now := s.eng.NowNanos()
+	e.closeAt = now
+	if e.idx < 0 {
+		s.unpark(e, now)
+	}
+	if drained {
+		s.sendFin(e, now)
+	}
 }
 
-// armClose registers f's locally initiated teardown with closeSweep,
-// charged to the timer pool: awaiting the acknowledgement of our FIN
-// (retransmitted from an initial timeout of several control intervals,
-// floored so loopback tests don't spin), or — fw2 — already acknowledged
-// and waiting out FinWait2Timeout for the peer's FIN. removeFlow is the
-// release. Caller holds mu.
-func (s *Slowpath) armClose(f *flowstate.Flow, finSeq uint32, fw2 bool, now time.Time) {
-	e := &closeEntry{finSeq: finSeq, fw2: fw2}
-	if fw2 {
-		e.rexmit.deadline = now.Add(s.cfg.FinWait2Timeout)
-	} else {
-		e.rexmit = startRetry(now, max(4*s.cfg.ControlInterval, 20*time.Millisecond))
+// sendFin sends f's FIN, from Close or the tick, with its retransmission
+// timer (and timers-pool charge) armed first: the peer's answer can reach
+// the event loop before the send returns, and the close must already be
+// supervised when it does. Caller holds mu.
+func (s *Slowpath) sendFin(e *ccEntry, now int64) {
+	f := e.flow
+	f.Lock()
+	if f.FinSent || f.Aborted {
+		f.Unlock()
+		return
 	}
-	s.closing[f] = e
+	f.FinSent = true
+	seq, ack := f.SeqNo, f.AckNo
+	f.Unlock()
+	s.armFin(e, seq, now, false)
+	recordFlow(f, telemetry.FEFinTx, seq, ack, 0, 0)
+	s.sendCtlFlow(f, protocol.FlagFIN|protocol.FlagACK, seq, ack, nil)
+}
+
+// armFin arms e's FIN timer, charged to the timer pool: the
+// retransmission timer for a FIN at finSeq (from an initial timeout of
+// several control intervals, floored so loopback tests don't spin), or —
+// fw2 — the FinWait2Timeout deadline of a FIN already acknowledged.
+// dropEntry is the release. Caller holds mu.
+func (s *Slowpath) armFin(e *ccEntry, finSeq uint32, now int64, fw2 bool) {
+	e.finSeq, e.fw2 = finSeq, fw2
+	if fw2 {
+		e.fin.deadline = now + s.cfg.FinWait2Timeout.Nanoseconds()
+	} else {
+		e.fin = startRetry(now, max(4*s.cfg.ControlInterval, 20*time.Millisecond))
+	}
 	s.charge(resource.PoolTimers, 1)
 }
 

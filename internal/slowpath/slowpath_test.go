@@ -186,14 +186,9 @@ func TestControlLoopSetsBucketRate(t *testing.T) {
 	a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 1)
 	ev := waitEvent(t, a.ctx, 2*time.Second)
 	f := ev.Flow
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.eng.Bucket(f.Bucket).Rate() == fixed {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("bucket rate = %v, want %v", a.eng.Bucket(f.Bucket).Rate(), fixed)
+	waitCond(t, "the controller's rate in the bucket", 2*time.Second, func() bool {
+		return a.eng.Bucket(f.Bucket).Rate() == fixed
+	})
 }
 
 type fixedRate struct{ rate float64 }
@@ -218,84 +213,49 @@ func TestStallTriggersRetransmission(t *testing.T) {
 	f.TxBuf.Write(make([]byte, 1000))
 	f.Unlock()
 	a.eng.KickFlow(f)
-	// Wait for the fast path to mark it sent.
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
+	waitCond(t, "the fast path to send", time.Second, func() bool {
 		f.Lock()
-		sent := f.TxSent
-		f.Unlock()
-		if sent == 1000 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Heal the network; the slow path's stall detector must rewind and
-	// retransmit, and the transfer completes.
-	time.Sleep(10 * time.Millisecond)
+		defer f.Unlock()
+		return f.TxSent == 1000
+	})
+	// The slow path's stall detector fires into the lossy network; heal
+	// it, and the rewound retransmission completes the transfer.
+	waitCond(t, "a retransmission timeout", time.Second, func() bool { return a.sp.ctr.Timeouts.Load() > 0 })
 	fab.SetLossRate(0)
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	waitCond(t, "the stalled flow to recover", 5*time.Second, func() bool {
 		f.Lock()
-		done := f.TxBuf.Used() == 0 && f.TxSent == 0
-		f.Unlock()
-		if done {
-			if s := a.sp; s.ctr.Timeouts.Load() == 0 {
-				t.Fatal("expected a slow-path timeout event")
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+		defer f.Unlock()
+		return f.TxBuf.Used() == 0 && f.TxSent == 0
+	})
+	if a.sp.ctr.Timeouts.Load() == 0 {
+		t.Fatal("expected a slow-path timeout event")
 	}
-	t.Fatal("stalled flow never recovered")
 }
 
 func TestFlowRemovalOnRst(t *testing.T) {
-	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{})
-	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), Config{})
-	b.sp.Listen(80, 0, 1)
-	a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 1)
-	ev := waitEvent(t, a.ctx, 2*time.Second)
-	f := ev.Flow
+	eng, sp, _ := newWireRig(Config{})
+	f := rigFlow(eng, sp, 1, eng.NowNanos())
 
 	// A forged RST with a wrong (zero) sequence is blind injection:
 	// RFC 5961 validation must drop it without touching the flow.
-	a.eng.Input(&protocol.Packet{
-		SrcIP: f.PeerIP, DstIP: f.LocalIP,
-		SrcPort: f.PeerPort, DstPort: f.LocalPort,
-		Flags: protocol.FlagRST,
-	})
-	time.Sleep(20 * time.Millisecond)
-	if a.eng.Table.Len() != 1 {
+	sp.handleException(peerSegment(f, protocol.FlagRST, 0, 0))
+	if eng.Table.Len() != 1 {
 		t.Fatal("blind RST (seq 0) tore the flow down")
 	}
-	if a.sp.ctr.BlindRstDrops.Load() == 0 {
+	if sp.ctr.BlindRstDrops.Load() == 0 {
 		t.Fatal("blind RST not counted")
 	}
 
 	// The peer's real RST carries the exact next expected sequence.
-	f.Lock()
-	exact := f.AckNo
-	f.Unlock()
-	a.eng.Input(&protocol.Packet{
-		SrcIP: f.PeerIP, DstIP: f.LocalIP,
-		SrcPort: f.PeerPort, DstPort: f.LocalPort,
-		Flags: protocol.FlagRST, Seq: exact,
-	})
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.eng.Table.Len() == 0 {
-			// Abort event delivered too: a peer RST on an established
-			// flow is a failure, not an orderly close.
-			ev := waitEvent(t, a.ctx, time.Second)
-			if ev.Kind != fastpath.EvAborted {
-				t.Fatalf("event = %+v", ev)
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
+	sp.handleException(peerSegment(f, protocol.FlagRST, f.AckNo, 0))
+	if eng.Table.Len() != 0 {
+		t.Fatal("flow not removed after RST")
 	}
-	t.Fatal("flow not removed after RST")
+	// Abort event delivered too: a peer RST on an established flow is a
+	// failure, not an orderly close.
+	if ev := nextEvent(t, eng); ev.Kind != fastpath.EvAborted {
+		t.Fatalf("event = %+v", ev)
+	}
 }
 
 func TestScaleLoopRespondsToLoad(t *testing.T) {

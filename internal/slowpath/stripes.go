@@ -99,17 +99,6 @@ func (s *Slowpath) HalfOpenCount() int {
 	return n
 }
 
-// listenerCount sums registered listeners across stripes.
-func (s *Slowpath) listenerCount() int {
-	n := 0
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		n += len(st.listeners)
-		st.mu.Unlock()
-	}
-	return n
-}
-
 // AcceptBacklog sums established-but-unaccepted connections across
 // every listener (the tas_accept_backlog gauge).
 func (s *Slowpath) AcceptBacklog() int {
@@ -131,12 +120,4 @@ func (s *Slowpath) lookupHalf(key protocol.FlowKey) *halfOpen {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.half[key]
-}
-
-// lookupListener fetches a listener (tests only).
-func (s *Slowpath) lookupListener(port uint16) *listener {
-	st := s.stripeFor(port)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.listeners[port]
 }

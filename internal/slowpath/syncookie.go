@@ -25,14 +25,14 @@ import (
 // above SynRateThreshold (the flood is coming, regardless of how fast
 // entries are reaped). The verdict is sticky for a second so a
 // sawtoothing attack doesn't flap the listener between modes.
-func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
+func (s *Slowpath) cookiesEngaged(l *listener, now int64) bool {
 	switch s.cfg.SynCookies {
 	case config.SynCookiesAlways:
 		return true
 	case config.SynCookiesOff:
 		return false
 	}
-	if l.synWinStart.IsZero() || now.Sub(l.synWinStart) >= time.Second {
+	if now-l.synWinStart >= int64(time.Second) {
 		l.synWinStart = now
 		l.synInWin = 0
 	}
@@ -43,14 +43,14 @@ func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
 	// keeps cookiesActive accepting the completing ACKs.
 	if g := s.cfg.Gov; g != nil && g.Level() >= resource.LevelCookies {
 		g.NoteShed(resource.LevelCookies)
-		l.cookieUntil = now.Add(time.Second)
+		l.cookieUntil = now + int64(time.Second)
 		return true
 	}
 	if l.halfCount >= (l.Backlog+1)/2 ||
 		(s.cfg.SynRateThreshold > 0 && l.synInWin > s.cfg.SynRateThreshold) {
-		l.cookieUntil = now.Add(time.Second)
+		l.cookieUntil = now + int64(time.Second)
 	}
-	return now.Before(l.cookieUntil)
+	return now < l.cookieUntil
 }
 
 // cookiesActive reports whether a completing ACK on this listener
@@ -59,14 +59,14 @@ func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
 // for the whole sticky window plus the handshake's own round trip, so
 // the tail of ACKs from cookies issued just before pressure subsided
 // still validates. Caller holds the stripe lock.
-func (s *Slowpath) cookiesActive(l *listener, now time.Time) bool {
+func (s *Slowpath) cookiesActive(l *listener, now int64) bool {
 	switch s.cfg.SynCookies {
 	case config.SynCookiesAlways:
 		return true
 	case config.SynCookiesOff:
 		return false
 	}
-	return !l.cookieUntil.IsZero() && now.Before(l.cookieUntil.Add(2*time.Second))
+	return l.cookieUntil != 0 && now < l.cookieUntil+int64(2*time.Second)
 }
 
 // sendCookieSynAck answers a SYN statelessly: the ISN is a keyed MAC

@@ -6,8 +6,13 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/flowstate"
+	"repro/internal/protocol"
+	"repro/internal/resource"
 )
 
 // slowpathChaosCfg tunes the control-plane failure domain for fast
@@ -337,4 +342,96 @@ func TestChaosSlowPathStallRecovers(t *testing.T) {
 	if cli.Restarts() != 0 {
 		t.Fatal("stall recovery should not require a restart")
 	}
+}
+
+// TestCloseSurvivesWarmRestart: a close the application asked for while
+// its FIN still waited behind unsent bytes (the peer's window closed) is
+// finished by the warm-restarted slow path. The FIN leaves only once the
+// window reopens, from the successor; the fabric drops it once and the
+// successor retransmits it; the close ends in TIME_WAIT, and the timer
+// pool returns to exactly 0.
+func TestCloseSurvivesWarmRestart(t *testing.T) {
+	cfg := Config{RxBufSize: 16 << 10, TxBufSize: 16 << 10, PersistRTO: 20 * time.Millisecond, TimeWaitDuration: 5 * time.Second}
+	fab, srv, cli := newPair(t, cfg)
+	var fins atomic.Int32 // client FINs the fabric has seen; the first is lost
+	fab.f.Tap = func(_ int64, p *protocol.Packet) {
+		if p.SrcIP == cli.IP && p.Flags.Has(protocol.FlagFIN) && fins.Add(1) == 1 {
+			p.DstIP = protocol.MakeIPv4(10, 0, 0, 99) // no such host
+		}
+	}
+	t.Cleanup(func() { fab.f.Tap = nil })
+
+	ln, err := srv.NewContext().Listen(8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cli.NewContext().Dial("10.0.0.1", 8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ln.Accept(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the server's receive buffer, and half the client's transmit
+	// buffer behind it: the window closes with bytes still queued.
+	payload := make([]byte, cfg.RxBufSize+cfg.TxBufSize/2)
+	if _, err := c.WriteTimeout(payload, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var f *flowstate.Flow
+	cli.Engine().Table.ForEach(func(g *flowstate.Flow) { f = g })
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		f.Lock()
+		stalled := f.Window == 0 && f.TxBuf.Used() > 0
+		f.Unlock()
+		if stalled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the peer's window never closed on queued bytes")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cli.Restart()
+	if n := fins.Load(); n != 0 {
+		t.Fatalf("%d FINs sent with bytes still queued", n)
+	}
+
+	// Reopen the window: the server reads everything, then the peer's FIN.
+	got, buf := 0, make([]byte, 8<<10)
+	for {
+		n, err := sc.ReadTimeout(buf, 5*time.Second)
+		got += n
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("server read after %d bytes: %v", got, err)
+		}
+	}
+	if got != len(payload) {
+		t.Fatalf("server read %d bytes, want %d", got, len(payload))
+	}
+	sc.Close()
+
+	deadline = time.Now().Add(5 * time.Second)
+	for cli.Slow().TimeWaitCount() != 1 || cli.Engine().Table.Len() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("close never reached TIME_WAIT: %d FINs seen, counters %+v", fins.Load(), cli.Slow().Counters())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if fins.Load() < 2 || cli.Slow().Counters().FinRexmits == 0 {
+		t.Fatalf("the dropped FIN was not retransmitted: %d FINs seen", fins.Load())
+	}
+	if n := cli.Governor().Used(resource.PoolTimers); n != 0 {
+		t.Fatalf("timers pool = %d after the close, want 0", n)
+	}
+	checkControl(t, "after the close", srv, cli)
 }

@@ -28,7 +28,7 @@ func newPair(t *testing.T, cfg Config) (*Fabric, *Service, *Service) {
 
 // checkControl asserts the slow path's control-set invariant (every
 // flow active, parked or queued for activation; no parked flow holding
-// work) on each service. Chaos tests call it at their assertion points.
+// work; every close on its timer) on each service. Chaos tests call it at their assertion points.
 func checkControl(t *testing.T, where string, svcs ...*Service) {
 	t.Helper()
 	for i, s := range svcs {
