@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/protocol"
+	"repro/internal/shmring"
 	"repro/internal/telemetry"
 )
 
@@ -20,8 +21,44 @@ func (releaseNIC) Output(p *protocol.Packet) { p.Release() }
 // receive: header checks, payload deposit, ack generation, event post —
 // the code Table 1 attributes ~0.8kc to (our Go version is measured
 // here in wall time; -benchmem must show 0 allocs/op: the ACK comes from
-// the packet pool).
+// the packet pool). Each packet is a receive batch of one, as on an RPC
+// workload.
 func BenchmarkProcessRxInOrder(b *testing.B) { benchProcessRx(b, nil) }
+
+// BenchmarkProcessRxBatch is the receive stage over a full batch: 64
+// in-order MSS segments of one flow, as a bulk stream's deep receive
+// ring hands them over. One op is one batch; ns/pkt and acks/batch are
+// what per-flow coalescing buys, and -benchmem must show 0 allocs/op.
+func BenchmarkProcessRxBatch(b *testing.B) {
+	e := oneCoreEngine(releaseNIC{})
+	c := e.cores[0]
+	f := testFlow(e)
+	f.RxBuf = shmring.NewPayloadBuffer(256 << 10)
+	ctx := NewContext(0, 1, 1024)
+	e.RegisterContext(ctx)
+	payload := make([]byte, protocol.DefaultMSS)
+	var pkts [stepBatch]*protocol.Packet
+	for i := range pkts {
+		pkts[i] = dataPkt(f, 0, payload)
+	}
+	evs := make([]Event, 16)
+	b.ReportAllocs()
+	b.SetBytes(stepBatch * protocol.DefaultMSS)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.now = e.refreshCoarse() // a step's clock read
+		for k, p := range pkts {
+			p.Seq, p.Ack = f.AckNo+uint32(k*len(payload)), f.SeqNo
+			p.TSVal, p.TSEcr = c.nowMicros(), c.nowMicros()
+		}
+		e.processRxBatch(c, pkts[:])
+		ctx.PollEvents(evs)
+		f.RxBuf.Release(f.RxBuf.Used()) // drain app side
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepBatch), "ns/pkt")
+	b.ReportMetric(float64(c.stats.AcksSent.Load())/float64(b.N), "acks/batch")
+}
 
 // BenchmarkProcessRxTelemetryOn is the same receive path with the full
 // telemetry surface attached: flight-ring event per data segment plus

@@ -68,7 +68,7 @@ type Event struct {
 	Kind   EventKind
 	Opaque uint64          // application-defined flow identifier
 	Bytes  uint32          // payload bytes / freed bytes / error code
-	Flow   *flowstate.Flow // set for EvAccepted and EvConnected
+	Flow   *flowstate.Flow // set for EvAccepted, EvConnected, EvClosed and EvAborted
 }
 
 // TX-descriptor opcodes. The application side is untrusted (§3.3): a
@@ -159,6 +159,16 @@ func (c *Context) TxQueueLen(core int) int { return c.txq[core].Len() }
 // wakes the application if it is blocked. It reports false if the queue
 // is full (the fast path informs the stack on a later packet, §3.1).
 func (c *Context) PostEvent(core int, ev Event) bool {
+	if !c.post(core, ev) {
+		return false
+	}
+	c.Wake()
+	return true
+}
+
+// post is PostEvent without the wake: the receive stage posts a flow's
+// two events of a batch with one wake.
+func (c *Context) post(core int, ev Event) bool {
 	if c.dead.Load() {
 		// The application is gone; nobody will ever poll this queue.
 		return false
@@ -167,7 +177,6 @@ func (c *Context) PostEvent(core int, ev Event) bool {
 		c.DroppedEvents.Add(1)
 		return false
 	}
-	c.Wake()
 	return true
 }
 

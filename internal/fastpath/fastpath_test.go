@@ -46,6 +46,12 @@ func testFlow(e *Engine) *flowstate.Flow {
 	return f
 }
 
+// processRx is the receive stage applied to a batch of one packet.
+func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
+	c.pktBatch[0] = pkt
+	e.processRxBatch(c, c.pktBatch[:1])
+}
+
 func dataPkt(f *flowstate.Flow, seq uint32, payload []byte) *protocol.Packet {
 	return &protocol.Packet{
 		SrcIP: f.PeerIP, DstIP: f.LocalIP,

@@ -182,11 +182,12 @@ func TestDescriptorQueueFuzz(t *testing.T) {
 }
 
 // TestStreamIntegrityUnderReorderAndLoss drives a full sender/receiver
-// conversation through the pure functions with random loss and
-// reordering, and checks the receiver's byte stream is exactly the
+// conversation through the pure functions with random loss, reordering
+// and CE marks, delivering each round's packets as receive batches of
+// random length, and checks the receiver's byte stream is exactly the
 // sender's prefix. This is the end-to-end correctness property of the
-// one-interval design: whatever is delivered is correct, in order, and
-// without gaps.
+// one-interval design and of per-flow ACK coalescing: whatever is
+// delivered is correct, in order, and without gaps.
 func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -218,16 +219,16 @@ func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 			fa.a.Unlock()
 			ea.flush(ea.cores[0])
 
-			// Network: shuffle, drop, deliver A->B.
+			// Network: shuffle, drop, mark, deliver A->B.
 			pkts := nicA.out
 			nicA.out = nil
 			rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
 			for _, p := range pkts {
-				if rng.Float64() < 0.05 {
-					continue // lost
+				if rng.Float64() < 0.2 {
+					p.ECN = protocol.ECNCE
 				}
-				eb.processRx(eb.cores[0], p)
 			}
+			deliverBatches(rng, eb, pkts)
 			// Receiver app reads.
 			fa.b.Lock()
 			buf := make([]byte, fa.b.RxBuf.Used())
@@ -238,12 +239,7 @@ func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 			// Acks B->A (also lossy).
 			acks := nicB.out
 			nicB.out = nil
-			for _, p := range acks {
-				if rng.Float64() < 0.05 {
-					continue
-				}
-				ea.processRx(ea.cores[0], p)
-			}
+			deliverBatches(rng, ea, acks)
 			// Sender-side timeout surrogate: occasionally go back N.
 			if round%97 == 96 {
 				fa.a.Lock()
@@ -261,6 +257,22 @@ func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 				t.Fatalf("seed %d: stream corrupt at byte %d: got %d want %d", seed, i, delivered[i], want[i])
 			}
 		}
+	}
+}
+
+// deliverBatches drops 5% of pkts and hands the rest to e's core 0 in
+// receive batches of random length.
+func deliverBatches(rng *rand.Rand, e *Engine, pkts []*protocol.Packet) {
+	kept := pkts[:0]
+	for _, p := range pkts {
+		if rng.Float64() >= 0.05 {
+			kept = append(kept, p)
+		}
+	}
+	for len(kept) > 0 {
+		n := min(rng.Intn(stepBatch)+1, len(kept))
+		e.processRxBatch(e.cores[0], kept[:n])
+		kept = kept[n:]
 	}
 }
 

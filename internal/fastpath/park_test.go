@@ -232,6 +232,14 @@ func TestParkedCoreStillBeats(t *testing.T) {
 func TestParkedCoreUtilization(t *testing.T) {
 	nic := &countNIC{}
 	e := oneCoreEngine(nic)
+	// The saturating load is one pure ACK for each of stepBatch flows in
+	// turn: the receive stage works a batch per flow, so packets of one
+	// flow would cost it less than the producer pays to queue them.
+	var load [stepBatch]*protocol.Packet
+	for i := range load {
+		g := portFlow(e, uint16(6000+i))
+		load[i] = ackPkt(g, g.SeqNo)
+	}
 	f := testFlow(e)
 	// Not running yet: no work, whatever the wall clock says.
 	time.Sleep(5 * time.Millisecond)
@@ -270,7 +278,7 @@ func TestParkedCoreUtilization(t *testing.T) {
 			default:
 			}
 			for d, _ := e.RxRingDepth(0); d < 256; d++ {
-				e.Input(pkt)
+				e.Input(load[d%stepBatch])
 			}
 			runtime.Gosched()
 		}

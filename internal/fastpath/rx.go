@@ -14,87 +14,198 @@ import (
 // space that sails through.
 const blindAckHorizon = 1 << 24
 
-// processRx handles one received packet on core c: the common-case RX
-// path of §3.1. Connection-control packets (SYN/FIN/RST) and packets for
-// unknown flows are exceptions forwarded to the slow path. The core owns
-// pkt on entry; on return it has released it or handed it on. What the
-// packet provokes — its ACK, segments the ACK released — is flushed
-// after the flow lock is released.
-func (e *Engine) processRx(c *core, pkt *protocol.Packet) {
-	pkt.AssertLive()
-	c.stats.RxPackets.Add(1)
+// rxGroup is one flow's packets in the receive batch: a chain through
+// core.rxNext, in arrival order, from head to tail.
+type rxGroup struct {
+	f             *flowstate.Flow
+	head, tail, n int32
+}
 
-	// Filter exceptions: control flags and unknown flows.
-	if pkt.Flags&(protocol.FlagSYN|protocol.FlagRST|protocol.FlagFIN) != 0 {
-		e.toSlowPath(c, pkt)
-		return
+// processRxBatch is the receive stage of a step: the common-case RX path
+// of §3.1, worked per flow rather than per packet. Connection-control
+// packets (SYN/FIN/RST) and packets for unknown flows are exceptions
+// forwarded to the slow path; every other packet joins its flow's group,
+// and each group gets one table lookup, one RSS check, one flow-lock
+// hold, one coalesced ACK, one event of each kind and one transmit (see
+// rxFlow). The output is flushed once, after every flow lock is
+// released. The core owns the packets on entry (at most stepBatch); on
+// return it has released them or handed them on.
+func (e *Engine) processRxBatch(c *core, pkts []*protocol.Packet) {
+	c.stats.RxPackets.Add(uint64(len(pkts)))
+	for i, pkt := range pkts {
+		pkt.AssertLive()
+		if pkt.Flags&(protocol.FlagSYN|protocol.FlagRST|protocol.FlagFIN) != 0 {
+			e.forward(c, pkts, pkt)
+			continue
+		}
+		c.rxNext[i] = -1
+		if g := c.openGroup(pkts, pkt); g != nil {
+			c.rxNext[g.tail] = int32(i)
+			g.tail = int32(i)
+			g.n++
+			continue
+		}
+		f := e.Table.Lookup(pkt.RxKey())
+		if f == nil {
+			e.forward(c, pkts, pkt)
+			continue
+		}
+		c.groups[c.ngroups] = rxGroup{f: f, head: int32(i), tail: int32(i), n: 1}
+		c.ngroups++
 	}
-	f := e.Table.Lookup(pkt.RxKey())
-	if f == nil {
-		e.toSlowPath(c, pkt)
-		return
+	e.closeGroups(c, pkts)
+	e.flush(c)
+}
+
+// forward hands an exception packet to the slow path once every open
+// group is worked and its output flushed: a FIN or RST never overtakes
+// the data that came before it, and the slow path's answer to it never
+// overtakes that data's ACK on the wire.
+func (e *Engine) forward(c *core, pkts []*protocol.Packet, pkt *protocol.Packet) {
+	e.closeGroups(c, pkts)
+	e.flush(c)
+	e.toSlowPath(c, pkt)
+}
+
+// openGroup returns the open group of pkt's flow, nil if there is none:
+// the group whose first packet carries the same addresses. The newest
+// group is tried first: a burst is one flow's packets in a row.
+func (c *core) openGroup(pkts []*protocol.Packet, pkt *protocol.Packet) *rxGroup {
+	for i := c.ngroups - 1; i >= 0; i-- {
+		h := pkts[c.groups[i].head]
+		if h.SrcPort == pkt.SrcPort && h.DstPort == pkt.DstPort && h.SrcIP == pkt.SrcIP && h.DstIP == pkt.DstIP {
+			return &c.groups[i]
+		}
 	}
+	return nil
+}
+
+// closeGroups works every open group, in order of first arrival.
+func (e *Engine) closeGroups(c *core, pkts []*protocol.Packet) {
+	for i := range c.groups[:c.ngroups] {
+		e.rxFlow(c, &c.groups[i], pkts)
+		c.groups[i].f = nil
+	}
+	c.ngroups = 0
+}
+
+// rxFlow works one flow's packets of the batch under one hold of its
+// lock. Each packet's acknowledgement is drawn into one pending ACK:
+// in-order segments with the same CE state stretch it, and anything whose
+// wire behaviour needs its own ACK — an out-of-order, duplicate or
+// buffer-full segment (the peer counts duplicate ACKs), a challenge ACK,
+// a change of CE state (DCTCP's echo stays byte-exact) — emits the
+// pending one first, in order. Freed transmit space and delivered payload
+// are posted as one event each, with one wake.
+func (e *Engine) rxFlow(c *core, g *rxGroup, pkts []*protocol.Packet) {
+	f := g.f
 	// Last-activity stamp for the governor's LRU idle-reclaim rung, from
-	// the batch clock: one store, no clock read on the per-packet path.
+	// the batch clock: one store, no clock read on the packet path.
 	f.Touch(c.now)
-	if e.RSS.CoreForPacket(pkt) != c.idx {
-		c.stats.WrongCore.Add(1) // arrived during a steering transition
+	if e.RSS.CoreForPacket(pkts[g.head]) != c.idx {
+		c.stats.WrongCore.Add(uint64(g.n)) // arrived during a steering transition
 		if c.idx >= e.RSS.Cores() {
-			// This core was deactivated after the packet was steered
-			// here: §3.4's lazy drain. The packet is still processed
-			// normally below; the counter proves the drain happened.
-			c.stats.InactiveDrain.Add(1)
+			// This core was deactivated after the packets were steered
+			// here: §3.4's lazy drain. They are still processed normally
+			// below; the counter proves the drain happened.
+			c.stats.InactiveDrain.Add(uint64(g.n))
 		}
 	}
 
+	var ack pendingAck
+	var freed, delivered uint32
+	live := false // some packet passed validation
 	f.Lock()
-	// RFC 5961 §5 ACK validation: a blind attacker who cannot see the
-	// connection's sequence space guesses ACK values; one landing far
-	// below the oldest unacknowledged byte cannot be a delayed ACK from
-	// the live window. Drop the whole segment — including any payload,
-	// which kills blind data injection — and answer with at most a
-	// rate-limited challenge ACK so a legitimate peer that somehow
-	// desynchronized can resync. Acks *above* SND.NXT stay accepted
-	// (clamped in processAck): the slow path's go-back-N rewind makes
-	// them legitimate here.
-	if pkt.Flags.Has(protocol.FlagACK) && tcp.SeqDiff(pkt.Ack, f.SeqNo-f.TxSent) < -blindAckHorizon {
-		c.stats.BlindAckDrops.Add(1)
-		if e.Challenge != nil && e.Challenge.Allow(c.now) {
-			e.emitAck(c, e.buildAck(c, f, pkt))
-			if f.Rec != nil {
-				f.Rec.Record(telemetry.FEChallengeTx, f.SeqNo, f.AckNo, 0, 0)
+	for i := g.head; i >= 0; i = c.rxNext[i] {
+		pkt := pkts[i]
+		// RFC 5961 §5 ACK validation: a blind attacker who cannot see the
+		// connection's sequence space guesses ACK values; one landing far
+		// below the oldest unacknowledged byte cannot be a delayed ACK from
+		// the live window. Drop the whole segment — including any payload,
+		// which kills blind data injection — and answer with at most a
+		// rate-limited challenge ACK so a legitimate peer that somehow
+		// desynchronized can resync. Acks *above* SND.NXT stay accepted
+		// (clamped in processAck): the slow path's go-back-N rewind makes
+		// them legitimate here.
+		if pkt.Flags.Has(protocol.FlagACK) && tcp.SeqDiff(pkt.Ack, f.SeqNo-f.TxSent) < -blindAckHorizon {
+			c.stats.BlindAckDrops.Add(1)
+			if e.Challenge != nil && e.Challenge.Allow(c.now) {
+				ack.emit(e, c)
+				e.emitAck(c, e.buildAck(c, f, pkt))
+				if f.Rec != nil {
+					f.Rec.Record(telemetry.FEChallengeTx, f.SeqNo, f.AckNo, 0, 0)
+				}
+			}
+			pkt.Release()
+			continue
+		}
+		live = true
+		if f.Rec != nil && pkt.DataLen() > 0 {
+			f.Rec.Record(telemetry.FESegRx, pkt.Seq, pkt.Ack, uint32(pkt.DataLen()), 0)
+			if pkt.ECN == protocol.ECNCE {
+				f.Rec.Record(telemetry.FEEcnMark, pkt.Seq, pkt.Ack, uint32(pkt.DataLen()), 0)
 			}
 		}
-		f.Unlock()
-		pkt.Release()
-		e.flush(c)
-		return
-	}
-	if f.Rec != nil && pkt.DataLen() > 0 {
-		f.Rec.Record(telemetry.FESegRx, pkt.Seq, pkt.Ack, uint32(pkt.DataLen()), 0)
-		if pkt.ECN == protocol.ECNCE {
-			f.Rec.Record(telemetry.FEEcnMark, pkt.Seq, pkt.Ack, uint32(pkt.DataLen()), 0)
+		if pkt.Flags.Has(protocol.FlagACK) {
+			freed += e.processAck(c, f, pkt)
 		}
+		if pkt.DataLen() > 0 {
+			advance := e.processData(c, f, pkt)
+			delivered += advance
+			ack.draw(e, c, f, pkt, advance > 0)
+		}
+		// Consumed: payload deposited, header fields echoed. Exception
+		// packets are the slow path's and are not released here.
+		pkt.Release()
 	}
-	if pkt.Flags.Has(protocol.FlagACK) {
-		e.processAck(c, f, pkt)
+	if live {
+		if ctx := e.ContextByID(f.Context); ctx != nil {
+			// Inform user space of reliably delivered bytes and new data,
+			// with one wake, before the transmit: the application's wake-up
+			// overlaps the rest of the step.
+			posted := freed > 0 && ctx.post(c.idx, Event{Kind: EvTxAcked, Opaque: f.Opaque, Bytes: freed})
+			if delivered > 0 && ctx.post(c.idx, Event{Kind: EvData, Opaque: f.Opaque, Bytes: delivered}) {
+				posted = true
+			}
+			if posted {
+				ctx.Wake()
+			}
+		}
+		// An ack may have opened the send window or freed buffer space.
+		e.transmit(c, f)
 	}
-	var ack *protocol.Packet
-	if pkt.DataLen() > 0 {
-		ack = e.processData(c, f, pkt)
-	}
-	// An ack may have opened the send window or freed buffer space.
-	e.transmit(c, f)
-	if ack != nil {
-		e.emitAck(c, ack)
-	}
+	ack.emit(e, c)
 	f.Unlock()
+}
 
-	// Consumed: payload deposited, header fields echoed. Exception
-	// packets (the returns above) are the slow path's and are not
-	// released here.
-	pkt.Release()
-	e.flush(c)
+// pendingAck is the ACK a flow's packets have drawn and rxFlow has not
+// emitted yet. Its sequence state is always that of the last segment it
+// covers; its TSEcr echoes the first (RFC 7323 §4.3).
+type pendingAck struct {
+	pkt     *protocol.Packet
+	stretch bool // drawn by an in-order segment: later ones may extend it
+}
+
+// draw accounts for the ACK seg calls for. An in-order segment extends a
+// pending in-order ACK of the same CE state; anything else emits the
+// pending ACK and takes its place.
+func (a *pendingAck) draw(e *Engine, c *core, f *flowstate.Flow, seg *protocol.Packet, inOrder bool) {
+	if a.pkt != nil {
+		if inOrder && a.stretch && a.pkt.Flags.Has(protocol.FlagECE) == (seg.ECN == protocol.ECNCE) {
+			a.pkt.Seq, a.pkt.Ack, a.pkt.Window = f.SeqNo, f.AckNo, e.advertisedWindow(f)
+			return
+		}
+		a.emit(e, c)
+	}
+	a.pkt, a.stretch = e.buildAck(c, f, seg), inOrder
+}
+
+// emit queues the pending ACK, if any, on core c's output batch.
+func (a *pendingAck) emit(e *Engine, c *core) {
+	if a.pkt != nil {
+		e.emitAck(c, a.pkt)
+		a.pkt = nil
+	}
 }
 
 // emitAck queues an acknowledgement on core c's output batch.
@@ -103,9 +214,9 @@ func (e *Engine) emitAck(c *core, ack *protocol.Packet) {
 	c.out = append(c.out, ack)
 }
 
-// processAck applies an incoming acknowledgement to flow f. Caller holds
-// the flow lock.
-func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) {
+// processAck applies an incoming acknowledgement to flow f and returns
+// the transmit-buffer bytes it freed. Caller holds the flow lock.
+func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) uint32 {
 	una := f.SeqNo - f.TxSent // oldest unacknowledged sequence
 	diff := tcp.SeqDiff(pkt.Ack, una)
 	switch {
@@ -157,10 +268,7 @@ func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) {
 				}
 			}
 		}
-		// Inform user-space of reliably delivered bytes.
-		if ctx := e.ContextByID(f.Context); ctx != nil {
-			ctx.PostEvent(c.idx, Event{Kind: EvTxAcked, Opaque: f.Opaque, Bytes: uint32(diff)})
-		}
+		return uint32(diff)
 	case diff == 0 && pkt.DataLen() == 0:
 		if pkt.Window != f.Window {
 			// Same ack number but a new window: a window update (the
@@ -168,19 +276,19 @@ func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) {
 			// duplicate. This must apply even with nothing outstanding
 			// (TxSent == 0): during a persist stall everything sent has
 			// been acked, and the probe ACK reopening the window is the
-			// only TX-restart signal — processRx's transmit call right
-			// after this is the kick.
+			// only TX-restart signal — rxFlow's transmit call after the
+			// flow's packets is the kick.
 			f.Window = pkt.Window
-			return
+			return 0
 		}
 		if f.TxSent == 0 {
-			return
+			return 0
 		}
 		if pkt.Window == 0 {
 			// Zero-window re-ack: the peer dropped a persist probe
 			// because its buffer is still full. Flow control, not loss —
 			// it must not feed the duplicate-ACK fast-recovery counter.
-			return
+			return 0
 		}
 		// Duplicate ACK: count and trigger fast recovery on the third
 		// (§3.1 exception optimization 1).
@@ -195,6 +303,7 @@ func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) {
 			e.resetSender(f)
 		}
 	}
+	return 0
 }
 
 // resetSender rewinds the sender as if the unacknowledged segments had
@@ -206,8 +315,10 @@ func (e *Engine) resetSender(f *flowstate.Flow) {
 }
 
 // processData deposits payload into the flow's receive buffer and
-// returns the acknowledgement to transmit. Caller holds the flow lock.
-func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *protocol.Packet {
+// returns how far it advanced the in-order stream. Zero means the
+// segment was a duplicate, out of order or did not fit, and calls for an
+// ACK of its own. Caller holds the flow lock.
+func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) uint32 {
 	payload := pkt.Payload
 	n := uint32(len(payload))
 	seq := pkt.Seq
@@ -216,7 +327,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 	// Trim data we already have.
 	if rel < 0 {
 		if tcp.SeqLEQ(seq+n, f.AckNo) {
-			return e.buildAck(c, f, pkt) // pure duplicate: re-ack
+			return 0 // pure duplicate: re-ack
 		}
 		skip := uint32(-rel)
 		payload = payload[skip:]
@@ -231,7 +342,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 		if int(n) > f.RxBuf.Free() {
 			// Buffer full: drop; TCP flow control makes this rare.
 			c.stats.BufFullDrop.Add(1)
-			return e.buildAck(c, f, pkt)
+			return 0
 		}
 		f.RxBuf.Write(payload)
 		f.AckNo += n
@@ -248,10 +359,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 			f.OooLen = 0
 			f.OooStart = 0
 		}
-		if ctx := e.ContextByID(f.Context); ctx != nil {
-			ctx.PostEvent(c.idx, Event{Kind: EvData, Opaque: f.Opaque, Bytes: advance})
-		}
-		return e.buildAck(c, f, pkt)
+		return advance
 	}
 
 	// Out-of-order arrival: track a single interval (§3.1 exception
@@ -276,7 +384,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 	} else {
 		c.stats.OooDropped.Add(1)
 	}
-	return e.buildAck(c, f, pkt)
+	return 0
 }
 
 // buildAck constructs the acknowledgement for the current flow state,

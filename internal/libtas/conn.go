@@ -286,6 +286,7 @@ func (cn *Conn) recvNoWait(p []byte) int {
 	tm := cn.ctx.stack.telem
 	t0, timed := copyTimer(tm, &cn.recvCopies)
 	f.Lock()
+	used := f.RxBuf.Used()
 	n := f.RxBuf.Read(p)
 	f.Unlock()
 	if n > 0 {
@@ -296,17 +297,26 @@ func (cn *Conn) recvNoWait(p []byte) int {
 		if f.Rec != nil {
 			f.Rec.Record(telemetry.FEAppRecv, 0, 0, uint32(n), 0)
 		}
-		cn.noteConsumed(n)
+		cn.noteConsumed(n, used)
 	}
 	return n
 }
 
 // noteConsumed sends a window update once the application has freed a
-// substantial fraction of the receive buffer, so a sender blocked on
-// flow control resumes (TCP window update).
-func (cn *Conn) noteConsumed(n int) {
+// substantial fraction of the receive buffer while the peer may be
+// waiting for it, so a sender blocked on flow control resumes (TCP
+// window update). used is what the buffer held before the read, about
+// the window the last ACK advertised taken from the other side: a
+// quarter buffer freed from a buffer at least half full reopens a window
+// the peer may have run out of. A peer told at least half a buffer is
+// still sending, and the ACKs its segments draw carry the new window, so
+// below that an update goes out only once a whole buffer's worth has
+// been consumed — a refresh for a peer whose view went stale on a lost
+// ACK.
+func (cn *Conn) noteConsumed(n, used int) {
 	cn.consumedSinceUpdate += n
-	if cn.consumedSinceUpdate >= cn.flow.RxBuf.Size()/4 {
+	size := cn.flow.RxBuf.Size()
+	if cn.consumedSinceUpdate >= size/4 && used >= size/2 || cn.consumedSinceUpdate >= size {
 		cn.consumedSinceUpdate = 0
 		cn.ctx.stack.Eng.SendWindowUpdate(cn.flow)
 	}
@@ -377,6 +387,7 @@ func (cn *Conn) SendZeroCopy(max int, fill func(first, second []byte) int) (int,
 func (cn *Conn) RecvZeroCopy(max int, consume func(first, second []byte) int) int {
 	f := cn.flow
 	f.Lock()
+	used := f.RxBuf.Used()
 	a, b := f.RxBuf.PeekTail(max)
 	n := 0
 	if len(a)+len(b) > 0 {
@@ -389,7 +400,7 @@ func (cn *Conn) RecvZeroCopy(max int, consume func(first, second []byte) int) in
 	}
 	f.Unlock()
 	if n > 0 {
-		cn.noteConsumed(n)
+		cn.noteConsumed(n, used)
 	}
 	return n
 }
@@ -435,7 +446,8 @@ func (cn *Conn) ResizeBuffers(rxSize, txSize int) {
 // then each connection moves to its own per-goroutine context. After
 // Rebind, the connection must only be used from the new context's
 // goroutine. Events still queued in the old context are ignored there
-// (Recv/Send poll the payload buffers directly).
+// (Recv/Send poll the payload buffers directly; a close or abort among
+// them is read from the flow's state instead).
 func (cn *Conn) Rebind(newCtx *Context) {
 	old := cn.ctx
 	if old == newCtx {
@@ -458,8 +470,28 @@ func (cn *Conn) Rebind(newCtx *Context) {
 	cn.flow.Lock()
 	cn.flow.Context = uint16(newCtx.fp.ID)
 	cn.flow.Opaque = opaque
+	cn.seedLocked()
 	cn.flow.Unlock()
 	cn.ctx = newCtx
+}
+
+// seedLocked marks the connection closed or aborted as its flow already
+// is: a close or abort event posted before the flow named this
+// connection went to its listener's or its old context's index, where
+// dispatch ignores it. It runs in the flow-lock section that sets
+// Opaque, so an event posted after it carries the new index. Caller
+// holds the flow lock.
+func (cn *Conn) seedLocked() {
+	f := cn.flow
+	if f.FinReceived {
+		cn.peerClosed.Store(true)
+	}
+	if f.PeerDead {
+		cn.peerDead.Store(true)
+	}
+	if f.Aborted {
+		cn.aborted.Store(true)
+	}
 }
 
 // Close initiates teardown via the slow path (graceful FIN after the

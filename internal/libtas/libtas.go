@@ -268,21 +268,17 @@ func (c *Context) dispatch() int {
 			c.mu.Unlock()
 		case fastpath.EvClosed:
 			c.mu.Lock()
-			if int(ev.Opaque) < len(c.conns) {
-				if conn := c.conns[ev.Opaque]; conn != nil {
-					conn.peerClosed.Store(true)
-				}
+			if conn := c.connFor(ev); conn != nil {
+				conn.peerClosed.Store(true)
 			}
 			c.mu.Unlock()
 		case fastpath.EvAborted:
 			c.mu.Lock()
-			if int(ev.Opaque) < len(c.conns) {
-				if conn := c.conns[ev.Opaque]; conn != nil {
-					if ev.Bytes == fastpath.AbortPeerDead {
-						conn.peerDead.Store(true)
-					}
-					conn.aborted.Store(true)
+			if conn := c.connFor(ev); conn != nil {
+				if ev.Bytes == fastpath.AbortPeerDead {
+					conn.peerDead.Store(true)
 				}
+				conn.aborted.Store(true)
 			}
 			c.mu.Unlock()
 		case fastpath.EvData, fastpath.EvTxAcked:
@@ -291,6 +287,21 @@ func (c *Context) dispatch() int {
 		}
 	}
 	return n
+}
+
+// connFor returns the connection a close or abort event is for, nil if
+// it is for none here. Until Accept rebinds a passive flow, its Opaque is
+// its listener's index, so the index alone could name an unrelated
+// connection: the event's flow must be the connection's. Accept and
+// Rebind read the flow's state themselves for what they missed. Caller
+// holds c.mu.
+func (c *Context) connFor(ev fastpath.Event) *Conn {
+	if int(ev.Opaque) < len(c.conns) {
+		if conn := c.conns[ev.Opaque]; conn != nil && conn.flow == ev.Flow {
+			return conn
+		}
+	}
+	return nil
 }
 
 // wait polls until cond holds, blocking on the context's wakeup channel
@@ -553,12 +564,14 @@ func (l *Listener) Accept(timeout time.Duration) (*Conn, error) {
 	}
 	c.mu.Lock()
 	conn, opaque := c.newConnLocked()
+	conn.flow = flow // before another goroutine's dispatch can match on it
 	c.mu.Unlock()
-	conn.flow = flow
 	conn.established.Store(true)
-	// Rebind the flow's context-queue events to the accepting conn.
+	// Rebind the flow's context-queue events to the accepting conn, and
+	// take over what the flow went through before it was accepted.
 	flow.Lock()
 	flow.Opaque = opaque
+	conn.seedLocked()
 	flow.Unlock()
 	return conn, nil
 }

@@ -232,3 +232,66 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 		t.Fatal("Accept never unblocked")
 	}
 }
+
+// TestCloseBeforeAccept: a peer that closes a connection the server has
+// not accepted yet closes that connection. Until Accept rebinds it, the
+// flow's Opaque is its listener's index — which is also the index of the
+// first accepted connection — so the close must be matched by flow, not
+// by index: the accepted connection keeps working, and the late-accepted
+// one reads EOF at once.
+func TestCloseBeforeAccept(t *testing.T) {
+	s1, s2, _ := newStackPair(t)
+	sctx := s2.NewContext()
+	ln, err := sctx.Listen(86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx := s1.NewContext()
+	srv := protocol.MakeIPv4(10, 0, 0, 2)
+	ca, err := cctx.Dial(srv, 86, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ln.Accept(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := cctx.Dial(srv, 86, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The server's slow path posts B's EvAccepted, then its EvClosed, on
+	// the context's queue 0; wait for both before accepting B.
+	deadline := time.Now().Add(5 * time.Second)
+	for sctx.FP().EventQueueLen(0) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("server never saw B's FIN")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	b, err := ln.Accept(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	if n, err := b.Recv(buf, time.Second); n != 0 || err != io.EOF {
+		t.Fatalf("B, closed before it was accepted: Recv = %d, %v, want EOF", n, err)
+	}
+
+	if _, err := ca.Send([]byte("ping"), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	n, err := a.Recv(buf, 5*time.Second)
+	if err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("A after B's close: Recv = %q, %v", buf[:n], err)
+	}
+	if _, err := a.Send(buf[:n], time.Second); err != nil {
+		t.Fatalf("A after B's close: Send: %v", err)
+	}
+	if n, err := ca.Recv(buf, 5*time.Second); err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("echo = %q, %v", buf[:n], err)
+	}
+}

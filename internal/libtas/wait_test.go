@@ -32,7 +32,7 @@ func newWaitRig(tb testing.TB) *waitRig {
 	ctx := &Context{stack: &Stack{Eng: eng}, fp: fastpath.NewContext(0, 1, 64)}
 	r := &waitRig{kick: make(chan struct{})}
 	r.cn = &Conn{ctx: ctx, flow: &flowstate.Flow{
-		RxBuf: shmring.NewPayloadBuffer(1 << 20), // a window update (one packet) per 4096 rounds
+		RxBuf: shmring.NewPayloadBuffer(1 << 20), // a window update (one packet) per 16384 rounds
 		TxBuf: shmring.NewPayloadBuffer(1 << 10),
 	}}
 	var wg sync.WaitGroup

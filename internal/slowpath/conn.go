@@ -465,7 +465,7 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 	s.sendCtlFlow(f, protocol.FlagACK, seq, ack, nil)
 	if first {
 		recordFlow(f, telemetry.FEFinRx, pkt.Seq, ack, 0, 0)
-		s.notify(ctxID, fastpath.Event{Kind: fastpath.EvClosed, Opaque: opaque})
+		s.notify(ctxID, fastpath.Event{Kind: fastpath.EvClosed, Opaque: opaque, Flow: f})
 	}
 	if done {
 		// Both directions are closed and we closed first (FIN_WAIT_2 →
@@ -594,7 +594,7 @@ func (s *Slowpath) notifyAborted(f *flowstate.Flow, cause uint32) {
 	f.Lock()
 	ctxID, opaque := f.Context, f.Opaque
 	f.Unlock()
-	s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque, Bytes: cause})
+	s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque, Bytes: cause, Flow: f})
 }
 
 // handshakeSweep retransmits unanswered SYNs / SYN-ACKs with
@@ -701,10 +701,10 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	// charges go back exactly once, however many teardown paths race here:
 	// Retire is the latch, taken before the table forgets the flow so a
 	// descriptor the fast path no longer finds installed reads as stale,
-	// not malformed. Reclaim only fences producer writes; the application
-	// side may still drain already received bytes.
+	// not malformed. The table forgets it last, so whoever finds it gone
+	// finds its charges returned. Reclaim only fences producer writes; the
+	// application side may still drain already received bytes.
 	if f.Retire() {
-		s.eng.Table.Remove(f.Key())
 		var payload int64
 		if f.RxBuf != nil {
 			payload += int64(f.RxBuf.Size())
@@ -718,6 +718,7 @@ func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 		if g := s.cfg.Gov; g != nil {
 			g.ReleaseFlow(uint32(f.Charged), payload)
 		}
+		s.eng.Table.Remove(f.Key())
 	}
 	s.mu.Lock()
 	s.dropEntry(f)
