@@ -5,8 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/fastpath"
+	"repro/internal/faultinject"
+	"repro/internal/flowstate"
+	"repro/internal/protocol"
+	"repro/internal/shmring"
 )
 
 // appCfg shortens the liveness timescale so crash detection completes
@@ -308,6 +315,51 @@ func TestAcceptBacklogOverflowShedsSyns(t *testing.T) {
 	}
 }
 
+// corruptQueue simulates a buggy or malicious application scribbling
+// over its shared-memory TX queues: it enqueues n garbage descriptors
+// (bad opcodes, nil and bogus flow references, impossible byte counts)
+// drawn from seed, returning how many were actually enqueued (the
+// queues are bounded). The fast path must drop and count every one
+// without corrupting state or panicking.
+func corruptQueue(svc *Service, ctx *Context, seed int64, n int) int {
+	fp := ctx.LowLevel()
+	rng := rand.New(rand.NewSource(seed))
+	injected := 0
+	for i := 0; i < n; i++ {
+		var f *flowstate.Flow
+		switch rng.Intn(3) {
+		case 0:
+			// nil flow reference.
+		case 1:
+			// A fabricated flow object that is not in the flow table.
+			f = &flowstate.Flow{
+				LocalIP:   protocol.MakeIPv4(192, 0, 2, byte(rng.Intn(256))),
+				LocalPort: uint16(rng.Intn(1 << 16)),
+				PeerIP:    protocol.MakeIPv4(198, 51, 100, byte(rng.Intn(256))),
+				PeerPort:  uint16(rng.Intn(1 << 16)),
+				RxBuf:     shmring.NewPayloadBuffer(64),
+				TxBuf:     shmring.NewPayloadBuffer(64),
+			}
+			f.RxBuf.Reclaim() // keep the fake out of pool accounting
+			f.TxBuf.Reclaim()
+		case 2:
+			// A structurally broken flow (missing buffers).
+			f = &flowstate.Flow{}
+		}
+		cmd := fastpath.TxCmd{
+			Op:    uint8(rng.Intn(8)), // mostly invalid opcodes; OpTx hits still fail flow checks
+			Flow:  f,
+			Bytes: rng.Uint32(),
+		}
+		core := rng.Intn(fp.Cores())
+		if fp.PushTx(core, cmd) {
+			injected++
+		}
+		svc.Engine().Nudge(core)
+	}
+	return injected
+}
+
 // TestCorruptQueueInjectionHarmless: garbage descriptors injected into
 // an app's command queue are dropped and counted, and the service keeps
 // serving the same connection correctly afterwards.
@@ -354,7 +406,7 @@ func TestCorruptQueueInjectionHarmless(t *testing.T) {
 	}
 	roundtrip("before")
 
-	injected := cctx.CorruptQueue(42, 64)
+	injected := corruptQueue(cli, cctx, 42, 64)
 	if injected == 0 {
 		t.Fatal("nothing injected")
 	}
@@ -384,8 +436,10 @@ func TestStallShorterThanTimeoutSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	cctx := cli.NewContext()
+	faults := faultinject.Attach(cli.Engine())
+	id := cctx.LowLevel().ID
 
-	cctx.Stall(50 * time.Millisecond)
+	faults.StallApp(id, 50*time.Millisecond)
 	time.Sleep(120 * time.Millisecond)
 	if got := cli.Stats().AppsReaped; got != 0 {
 		t.Fatalf("short stall reaped: %d", got)
@@ -394,7 +448,7 @@ func TestStallShorterThanTimeoutSurvives(t *testing.T) {
 		t.Fatalf("dial after short stall: %v", err)
 	}
 
-	cctx.Stall(5 * time.Second)
+	faults.StallApp(id, 5*time.Second)
 	deadline := time.Now().Add(10 * time.Second)
 	for cli.Stats().AppsReaped == 0 {
 		if time.Now().After(deadline) {

@@ -164,7 +164,7 @@ func TestChaosCoreKillMidTransfer(t *testing.T) {
 	if owned == 0 {
 		t.Fatal("no server core owns any flows")
 	}
-	srv.KillCore(victim)
+	srv.Engine().KillCore(victim)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Stats().CoreFailures == 0 && time.Now().Before(deadline) {
@@ -375,7 +375,7 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 	fab.SetBurstLoss(GEConfig{PGoodToBad: 0.02, PBadToGood: 0.3, LossGood: 0, LossBad: 0.5}, 11)
 	doomedCtx.Kill()
 
-	cli.KillSlowPath()
+	cli.Slow().Kill()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cli.Degraded() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -396,7 +396,7 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 	if owned == 0 {
 		t.Fatal("no server core owns any flows")
 	}
-	srv.KillCore(victim)
+	srv.Engine().KillCore(victim)
 	deadline = time.Now().Add(5 * time.Second)
 	for srv.Stats().CoreFailures == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)

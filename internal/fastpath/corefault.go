@@ -2,7 +2,6 @@ package fastpath
 
 import (
 	"runtime"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -16,9 +15,9 @@ import (
 //   - Every run-loop iteration bumps an atomic beat counter (no clock
 //     read on the hot path; the slow-path watchdog tracks when the
 //     count last changed).
-//   - The fault harness (KillCore/StallCore/InjectCorePanic) crashes,
-//     wedges, or panics a core on demand; panics are contained and
-//     counted by launchCore, never escaping to the process.
+//   - A panic in a core's step, or in the fault hook that test tooling
+//     (internal/faultinject) installs to stall or panic a core, is
+//     contained and counted by launchCore, never escaping to the process.
 //   - When the slow path declares a core dead (MarkCoreFailed), the
 //     core's bit enters the RSS exclusion mask and the table is
 //     rewritten around it, so neither this re-steer nor any later
@@ -56,9 +55,47 @@ func (e *Engine) launchCore(c *core) {
 	}()
 }
 
+// FaultPoint names a place where the engine calls its fault hook.
+type FaultPoint uint8
+
+// The fault hook points; the hook's unit argument says whose.
+const (
+	// FaultCoreStep: a core's goroutine holds its run token and is about
+	// to step (unit: core index). Never inside a producer's inline step.
+	FaultCoreStep FaultPoint = iota + 1
+	// FaultCorePark: a core found no work and is about to publish its
+	// sleep flag (unit: core index).
+	FaultCorePark
+	// FaultSlowTick: the slow path's event loop is about to run a control
+	// tick and read its clock (unit 0).
+	FaultSlowTick
+	// FaultAppBeat: a libtas context's heartbeat is about to stamp (unit:
+	// the context's ID).
+	FaultAppBeat
+)
+
+// SetFaultHook installs h, or removes the hook when h is nil. The
+// product only calls the hook; test tooling (internal/faultinject)
+// installs one to stall a party by sleeping in it, or to crash one by
+// panicking there, where a panic in the party's own work is contained.
+func (e *Engine) SetFaultHook(h func(at FaultPoint, unit int)) {
+	if h == nil {
+		e.fault.Store(nil)
+		return
+	}
+	e.fault.Store(&h)
+}
+
+// Fault calls the fault hook, if one is installed, at point at.
+func (e *Engine) Fault(at FaultPoint, unit int) {
+	if h := e.fault.Load(); h != nil {
+		(*h)(at, unit)
+	}
+}
+
 // KillCore makes core i's goroutine exit at its next loop check, as an
 // uncaught crash would — no drain, no goodbye. Queues keep their
-// contents for DrainFailedCore. Fault-harness use.
+// contents for DrainFailedCore. A panic in an inline step ends here.
 func (e *Engine) KillCore(i int) {
 	if i < 0 || i >= len(e.cores) {
 		return
@@ -69,31 +106,6 @@ func (e *Engine) KillCore(i int) {
 	if !c.killed.Swap(true) {
 		close(c.kill)
 	}
-}
-
-// StallCore wedges core i for d at its next loop check — the goroutine
-// sleeps mid-iteration, heartbeats stop, queues back up, but the
-// goroutine stays alive (so its rings stay untouchable). Fault-harness
-// use.
-func (e *Engine) StallCore(i int, d time.Duration) {
-	if i < 0 || i >= len(e.cores) {
-		return
-	}
-	select {
-	case e.cores[i].stallC <- d:
-	default:
-	}
-	e.wakeCore(i)
-}
-
-// InjectCorePanic makes core i panic at its next loop check; launchCore
-// contains and counts it. Fault-harness use.
-func (e *Engine) InjectCorePanic(i int) {
-	if i < 0 || i >= len(e.cores) {
-		return
-	}
-	e.cores[i].panicNext.Store(true)
-	e.wakeCore(i)
 }
 
 // CoreBeat returns core i's loop-iteration counter — the heartbeat the
@@ -159,8 +171,7 @@ func (e *Engine) ClearCoreFailed(i int) {
 }
 
 // ReviveCore relaunches core i's goroutine after it exited (kill,
-// contained panic). It resets the fault harness for the new
-// incarnation. Returns false if the goroutine is still running (a
+// contained panic). Returns false if the goroutine is still running (a
 // stalled core cannot be revived — its goroutine still owns the rings)
 // or the engine is stopped. Steering is NOT restored here; the slow
 // path re-admits the core via ClearCoreFailed once heartbeats flow.
@@ -178,11 +189,6 @@ func (e *Engine) ReviveCore(i int) bool {
 	// captured the previous one at entry, so closing history is inert.
 	c.kill = make(chan struct{})
 	c.killed.Store(false)
-	c.panicNext.Store(false)
-	select {
-	case <-c.stallC:
-	default:
-	}
 	e.launchCore(c)
 	return true
 }

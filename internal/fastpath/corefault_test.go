@@ -20,6 +20,24 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// faultOnce installs a fault hook that runs fn the first time unit
+// reaches point at.
+func faultOnce(e *Engine, at FaultPoint, unit int, fn func()) {
+	var once sync.Once
+	e.SetFaultHook(func(p FaultPoint, u int) {
+		if p == at && u == unit {
+			once.Do(fn)
+		}
+	})
+}
+
+// stallCore wedges core i for d at its next step on its own goroutine,
+// holding its run token; the doorbell gets a parked core there.
+func stallCore(e *Engine, i int, d time.Duration) {
+	faultOnce(e, FaultCoreStep, i, func() { time.Sleep(d) })
+	e.Nudge(i)
+}
+
 // TestCoreKillAndRevive: KillCore makes the goroutine exit as a crash
 // would — heartbeats freeze, exited flips — while the other core keeps
 // beating; ReviveCore relaunches it and the heartbeat resumes.
@@ -65,7 +83,8 @@ func TestCorePanicContained(t *testing.T) {
 	defer e.Stop()
 
 	waitFor(t, "core 0 beats", func() bool { return e.CoreBeat(0) > 0 })
-	e.InjectCorePanic(0)
+	faultOnce(e, FaultCoreStep, 0, func() { panic("injected core panic") })
+	e.Nudge(0)
 	waitFor(t, "core 0 exit after panic", func() bool { return e.CoreExited(0) })
 	if got := e.CorePanics(0); got != 1 {
 		t.Fatalf("CorePanics = %d, want 1", got)
@@ -73,7 +92,7 @@ func TestCorePanicContained(t *testing.T) {
 	if st := e.CoreFaults(); st.Panics != 1 || st.Exited != 1 {
 		t.Fatalf("CoreFaults = %+v", st)
 	}
-	// The harness resets across incarnations: a revived core runs clean.
+	// The fault fired once: a revived core runs clean.
 	if !e.ReviveCore(0) {
 		t.Fatal("ReviveCore failed after panic")
 	}
@@ -132,7 +151,7 @@ func TestDrainFailedCoreRequeues(t *testing.T) {
 	})
 
 	// Stalled core: goroutine alive, rings untouchable.
-	e.StallCore(1, 10*time.Second)
+	stallCore(e, 1, 10*time.Second)
 	waitFor(t, "core 1 stall", func() bool {
 		b := e.CoreBeat(1)
 		time.Sleep(20 * time.Millisecond)
@@ -157,7 +176,7 @@ func TestStopBoundedStalledCore(t *testing.T) {
 	e, _ := testEngine()
 	e.Start()
 	waitFor(t, "core 0 beats", func() bool { return e.CoreBeat(0) > 0 })
-	e.StallCore(0, time.Hour)
+	stallCore(e, 0, time.Hour)
 	waitFor(t, "core 0 wedged", func() bool {
 		b := e.CoreBeat(0)
 		time.Sleep(20 * time.Millisecond)

@@ -206,6 +206,41 @@ func TestAckFreesTxBufferAndNotifies(t *testing.T) {
 	}
 }
 
+// TestAckAfterRewindSkipsSentBytes: after a go-back-N rewind (here the
+// slow path's retransmission timeout, with the peer's window closed so
+// nothing is resent), an ACK for bytes sent before the rewind frees
+// them and moves the send point past them. Clamped to what was sent
+// since the rewind, it would free nothing: the sender's buffer would
+// never drain, and its persist probes, each answered by that same ACK,
+// would walk the stream a byte at a time until the live peer was
+// declared dead. An ACK past anything ever sent is still clamped.
+func TestAckAfterRewindSkipsSentBytes(t *testing.T) {
+	e, _ := testEngine()
+	f := testFlow(e)
+	c := e.cores[0]
+	f.TxBuf.Write(make([]byte, 3000))
+	e.transmitFlow(c, f)
+	f.Window = 0
+	e.resetSender(f)
+	if f.SeqNo != 1000 || f.TxSent != 0 || f.TxMax != 3000 {
+		t.Fatalf("after rewind: SeqNo %d TxSent %d TxMax %d", f.SeqNo, f.TxSent, f.TxMax)
+	}
+	zeroWin := func(ack uint32) *protocol.Packet {
+		p := ackPkt(f, ack)
+		p.Window = 0
+		return p
+	}
+	e.processRx(c, zeroWin(1000+2000))
+	if f.SeqNo != 3000 || f.TxSent != 0 || f.TxMax != 1000 || f.TxBuf.Used() != 1000 || f.CntAckB != 2000 {
+		t.Fatalf("ack of pre-rewind bytes: SeqNo %d TxSent %d TxMax %d used %d acked %d; want 3000 0 1000 1000 2000",
+			f.SeqNo, f.TxSent, f.TxMax, f.TxBuf.Used(), f.CntAckB)
+	}
+	e.processRx(c, zeroWin(1000+5000)) // past anything sent: nothing in flight to clamp to
+	if f.SeqNo != 3000 || f.TxBuf.Used() != 1000 || f.CntAckB != 2000 {
+		t.Fatalf("ack past SND.MAX: SeqNo %d used %d acked %d; want 3000 1000 2000", f.SeqNo, f.TxBuf.Used(), f.CntAckB)
+	}
+}
+
 func TestEcnEchoCountsMarkedBytes(t *testing.T) {
 	e, _ := testEngine()
 	f := testFlow(e)

@@ -237,7 +237,7 @@ func TestInlineSkipsFailedCore(t *testing.T) {
 
 	t.Run("stalled", func(t *testing.T) {
 		e, c, f := start(t)
-		e.StallCore(0, time.Second)
+		stallCore(e, 0, time.Second)
 		waitFor(t, "core 0 stall", func() bool {
 			b := e.CoreBeat(0)
 			time.Sleep(20 * time.Millisecond)
@@ -434,6 +434,31 @@ func TestEchoWithoutCoreGoroutines(t *testing.T) {
 	}
 }
 
+// TestInlineStepsSkipFaultHook: the core-step hook point runs only on a
+// core's own goroutine, never inside a producer's inline step, so a
+// stalled core can never stall an application's Send. Over 1 000 inline
+// echoes on engines whose cores never started, it is not reached once.
+func TestInlineStepsSkipFaultHook(t *testing.T) {
+	p := newEchoPair(t)
+	var steps atomic.Int64
+	for _, e := range []*Engine{p.ea, p.eb} {
+		e.SetFaultHook(func(at FaultPoint, _ int) {
+			if at == FaultCoreStep {
+				steps.Add(1)
+			}
+		})
+	}
+	msg := bytes.Repeat([]byte{0xA5}, 64)
+	for i := 0; i < 1000; i++ {
+		if !p.echo(msg) {
+			t.Fatalf("echo %d did not complete inline", i)
+		}
+	}
+	if n := steps.Load(); n != 0 {
+		t.Fatalf("the core-step hook ran %d times inside inline steps", n)
+	}
+}
+
 // BenchmarkInlineEcho is a 64 B echo between two engines with no core
 // goroutines: the request path as a chain of calls, the cost lightweight
 // activation leaves once the goroutine hand-offs are gone.
@@ -446,5 +471,48 @@ func BenchmarkInlineEcho(b *testing.B) {
 		if !p.echo(msg) {
 			b.Fatal("echo did not complete inline")
 		}
+	}
+}
+
+// TestStalledCoreSendWaits: while a core is stalled its beat counter
+// stops, a one-segment send aimed at it finds the run token held (the
+// stall sleeps holding it) and counts a busy activation instead of
+// running inline, and its bytes leave once the stall ends.
+func TestStalledCoreSendWaits(t *testing.T) {
+	nic := &lockedNIC{}
+	e := oneCoreEngine(nic)
+	c := e.cores[0]
+	f := testFlow(e)
+	ctx := NewContext(0, 1, 64)
+	e.RegisterContext(ctx)
+	f.Context = 0
+	e.Start()
+	defer e.Stop()
+	waitFor(t, "core 0 beats", func() bool { return e.CoreBeat(0) > 0 })
+
+	const stall = 300 * time.Millisecond
+	stallCore(e, 0, stall)
+	waitFor(t, "core 0 stall", func() bool {
+		b := e.CoreBeat(0)
+		time.Sleep(20 * time.Millisecond)
+		return e.CoreBeat(0) == b && c.token.Load()
+	})
+	beat := e.CoreBeat(0)
+	f.Lock()
+	f.TxBuf.Write(make([]byte, 64))
+	f.Unlock()
+	if !e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: 64}) {
+		t.Fatal("PushTxCmd refused")
+	}
+	if n, busy := c.stats.InlineSteps.Load(), c.stats.TokenBusy.Load(); n != 0 || busy != 1 {
+		t.Fatalf("send to a stalled core: %d inline steps, %d busy; want 0 and 1", n, busy)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got, sent := e.CoreBeat(0), nic.sent(); got != beat || sent != 0 {
+		t.Fatalf("during the stall: beat %d -> %d, %d segments sent", beat, got, sent)
+	}
+	waitFor(t, "the send leaves after the stall", func() bool { return nic.sent() == 1 })
+	if got := e.CoreBeat(0); got == beat {
+		t.Fatal("core 0 beat did not resume after the stall")
 	}
 }

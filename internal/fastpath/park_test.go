@@ -70,14 +70,11 @@ func TestBlockRecheck(t *testing.T) {
 			e.RegisterContext(ctx)
 			f.Context = 0
 
-			var once sync.Once
 			pushed := make(chan time.Time, 1)
-			e.beforeSleep = func(int) {
-				once.Do(func() {
-					tc.produce(t, e, ctx, f)
-					pushed <- time.Now()
-				})
-			}
+			faultOnce(e, FaultCorePark, 0, func() {
+				tc.produce(t, e, ctx, f)
+				pushed <- time.Now()
+			})
 			e.Start()
 			defer e.Stop()
 

@@ -226,14 +226,21 @@ func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) ui
 			// path stops retransmitting it.
 			f.FinAcked = true
 		}
-		if diff > int32(f.TxSent) {
-			// Acks beyond what we sent: tolerate by clamping (can occur
-			// after a slow-path retransmission reset).
+		switch {
+		case diff > int32(f.TxMax):
+			// Acks beyond anything we sent: tolerate by clamping.
 			diff = int32(f.TxSent)
+		case diff > int32(f.TxSent):
+			// Bytes sent before a go-back-N rewind (a retransmission
+			// timeout, fast retransmit or core migration) reached the
+			// peer: skip them rather than send them again.
+			f.SeqNo += uint32(diff) - f.TxSent
+			f.TxSent = uint32(diff)
 		}
 		// Free acknowledged transmit buffer space (constant time).
 		f.TxBuf.Release(int(diff))
 		f.TxSent -= uint32(diff)
+		f.TxMax -= uint32(diff)
 		f.CntAckB += uint32(diff)
 		if pkt.Flags.Has(protocol.FlagECE) {
 			f.CntEcnB += uint32(diff)

@@ -72,6 +72,7 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		f.TxBuf.ReadAt(f.TxBuf.Tail()+f.TxSent, pkt.AllocPayload(n))
 		f.SeqNo += uint32(n)
 		f.TxSent += uint32(n)
+		f.TxMax = max(f.TxMax, f.TxSent)
 		c.stats.TxPackets.Add(1)
 		c.stats.TxBytes.Add(uint64(n))
 		if f.Rec != nil {

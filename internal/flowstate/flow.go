@@ -110,6 +110,13 @@ type Flow struct {
 	// (failure-cause bookkeeping); guarded by the flow spinlock.
 	PeerDead bool
 
+	// TxMax is how far past the oldest unacknowledged byte anything has
+	// been sent (SND.MAX − SND.UNA). A go-back-N rewind lowers TxSent and
+	// SeqNo but not TxMax, so an ACK for bytes sent before the rewind is
+	// still recognised and skips them instead of being clamped away.
+	// Outside Table 3 (it fills padding); guarded by the flow spinlock.
+	TxMax uint32
+
 	// Rec is the flow's flight-recorder ring, nil when telemetry is off.
 	// It is outside the paper's Table 3 footprint (observability state,
 	// not protocol state) and is written by whichever layer holds the

@@ -14,7 +14,6 @@ package libtas
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
 	"repro/internal/resource"
-	"repro/internal/shmring"
 	"repro/internal/slowpath"
 	"repro/internal/telemetry"
 )
@@ -120,10 +118,8 @@ type Context struct {
 
 	// Application liveness: a keepalive goroutine beats the fast-path
 	// context on the slow path's heartbeat cadence, standing in for the
-	// live application process. The fault harness (KillApp/StallApp)
-	// manipulates it to simulate crashes and stalls.
+	// live application process. KillApp stops it.
 	hbStop   chan struct{}
-	hbStall  atomic.Int64 // unix nanos until which beats are suppressed
 	killOnce sync.Once
 
 	// wakeTicks drives the sampled wakeup-to-ready latency observation
@@ -149,7 +145,8 @@ func (s *Stack) NewContext() *Context {
 }
 
 // heartbeatLoop stamps the context's liveness epoch until the app is
-// killed (KillApp) or stalled past the reaper's patience.
+// killed (KillApp). A stall in the engine's fault hook wedges the app:
+// no beats until it returns.
 func (c *Context) heartbeatLoop(interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -158,9 +155,7 @@ func (c *Context) heartbeatLoop(interval time.Duration) {
 		case <-c.hbStop:
 			return
 		case <-t.C:
-			if time.Now().UnixNano() < c.hbStall.Load() {
-				continue // StallApp window: the app is wedged
-			}
+			c.stack.Eng.Fault(fastpath.FaultAppBeat, c.fp.ID)
 			c.fp.Beat(c.stack.Eng.NowNanos())
 		}
 	}
@@ -169,62 +164,8 @@ func (c *Context) heartbeatLoop(interval time.Duration) {
 // KillApp simulates the application crashing: heartbeats stop
 // immediately and never resume, so the slow-path reaper will detect the
 // death after AppTimeout and reclaim every resource the context holds.
-// Part of the app-layer fault harness (the application-side counterpart
-// of the netsim FaultInjector).
 func (c *Context) KillApp() {
 	c.killOnce.Do(func() { close(c.hbStop) })
-}
-
-// StallApp simulates the application wedging for d: heartbeats are
-// suppressed until the window passes. A stall shorter than the reaper's
-// AppTimeout is survivable; a longer one is indistinguishable from a
-// crash and gets the context reaped.
-func (c *Context) StallApp(d time.Duration) {
-	c.hbStall.Store(time.Now().Add(d).UnixNano())
-}
-
-// CorruptQueue simulates a buggy or malicious application scribbling
-// over its shared-memory TX queues: it enqueues n garbage descriptors
-// (bad opcodes, nil and bogus flow references, impossible byte counts)
-// drawn from seed, returning how many were actually enqueued (the
-// queues are bounded). The fast path must drop-and-count every one
-// without corrupting state or panicking.
-func (c *Context) CorruptQueue(seed int64, n int) int {
-	rng := rand.New(rand.NewSource(seed))
-	injected := 0
-	for i := 0; i < n; i++ {
-		var f *flowstate.Flow
-		switch rng.Intn(3) {
-		case 0:
-			// nil flow reference.
-		case 1:
-			// A fabricated flow object that is not in the flow table.
-			f = &flowstate.Flow{
-				LocalIP:   protocol.MakeIPv4(192, 0, 2, byte(rng.Intn(256))),
-				LocalPort: uint16(rng.Intn(1 << 16)),
-				PeerIP:    protocol.MakeIPv4(198, 51, 100, byte(rng.Intn(256))),
-				PeerPort:  uint16(rng.Intn(1 << 16)),
-				RxBuf:     shmring.NewPayloadBuffer(64),
-				TxBuf:     shmring.NewPayloadBuffer(64),
-			}
-			f.RxBuf.Reclaim() // keep the fake out of pool accounting
-			f.TxBuf.Reclaim()
-		case 2:
-			// A structurally broken flow (missing buffers).
-			f = &flowstate.Flow{}
-		}
-		cmd := fastpath.TxCmd{
-			Op:    uint8(rng.Intn(8)), // mostly invalid opcodes; OpTx hits still fail flow checks
-			Flow:  f,
-			Bytes: rng.Uint32(),
-		}
-		core := rng.Intn(c.fp.Cores())
-		if c.fp.PushTx(core, cmd) {
-			injected++
-		}
-		c.stack.Eng.Nudge(core)
-	}
-	return injected
 }
 
 // FP exposes the low-level context (the TAS LL API).

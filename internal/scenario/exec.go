@@ -16,6 +16,7 @@ import (
 	tas "repro"
 	"repro/internal/apps/echo"
 	"repro/internal/fastpath"
+	"repro/internal/faultinject"
 	"repro/internal/flowstate"
 )
 
@@ -72,6 +73,8 @@ type run struct {
 	clients  []*tas.Service
 	slots    [][]*workerSlot // [client][worker]
 	attacker *tas.Attacker   // raw spoofed-segment source (attack specs)
+
+	injectors map[*tas.Service]*faultinject.Injector // per service, on first fault
 
 	linkMu  sync.Mutex
 	linkCfg *tas.LinkConfig // current link model (nil = flat latency)
@@ -1034,80 +1037,80 @@ func victimCore(eng *fastpath.Engine) int {
 	return victim
 }
 
+// injector returns svc's fault injector, attaching it to the engine's
+// fault hook on first use (timeline events fire on one goroutine).
+func (r *run) injector(svc *tas.Service) *faultinject.Injector {
+	in := r.injectors[svc]
+	if in == nil {
+		in = faultinject.Attach(svc.Engine())
+		if r.injectors == nil {
+			r.injectors = make(map[*tas.Service]*faultinject.Injector)
+		}
+		r.injectors[svc] = in
+	}
+	return in
+}
+
 func (r *run) faultEvent(f FaultEvent) schedEvent {
 	target := f.Target
 	if target == "" {
 		target = "server"
 	}
 	ev := schedEvent{at: f.At.D(), end: f.At.D() + f.For.D(), kind: f.Kind, target: target}
+	// app runs fn on client target's workload context f.App, if it has one.
+	app := func(fn func(ctx *tas.Context)) {
+		var k int
+		fmt.Sscanf(target, "client%d", &k)
+		s := r.slots[k][f.App]
+		s.mu.Lock()
+		if s.ctx != nil {
+			fn(s.ctx)
+		}
+		s.mu.Unlock()
+	}
 	switch f.Kind {
 	case FaultAppKill:
 		ev.apply = func() string {
-			var k int
-			fmt.Sscanf(target, "client%d", &k)
-			s := r.slots[k][f.App]
-			s.mu.Lock()
-			if s.ctx != nil {
-				s.ctx.Kill()
-			}
-			s.mu.Unlock()
+			app(func(ctx *tas.Context) { ctx.Kill() })
 			return fmt.Sprintf("app %d killed", f.App)
 		}
 	case FaultAppStall:
 		ev.apply = func() string {
-			var k int
-			fmt.Sscanf(target, "client%d", &k)
-			s := r.slots[k][f.App]
-			s.mu.Lock()
-			if s.ctx != nil {
-				s.ctx.Stall(f.For.D())
-			}
-			s.mu.Unlock()
+			in := r.injector(r.service(target))
+			app(func(ctx *tas.Context) { in.StallApp(ctx.LowLevel().ID, f.For.D()) })
 			return fmt.Sprintf("app %d stalled %v", f.App, f.For.D())
 		}
 	case FaultSlowKill:
-		ev.apply = func() string { r.service(target).KillSlowPath(); return "slow path killed" }
+		ev.apply = func() string { r.service(target).Slow().Kill(); return "slow path killed" }
 	case FaultSlowStall:
 		ev.apply = func() string {
-			r.service(target).StallSlowPath(f.For.D())
+			r.injector(r.service(target)).StallSlowPath(f.For.D())
 			return fmt.Sprintf("slow path stalled %v", f.For.D())
 		}
 	case FaultSlowPanic:
-		ev.apply = func() string { r.service(target).InjectSlowPathPanic(); return "slow path panic injected" }
+		ev.apply = func() string { r.injector(r.service(target)).PanicSlowPath(); return "slow path panic injected" }
 	case FaultSlowRestart:
 		ev.apply = func() string {
 			st := r.service(target).Restart()
 			return fmt.Sprintf("warm restart: %d flows readopted, %d aborted", st.FlowsReconstructed, st.FlowsAborted)
 		}
-	case FaultCoreKill:
+	case FaultCoreKill, FaultCoreStall, FaultCorePanic:
 		ev.apply = func() string {
 			svc := r.service(target)
-			core := f.Core
-			if core == -1 {
-				core = victimCore(svc.Engine())
+			c := f.Core
+			if c == -1 { // the busiest core at fire time
+				c = victimCore(svc.Engine())
 			}
-			svc.KillCore(core)
-			return fmt.Sprintf("core %d killed", core)
-		}
-	case FaultCoreStall:
-		ev.apply = func() string {
-			svc := r.service(target)
-			core := f.Core
-			if core == -1 {
-				core = victimCore(svc.Engine())
+			switch f.Kind {
+			case FaultCoreKill:
+				svc.Engine().KillCore(c)
+				return fmt.Sprintf("core %d killed", c)
+			case FaultCoreStall:
+				r.injector(svc).StallCore(c, f.For.D())
+				return fmt.Sprintf("core %d stalled %v", c, f.For.D())
 			}
-			svc.StallCore(core, f.For.D())
-			return fmt.Sprintf("core %d stalled %v", core, f.For.D())
-		}
-	case FaultCorePanic:
-		ev.apply = func() string {
-			svc := r.service(target)
-			core := f.Core
-			if core == -1 {
-				core = victimCore(svc.Engine())
-			}
-			svc.InjectCorePanic(core)
-			return fmt.Sprintf("core %d panic injected", core)
+			r.injector(svc).PanicCore(c)
+			return fmt.Sprintf("core %d panic injected", c)
 		}
 	case FaultCoreRevive:
 		ev.apply = func() string {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
+	"repro/internal/faultinject"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
 	"repro/internal/shmring"
@@ -181,7 +182,7 @@ func TestCoreWatchdogDetectsKillMigratesAndReadmits(t *testing.T) {
 // symmetric with the slow path's own stall story.
 func TestCoreWatchdogStallAutoRecovers(t *testing.T) {
 	eng, sp := newCoreWatchNode(t, 250*time.Millisecond)
-	eng.StallCore(1, 600*time.Millisecond)
+	faultinject.Attach(eng).StallCore(1, 600*time.Millisecond)
 	waitCond(t, "stall verdict", 2*time.Second, func() bool {
 		return sp.Counters().CoreFailures == 1 && eng.CoreFailed(1)
 	})

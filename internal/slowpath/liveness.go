@@ -61,6 +61,7 @@ func (s *Slowpath) sendPersistProbe(f *flowstate.Flow) {
 		// processing treats it as ordinary outstanding data.
 		f.SeqNo++
 		f.TxSent = 1
+		f.TxMax = max(f.TxMax, 1)
 	}
 	seq := f.SeqNo - f.TxSent
 	payload := make([]byte, 1)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
+	"repro/internal/faultinject"
 	"repro/internal/protocol"
 )
 
@@ -216,7 +217,7 @@ func TestPanicInjectionKillsLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a.sp.InjectPanic()
+	faultinject.Attach(a.eng).PanicSlowPath()
 	waitCond(t, "the loop to die", 2*time.Second, a.sp.Down)
 	if !a.sp.Down() {
 		t.Fatal("injected panic did not kill the loop")

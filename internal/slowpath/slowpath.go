@@ -220,21 +220,17 @@ type Slowpath struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// Fault harness (the control-plane counterpart of the app-layer
-	// Kill/Stall harness): kill terminates the event loop without any
-	// cooperative cleanup, stallC wedges it for a duration, and
-	// panicNext makes the next event-loop tick panic. dead marks the
-	// instance crashed so API calls fail fast with ErrDown.
-	kill      chan struct{}
-	killOnce  sync.Once
-	stallC    chan time.Duration
-	panicNext atomic.Bool
-	dead      atomic.Bool
+	// kill terminates the event loop without any cooperative cleanup, as
+	// a crash would (Kill). dead marks the instance crashed so API calls
+	// fail fast with ErrDown.
+	kill     chan struct{}
+	killOnce sync.Once
+	dead     atomic.Bool
 
 	// lastTick is when the control tick last ran (engine clock); a gap
 	// much larger than the control interval means the loop was stalled
-	// (GC pause, fault-harness Stall) and liveness comparisons are unsafe
-	// until apps have had a chance to beat again.
+	// (GC pause, a stall in the fault hook) and liveness comparisons are
+	// unsafe until apps have had a chance to beat again.
 	lastTick int64
 
 	// ctr is the counter block (counters.go), shared with this instance's
@@ -271,7 +267,6 @@ func newSlowpath(eng *fastpath.Engine, cfg Config, ctr *liveCounters) *Slowpath 
 		excWake:  wake,
 		stop:     make(chan struct{}),
 		kill:     make(chan struct{}),
-		stallC:   make(chan time.Duration, 1),
 		coresW:   make([]coreWatch, eng.MaxCores()),
 	}
 }
@@ -310,23 +305,8 @@ func (s *Slowpath) Kill() {
 // panic).
 func (s *Slowpath) Down() bool { return s.dead.Load() }
 
-// Stall wedges the event loop for d: no exception draining, no control
-// ticks, no heartbeats — a livelocked control plane rather than a dead
-// one. The watchdog flags degraded mode if d exceeds the fast path's
-// SlowPathTimeout; processing (and heartbeats) resume afterwards.
-func (s *Slowpath) Stall(d time.Duration) {
-	select {
-	case s.stallC <- d:
-	default: // a stall is already pending; keep it
-	}
-}
-
-// InjectPanic makes the next event-loop tick panic. The loop's recover
-// treats it as a crash — the instance is marked dead, heartbeats stop —
-// demonstrating that a slow-path bug cannot take down packet service
-// for established flows.
-func (s *Slowpath) InjectPanic() { s.panicNext.Store(true) }
-
+// run is the event loop. The engine's fault hook runs before each tick
+// reads its clock, so a stall there is a gap the tick detects.
 func (s *Slowpath) run() {
 	defer s.wg.Done()
 	defer func() {
@@ -349,15 +329,13 @@ func (s *Slowpath) run() {
 			return
 		case <-s.kill:
 			return
-		case d := <-s.stallC:
-			time.Sleep(d) // wedged: no beats, no processing
-			s.noteResume(s.eng.NowNanos())
 		case <-s.excWake:
 			s.drainExceptions()
 			s.mu.Lock()
 			s.drainActivations(s.eng.NowNanos())
 			s.mu.Unlock()
 		case <-ctrl.C:
+			s.eng.Fault(fastpath.FaultSlowTick, 0)
 			s.tick(s.eng.NowNanos())
 		case <-scale.C:
 			if !s.cfg.DisableCoreScaling {
@@ -372,11 +350,8 @@ func (s *Slowpath) run() {
 // core watchdog — is compared against its one engine-clock now, which
 // tests pass directly to a slow path that was never started.
 func (s *Slowpath) tick(now int64) {
-	if s.panicNext.CompareAndSwap(true, false) {
-		panic("slowpath: injected event-loop panic")
-	}
-	// Detect that the loop itself was stalled (fault harness, scheduler
-	// starvation): clock-vs-heartbeat comparisons are not meaningful
+	// Detect that the loop itself was stalled (a stall in the fault hook,
+	// scheduler starvation): clock-vs-heartbeat comparisons are not meaningful
 	// across the gap, so open the reaper's grace window instead of
 	// mass-reaping apps whose beats are merely older than the stall.
 	if s.lastTick != 0 && now-s.lastTick > s.stallGap().Nanoseconds() {

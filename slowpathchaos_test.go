@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -101,7 +102,7 @@ func TestChaosSlowPathCrashMidTransfer(t *testing.T) {
 
 	// Phase B: burst loss, then the control plane dies mid-transfer.
 	fab.SetBurstLoss(GEConfig{PGoodToBad: 0.02, PBadToGood: 0.3, LossGood: 0, LossBad: 0.5}, 7)
-	cli.KillSlowPath()
+	cli.Slow().Kill()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for !cli.Degraded() && time.Now().Before(deadline) {
@@ -270,7 +271,7 @@ func TestChaosDegradedServerShedsSyns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	srv.KillSlowPath()
+	srv.Slow().Kill()
 	deadline := time.Now().Add(5 * time.Second)
 	for !srv.Degraded() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -320,7 +321,7 @@ func TestChaosSlowPathStallRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli.StallSlowPath(600 * time.Millisecond)
+	faultinject.Attach(cli.Engine()).StallSlowPath(600 * time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for !cli.Degraded() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

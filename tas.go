@@ -316,44 +316,9 @@ func (s *Service) Restart() RecoveryStats {
 // Restarts returns how many times the slow path has been warm-restarted.
 func (s *Service) Restarts() uint64 { return s.restarts.Load() }
 
-// KillSlowPath crashes the slow path abruptly (fault harness): the
-// control plane dies mid-whatever-it-was-doing, heartbeats stop, and
-// after SlowPathTimeout the fast path enters degraded mode. Established
-// flows keep transferring; recover with Restart.
-func (s *Service) KillSlowPath() { s.slow.Load().Kill() }
-
-// StallSlowPath wedges the slow path for d without killing it —
-// a livelocked control plane. Stalls longer than SlowPathTimeout
-// trigger degraded mode until the loop resumes beating.
-func (s *Service) StallSlowPath(d time.Duration) { s.slow.Load().Stall(d) }
-
-// InjectSlowPathPanic makes the slow-path event loop panic at its next
-// iteration. The panic is contained and counted; the loop is dead until
-// Restart, exactly like KillSlowPath but via the panic path.
-func (s *Service) InjectSlowPathPanic() { s.slow.Load().InjectPanic() }
-
 // Degraded reports whether the fast path currently considers the slow
 // path down.
 func (s *Service) Degraded() bool { return s.eng.Degraded() }
-
-// KillCore crashes fast-path core i abruptly (fault harness): its
-// goroutine exits at the next loop check without draining anything,
-// exactly as an uncaught bug would leave it. After CoreTimeout the
-// slow path's core watchdog re-steers RSS around it and migrates its
-// flows to the survivors; recover the core with ReviveCore.
-func (s *Service) KillCore(i int) { s.eng.KillCore(i) }
-
-// StallCore wedges fast-path core i for d without killing it — the
-// goroutine sleeps mid-iteration, heartbeats stop, its queues back up.
-// Stalls longer than CoreTimeout trigger the same failure handling as
-// a crash; when the stall ends the core starts beating again and is
-// re-admitted automatically.
-func (s *Service) StallCore(i int, d time.Duration) { s.eng.StallCore(i, d) }
-
-// InjectCorePanic makes fast-path core i panic at its next loop check.
-// The panic is contained and counted (never escapes to the process);
-// the watchdog then treats the silent core like a crash.
-func (s *Service) InjectCorePanic(i int) { s.eng.InjectCorePanic(i) }
 
 // ReviveCore relaunches a crashed fast-path core's goroutine. Steering
 // does not resume immediately: the slow path folds the core back into
@@ -610,12 +575,12 @@ func (s *Service) Close() {
 	s.eng.Stop()
 }
 
-// Engine exposes the fast-path engine (stats, core counts) for tools
-// and benchmarks.
+// Engine exposes the fast-path engine (stats, core counts, KillCore,
+// the fault hook) for tools, tests and benchmarks.
 func (s *Service) Engine() *fastpath.Engine { return s.eng }
 
 // Slow exposes the current slow-path instance (reaper and admission
-// counters, fault harness) for tools and tests. Note that Restart swaps
+// counters, Kill) for tools and tests. Note that Restart swaps
 // the instance; do not cache the pointer across restarts.
 func (s *Service) Slow() *slowpath.Slowpath { return s.slow.Load() }
 
@@ -789,17 +754,6 @@ func (c *Context) ListenBacklog(port uint16, backlog int) (*Listener, error) {
 // stops, so after the service's AppTimeout the slow path reaps every
 // resource the context held (fault-injection harness).
 func (c *Context) Kill() { c.ctx.KillApp() }
-
-// Stall suppresses the context's heartbeat for d (a wedged — but not
-// exited — application). If d exceeds AppTimeout the context is reaped;
-// shorter stalls survive.
-func (c *Context) Stall(d time.Duration) { c.ctx.StallApp(d) }
-
-// CorruptQueue injects n malformed descriptors into the context's
-// app→TAS command queue (seeded, deterministic) and returns how many
-// were enqueued — a harness for the descriptor-validation path: the
-// fast path must drop and count them without crashing.
-func (c *Context) CorruptQueue(seed int64, n int) int { return c.ctx.CorruptQueue(seed, n) }
 
 // Listener accepts inbound connections.
 type Listener struct{ l *libtas.Listener }
