@@ -2,20 +2,20 @@ package scenario
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
-// TestLibraryRegistry: at least the five shipped scenarios are
-// registered, every one builds a valid spec, and lookups are typed.
+// TestLibraryRegistry: the library is exactly the eleven shipped
+// scenarios, every one builds a valid spec, and lookups are typed.
 func TestLibraryRegistry(t *testing.T) {
 	want := []string{
-		"app-crash-churn", "flaky-rack", "incast-storm",
-		"rolling-core-failure", "slowpath-outage-churn", "wan",
-		"zero-window-stall", "silent-peer",
+		"app-crash-churn", "churn-storm", "flaky-rack", "incast-storm",
+		"memory-squeeze", "rolling-core-failure", "silent-peer",
+		"slowpath-outage-churn", "syn-flood", "wan", "zero-window-stall",
 	}
-	names := Names()
-	if len(names) < 5 {
-		t.Fatalf("library has %d scenarios, want >= 5", len(names))
+	if names := Names(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("library lists %v, want %v", names, want)
 	}
 	for _, w := range want {
 		spec, err := Lookup(w)
