@@ -1,9 +1,9 @@
-// Scenario example: author a chaos scenario with the builder API, run
-// it twice, and show that the run report is deterministic — the same
-// seed reproduces the same delivery digests and verdicts. The scenario
-// pushes an RPC workload through a slow-path crash plus a burst-loss
-// window, the same machinery behind the library scenarios that
-// `tasbench -scenario <name>` executes from JSON.
+// Scenario example: write a chaos scenario as a Go Spec literal — the
+// same shape a JSON spec file decodes to — run it twice, and show that
+// the run report is deterministic: the same seed reproduces the same
+// delivery digests and verdicts. The scenario pushes an RPC workload
+// through a slow-path crash plus a burst-loss window, the same machinery
+// behind the library scenarios that `tasbench -scenario <name>` executes.
 package main
 
 import (
@@ -16,21 +16,25 @@ import (
 )
 
 func main() {
-	spec := scenario.New("builder-demo").
-		Describe("RPC churn through a slow-path crash and a burst-loss window.").
-		Seed(7).
-		Duration(30*time.Second).
-		Clients(2).
-		RPC(2, 40, 128, 10).
-		BurstLoss(0, scenario.GESpec{PGoodToBad: 0.02, PBadToGood: 0.2, LossBad: 0.5}).
-		ClearLoss(400*time.Millisecond).
-		KillSlowPath(150*time.Millisecond, "server").
-		RestartSlowPath(600*time.Millisecond, "server").
-		AssertIntact().
-		AssertAllComplete().
-		AssertDegraded().
-		AssertRecovery(20 * time.Second).
-		MustBuild()
+	ms := func(n int) scenario.Duration { return scenario.Duration(time.Duration(n) * time.Millisecond) }
+	spec := &scenario.Spec{
+		Name:        "literal-demo",
+		Description: "RPC churn through a slow-path crash and a burst-loss window.",
+		Seed:        7,
+		Duration:    ms(30_000),
+		Topology:    scenario.Topology{Clients: 2},
+		Workload:    scenario.Workload{Kind: scenario.WorkRPC, Conns: 2, Calls: 40, MsgBytes: 128, CallsPerConn: 10},
+		Impairments: []scenario.Impairment{
+			{At: 0, Kind: scenario.ImpBurstLoss, GE: &scenario.GESpec{PGoodToBad: 0.02, PBadToGood: 0.2, LossBad: 0.5}},
+			{At: ms(400), Kind: scenario.ImpClearLoss},
+		},
+		Faults: []scenario.FaultEvent{
+			{At: ms(150), Kind: scenario.FaultSlowKill, Target: "server"},
+			{At: ms(600), Kind: scenario.FaultSlowRestart, Target: "server"},
+		},
+		Assert: scenario.Assertions{Intact: true, AllComplete: true, RequireDegraded: true, MaxRecovery: ms(20_000)},
+	}
+	fmt.Printf("spec as JSON:\n%s\n\n", spec.JSON())
 
 	run := func() *scenario.Report {
 		rep, err := scenario.Run(spec, scenario.RunOptions{Log: os.Stderr})

@@ -10,18 +10,19 @@ import (
 // and both assertion families while converging in well under a second
 // of workload.
 func quickSpec(seed int64) *Spec {
-	return New("quick").
-		Seed(seed).
-		Duration(30*time.Second).
-		Clients(2).
-		Stream(2, 2, 32<<10).
-		Loss(0, 0.02).
-		ClearLoss(300*time.Millisecond).
-		StallSlowPath(100*time.Millisecond, "server", 250*time.Millisecond).
-		AssertIntact().
-		AssertAllComplete().
-		AssertDropBound("bad_desc", 0).
-		MustBuild()
+	return &Spec{
+		Name:     "quick",
+		Seed:     seed,
+		Duration: 30 * sec,
+		Topology: Topology{Clients: 2},
+		Workload: Workload{Kind: WorkStream, Conns: 2, Transfers: 2, TransferBytes: 32 << 10},
+		Impairments: []Impairment{
+			{At: 0, Kind: ImpLoss, Rate: 0.02},
+			{At: 300 * ms, Kind: ImpClearLoss},
+		},
+		Faults: []FaultEvent{{At: 100 * ms, Kind: FaultSlowStall, Target: "server", For: 250 * ms}},
+		Assert: Assertions{Intact: true, AllComplete: true, DropCauses: map[string]uint64{"bad_desc": 0}},
+	}
 }
 
 // TestRunStream: a stream scenario completes with every assertion green
@@ -58,16 +59,15 @@ func TestRunStream(t *testing.T) {
 // back: a packet recycled while the link still held it would fail the
 // digest (or panic in a contained core, and the run would not finish).
 func TestRunThroughLinkModel(t *testing.T) {
-	spec := New("link-quick").
-		Seed(11).
-		Duration(30*time.Second).
-		Clients(2).
-		Link(200, 12, 200*time.Microsecond, 8).
-		Stream(2, 2, 128<<10).
-		AssertIntact().
-		AssertAllComplete().
-		AssertDropBound("bad_desc", 0).
-		MustBuild()
+	spec := &Spec{
+		Name:     "link-quick",
+		Seed:     11,
+		Duration: 30 * sec,
+		Topology: Topology{Clients: 2},
+		Link:     &LinkSpec{RateMbps: 200, QueuePkts: 12, Delay: Duration(200 * time.Microsecond), ECNPkts: 8},
+		Workload: Workload{Kind: WorkStream, Conns: 2, Transfers: 2, TransferBytes: 128 << 10},
+		Assert:   Assertions{Intact: true, AllComplete: true, DropCauses: map[string]uint64{"bad_desc": 0}},
+	}
 	rep, err := Run(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,13 +88,13 @@ func TestRunThroughLinkModel(t *testing.T) {
 
 // TestRunRPC: the echo workload with connection churn completes.
 func TestRunRPC(t *testing.T) {
-	spec := New("rpc-quick").
-		Seed(9).
-		Duration(30*time.Second).
-		RPC(2, 30, 128, 10).
-		AssertIntact().
-		AssertAllComplete().
-		MustBuild()
+	spec := &Spec{
+		Name:     "rpc-quick",
+		Seed:     9,
+		Duration: 30 * sec,
+		Workload: Workload{Kind: WorkRPC, Conns: 2, Calls: 30, MsgBytes: 128, CallsPerConn: 10},
+		Assert:   Assertions{Intact: true, AllComplete: true},
+	}
 	rep, err := Run(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,13 +149,14 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 // TestRunDurationCap: a workload that cannot finish inside the cap is
 // cut off and reported as failed, not hung.
 func TestRunDurationCap(t *testing.T) {
-	spec := New("capped").
-		Seed(1).
-		Duration(400*time.Millisecond).
-		Link(1, 16, 0, 0). // 1 Mbit/s: the 4 MiB workload cannot finish
-		Stream(1, 1, 4<<20).
-		AssertAllComplete().
-		MustBuild()
+	spec := &Spec{
+		Name:     "capped",
+		Seed:     1,
+		Duration: 400 * ms,
+		Link:     &LinkSpec{RateMbps: 1, QueuePkts: 16}, // 1 Mbit/s: the 4 MiB workload cannot finish
+		Workload: Workload{Kind: WorkStream, Conns: 1, Transfers: 1, TransferBytes: 4 << 20},
+		Assert:   Assertions{AllComplete: true},
+	}
 	start := time.Now()
 	rep, err := Run(spec, RunOptions{})
 	if err != nil {

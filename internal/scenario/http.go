@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 )
 
@@ -20,10 +19,8 @@ import (
 // Runs execute asynchronously; poll the run until state is "done".
 type API struct {
 	mu   sync.Mutex
-	seq  int
+	seq  int // runs are "run-1" .. "run-<seq>", in creation order
 	runs map[string]*apiRun
-	// order preserves creation order for GET /runs.
-	order []string
 }
 
 // apiRun is one tracked execution.
@@ -40,12 +37,13 @@ func NewAPI() *API {
 	return &API{runs: map[string]*apiRun{}}
 }
 
-// Handler returns the API's routes.
+// Handler returns the API's routes; any other method on them is a 405.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/scenarios", a.handleScenarios)
-	mux.HandleFunc("/runs", a.handleRuns)
-	mux.HandleFunc("/runs/", a.handleRun)
+	mux.HandleFunc("GET /scenarios", a.handleScenarios)
+	mux.HandleFunc("GET /runs", a.handleList)
+	mux.HandleFunc("POST /runs", a.handleLaunch)
+	mux.HandleFunc("GET /runs/{id}", a.handleRun)
 	return mux
 }
 
@@ -58,21 +56,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (a *API) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	type item struct {
 		Name        string `json:"name"`
 		Description string `json:"description"`
 	}
 	var out []item
 	for _, n := range Names() {
-		spec, err := Lookup(n)
-		if err != nil {
-			continue
-		}
-		out = append(out, item{Name: n, Description: spec.Description})
+		out = append(out, item{Name: n, Description: library[n].Description})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -84,53 +74,50 @@ type launchRequest struct {
 	Seed *int64          `json:"seed,omitempty"` // optional seed override
 }
 
-func (a *API) handleRuns(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		a.mu.Lock()
-		out := make([]*apiRun, 0, len(a.order))
-		for _, id := range a.order {
-			run := *a.runs[id]
-			run.Report = nil // list view stays small; fetch /runs/<id> for the report
-			out = append(out, &run)
-		}
-		a.mu.Unlock()
-		writeJSON(w, http.StatusOK, out)
-	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var req launchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-			return
-		}
-		var spec *Spec
-		switch {
-		case req.Name != "" && req.Spec != nil:
-			http.Error(w, "give name or spec, not both", http.StatusBadRequest)
-			return
-		case req.Name != "":
-			spec, err = Lookup(req.Name)
-		case req.Spec != nil:
-			spec, err = ParseSpec(req.Spec)
-		default:
-			http.Error(w, "need name or spec", http.StatusBadRequest)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Seed != nil {
-			spec.Seed = *req.Seed
-		}
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": a.launch(spec)})
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
+	a.mu.Lock()
+	out := make([]*apiRun, 0, a.seq)
+	for i := 1; i <= a.seq; i++ {
+		run := *a.runs[fmt.Sprintf("run-%d", i)]
+		run.Report = nil // list view stays small; fetch /runs/<id> for the report
+		out = append(out, &run)
 	}
+	a.mu.Unlock()
+	writeJSON(w, http.StatusOK, out)
+}
+
+func (a *API) handleLaunch(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var req launchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		return
+	}
+	var spec *Spec
+	switch {
+	case req.Name != "" && req.Spec != nil:
+		http.Error(w, "give name or spec, not both", http.StatusBadRequest)
+		return
+	case req.Name != "":
+		spec, err = Lookup(req.Name)
+	case req.Spec != nil:
+		spec, err = ParseSpec(req.Spec)
+	default:
+		http.Error(w, "need name or spec", http.StatusBadRequest)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if req.Seed != nil {
+		spec.Seed = *req.Seed
+	}
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": a.launch(spec)})
 }
 
 // launch starts an asynchronous run and returns its id.
@@ -140,7 +127,6 @@ func (a *API) launch(spec *Spec) string {
 	id := fmt.Sprintf("run-%d", a.seq)
 	run := &apiRun{ID: id, Scenario: spec.Name, State: "running"}
 	a.runs[id] = run
-	a.order = append(a.order, id)
 	a.mu.Unlock()
 	go func() {
 		rep, err := Run(spec, RunOptions{Metrics: true})
@@ -156,13 +142,8 @@ func (a *API) launch(spec *Spec) string {
 }
 
 func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/runs/")
 	a.mu.Lock()
-	run, ok := a.runs[id]
+	run, ok := a.runs[r.PathValue("id")]
 	var cp apiRun
 	if ok {
 		cp = *run

@@ -125,7 +125,16 @@ func TestAPIRejections(t *testing.T) {
 			t.Fatalf("body %s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(srv.URL + "/runs/run-999")
+	// The routes take one method each; any other is refused.
+	resp, err := http.Post(srv.URL+"/scenarios", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /scenarios: %d, want 405", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/runs/run-999")
 	if err != nil {
 		t.Fatal(err)
 	}

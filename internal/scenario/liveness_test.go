@@ -64,23 +64,20 @@ func TestZeroWindowNeverReopens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos scenario")
 	}
-	spec := New("zero-window-never-reopens").
-		Describe("The first connection's server handler wedges forever: the sender's "+
-			"persist budget (4 probes at 50ms base) exhausts into a peer-dead abort, "+
-			"the worker redials onto a healthy handler, and the transfer completes.").
-		Seed(101).
-		Duration(45*time.Second).
-		Config(func(c *tas.Config) {
-			c.RxBufSize, c.PersistRTO, c.MaxPersistProbes = 16<<10, 50*time.Millisecond, 4
-		}).
-		Stream(1, 1, 256<<10).
-		ServerStall(40*time.Second, true).
-		AssertIntact().
-		AssertAllComplete().
-		AssertPersistProbes(3).
-		AssertPeerDead(1).
-		AssertNoReaper().
-		MustBuild()
+	spec := &Spec{
+		Name: "zero-window-never-reopens",
+		Description: "The first connection's server handler wedges forever: the sender's " +
+			"persist budget (4 probes at 50ms base) exhausts into a peer-dead abort, " +
+			"the worker redials onto a healthy handler, and the transfer completes.",
+		Seed:     101,
+		Duration: 45 * sec,
+		Topology: Topology{Config: tas.Config{
+			RxBufSize: 16 << 10, PersistRTO: 50 * time.Millisecond, MaxPersistProbes: 4,
+		}},
+		Workload: Workload{Kind: WorkStream, Conns: 1, Transfers: 1, TransferBytes: 256 << 10,
+			ServerStall: 40 * sec, StallFirstConnOnly: true},
+		Assert: Assertions{Intact: true, AllComplete: true, MinPersistProbes: 3, MinPeerDead: 1, NoReaperFired: true},
+	}
 	rep, err := Run(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

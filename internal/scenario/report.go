@@ -1,12 +1,13 @@
 package scenario
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	tas "repro"
@@ -171,14 +172,8 @@ func (r *Report) Deterministic() []byte {
 		d.Timeline = append(d.Timeline, detEvt{AtMS: e.AtMS, Kind: e.Kind, Target: e.Target})
 	}
 	ops := append([]OpRecord(nil), r.Workload.Ops...)
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Client != ops[j].Client {
-			return ops[i].Client < ops[j].Client
-		}
-		if ops[i].Worker != ops[j].Worker {
-			return ops[i].Worker < ops[j].Worker
-		}
-		return ops[i].Op < ops[j].Op
+	slices.SortFunc(ops, func(a, b OpRecord) int {
+		return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.Op, b.Op))
 	})
 	for _, o := range ops {
 		d.Ops = append(d.Ops, detOp{

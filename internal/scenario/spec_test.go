@@ -347,19 +347,20 @@ func TestDurationForms(t *testing.T) {
 	}
 }
 
-// TestBuilderMatchesJSON: the builder and the JSON format are two
-// front-ends for the same spec.
-func TestBuilderMatchesJSON(t *testing.T) {
-	built, err := New("b").
-		Seed(3).
-		Duration(2*time.Second).
-		Clients(2).
-		Stream(2, 3, 32<<10).
-		Loss(100*time.Millisecond, 0.1).
-		KillSlowPath(500*time.Millisecond, "server").
-		AssertIntact().
-		Build()
-	if err != nil {
+// TestSpecLiteralMatchesJSON: a Spec literal and the JSON format are
+// two spellings of the same spec.
+func TestSpecLiteralMatchesJSON(t *testing.T) {
+	built := &Spec{
+		Name:        "b",
+		Seed:        3,
+		Duration:    2 * sec,
+		Topology:    Topology{Clients: 2},
+		Workload:    Workload{Kind: WorkStream, Conns: 2, Transfers: 3, TransferBytes: 32 << 10},
+		Impairments: []Impairment{{At: 100 * ms, Kind: ImpLoss, Rate: 0.1}},
+		Faults:      []FaultEvent{{At: 500 * ms, Kind: FaultSlowKill, Target: "server"}},
+		Assert:      Assertions{Intact: true},
+	}
+	if err := built.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := ParseSpec(built.JSON())
@@ -367,14 +368,19 @@ func TestBuilderMatchesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(parsed.JSON()) != string(built.JSON()) {
-		t.Fatalf("builder spec does not round-trip:\n%s\nvs\n%s", built.JSON(), parsed.JSON())
+		t.Fatalf("literal spec does not round-trip:\n%s\nvs\n%s", built.JSON(), parsed.JSON())
 	}
 }
 
-// TestBuilderRejects: builder output goes through the same validation.
-func TestBuilderRejects(t *testing.T) {
-	_, err := New("bad").RPC(1, 10, 64, 0).KillCore(0, "server", 9).Build()
-	if !errors.Is(err, ErrOutOfRange) {
+// TestSpecLiteralRejects: a literal goes through the same validation as
+// JSON.
+func TestSpecLiteralRejects(t *testing.T) {
+	s := &Spec{
+		Name:     "bad",
+		Workload: Workload{Kind: WorkRPC, Conns: 1, Calls: 10, MsgBytes: 64},
+		Faults:   []FaultEvent{{At: 0, Kind: FaultCoreKill, Target: "server", Core: 9}},
+	}
+	if err := s.Validate(); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
 }
