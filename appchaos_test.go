@@ -6,26 +6,15 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/fastpath"
-	"repro/internal/faultinject"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
 	"repro/internal/shmring"
 )
-
-// appCfg shortens the liveness timescale so crash detection completes
-// in tens of milliseconds.
-func appCfg() Config {
-	cfg := chaosCfg()
-	// Short enough that reap latency stays test-friendly, long enough
-	// that the 1/4-interval heartbeat survives scheduler starvation on a
-	// loaded single-CPU machine.
-	cfg.AppTimeout = 100 * time.Millisecond
-	return cfg
-}
 
 // TestAppCrashReapedWhileNeighborUnharmed is the headline isolation
 // property (§3.3): two application contexts share one TAS instance;
@@ -37,7 +26,7 @@ func TestAppCrashReapedWhileNeighborUnharmed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-heavy chaos test; plain run covers it")
 	}
-	_, srv, cli := newPair(t, appCfg())
+	_, srv, cli := newPair(t, chaosCfg())
 
 	// Server side: one accept loop per app.
 	sctxA, sctxB := srv.NewContext(), srv.NewContext()
@@ -239,7 +228,7 @@ func TestAppCrashReapedWhileNeighborUnharmed(t *testing.T) {
 // event reaches a dead context — so every send path, not just the
 // blocking one, must report the death itself instead of "succeeding".
 func TestAppReapedSendsFailOnEveryPath(t *testing.T) {
-	_, srv, cli := newPair(t, appCfg())
+	_, srv, cli := newPair(t, chaosCfg())
 	ln, err := srv.NewContext().Listen(9003)
 	if err != nil {
 		t.Fatal(err)
@@ -421,51 +410,11 @@ func TestCorruptQueueInjectionHarmless(t *testing.T) {
 	roundtrip("after")
 }
 
-// TestStallShorterThanTimeoutSurvives: a wedged-but-alive app whose
-// stall is shorter than AppTimeout must not be reaped; one that stalls
-// longer is indistinguishable from a crash and is.
-func TestStallShorterThanTimeoutSurvives(t *testing.T) {
-	if raceEnabled {
-		t.Skip("timing-heavy chaos test; plain run covers it")
-	}
-	cfg := chaosCfg()
-	cfg.AppTimeout = 200 * time.Millisecond
-	_, srv, cli := newPair(t, cfg)
-	sctx := srv.NewContext()
-	if _, err := sctx.Listen(9092); err != nil {
-		t.Fatal(err)
-	}
-	cctx := cli.NewContext()
-	faults := faultinject.Attach(cli.Engine())
-	id := cctx.LowLevel().ID
-
-	faults.StallApp(id, 50*time.Millisecond)
-	time.Sleep(120 * time.Millisecond)
-	if got := cli.Stats().AppsReaped; got != 0 {
-		t.Fatalf("short stall reaped: %d", got)
-	}
-	if _, err := cctx.Dial("10.0.0.1", 9092); err != nil {
-		t.Fatalf("dial after short stall: %v", err)
-	}
-
-	faults.StallApp(id, 5*time.Second)
-	deadline := time.Now().Add(10 * time.Second)
-	for cli.Stats().AppsReaped == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("long stall never reaped")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := cctx.Dial("10.0.0.1", 9092); !ErrAppDead(err) {
-		t.Fatalf("dial on reaped context err = %v, want app-dead", err)
-	}
-}
-
 // TestCloseAfterAbortIdempotent: Close on an aborted connection is a
 // local no-op that reports ErrReset, on both the crashed app's own
 // connections and the surviving peer's — and repeat calls agree.
 func TestCloseAfterAbortIdempotent(t *testing.T) {
-	_, srv, cli := newPair(t, appCfg())
+	_, srv, cli := newPair(t, chaosCfg())
 	sctx := srv.NewContext()
 	ln, err := sctx.Listen(9093)
 	if err != nil {
@@ -527,7 +476,7 @@ func TestCloseAfterAbortIdempotent(t *testing.T) {
 // teardown as every other flow: out of the table, off the timer pool,
 // and out of the tas_flows_fin_wait2 gauge.
 func TestReapedFinWait2FlowReleasesGauge(t *testing.T) {
-	cfg := appCfg()
+	cfg := chaosCfg()
 	cfg.FinWait2Timeout = time.Minute // the reaper must win, not the timeout
 	_, srv, cli := newPair(t, cfg)
 	ln, err := srv.NewContext().Listen(9094)
@@ -568,7 +517,73 @@ func TestReapedFinWait2FlowReleasesGauge(t *testing.T) {
 	}
 	select {
 	case <-held:
-	default:
+	case <-time.After(5 * time.Second):
 		t.Fatal("server never accepted")
+	}
+}
+
+// TestNewContextStartsNoGoroutine: a context is queues and a slot, not a
+// goroutine — nothing runs on an application's behalf between its calls,
+// so a thousand contexts leave the goroutine count where it was.
+func TestNewContextStartsNoGoroutine(t *testing.T) {
+	svc, err := NewFabric().NewService("10.0.0.1", Config{MaxCores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		svc.NewContext()
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 8 {
+		t.Fatalf("1000 contexts started %d goroutines", grew)
+	}
+}
+
+// TestReapWhileRebinding: a reap walks the flow table for the exited
+// context's flows while another goroutine moves a live connection back
+// and forth between two contexts. Rebind writes the flow's owner under
+// the flow lock, so the reap must read it there too (-race checks it).
+func TestReapWhileRebinding(t *testing.T) {
+	_, srv, cli := newPair(t, chaosCfg())
+	ln, err := srv.NewContext().Listen(9096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ln.Accept(5 * time.Second)
+	a, b := cli.NewContext(), cli.NewContext()
+	conn, err := a.Dial("10.0.0.1", 9096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			conn.Rebind([]*Context{b, a}[i%2])
+		}
+	}()
+	for i := uint64(1); i <= 5; i++ {
+		cli.NewContext().Kill()
+		deadline := time.Now().Add(5 * time.Second)
+		for cli.Stats().AppsReaped < i {
+			if time.Now().After(deadline) {
+				t.Fatalf("exit %d never reaped", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(stop)
+	<-done
+	if a.LowLevel().Dead() || b.LowLevel().Dead() {
+		t.Fatal("a rebinding context was reaped")
+	}
+	if _, err := conn.WriteTimeout([]byte("still here"), time.Second); err != nil {
+		t.Fatalf("write after the reaps: %v", err)
 	}
 }

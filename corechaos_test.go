@@ -294,7 +294,6 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 	cfg := coreChaosCfg()
 	cfg.MaxCores = 3
 	cfg.SlowPathTimeout = 200 * time.Millisecond
-	cfg.AppTimeout = 150 * time.Millisecond
 	fab, srv, cli := newPair(t, cfg)
 	sctx := srv.NewContext()
 	ln, err := sctx.Listen(8080)

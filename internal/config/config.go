@@ -165,14 +165,6 @@ type Config struct {
 	// quarantined flow's final sequence may reuse it early (RFC 6191).
 	TimeWaitDuration time.Duration `json:"time_wait,omitempty"`
 
-	// AppTimeout is how long an application context may go without a
-	// heartbeat before the slow path declares the app dead and reclaims
-	// everything it held: flows (RST to peers), listen ports, half-open
-	// handshakes, context and bucket slots, payload buffers. Default 30s;
-	// negative disables reaping. Contexts that never beat (raw low-level
-	// users) are exempt.
-	AppTimeout time.Duration `json:"app_timeout,omitempty"`
-
 	// ListenBacklog bounds per-listener admission: half-open handshakes
 	// plus not-yet-accepted connections. SYNs beyond it are shed (dropped
 	// silently, so well-behaved peers retry). Default 128.
@@ -250,7 +242,6 @@ func (c *Config) Fill() {
 	setDefault(&c.KeepaliveProbes, 3)
 	setDefault(&c.FinWait2Timeout, 5*time.Second)
 	setDefault(&c.TimeWaitDuration, time.Second)
-	setDefault(&c.AppTimeout, 30*time.Second)
 	setDefault(&c.ListenBacklog, 128)
 	setDefault(&c.HandshakeStripes, 16)
 	c.HandshakeStripes = 1 << bits.Len(uint(c.HandshakeStripes-1))

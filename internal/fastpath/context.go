@@ -123,10 +123,10 @@ type Context struct {
 	// poll of the payload buffer).
 	DroppedEvents atomic.Uint64
 
-	// lastBeat is the engine-clock timestamp of the most recent application
-	// heartbeat; 0 means liveness tracking is not enabled for this
-	// context (raw low-level users) and the reaper leaves it alone.
-	lastBeat atomic.Int64
+	// exited marks a context whose application has exited
+	// (Engine.ExitContext); the slow path reaps it. It lives engine-side,
+	// so an exit survives a slow-path crash.
+	exited atomic.Bool
 	// dead marks a context whose application the slow path has declared
 	// crashed: its resources have been (or are being) reclaimed, and the
 	// fast path ignores its queues.
@@ -258,17 +258,8 @@ func (c *Context) Awake(ch <-chan struct{}) {
 	c.sleepers.Add(-1)
 }
 
-// Beat records an application heartbeat. In the paper the kernel tells
-// TAS when an application process dies; in this in-process reproduction
-// each libtas context runs a keepalive goroutine standing in for the
-// live process, and the slow path's reaper declares the app dead when
-// heartbeats stop arriving. now is the engine clock (Engine.NowNanos),
-// the clock the reaper compares against.
-func (c *Context) Beat(now int64) { c.lastBeat.Store(now) }
-
-// LastBeat returns the engine-clock time of the most recent heartbeat
-// (0 = liveness tracking never enabled).
-func (c *Context) LastBeat() int64 { return c.lastBeat.Load() }
+// Exited reports whether the context's application has exited.
+func (c *Context) Exited() bool { return c.exited.Load() }
 
 // MarkDead flags the context as belonging to a crashed application.
 func (c *Context) MarkDead() { c.dead.Store(true) }

@@ -69,9 +69,6 @@ const (
 	// FaultSlowTick: the slow path's event loop is about to run a control
 	// tick and read its clock (unit 0).
 	FaultSlowTick
-	// FaultAppBeat: a libtas context's heartbeat is about to stamp (unit:
-	// the context's ID).
-	FaultAppBeat
 )
 
 // SetFaultHook installs h, or removes the hook when h is nil. The

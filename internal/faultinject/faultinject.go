@@ -1,13 +1,13 @@
 // Package faultinject stalls and crashes the stack's parties — a
-// fast-path core, the slow path, an application context — through the
-// engine's one fault hook (fastpath.Engine.SetFaultHook). The product
-// only calls the hook; tests and the scenario executor arm faults here.
+// fast-path core or the slow path — through the engine's one fault hook
+// (fastpath.Engine.SetFaultHook). The product only calls the hook; tests
+// and the scenario executor arm faults here.
 //
 // A stall sleeps inside the hook, so the stalled party keeps holding
 // whatever it holds there: a core its run token, the slow path its event
-// loop, an application its heartbeat. A panic is raised inside the hook,
-// where a panic in the party's own work is already contained. Every
-// armed fault fires once, at its party's next pass over its hook point.
+// loop. A panic is raised inside the hook, where a panic in the party's
+// own work is already contained. Every armed fault fires once, at its
+// party's next pass over its hook point.
 package faultinject
 
 import (
@@ -72,12 +72,6 @@ func (in *Injector) StallSlowPath(d time.Duration) {
 // control tick; the loop contains it and the instance is down until a
 // warm restart.
 func (in *Injector) PanicSlowPath() { in.arm(fastpath.FaultSlowTick, 0, -1) }
-
-// StallApp wedges the application behind context ctx (its ID) for d at
-// its next heartbeat: no beats until the stall ends.
-func (in *Injector) StallApp(ctx int, d time.Duration) {
-	in.arm(fastpath.FaultAppBeat, ctx, fault(d))
-}
 
 func (in *Injector) arm(at fastpath.FaultPoint, unit int, f fault) {
 	in.mu.Lock()

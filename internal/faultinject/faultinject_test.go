@@ -34,7 +34,7 @@ func node(t *testing.T) (*fastpath.Engine, *slowpath.Slowpath) {
 		SlowPathTimeout: 100 * time.Millisecond,
 	})
 	sp := slowpath.New(eng, slowpath.Config{
-		ControlInterval: time.Millisecond, CoreTimeout: -1, AppTimeout: -1, DisableCoreScaling: true,
+		ControlInterval: time.Millisecond, CoreTimeout: -1, DisableCoreScaling: true,
 	})
 	eng.Start()
 	sp.Start()

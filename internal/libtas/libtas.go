@@ -41,9 +41,9 @@ var (
 	// is presumed silently dead (crashed without RST, or blackholed).
 	// Wraps ErrReset so errors.Is(err, ErrReset) checks keep matching.
 	ErrPeerDead = fmt.Errorf("libtas: peer dead (liveness probes unanswered): %w", ErrReset)
-	// ErrAppDead: the slow path declared this application context
-	// crashed (missed heartbeats) and reaped its resources; the context
-	// and everything bound to it are unusable.
+	// ErrAppDead: the context's application exited and the slow path
+	// reaped its resources; the context and everything bound to it are
+	// unusable.
 	ErrAppDead = errors.New("libtas: application context reaped")
 	// ErrSlowPathDown: the TAS control plane is unavailable (slow-path
 	// crash or stall detected via missed heartbeats). Established
@@ -116,12 +116,6 @@ type Context struct {
 	dispatchMu sync.Mutex
 	evBuf      [256]fastpath.Event
 
-	// Application liveness: a keepalive goroutine beats the fast-path
-	// context on the slow path's heartbeat cadence, standing in for the
-	// live application process. KillApp stops it.
-	hbStop   chan struct{}
-	killOnce sync.Once
-
 	// wakeTicks drives the sampled wakeup-to-ready latency observation
 	// in wait (1-in-wakeSampleEvery wakeups). Atomic: a context's wait
 	// can be entered from more than one goroutine over its lifetime.
@@ -133,40 +127,18 @@ type Context struct {
 // app-copy cycle sampling in conn.go.
 const wakeSampleEvery = 32
 
-// NewContext allocates and registers a context, and starts its
-// application heartbeat.
+// NewContext allocates and registers a context.
 func (s *Stack) NewContext() *Context {
-	ctx := &Context{stack: s, hbStop: make(chan struct{})}
+	ctx := &Context{stack: s}
 	ctx.fp = fastpath.NewContext(0, s.Eng.MaxCores(), 1024)
 	s.Eng.RegisterContext(ctx.fp)
-	ctx.fp.Beat(s.Eng.NowNanos())
-	go ctx.heartbeatLoop(s.Slow().HeartbeatInterval())
 	return ctx
 }
 
-// heartbeatLoop stamps the context's liveness epoch until the app is
-// killed (KillApp). A stall in the engine's fault hook wedges the app:
-// no beats until it returns.
-func (c *Context) heartbeatLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.hbStop:
-			return
-		case <-t.C:
-			c.stack.Eng.Fault(fastpath.FaultAppBeat, c.fp.ID)
-			c.fp.Beat(c.stack.Eng.NowNanos())
-		}
-	}
-}
-
-// KillApp simulates the application crashing: heartbeats stop
-// immediately and never resume, so the slow-path reaper will detect the
-// death after AppTimeout and reclaim every resource the context holds.
-func (c *Context) KillApp() {
-	c.killOnce.Do(func() { close(c.hbStop) })
-}
+// KillApp is the application exiting abruptly, as a crash would: the
+// slow path is told at once and reaps every resource the context holds.
+// Idempotent, and safe after the stack has stopped.
+func (c *Context) KillApp() { c.stack.Eng.ExitContext(c.fp) }
 
 // FP exposes the low-level context (the TAS LL API).
 func (c *Context) FP() *fastpath.Context { return c.fp }

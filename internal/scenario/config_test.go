@@ -119,7 +119,7 @@ func TestEveryKnobDeclaredOnce(t *testing.T) {
 	}
 	sort.Strings(keys)
 	want := []string{
-		"app_max_flows", "app_max_payload_bytes", "app_timeout", "challenge_ack_per_sec",
+		"app_max_flows", "app_max_payload_bytes", "challenge_ack_per_sec",
 		"client_cores", "clients", "congestion_control", "core_timeout",
 		"disable_core_scaling", "fin_wait2_timeout", "handshake_rto", "handshake_stripes",
 		"idle_reclaim_age", "keepalive_interval", "keepalive_probes", "keepalive_time",

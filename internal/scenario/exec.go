@@ -98,7 +98,6 @@ var chaosDefaults = tas.Config{
 	HandshakeRTO:     25 * time.Millisecond,
 	HandshakeRetries: 7,
 	MaxRetransmits:   12,
-	AppTimeout:       300 * time.Millisecond,
 	SlowPathTimeout:  150 * time.Millisecond,
 	CoreTimeout:      400 * time.Millisecond,
 	ControlInterval:  10 * time.Millisecond,

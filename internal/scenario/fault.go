@@ -11,8 +11,7 @@ import (
 
 // Fault kinds: the three failure domains' harnesses.
 const (
-	FaultAppKill  = "app-kill"  // stop a workload context's heartbeat for good
-	FaultAppStall = "app-stall" // suppress the heartbeat for For
+	FaultAppKill = "app-kill" // a workload context's application exits
 
 	FaultSlowKill    = "slowpath-kill"    // crash the slow path
 	FaultSlowStall   = "slowpath-stall"   // wedge the slow path for For
@@ -53,11 +52,6 @@ var faultKinds = map[string]faultKind{
 	FaultAppKill: {domain: "app", apply: func(r *run, f FaultEvent, target string) string {
 		r.onApp(target, f.App, func(ctx *tas.Context) { ctx.Kill() })
 		return fmt.Sprintf("app %d killed", f.App)
-	}},
-	FaultAppStall: {domain: "app", stall: true, apply: func(r *run, f FaultEvent, target string) string {
-		in := r.injector(r.service(target))
-		r.onApp(target, f.App, func(ctx *tas.Context) { in.StallApp(ctx.LowLevel().ID, f.For.D()) })
-		return fmt.Sprintf("app %d stalled %v", f.App, f.For.D())
 	}},
 	FaultSlowKill: {domain: "slow", apply: func(r *run, _ FaultEvent, target string) string {
 		r.service(target).Slow().Kill()

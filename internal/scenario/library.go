@@ -254,8 +254,8 @@ var library = map[string]Spec{
 		Duration: 60 * sec,
 		Topology: Topology{Clients: 2},
 		// The 50 Mbit/s link paces the 6 MiB workload past ~1.2s, so both
-		// kills' reap windows (AppTimeout 300ms) close while workers are
-		// still transferring and the reaps are observable in the report.
+		// kills land while workers are still transferring and the reaps
+		// are observable in the report.
 		Link:     &LinkSpec{RateMbps: 50, QueuePkts: 256, ECNPkts: 64},
 		Workload: Workload{Kind: "stream", Conns: 3, Transfers: 8, TransferBytes: 128 << 10, Reconnect: true},
 		Faults: []FaultEvent{

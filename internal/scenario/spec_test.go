@@ -155,6 +155,17 @@ func TestParseSpecRejections(t *testing.T) {
 			want: ErrBadSpec,
 		},
 		{
+			name: "removed knob app_timeout",
+			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"app_timeout":"1s"}}`,
+			want: ErrBadSpec,
+		},
+		{
+			name: "removed fault kind app-stall",
+			json: `{"name":"x","workload":{"kind":"rpc","conns":1},"topology":{"clients":1},
+			        "faults":[{"at":"1s","kind":"app-stall","target":"client0","for":"1s"}]}`,
+			want: ErrUnknownKind,
+		},
+		{
 			name: "unknown governed pool",
 			json: `{"name":"x","workload":{"kind":"rpc"},
 			        "assert":{"max_pool_used":{"gremlins":0}}}`,

@@ -382,3 +382,30 @@ func TestStripedDialsConcurrent(t *testing.T) {
 		t.Fatalf("connected %d/%d dials under flood", got, dials)
 	}
 }
+
+// TestExceptionDrainIsBounded: one drain handles at most excBatch
+// exceptions and rings the doorbell for the rest, so the event loop
+// beats — and the fast path's watchdog sees it alive — between the
+// batches of a flood instead of after it.
+func TestExceptionDrainIsBounded(t *testing.T) {
+	_, sp, _ := newWireRig(fastCfg())
+	for i := 0; i < 3*excBatch; i++ {
+		sp.excq.Enqueue(ghostSyn(uint16(4000+i), 100))
+	}
+	for want := 2 * excBatch; want >= 0; want -= excBatch {
+		sp.drainExceptions()
+		if got := sp.excq.Len(); got != want {
+			t.Fatalf("one drain left %d exceptions queued, want %d", got, want)
+		}
+		select {
+		case <-sp.excWake:
+			if want == 0 {
+				t.Fatal("doorbell rung for an empty queue")
+			}
+		default:
+			if want > 0 {
+				t.Fatalf("%d exceptions left and the doorbell not rung", want)
+			}
+		}
+	}
+}

@@ -40,7 +40,7 @@ type counterSet[T any] struct {
 	StrayRsts           T `metric:"-" help:"RSTs sent for segments that match no connection state."`
 
 	// Application failure and overload.
-	AppsReaped       T `metric:"tas_slowpath_apps_reaped_total" help:"Application contexts reaped after missed heartbeats."`
+	AppsReaped       T `metric:"tas_slowpath_apps_reaped_total" help:"Application contexts reaped after their application exited."`
 	FlowsReaped      T `metric:"tas_slowpath_flows_reaped_total" help:"Flows reclaimed by the reaper."`
 	ListenersReaped  T `metric:"-" help:"Listen ports reclaimed by the reaper."`
 	HalfOpenReaped   T `metric:"-" help:"Half-open handshakes reclaimed by the reaper."`

@@ -1,8 +1,6 @@
 package slowpath
 
 import (
-	"time"
-
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
 	"repro/internal/resource"
@@ -11,90 +9,34 @@ import (
 
 // This file implements the application-failure half of TAS's isolation
 // story (§3.3): the per-application stack is untrusted, so TAS itself
-// must detect a crashed or wedged application and take back everything
-// it held — otherwise one dead app leaks flows, ports, context slots,
-// and payload buffers forever, starving the apps that are still alive.
+// must take back everything a dead application held — otherwise one
+// dead app leaks flows, ports, context slots, and payload buffers
+// forever, starving the apps that are still alive.
 //
-// Liveness is epoch/heartbeat based: each libtas context runs a
-// keepalive goroutine (the in-process stand-in for the paper's kernel
-// notification when an application process exits) that stamps the
-// fast-path context. The slow path sweeps those stamps and reaps any
-// context that has gone silent for AppTimeout.
+// In the paper the kernel tells TAS when an application process exits.
+// Here the exit is Engine.ExitContext (libtas KillApp, tas Context.Kill):
+// it flags the context engine-side and rings the slow path's doorbell,
+// and the slow path reaps the context on that wake or its next tick. A
+// stalled but running application is not an exit and is never reaped.
 
-// HeartbeatInterval returns the cadence applications should beat at to
-// stay comfortably inside AppTimeout (one quarter of it).
-func (s *Slowpath) HeartbeatInterval() time.Duration {
-	if s.cfg.AppTimeout <= 0 {
-		return time.Second
+// reapPending reaps the exited contexts if an application has exited since
+// the last call: the registry is walked only when an exit is pending.
+func (s *Slowpath) reapPending() {
+	if s.eng.TakeExits() {
+		s.reapExited()
 	}
-	iv := s.cfg.AppTimeout / 4
-	if iv < time.Millisecond {
-		iv = time.Millisecond
-	}
-	return iv
 }
 
-// stallGap is the event-loop gap beyond which wall-clock liveness
-// comparisons are considered unsafe: well above normal tick jitter,
-// well below AppTimeout.
-func (s *Slowpath) stallGap() time.Duration {
-	g := 4 * s.cfg.ControlInterval
-	if s.cfg.AppTimeout > 0 && g < s.cfg.AppTimeout/4 {
-		g = s.cfg.AppTimeout / 4
-	}
-	return g
-}
-
-// noteResume opens the reaper's grace window: the slow path just came
-// back from a stall or a warm restart, during which applications may
-// have been unable to make progress (an app blocked on a control-plane
-// response beats from its keepalive, but a beat-on-activity low-level
-// app goes quiet). Resume time counts as an implicit beat for every
-// context, so only apps that stay silent for a further AppTimeout are
-// reaped — the mass-reap false positive the grace window exists to
-// prevent.
-func (s *Slowpath) noteResume(now int64) {
-	s.mu.Lock()
-	s.reapResume = now
-	s.mu.Unlock()
-}
-
-// reapSweep scans registered contexts for missed heartbeats and reaps
-// dead ones. It self-rate-limits to a quarter of AppTimeout so the
-// per-control-interval cost is negligible. now and the beats are engine
-// clock.
-func (s *Slowpath) reapSweep(now int64) {
-	timeout := s.cfg.AppTimeout.Nanoseconds()
-	if timeout <= 0 {
-		return
-	}
-	s.mu.Lock()
-	if now-s.lastReap < timeout/4 {
-		s.mu.Unlock()
-		return
-	}
-	s.lastReap = now
-	resume := s.reapResume
-	s.mu.Unlock()
-	if resume != 0 && now-resume < timeout {
-		// Post-stall/restart grace: last-beat stamps predating the gap
-		// prove nothing about liveness. Resume reaping only after every
-		// live app has had a full AppTimeout to beat again.
-		return
-	}
-
+// reapExited reaps every exited context that is not yet dead, charging
+// the walk to the reaper's cycle account.
+func (s *Slowpath) reapExited() {
+	t := s.lap(0, 0, 0)
 	for _, ctx := range s.eng.Contexts() {
-		if ctx == nil || ctx.Dead() {
-			continue
-		}
-		lb := ctx.LastBeat()
-		if lb == 0 {
-			continue // liveness never enabled (raw low-level context)
-		}
-		if now-lb > timeout {
+		if ctx != nil && ctx.Exited() {
 			s.ReapContext(ctx)
 		}
 	}
+	s.lap(telemetry.ModReaper, t, 1)
 }
 
 // ReapContext declares one application context dead and reclaims every
@@ -138,7 +80,10 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 	// Established flows: abort toward the peer and free everything.
 	var flows []*flowstate.Flow
 	s.eng.Table.ForEach(func(f *flowstate.Flow) {
-		if f.Context == id {
+		f.Lock() // Rebind moves a flow between contexts under its lock
+		mine := f.Context == id
+		f.Unlock()
+		if mine {
 			flows = append(flows, f)
 		}
 	})

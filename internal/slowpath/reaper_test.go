@@ -9,26 +9,25 @@ import (
 	"repro/internal/protocol"
 )
 
-// reaperCfg shortens every timescale so crash detection and reaping
-// complete in tens of milliseconds.
+// reaperCfg shortens every timescale so handshakes and reaping complete
+// in tens of milliseconds.
 func reaperCfg() Config {
 	return Config{
 		ControlInterval:  time.Millisecond,
-		AppTimeout:       40 * time.Millisecond,
 		HandshakeRTO:     10 * time.Millisecond,
 		HandshakeRetries: 2,
 	}
 }
 
-func TestReapOnMissedHeartbeat(t *testing.T) {
+// TestReapOnExit: an application that exits right after connecting is
+// reaped by the running slow path, everything it held is taken back, and
+// the peer is reset; the peer's own application is untouched.
+func TestReapOnExit(t *testing.T) {
 	fab := fabric.New()
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), reaperCfg())
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), reaperCfg())
 	b.sp.Listen(80, 0, 42)
 
-	// The client app beats once (liveness enabled) and then goes silent —
-	// an app that crashed right after connecting.
-	a.ctx.Beat(a.eng.NowNanos())
 	if _, err := a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -38,24 +37,8 @@ func TestReapOnMissedHeartbeat(t *testing.T) {
 	}
 	f := evA.Flow
 	waitEvent(t, b.ctx, 2*time.Second) // EvAccepted
-	b.ctx.Beat(b.eng.NowNanos())       // keep the server app alive
-	stopBeat := make(chan struct{})
-	defer close(stopBeat)
-	go func() {
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopBeat:
-				return
-			case <-tick.C:
-				b.ctx.Beat(b.eng.NowNanos())
-			}
-		}
-	}()
 
-	// The reaper must declare the client app dead and take everything
-	// back.
+	a.eng.ExitContext(a.ctx)
 	waitCond(t, "client app reaped", 2*time.Second, func() bool { return a.sp.Counters().AppsReaped != 0 })
 	c := a.sp.Counters()
 	if c.AppsReaped != 1 || c.FlowsReaped != 1 {
@@ -81,35 +64,48 @@ func TestReapOnMissedHeartbeat(t *testing.T) {
 	if ev.Kind != fastpath.EvAborted {
 		t.Fatalf("peer event: %+v", ev)
 	}
-	// The server app, which kept beating, must be untouched.
 	if got := b.sp.Counters().AppsReaped; got != 0 {
 		t.Fatalf("live app reaped: %d", got)
 	}
 }
 
-func TestHeartbeatPreventsReap(t *testing.T) {
+// TestExitReapedOnNextTick: an exit is reaped by the next tick, with no
+// timeout to wait out; a context whose application never exits is never
+// reaped, however far the clock jumps (a stalled application looks like
+// this to the slow path).
+func TestExitReapedOnNextTick(t *testing.T) {
 	eng, sp, _ := newWireRig(reaperCfg())
-	ctx := eng.ContextByID(0)
-	clk := &tickClock{sp: sp, now: eng.NowNanos()}
-	clk.run(15*reaperCfg().AppTimeout, func() bool { // several AppTimeouts
-		ctx.Beat(clk.now)
-		return false
-	})
-	if got := sp.Counters().AppsReaped; got != 0 {
-		t.Fatalf("beating app was reaped: %d", got)
+	live := fastpath.NewContext(0, 1, 256)
+	eng.RegisterContext(live)
+	now := eng.NowNanos()
+	for _, d := range []time.Duration{time.Millisecond, time.Minute, 24 * time.Hour} {
+		sp.tick(now + d.Nanoseconds())
 	}
-	if ctx.Dead() {
-		t.Fatal("beating context marked dead")
+	if got := sp.Counters().AppsReaped; got != 0 {
+		t.Fatalf("running apps reaped: %d", got)
+	}
+
+	exited := eng.ContextByID(0)
+	eng.ExitContext(exited)
+	eng.ExitContext(exited) // idempotent
+	sp.tick(now + (24*time.Hour + time.Millisecond).Nanoseconds())
+	if !exited.Dead() || eng.ContextByID(0) != nil {
+		t.Fatal("exited context not reaped by the next tick")
+	}
+	if live.Dead() {
+		t.Fatal("running context reaped with its neighbour")
+	}
+	if got := sp.Counters().AppsReaped; got != 1 {
+		t.Fatalf("AppsReaped = %d, want 1", got)
 	}
 }
 
-// TestRawContextExemptFromReaping: a context that never beats has
-// liveness disabled (lastBeat == 0) — the low-level API contract — and
-// must never be reaped no matter how long it idles.
+// TestRawContextExemptFromReaping: a raw low-level context that never
+// exits must never be reaped no matter how long it idles.
 func TestRawContextExemptFromReaping(t *testing.T) {
 	eng, sp, _ := newWireRig(reaperCfg())
 	clk := &tickClock{sp: sp, now: eng.NowNanos()}
-	clk.run(10*reaperCfg().AppTimeout, nil)
+	clk.run(400*time.Millisecond, nil)
 	if got := sp.Counters().AppsReaped; got != 0 {
 		t.Fatalf("silent raw context reaped: %d", got)
 	}
@@ -121,10 +117,10 @@ func TestReapReclaimsListenPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := &tickClock{sp: sp, now: eng.NowNanos()}
-	eng.ContextByID(0).Beat(clk.now) // enable liveness, then crash
+	eng.ExitContext(eng.ContextByID(0))
 
-	if !clk.run(2*reaperCfg().AppTimeout, func() bool { return sp.Counters().AppsReaped != 0 }) { // bumped last
-		t.Fatal("silent app not reaped")
+	if !clk.run(reaperCfg().ControlInterval, func() bool { return sp.Counters().AppsReaped != 0 }) { // bumped last
+		t.Fatal("exited app not reaped")
 	}
 	if c := sp.Counters(); c.ListenersReaped != 1 || c.AppsReaped != 1 {
 		t.Fatalf("counters: %+v", c)
@@ -143,7 +139,6 @@ func TestReapReclaimsListenPort(t *testing.T) {
 func TestBacklogShedsSyn(t *testing.T) {
 	fab := fabric.New()
 	cfg := reaperCfg()
-	cfg.AppTimeout = -1 // isolate backlog behavior from the reaper
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if _, err := b.sp.ListenBacklog(80, 0, 1, 2); err != nil {
@@ -184,7 +179,6 @@ func TestBacklogShedsSyn(t *testing.T) {
 func TestUndeliverableAcceptTornDown(t *testing.T) {
 	fab := fabric.New()
 	cfg := reaperCfg()
-	cfg.AppTimeout = -1
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if err := b.sp.Listen(80, 0, 1); err != nil {

@@ -38,6 +38,10 @@ type RecoveryStats struct {
 //
 //   - Listening ports are readopted from the engine's listener table,
 //     including the live accept-depth gauge the application side holds.
+//   - A context whose application exited (the flag is engine-side, so
+//     an exit the crashed instance never saw survives) is reaped before
+//     any flow is readopted: its flows, listeners and slot go as a live
+//     reap would take them.
 //   - Every flow in the flow table whose context is alive and whose
 //     buffers are intact gets a fresh congestion controller (seeded
 //     into its existing rate bucket) and an active cc entry whose
@@ -54,9 +58,6 @@ type RecoveryStats struct {
 //   - Half-open handshakes died with the old instance; peers re-drive
 //     passive opens by retransmitting their SYN, and active opens
 //     surface a timeout to the caller.
-//
-// Reaping resumes only after a grace window (noteResume): last-beat
-// stamps from before the outage prove nothing about app liveness.
 func (s *Slowpath) Recover() RecoveryStats {
 	var rep RecoveryStats
 	now := s.eng.NowNanos()
@@ -91,6 +92,9 @@ func (s *Slowpath) Recover() RecoveryStats {
 		st.mu.Unlock()
 		rep.ListenersRebuilt++
 	})
+
+	// Applications that exited while no instance was reaping.
+	s.reapExited()
 
 	// Established flows from the flow table.
 	var doomed, finished []*flowstate.Flow
@@ -177,13 +181,6 @@ func (s *Slowpath) Recover() RecoveryStats {
 		s.coresW[i].lastChange = now
 		s.coresW[i].lastBeat = s.eng.CoreBeat(i)
 	}
-
-	// Grace before reaping (see reaper.go): during the outage nobody
-	// observed heartbeats, so stale stamps are not evidence of death.
-	s.noteResume(now)
-	s.mu.Lock()
-	s.lastReap = now
-	s.mu.Unlock()
 	return rep
 }
 

@@ -31,7 +31,7 @@ func restart(t *testing.T, n *testNode) RecoveryStats {
 // state for every one of them from the shared flow table.
 func TestWarmRestartReconstructsFlows(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := Config{ControlInterval: time.Millisecond}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if err := b.sp.Listen(80, 0, 42); err != nil {
@@ -78,7 +78,7 @@ func TestWarmRestartReconstructsFlows(t *testing.T) {
 // was registered before the crash.
 func TestWarmRestartRebuildsListeners(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := Config{ControlInterval: time.Millisecond}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	pending, err := b.sp.ListenBacklog(80, 0, 42, 16)
@@ -113,7 +113,7 @@ func TestWarmRestartRebuildsListeners(t *testing.T) {
 // (RST, state reclaimed) instead of resuming control over garbage.
 func TestWarmRestartAbortsUnprovableFlows(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := Config{ControlInterval: time.Millisecond}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if err := b.sp.Listen(80, 0, 42); err != nil {
@@ -153,54 +153,42 @@ func TestWarmRestartAbortsUnprovableFlows(t *testing.T) {
 	}
 }
 
-// TestReapGraceAfterStall is the regression test for the reaper
-// false-positive: an app that was alive but could not beat while the
-// control plane stalled must NOT be reaped when the loop resumes —
-// stale heartbeat stamps from before the gap prove nothing.
-func TestReapGraceAfterStall(t *testing.T) {
-	cfg := reaperCfg() // AppTimeout 40ms
-	eng, sp, _ := newWireRig(cfg)
+// TestRecoverReapsExitedContext: an application that exits while its
+// slow path is crashed — the crashed instance never ticked again — is
+// reaped by the successor's Recover, before it readopts any flow: the
+// context's listen port is free, its flow is aborted with an RST, and
+// it counts as one reaped app.
+func TestRecoverReapsExitedContext(t *testing.T) {
+	eng, sp, nic := newWireRig(reaperCfg())
+	if err := sp.Listen(80, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	f := rigFlow(eng, sp, 1, eng.NowNanos())
 	ctx := eng.ContextByID(0)
-	clk := &tickClock{sp: sp, now: eng.NowNanos()}
-	ctx.Beat(clk.now) // liveness enabled
-	clk.run(5*time.Millisecond, nil)
 
-	// The control plane stalls for several AppTimeouts: no tick runs, and
-	// the app goes silent too (blocked on the stalled control plane) and
-	// only beats again once the loop resumes.
-	clk.now += (150 * time.Millisecond).Nanoseconds()
-
-	// Resume beating promptly and keep it up past the grace window.
-	clk.run(3*cfg.AppTimeout, func() bool {
-		ctx.Beat(clk.now)
-		return false
-	})
-	if got := sp.Counters().AppsReaped; got != 0 {
-		t.Fatalf("live app reaped after stall: AppsReaped = %d", got)
-	}
-	if ctx.Dead() {
-		t.Fatal("live context marked dead after stall")
-	}
-}
-
-// TestReapResumesAfterGrace: the grace window is not amnesty — an app
-// that stays silent after the restart is still reaped once the window
-// plus AppTimeout pass, and not before the window ends.
-func TestReapResumesAfterGrace(t *testing.T) {
-	cfg := reaperCfg()
-	eng, sp, _ := newWireRig(cfg)
-	eng.ContextByID(0).Beat(eng.NowNanos()) // liveness enabled, then the app truly dies
-
+	eng.ExitContext(ctx)
 	sp.Kill()
 	ns := sp.Successor()
-	ns.Recover()
-	clk := &tickClock{sp: ns, now: ns.reapResume}
-	reaped := func() bool { return ns.Counters().AppsReaped != 0 }
-	if clk.run(cfg.AppTimeout-cfg.ControlInterval, reaped) {
-		t.Fatal("dead app reaped inside the grace window")
+	rep := ns.Recover()
+
+	if !ctx.Dead() || eng.ContextByID(0) != nil {
+		t.Fatal("exited context survived recovery")
 	}
-	if !clk.run(cfg.AppTimeout, reaped) {
-		t.Fatalf("dead app not reaped after grace: AppsReaped = %d", ns.Counters().AppsReaped)
+	if c := ns.Counters(); c.AppsReaped != 1 || c.FlowsReaped != 1 || c.ListenersReaped != 1 {
+		t.Fatalf("counters: %+v", c)
+	}
+	if rep.FlowsReconstructed != 0 || rep.FlowsAborted != 0 {
+		t.Fatalf("recovery readopted or aborted the reaped flow: %+v", rep)
+	}
+	if !f.Aborted || eng.Table.Len() != 0 {
+		t.Fatalf("flow aborted=%v, table holds %d", f.Aborted, eng.Table.Len())
+	}
+	if rsts := nic.take(func(p *protocol.Packet) bool { return p.Flags.Has(protocol.FlagRST) }); len(rsts) != 1 {
+		t.Fatalf("peer got %d RSTs, want 1", len(rsts))
+	}
+	id := eng.RegisterContext(fastpath.NewContext(0, 1, 256))
+	if err := ns.Listen(80, id, 2); err != nil {
+		t.Fatalf("re-listen after reap: %v", err)
 	}
 }
 
@@ -210,7 +198,7 @@ func TestReapResumesAfterGrace(t *testing.T) {
 // the control plane back.
 func TestPanicInjectionKillsLoop(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := Config{ControlInterval: time.Millisecond}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if err := b.sp.Listen(80, 0, 42); err != nil {
@@ -247,7 +235,7 @@ func TestPanicInjectionKillsLoop(t *testing.T) {
 // copy-out/copy-back did, field by hand-listed field.
 func TestSuccessorSharesEveryCounter(t *testing.T) {
 	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{AppTimeout: -1})
+	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{})
 	live := reflect.ValueOf(a.sp.ctr).Elem()
 	for i := 0; i < live.NumField(); i++ {
 		live.Field(i).Addr().Interface().(*atomic.Uint64).Store(uint64(i + 1))

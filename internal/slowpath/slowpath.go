@@ -192,10 +192,9 @@ type Slowpath struct {
 	stripes  []*stripe
 	stripeSh uint
 
-	// mu guards the remaining central state: the control entries and
-	// the reaper's clocks. These are touched by the single event-loop
-	// goroutine plus occasional API calls — they were never the SYN-flood
-	// bottleneck.
+	// mu guards the remaining central state: the control entries. These
+	// are touched by the single event-loop goroutine plus occasional API
+	// calls — they were never the SYN-flood bottleneck.
 	mu sync.Mutex
 	cc map[*flowstate.Flow]*ccEntry
 
@@ -227,12 +226,6 @@ type Slowpath struct {
 	killOnce sync.Once
 	dead     atomic.Bool
 
-	// lastTick is when the control tick last ran (engine clock); a gap
-	// much larger than the control interval means the loop was stalled
-	// (GC pause, a stall in the fault hook) and liveness comparisons are
-	// unsafe until apps have had a chance to beat again.
-	lastTick int64
-
 	// ctr is the counter block (counters.go), shared with this instance's
 	// successors.
 	ctr *liveCounters
@@ -240,9 +233,6 @@ type Slowpath struct {
 	// coresW is the core watchdog's per-core state; owned by the event
 	// loop (coreSweep), so it needs no lock.
 	coresW []coreWatch
-
-	lastReap   int64 // rate-limits the liveness sweep (engine clock)
-	reapResume int64 // post-stall/restart grace: treat as everyone's beat
 }
 
 // New builds (but does not start) a slow path for the engine.
@@ -305,8 +295,9 @@ func (s *Slowpath) Kill() {
 // panic).
 func (s *Slowpath) Down() bool { return s.dead.Load() }
 
-// run is the event loop. The engine's fault hook runs before each tick
-// reads its clock, so a stall there is a gap the tick detects.
+// run is the event loop. It beats once per iteration, and no iteration
+// handles more than excBatch exceptions, so a flood cannot hold the beat
+// back past the fast path's watchdog.
 func (s *Slowpath) run() {
 	defer s.wg.Done()
 	defer func() {
@@ -334,6 +325,7 @@ func (s *Slowpath) run() {
 			s.mu.Lock()
 			s.drainActivations(s.eng.NowNanos())
 			s.mu.Unlock()
+			s.reapPending()
 		case <-ctrl.C:
 			s.eng.Fault(fastpath.FaultSlowTick, 0)
 			s.tick(s.eng.NowNanos())
@@ -346,18 +338,10 @@ func (s *Slowpath) run() {
 }
 
 // tick is one control interval. Every deadline the slow path keeps —
-// the control entries' timers, half-opens, TIME_WAIT, the reaper, the
-// core watchdog — is compared against its one engine-clock now, which
-// tests pass directly to a slow path that was never started.
+// the control entries' timers, half-opens, TIME_WAIT, the core watchdog —
+// is compared against its one engine-clock now, which tests pass
+// directly to a slow path that was never started.
 func (s *Slowpath) tick(now int64) {
-	// Detect that the loop itself was stalled (a stall in the fault hook,
-	// scheduler starvation): clock-vs-heartbeat comparisons are not meaningful
-	// across the gap, so open the reaper's grace window instead of
-	// mass-reaping apps whose beats are merely older than the stall.
-	if s.lastTick != 0 && now-s.lastTick > s.stallGap().Nanoseconds() {
-		s.noteResume(now)
-	}
-	s.lastTick = now
 	// SYN-cookie key epochs advance on the engine-side jar so they
 	// survive this instance's crash/restart.
 	s.eng.Cookies.MaybeRotate(now)
@@ -369,9 +353,8 @@ func (s *Slowpath) tick(now int64) {
 	t = s.lap(telemetry.ModCC, t, 1)
 	s.handshakeSweep(now)
 	s.timeWaitSweep(now)
-	t = s.lap(telemetry.ModTimer, t, 1)
-	s.reapSweep(now)
-	s.lap(telemetry.ModReaper, t, 1)
+	s.lap(telemetry.ModTimer, t, 1)
+	s.reapPending()
 	s.governorTick(now)
 	s.coreSweep(now)
 }
@@ -411,13 +394,24 @@ func recordFlow(f *flowstate.Flow, kind telemetry.FlowEventKind, seq, ack, bytes
 	}
 }
 
+// excBatch bounds the exceptions one loop iteration handles. The loop
+// beats between batches, so a flood the slow path needs longer than the
+// fast path's watchdog timeout to drain does not read as an outage, and
+// the control tick runs between batches instead of after the flood.
+const excBatch = 32
+
+// drainExceptions handles up to excBatch queued exceptions and rings the
+// doorbell again if more remain, so the loop comes back for them.
 func (s *Slowpath) drainExceptions() {
-	for {
+	for i := 0; i < excBatch; i++ {
 		pkt, ok := s.excq.Dequeue()
 		if !ok {
 			return
 		}
 		s.handleException(pkt)
+	}
+	if s.excq.Len() > 0 {
+		s.eng.WakeSlowpath()
 	}
 }
 

@@ -24,7 +24,6 @@ func TestGovernorLeakAuditSoak(t *testing.T) {
 	cfg := Config{
 		RxBufSize: 16 << 10, TxBufSize: 16 << 10,
 		ControlInterval: 2 * time.Millisecond,
-		AppTimeout:      250 * time.Millisecond,
 		// Peer-liveness knobs for the wedge and blackhole phases. Short
 		// enough to converge in test time, long enough that the healthy
 		// phases (where every probe is answered) never abort anything.

@@ -750,9 +750,9 @@ func (c *Context) ListenBacklog(port uint16, backlog int) (*Listener, error) {
 	return &Listener{l: ll}, nil
 }
 
-// Kill simulates an abrupt application crash: the context's heartbeat
-// stops, so after the service's AppTimeout the slow path reaps every
-// resource the context held (fault-injection harness).
+// Kill is the application exiting abruptly, as a crash would: the slow
+// path is told at once and reaps every resource the context held.
+// Idempotent, and safe after Close.
 func (c *Context) Kill() { c.ctx.KillApp() }
 
 // Listener accepts inbound connections.
@@ -841,7 +841,7 @@ func ErrReset(err error) bool { return errors.Is(err, libtas.ErrReset) }
 func ErrPeerDead(err error) bool { return errors.Is(err, libtas.ErrPeerDead) }
 
 // ErrAppDead reports whether err means the application context was
-// reaped (crash detected via missed heartbeats); all further operations
+// reaped (its application exited); all further operations
 // on the context fail fast with this error.
 func ErrAppDead(err error) bool { return errors.Is(err, libtas.ErrAppDead) }
 
