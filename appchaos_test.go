@@ -205,8 +205,8 @@ func TestAppCrashReapedWhileNeighborUnharmed(t *testing.T) {
 	if cli.Engine().ContextByID(uint16(idA)) != nil {
 		t.Fatal("A's context slot not released")
 	}
-	if cli.Engine().Bucket(flowA.Bucket) != nil {
-		t.Fatal("A's rate bucket not freed")
+	if !flowA.Retired() {
+		t.Fatal("A's flow not retired: its charges were not returned")
 	}
 	checkControl(t, "after app reap", srv, cli)
 	// The context slot and the listen port are immediately reusable.

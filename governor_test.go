@@ -416,3 +416,41 @@ func TestMaxTimeWaitRecyclesOldest(t *testing.T) {
 		t.Fatalf("%d tuples quarantined after %d closes, want the cap %d", got, closes, limit)
 	}
 }
+
+// TestResizeAfterResetChargesNothing: the peer's RST removes the flow
+// and returns its payload charge, so a later ResizeBuffers on the dead
+// connection must charge nothing — no teardown would ever release it.
+func TestResizeAfterResetChargesNothing(t *testing.T) {
+	_, srv, cli := newPair(t, Config{})
+	ln, err := srv.NewContext().Listen(8095)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx := cli.NewContext()
+	if _, err := cctx.Dial("10.0.0.1", 8095); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ln.Accept(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx.Kill() // the client exits: its flow is reset toward the server
+	deadline := time.Now().Add(5 * time.Second)
+	for !s.Aborted() || srv.Stats().FlowsLive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("server flow never torn down by the peer's RST")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if used := srv.Stats().PoolUsed["payload_bytes"]; used != 0 {
+		t.Fatalf("%d payload bytes charged after the flow was removed", used)
+	}
+	live := srv.Stats().LivePayloadBytes
+	s.ResizeBuffers(4<<20, 4<<20)
+	if used := srv.Stats().PoolUsed["payload_bytes"]; used != 0 {
+		t.Fatalf("resizing a reset connection charged %d payload bytes", used)
+	}
+	if got := srv.Stats().LivePayloadBytes; got != live {
+		t.Fatalf("resizing a reset connection reserved %d payload bytes", got-live)
+	}
+}

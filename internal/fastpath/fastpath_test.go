@@ -41,7 +41,6 @@ func testFlow(e *Engine) *flowstate.Flow {
 		RxBuf:     shmring.NewPayloadBuffer(64 << 10),
 		TxBuf:     shmring.NewPayloadBuffer(64 << 10),
 	}
-	f.Bucket = e.AllocBucket()
 	e.Table.Insert(f)
 	return f
 }
@@ -319,7 +318,7 @@ func TestTransmitHonorsPeerWindow(t *testing.T) {
 func TestTransmitHonorsRateBucket(t *testing.T) {
 	e, nic := testEngine()
 	f := testFlow(e)
-	e.Bucket(f.Bucket).SetRate(1) // ~0: effectively no tokens
+	f.RateBucket.SetRate(1) // ~0: effectively no tokens
 	if !f.TxBuf.Write(make([]byte, 30000)) {
 		t.Fatal("tx buffer write failed")
 	}
@@ -331,7 +330,7 @@ func TestTransmitHonorsRateBucket(t *testing.T) {
 		t.Fatal("flow should be parked for pacing retry")
 	}
 	// Unlimited rate: retry drains.
-	e.Bucket(f.Bucket).SetRate(0)
+	f.RateBucket.SetRate(0)
 	e.retryPending(e.cores[0])
 	if f.TxPending() != 0 {
 		t.Fatalf("pending after unlimited retry = %d", f.TxPending())
@@ -373,52 +372,6 @@ func TestRxBufferFullDrops(t *testing.T) {
 	// Still acked (current ack number) so the sender learns the window.
 	if len(nic.out) != 1 || nic.out[0].Window != 0 {
 		t.Fatalf("expected zero-window ack, out=%v", nic.out)
-	}
-}
-
-func TestBucketTokenMath(t *testing.T) {
-	b := NewBucket(10000)
-	b.SetRate(1000) // 1000 B/s
-	if !b.Take(0, 0) {
-		t.Fatal("zero take")
-	}
-	// At t=1s, 1000 tokens accumulated.
-	if !b.Take(1e9, 1000) {
-		t.Fatal("take after refill should succeed")
-	}
-	if b.Take(1e9, 1) {
-		t.Fatal("bucket should be empty")
-	}
-	// Next availability for 500 bytes: +0.5s.
-	if next := b.NextAvailable(1e9, 500); next < 1.49e9 || next > 1.51e9 {
-		t.Fatalf("next = %d", next)
-	}
-	// Burst cap: after a long idle period tokens clamp to BurstMax.
-	b2 := NewBucket(100)
-	b2.SetRate(1e9)
-	b2.Take(0, 0) // prime the refill clock at t=0
-	if b2.Take(1e9, 101) {
-		t.Fatal("burst cap exceeded")
-	}
-	if !b2.Take(1e9, 100) {
-		t.Fatal("full burst should be available")
-	}
-	// Batch clocks of two cores can disagree by an iteration: a take
-	// stamped before the last refill mints nothing, then or later.
-	b4 := NewBucket(10000)
-	b4.SetRate(1000)
-	b4.Take(2e9, 0)
-	b4.Take(1e9, 0) // the other core's older clock
-	if b4.Take(2e9, 1) {
-		t.Fatal("a backwards clock step minted tokens")
-	}
-	// Unlimited.
-	b3 := NewBucket(10)
-	if !b3.Take(0, 1<<30) {
-		t.Fatal("unlimited bucket must always grant")
-	}
-	if b3.NextAvailable(5, 100) != 5 {
-		t.Fatal("unlimited bucket next availability is now")
 	}
 }
 

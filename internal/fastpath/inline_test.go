@@ -342,13 +342,13 @@ func TestNoOutputUnderFlowLock(t *testing.T) {
 	write(64)
 	e.KickFlow(f)
 	poke() // the kick
-	e.Bucket(f.Bucket).SetRate(1)
+	f.RateBucket.SetRate(1)
 	write(64)
 	e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: 64}) // rate-limited: pending
 	if len(e.cores[0].pending) != 1 {
 		t.Fatal("an empty bucket did not hold the segment back")
 	}
-	e.Bucket(f.Bucket).SetRate(0)
+	f.RateBucket.SetRate(0)
 	poke() // the pacing retry
 
 	f.Lock()

@@ -108,7 +108,7 @@ func TestParkPacingTimer(t *testing.T) {
 	f.Context = 0
 	// An empty bucket refilled at 6 KB/s pays for one 100-byte segment
 	// (166 B on the wire) after ~28ms.
-	e.Bucket(f.Bucket).SetRate(6000)
+	f.RateBucket.SetRate(6000)
 	e.Start()
 	defer e.Stop()
 

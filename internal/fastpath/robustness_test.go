@@ -44,26 +44,6 @@ func TestContextSlotReuse(t *testing.T) {
 	}
 }
 
-// TestBucketSlotReuse does the same for rate-bucket slots: FreeBucket
-// returns the slot to the pool, AllocBucket reuses it, double-free is
-// harmless, and live buckets are undisturbed.
-func TestBucketSlotReuse(t *testing.T) {
-	e, _ := testEngine()
-	base := e.AllocBucket()
-	b1 := e.AllocBucket()
-	e.FreeBucket(b1)
-	if e.Bucket(b1) != nil {
-		t.Fatalf("freed bucket %d still live", b1)
-	}
-	e.FreeBucket(b1) // double free: no-op
-	if got := e.AllocBucket(); got != b1 {
-		t.Fatalf("alloc after free got slot %d, want reused %d", got, b1)
-	}
-	if e.Bucket(base) == nil {
-		t.Fatalf("unrelated bucket %d disturbed", base)
-	}
-}
-
 // TestSynShedUnderExcqPressure verifies slow-path admission control:
 // when the exception queue nears saturation, bare SYNs (new-connection
 // attempts) are shed and counted while exceptions for established flows

@@ -49,16 +49,14 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 
 		// Rate enforcement: congestion control policy is slow-path
 		// business, but the fast path enforces it.
-		if bkt := e.Bucket(f.Bucket); bkt != nil {
-			wire := n + protocol.EthHeaderLen + protocol.IPv4HeaderLen + protocol.TCPHeaderLen + protocol.TSOptLen
-			if !bkt.Take(c.now, wire) {
-				// Out of tokens: queue the flow for a pacing retry.
-				c.pending = append(c.pending, f)
-				if at := bkt.NextAvailable(c.now, wire); c.pendingAt == 0 || at < c.pendingAt {
-					c.pendingAt = at
-				}
-				return
+		wire := n + protocol.EthHeaderLen + protocol.IPv4HeaderLen + protocol.TCPHeaderLen + protocol.TSOptLen
+		if !f.RateBucket.Take(c.now, wire) {
+			// Out of tokens: queue the flow for a pacing retry.
+			c.pending = append(c.pending, f)
+			if at := f.RateBucket.NextAvailable(c.now, wire); c.pendingAt == 0 || at < c.pendingAt {
+				c.pendingAt = at
 			}
+			return
 		}
 
 		flags := protocol.FlagACK

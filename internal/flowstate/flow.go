@@ -19,7 +19,8 @@ import (
 // comments give the paper's field name and bit width; the logical packed
 // size is 102 bytes (asserted by a test). The two buffer pointers stand
 // in for rx|tx_start|size (the buffers carry their own head/tail
-// positions, the rx|tx_head|tail fields).
+// positions, the rx|tx_head|tail fields), and the rate bucket itself
+// stands in for its 24-bit number.
 type Flow struct {
 	Opaque  uint64 // opaque, 64: application-defined flow identifier
 	Context uint16 // context, 16: RX/TX context queue number
@@ -28,7 +29,6 @@ type Flow struct {
 	// changes, so the release needs no lock and goes to the app that was
 	// charged. Outside Table 3 (it fills padding).
 	Charged uint16
-	Bucket  uint32 // bucket, 24: rate bucket number
 
 	RxBuf *shmring.PayloadBuffer // rx_start|size|head|tail
 	TxBuf *shmring.PayloadBuffer // tx_start|size|head|tail
@@ -148,9 +148,16 @@ type Flow struct {
 	// retired latches exactly-once resource reclamation: every teardown
 	// path (FIN, RST, abort, reaper, recovery, undeliverable accept)
 	// funnels through the slow path's reclaim helper, and only the caller
-	// that wins this CAS returns the flow's buffers, bucket slot, and
-	// governor charges — double teardown must never double-release.
+	// that wins this CAS returns the flow's buffers and governor charges
+	// — double teardown must never double-release.
 	retired atomic.Bool
+
+	// RateBucket is the flow's rate bucket (bucket, 24: Table 3 keeps a
+	// number into a bucket array; here the bucket is the flow's own, so
+	// installing a flow allocates nothing for it and removing it returns
+	// nothing). The slow path sets its rate; the fast-path core holding
+	// the flow lock drains it.
+	RateBucket Bucket
 }
 
 // Retire claims the flow's one-shot reclamation token. The first caller

@@ -6,15 +6,17 @@ import (
 	"repro/internal/stats"
 )
 
-// livePayload tracks the bytes of payload-buffer memory allocated and
-// not yet reclaimed, process-wide — the in-process stand-in for the
-// shared payload memory segment TAS carves per-flow buffers out of. The
+// livePayload tracks the payload-buffer bytes reserved and not yet
+// reclaimed, process-wide — the in-process stand-in for the shared
+// payload memory segment TAS carves per-flow buffers out of. A buffer
+// reserves its full size at construction, whether or not its storage
+// has been taken yet (see PayloadBuffer). The
 // slow path's application reaper returns a dead app's buffers to the
 // pool via Reclaim; tests assert the gauge falls back after a reap.
 var livePayload stats.Gauge
 
-// LivePayloadBytes returns the bytes of payload-buffer memory currently
-// allocated and not reclaimed.
+// LivePayloadBytes returns the payload-buffer bytes currently reserved
+// and not reclaimed.
 func LivePayloadBytes() int64 { return livePayload.Load() }
 
 // PayloadBuffer is a circular byte buffer with absolute 32-bit positions,
@@ -27,9 +29,17 @@ func LivePayloadBytes() int64 { return livePayload.Load() }
 // The producer owns head, the consumer owns tail. Random-access writes
 // (WriteAt) support the fast path's out-of-order deposit: payload is
 // placed at its stream position before head advances over it.
+//
+// A new buffer records its size and holds no storage: the first
+// producer call (Write, WriteAt, ReserveHead) allocates it, always fresh
+// zeroed memory, and Grow allocates only to copy a ring that has
+// storage, so a flow that never carries a byte costs no payload memory.
+// Producers hold the flow lock; a consumer reads storage only after it
+// observes head > tail, and the producer's atomic head store publishes
+// the allocation.
 type PayloadBuffer struct {
-	buf  []byte
-	mask uint32
+	buf  []byte        // nil until the first producer call
+	mask atomic.Uint32 // size-1; atomic so lock-free Size/Free readers never race Grow
 	_    pad
 	head atomic.Uint32 // producer position (bytes ever produced)
 	_    pad
@@ -48,7 +58,9 @@ func NewPayloadBuffer(size int) *PayloadBuffer {
 		panic("shmring: payload buffer size must be a positive power of two")
 	}
 	livePayload.Add(int64(size))
-	return &PayloadBuffer{buf: make([]byte, size), mask: uint32(size - 1)}
+	b := &PayloadBuffer{}
+	b.mask.Store(uint32(size - 1))
+	return b
 }
 
 // Reclaim returns the buffer's memory to the payload pool (the
@@ -59,14 +71,14 @@ func (b *PayloadBuffer) Reclaim() {
 	if b.reclaimed.Swap(true) {
 		return
 	}
-	livePayload.Add(-int64(len(b.buf)))
+	livePayload.Add(-int64(b.Size()))
 }
 
 // Reclaimed reports whether the buffer has been returned to the pool.
 func (b *PayloadBuffer) Reclaimed() bool { return b.reclaimed.Load() }
 
 // Size returns the buffer capacity in bytes.
-func (b *PayloadBuffer) Size() int { return len(b.buf) }
+func (b *PayloadBuffer) Size() int { return int(b.mask.Load()) + 1 }
 
 // Head returns the producer position.
 func (b *PayloadBuffer) Head() uint32 { return b.head.Load() }
@@ -78,20 +90,30 @@ func (b *PayloadBuffer) Tail() uint32 { return b.tail.Load() }
 func (b *PayloadBuffer) Used() int { return int(b.head.Load() - b.tail.Load()) }
 
 // Free returns the number of bytes that can still be produced.
-func (b *PayloadBuffer) Free() int { return len(b.buf) - b.Used() }
+func (b *PayloadBuffer) Free() int { return b.Size() - b.Used() }
+
+// storage returns the backing memory, allocating it on the first
+// producer call. Only producers call it.
+func (b *PayloadBuffer) storage() []byte {
+	if b.buf == nil {
+		b.buf = make([]byte, b.Size())
+	}
+	return b.buf
+}
 
 // copyIn copies data into the ring at absolute position pos.
 func (b *PayloadBuffer) copyIn(pos uint32, data []byte) {
-	idx := pos & b.mask
-	n := copy(b.buf[idx:], data)
+	buf := b.storage()
+	idx := pos & b.mask.Load()
+	n := copy(buf[idx:], data)
 	if n < len(data) {
-		copy(b.buf, data[n:])
+		copy(buf, data[n:])
 	}
 }
 
 // copyOut copies from the ring at absolute position pos into out.
 func (b *PayloadBuffer) copyOut(pos uint32, out []byte) {
-	idx := pos & b.mask
+	idx := pos & b.mask.Load()
 	n := copy(out, b.buf[idx:])
 	if n < len(out) {
 		copy(out[n:], b.buf[:len(out)-int(uint32(n))])
@@ -167,11 +189,7 @@ func (b *PayloadBuffer) ReserveHead(n int) (first, second []byte) {
 	if n <= 0 {
 		return nil, nil
 	}
-	idx := int(b.head.Load() & b.mask)
-	if idx+n <= len(b.buf) {
-		return b.buf[idx : idx+n], nil
-	}
-	return b.buf[idx:], b.buf[:n-(len(b.buf)-idx)]
+	return spans(b.storage(), int(b.head.Load()&b.mask.Load()), n)
 }
 
 // PeekTail returns up to n readable bytes at the consumer position as
@@ -184,35 +202,42 @@ func (b *PayloadBuffer) PeekTail(n int) (first, second []byte) {
 	if n <= 0 {
 		return nil, nil
 	}
-	idx := int(b.tail.Load() & b.mask)
-	if idx+n <= len(b.buf) {
-		return b.buf[idx : idx+n], nil
+	return spans(b.buf, int(b.tail.Load()&b.mask.Load()), n)
+}
+
+// spans returns the n ring bytes starting at index idx of buf as (up
+// to) two slices: up to the end of buf, then wrapped to its start.
+func spans(buf []byte, idx, n int) (first, second []byte) {
+	if idx+n <= len(buf) {
+		return buf[idx : idx+n], nil
 	}
-	return b.buf[idx:], b.buf[:n-(len(b.buf)-idx)]
+	return buf[idx:], buf[:n-(len(buf)-idx)]
 }
 
 // Grow replaces the backing storage with a larger power-of-two buffer,
-// preserving unconsumed bytes and the absolute head/tail positions.
+// preserving the absolute head/tail positions, the unconsumed bytes, and
+// anything WriteAt placed ahead of head (the fast path's out-of-order
+// interval): the whole old ring is copied to the same positions modulo
+// the new size. A buffer without storage just records the new size.
 // The paper lists buffer resizing as desirable future work (§4.1
 // Limitations); here it backs the slow path's resize management
 // command. The caller must hold whatever lock serializes producers and
 // consumers of this buffer (the flow spinlock).
 func (b *PayloadBuffer) Grow(newSize int) {
-	if newSize <= len(b.buf) {
+	old := b.Size()
+	if newSize <= old {
 		return
 	}
 	if newSize&(newSize-1) != 0 {
 		panic("shmring: Grow size must be a power of two")
 	}
-	nb := make([]byte, newSize)
-	tl, hd := b.tail.Load(), b.head.Load()
-	used := int(hd - tl)
-	// Copy the live region to the same absolute positions modulo the
-	// new size.
-	livePayload.Add(int64(newSize - len(b.buf)))
-	tmp := make([]byte, used)
-	b.copyOut(tl, tmp)
-	b.buf = nb
-	b.mask = uint32(newSize - 1)
-	b.copyIn(tl, tmp)
+	livePayload.Add(int64(newSize - old))
+	tl, ring := b.tail.Load(), b.buf
+	b.buf = nil
+	b.mask.Store(uint32(newSize - 1))
+	if ring != nil {
+		first, second := spans(ring, int(tl)&(old-1), old)
+		b.copyIn(tl, first)
+		b.copyIn(tl+uint32(len(first)), second)
+	}
 }

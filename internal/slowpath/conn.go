@@ -375,7 +375,9 @@ func (s *Slowpath) notify(ctxID uint16, ev fastpath.Event) bool {
 }
 
 // installFlow creates fast-path state for an established connection:
-// buffers, rate bucket, congestion controller, and the Table 3 record.
+// the Table 3 record with its rate bucket, buffers that take their
+// storage on first write, and a congestion controller. It allocates no
+// payload memory and costs the same however many flows are installed.
 func (s *Slowpath) installFlow(key protocol.FlowKey, h *halfOpen, peerISS uint32, peerWindow uint16) *flowstate.Flow {
 	f := &flowstate.Flow{
 		Opaque:    h.opaque,
@@ -393,9 +395,8 @@ func (s *Slowpath) installFlow(key protocol.FlowKey, h *halfOpen, peerISS uint32
 		RxBuf:     shmring.NewPayloadBuffer(s.cfg.RxBufSize),
 		TxBuf:     shmring.NewPayloadBuffer(s.cfg.TxBufSize),
 	}
-	f.Bucket = s.eng.AllocBucket()
 	ctrl := s.cfg.NewController()
-	s.eng.Bucket(f.Bucket).SetRate(ctrl.Rate())
+	f.RateBucket.SetRate(ctrl.Rate())
 	if s.telem != nil {
 		// Adopt the handshake-phase ring (keyed by the same 4-tuple) so
 		// the flow's trace runs SYN through reap.
@@ -697,24 +698,28 @@ func (s *Slowpath) finishClose(f *flowstate.Flow) {
 // whether the peer gets a RST, which counter, which event the application
 // sees — stays with the caller.
 func (s *Slowpath) removeFlow(f *flowstate.Flow) {
-	// The table entry, payload buffers, rate-bucket slot and governor
-	// charges go back exactly once, however many teardown paths race here:
-	// Retire is the latch, taken before the table forgets the flow so a
-	// descriptor the fast path no longer finds installed reads as stale,
-	// not malformed. The table forgets it last, so whoever finds it gone
-	// finds its charges returned. Reclaim only fences producer writes; the
+	// The table entry, payload buffers and governor charges go back
+	// exactly once, however many teardown paths race here: Retire is the
+	// latch, taken before the table forgets the flow so a descriptor the
+	// fast path no longer finds installed reads as stale, not malformed.
+	// It is taken under the flow lock, where ResizeBuffers checks it, so
+	// the sizes released here are the last the buffers will have. The
+	// table forgets the flow last, so whoever finds it gone finds its
+	// charges returned. Reclaim only fences producer writes; the
 	// application side may still drain already received bytes.
-	if f.Retire() {
-		var payload int64
-		if f.RxBuf != nil {
-			payload += int64(f.RxBuf.Size())
-			f.RxBuf.Reclaim()
+	f.Lock()
+	first := f.Retire()
+	var payload int64
+	if first {
+		for _, b := range [...]*shmring.PayloadBuffer{f.RxBuf, f.TxBuf} {
+			if b != nil {
+				payload += int64(b.Size())
+				b.Reclaim()
+			}
 		}
-		if f.TxBuf != nil {
-			payload += int64(f.TxBuf.Size())
-			f.TxBuf.Reclaim()
-		}
-		s.eng.FreeBucket(f.Bucket)
+	}
+	f.Unlock()
+	if first {
 		if g := s.cfg.Gov; g != nil {
 			g.ReleaseFlow(uint32(f.Charged), payload)
 		}

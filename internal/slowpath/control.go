@@ -448,9 +448,7 @@ func (s *Slowpath) ccUpdate(e *ccEntry, fs *flowSample, timeouts uint32, dt int6
 		TxRate:     e.txEwma,
 	})
 	f := e.flow
-	if b := s.eng.Bucket(f.Bucket); b != nil {
-		b.SetRate(rate)
-	}
+	f.RateBucket.SetRate(rate)
 	// Trace only significant rate moves (≥25% relative, or from/to
 	// zero): the controller nudges the rate every interval, and
 	// recording each tick would wash real lifecycle events out of the

@@ -85,7 +85,6 @@ func rigFlow(eng *fastpath.Engine, sp *Slowpath, i int, now int64) *flowstate.Fl
 		RxBuf: shmring.NewPayloadBuffer(1 << 10),
 		TxBuf: shmring.NewPayloadBuffer(1 << 10),
 	}
-	f.Bucket = eng.AllocBucket()
 	f.Touch(now)
 	sp.mu.Lock()
 	sp.adoptFlow(f, sp.cfg.NewController(), f.SeqNo, now)
@@ -348,7 +347,7 @@ func parkResumeScript(t *testing.T, ctrl func() congestion.RateController, ecn b
 	}
 	same := func(phase string, i int) {
 		t.Helper()
-		ra, rb := engA.Bucket(fa.Bucket).Rate(), engB.Bucket(fb.Bucket).Rate()
+		ra, rb := fa.RateBucket.Rate(), fb.RateBucket.Rate()
 		if math.Abs(ra-rb) > 1e-9*math.Max(ra, rb) {
 			t.Fatalf("%s tick %d: every-tick sweep rate %.9g, park/resume rate %.9g", phase, i, ra, rb)
 		}

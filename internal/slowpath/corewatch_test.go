@@ -83,7 +83,6 @@ func installWatchFlow(eng *fastpath.Engine, sp *Slowpath) *flowstate.Flow {
 		RxBuf: shmring.NewPayloadBuffer(64 << 10),
 		TxBuf: shmring.NewPayloadBuffer(64 << 10),
 	}
-	f.Bucket = eng.AllocBucket()
 	sp.mu.Lock()
 	sp.adoptFlow(f, sp.cfg.NewController(), 1500, eng.NowNanos())
 	sp.cc[f].stallTicks, sp.cc[f].consecTimeouts = 3, 2

@@ -42,7 +42,7 @@ func (s *Slowpath) reapExited() {
 // ReapContext declares one application context dead and reclaims every
 // resource it held: listen ports, half-open handshakes, established
 // flows (best-effort RST to each peer, flow table entry, congestion
-// state, rate-bucket slot, payload buffers), and finally the fast-path
+// state, payload buffers), and finally the fast-path
 // context slot itself. Safe to call at most once per context; later
 // calls are no-ops because the context is already marked dead.
 func (s *Slowpath) ReapContext(ctx *fastpath.Context) {

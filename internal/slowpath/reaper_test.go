@@ -53,8 +53,8 @@ func TestReapOnExit(t *testing.T) {
 	if a.eng.ContextByID(0) != nil {
 		t.Fatal("context slot not released")
 	}
-	if a.eng.Bucket(f.Bucket) != nil {
-		t.Fatal("rate bucket not freed")
+	if !f.Retired() {
+		t.Fatal("flow not retired: its charges were not returned")
 	}
 	if !f.RxBuf.Reclaimed() || !f.TxBuf.Reclaimed() {
 		t.Fatal("payload buffers not reclaimed")

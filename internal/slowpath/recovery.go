@@ -130,13 +130,11 @@ func (s *Slowpath) Recover() RecoveryStats {
 		}
 
 		// Rebuild congestion/timeout state. The rate bucket survived in
-		// the engine and kept enforcing the crashed instance's last
-		// rate; the fresh controller restarts from its initial rate and
+		// the flow and kept enforcing the crashed instance's last rate;
+		// the fresh controller restarts from its initial rate and
 		// converges from there.
 		ctrl := s.cfg.NewController()
-		if b := s.eng.Bucket(f.Bucket); b != nil {
-			b.SetRate(ctrl.Rate())
-		}
+		f.RateBucket.SetRate(ctrl.Rate())
 		s.mu.Lock()
 		e := s.adoptFlow(f, ctrl, seq-txSent, now)
 		if closeReq {

@@ -141,8 +141,8 @@ func TestWarmRestartAbortsUnprovableFlows(t *testing.T) {
 	if !f.RxBuf.Reclaimed() || !f.TxBuf.Reclaimed() {
 		t.Fatal("payload buffers not reclaimed")
 	}
-	if a.eng.Bucket(f.Bucket) != nil {
-		t.Fatal("rate bucket not freed")
+	if !f.Retired() {
+		t.Fatal("flow not retired: its charges were not returned")
 	}
 	if got := a.sp.Counters().RecoveryAborts; got != 1 {
 		t.Fatalf("RecoveryAborts = %d, want 1", got)

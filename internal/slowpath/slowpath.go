@@ -624,9 +624,15 @@ func (s *Slowpath) sendCtlFlow(f *flowstate.Flow, flags protocol.TCPFlags, seq, 
 // ResizeBuffers grows a flow's payload buffers at runtime (the paper's
 // §4.1 future-work management command). Sizes round up to powers of two;
 // shrinking is not supported. After growing the receive buffer the fast
-// path advertises the larger window on its next ack.
+// path advertises the larger window on its next ack. A removed flow is
+// left alone: removeFlow returned its charges under the same lock, and a
+// grow now would charge the pool for a flow nothing releases again.
 func (s *Slowpath) ResizeBuffers(f *flowstate.Flow, rxSize, txSize int) {
 	f.Lock()
+	if f.Retired() {
+		f.Unlock()
+		return
+	}
 	if rxSize > f.RxBuf.Size() {
 		rxSize = ceilPow2(rxSize)
 		if s.growPayload(f, int64(rxSize-f.RxBuf.Size())) {

@@ -82,9 +82,9 @@ func TestHandshakeEstablishesBothSides(t *testing.T) {
 	if fa.SeqNo != fb.AckNo || fb.SeqNo != fa.AckNo {
 		t.Fatalf("seq mismatch: a(seq=%d ack=%d) b(seq=%d ack=%d)", fa.SeqNo, fa.AckNo, fb.SeqNo, fb.AckNo)
 	}
-	// Rate bucket allocated and configured.
-	if a.eng.Bucket(fa.Bucket) == nil {
-		t.Fatal("no bucket")
+	// Rate bucket configured: a zero bucket would be unlimited.
+	if fa.RateBucket.Rate() == 0 {
+		t.Fatal("rate bucket not configured")
 	}
 }
 
@@ -187,7 +187,7 @@ func TestControlLoopSetsBucketRate(t *testing.T) {
 	ev := waitEvent(t, a.ctx, 2*time.Second)
 	f := ev.Flow
 	waitCond(t, "the controller's rate in the bucket", 2*time.Second, func() bool {
-		return a.eng.Bucket(f.Bucket).Rate() == fixed
+		return f.RateBucket.Rate() == fixed
 	})
 }
 

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/netip"
 	"reflect"
 	"sync/atomic"
 	"time"
@@ -194,18 +195,18 @@ func (f *Fabric) CaptureTo(w io.Writer) (stop func() error, err error) {
 	}, nil
 }
 
-// ParseIP parses a dotted-quad IPv4 address.
+// ParseIP parses a dotted-quad IPv4 address: four decimal octets, no
+// leading zeros, nothing before or after.
 func ParseIP(s string) (protocol.IPv4, error) {
-	var a, b, c, d int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
+	a, err := netip.ParseAddr(s)
+	if err != nil {
 		return 0, fmt.Errorf("tas: bad IPv4 %q: %w", s, err)
 	}
-	for _, v := range []int{a, b, c, d} {
-		if v < 0 || v > 255 {
-			return 0, fmt.Errorf("tas: bad IPv4 %q", s)
-		}
+	if !a.Is4() {
+		return 0, fmt.Errorf("tas: bad IPv4 %q: not an IPv4 address", s)
 	}
-	return protocol.MakeIPv4(byte(a), byte(b), byte(c), byte(d)), nil
+	b := a.As4()
+	return protocol.MakeIPv4(b[0], b[1], b[2], b[3]), nil
 }
 
 // Service is one host's TAS instance: fast path + slow path attached to
@@ -463,7 +464,7 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(eng.Table.Len()) })
 	r.GaugeFunc("tas_active_cores", "Fast-path cores currently receiving RSS traffic.",
 		func() float64 { return float64(eng.ActiveCores()) })
-	r.GaugeFunc("tas_live_payload_bytes", "Payload-buffer bytes allocated and not reclaimed.",
+	r.GaugeFunc("tas_live_payload_bytes", "Payload-buffer bytes reserved and not reclaimed.",
 		func() float64 { return float64(shmring.LivePayloadBytes()) })
 
 	// Latency observatory: sampled hot-path distributions exposed as
@@ -602,7 +603,7 @@ type ServiceStats struct {
 	FlowsFinWait2    int   // flows currently in FIN_WAIT_2
 	CoresFailed      int   // cores currently excluded from steering
 	FlowsLive        int   // flows currently installed in the flow table
-	LivePayloadBytes int64 // payload-buffer bytes allocated and not reclaimed
+	LivePayloadBytes int64 // payload-buffer bytes reserved and not reclaimed
 
 	// Resource-governor state: the degradation ladder and unified pool
 	// accounting. Maps are keyed by pool name (payload_bytes, flows,

@@ -350,7 +350,8 @@ func TestParseIP(t *testing.T) {
 	if ip.String() != "10.1.2.3" {
 		t.Fatalf("round trip: %v", ip)
 	}
-	for _, bad := range []string{"", "10.0.0", "10.0.0.256", "a.b.c.d"} {
+	for _, bad := range []string{"", "10.0.0", "10.0.0.256", "a.b.c.d",
+		"10.0.0.1.5", "10.0.0.1x", "+10.0.0.1", "010.0.0.1", "::ffff:10.0.0.1"} {
 		if _, err := ParseIP(bad); err == nil {
 			t.Errorf("ParseIP(%q) should fail", bad)
 		}
