@@ -1,7 +1,6 @@
 package tas
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -111,44 +110,6 @@ func TestRejectedServiceLeavesNoHost(t *testing.T) {
 	}
 	if st := fab.Stats(); st.Delivered != 0 {
 		t.Fatalf("fabric delivered %d packets to a rejected service's address", st.Delivered)
-	}
-}
-
-func TestMsgConnFacade(t *testing.T) {
-	_, srv, cli := newPair(t, Config{})
-	sctx := srv.NewContext()
-	ln, _ := sctx.Listen(8082)
-	done := make(chan error, 1)
-	go func() {
-		c, err := ln.Accept(5 * time.Second)
-		if err != nil {
-			done <- err
-			return
-		}
-		mc := NewMsgConn(c, 0)
-		m, err := mc.RecvMsg(5 * time.Second)
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- mc.SendMsg(m, 5*time.Second)
-	}()
-	cctx := cli.NewContext()
-	c, err := cctx.Dial("10.0.0.1", 8082)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := NewMsgConn(c, 0)
-	want := bytes.Repeat([]byte("msg"), 1000)
-	if err := mc.SendMsg(want, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got, err := mc.RecvMsg(5 * time.Second)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("framed echo: %d bytes, err %v", len(got), err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,14 +1,21 @@
 package tas
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/flowstate"
 	"repro/internal/resource"
 )
 
@@ -106,6 +113,119 @@ func TestDocMetricSeries(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no tas_ series found in the docs")
 	}
+}
+
+// TestDocFlowSize checks the struct size EXPERIMENTS.md's table3
+// paragraph quotes against the Flow the fast path allocates.
+func TestDocFlowSize(t *testing.T) {
+	text, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`the Go struct is (\d+) bytes`).FindSubmatch(text)
+	if m == nil {
+		t.Fatal("EXPERIMENTS.md quotes no Go struct size for table3")
+	}
+	if got := unsafe.Sizeof(flowstate.Flow{}); string(m[1]) != strconv.Itoa(int(got)) {
+		t.Errorf("EXPERIMENTS.md says the Go struct is %s bytes; unsafe.Sizeof(flowstate.Flow{}) is %d", m[1], got)
+	}
+}
+
+// TestDocGoNames checks that every backticked pkg.Name or
+// pkg.Type.Member in README.md, DESIGN.md and EXPERIMENTS.md, with pkg a
+// package of this module, names something declared in that package: a
+// top-level declaration, a method (pkg.Method names one without its
+// type), a struct field, or a test function. Dotted snake_case names are
+// scoreboard metrics, not Go, and a table headed "What went" records
+// deleted code.
+func TestDocGoNames(t *testing.T) {
+	decls := map[string]bool{} // "pkg.Name", "pkg.Type.Member"
+	pkgs := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasPrefix(path, "benchmark/") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		pkgs[pkg] = true
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				decls[pkg+"."+d.Name.Name] = true
+				if d.Recv != nil {
+					decls[pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						decls[pkg+"."+spec.Name.Name] = true
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									decls[pkg+"."+spec.Name.Name+"."+id.Name] = true
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							decls[pkg+"."+id.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(pkgs, "main")
+	ref := regexp.MustCompile("`([a-z][a-z0-9]*)((?:\\.[A-Za-z][A-Za-z0-9]*){1,2})(?:\\(\\))?`")
+	n := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []string
+		went := false
+		for _, line := range strings.Split(string(text), "\n") {
+			went = strings.HasPrefix(line, "| What went |") || went && strings.HasPrefix(line, "|")
+			if !went {
+				live = append(live, line)
+			}
+		}
+		for _, m := range ref.FindAllStringSubmatch(strings.Join(live, "\n"), -1) {
+			if !pkgs[m[1]] {
+				continue
+			}
+			n++
+			if !decls[m[1]+m[2]] {
+				t.Errorf("%s names %s%s, which is not declared", doc, m[1], m[2])
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no pkg.Name references found in the docs")
+	}
+}
+
+// recvName returns the type name in a method receiver: T, *T, T[P].
+func recvName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return recvName(e.X)
+	case *ast.IndexExpr:
+		return recvName(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
 }
 
 // docTableRows returns the first two cells of every row of every table

@@ -256,14 +256,6 @@ type Workload struct {
 	val  []byte
 }
 
-// PaperWorkload returns §5.3's parameters: 100K keys, 32B keys, 64B
-// values, zipf s=0.9, 90% GETs.
-func PaperWorkload(rng *rand.Rand) *Workload {
-	w := &Workload{NumKeys: 100_000, KeySize: 32, ValueSize: 64, Skew: 0.9, GetFraction: 0.9, rng: rng}
-	w.init()
-	return w
-}
-
 // NewWorkload builds a custom workload.
 func NewWorkload(rng *rand.Rand, numKeys, keySize, valueSize int, skew, getFrac float64) *Workload {
 	w := &Workload{NumKeys: numKeys, KeySize: keySize, ValueSize: valueSize, Skew: skew, GetFraction: getFrac, rng: rng}

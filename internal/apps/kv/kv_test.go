@@ -156,7 +156,7 @@ func TestHandle(t *testing.T) {
 
 func TestWorkloadShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	w := PaperWorkload(rng)
+	w := NewWorkload(rng, 100_000, 32, 64, 0.9, 0.9) // §5.3: 32 B keys, 64 B values, zipf 0.9, 90% GETs
 	gets, sets := 0, 0
 	keyCounts := make(map[string]int)
 	for i := 0; i < 20000; i++ {

@@ -126,9 +126,6 @@ func (s *Server) AllCores() []*cpumodel.Core {
 	return out
 }
 
-// TotalCores returns app + active stack cores.
-func (s *Server) TotalCores() int { return s.cfg.AppCores + s.activeFP }
-
 // ActiveFP returns the number of active fast-path cores.
 func (s *Server) ActiveFP() int { return s.activeFP }
 

@@ -31,9 +31,6 @@ func (d *RateDCTCP) Name() string { return "rate-dctcp" }
 // Rate returns the current allowed rate in bytes/s.
 func (d *RateDCTCP) Rate() float64 { return d.rate }
 
-// Alpha returns the smoothed ECN fraction (exported for tests/telemetry).
-func (d *RateDCTCP) Alpha() float64 { return d.alpha }
-
 // InSlowStart reports whether the flow is still in slow start.
 func (d *RateDCTCP) InSlowStart() bool { return d.slowStart }
 

@@ -46,9 +46,6 @@ func (t *TIMELY) Name() string { return "timely" }
 // Rate returns the current allowed rate in bytes/s.
 func (t *TIMELY) Rate() float64 { return t.rate }
 
-// InSlowStart reports whether the flow is still in slow start.
-func (t *TIMELY) InSlowStart() bool { return t.slowStart }
-
 // Update implements RateController.
 func (t *TIMELY) Update(fb Feedback) float64 {
 	if fb.TxRate > 0 && t.rate > 1.2*fb.TxRate {

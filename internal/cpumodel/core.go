@@ -147,9 +147,6 @@ func (c *Core) Utilization() float64 {
 	return u
 }
 
-// BusyTime returns the total accumulated busy time.
-func (c *Core) BusyTime() sim.Time { return c.busyAccum }
-
 // ResetSample restarts the utilization sampling window at the current
 // time — required when a core is (re)activated so the next Utilization
 // reading does not average over its idle past.
@@ -179,20 +176,6 @@ func (p *Pool) ByHash(hash uint32, n int) *Core {
 		n = len(p.Cores)
 	}
 	return p.Cores[hash%uint32(n)]
-}
-
-// LeastLoaded returns the core with the shortest queue among the first n.
-func (p *Pool) LeastLoaded(n int) *Core {
-	if n <= 0 || n > len(p.Cores) {
-		n = len(p.Cores)
-	}
-	best := p.Cores[0]
-	for _, c := range p.Cores[1:n] {
-		if c.QueueDelay() < best.QueueDelay() {
-			best = c
-		}
-	}
-	return best
 }
 
 // Utilization returns the average utilization over the first n cores,

@@ -19,11 +19,6 @@ func (b Breakdown) Scale(f float64) Breakdown {
 	return Breakdown{b.Retiring * f, b.Frontend * f, b.Backend * f, b.BadSpec * f}
 }
 
-// Add returns the element-wise sum.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{b.Retiring + o.Retiring, b.Frontend + o.Frontend, b.Backend + o.Backend, b.BadSpec + o.BadSpec}
-}
-
 // topDownShape gives each stack's characteristic distribution of cycles
 // across top-down categories, for the application side and the stack
 // side, normalized from the paper's Table 2 measurements. A monolithic
@@ -70,6 +65,3 @@ func CPI(totalCycles, instructions float64) float64 {
 	}
 	return totalCycles / instructions
 }
-
-// IdealCPI is the best case for the paper's 4-way issue server.
-const IdealCPI = 0.25

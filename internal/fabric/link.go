@@ -205,22 +205,6 @@ func (f *Fabric) LinkRate() float64 {
 	return f.linkCfg.RateBps
 }
 
-// LinkQueueLen reports the instantaneous queue depth toward dst (0 when
-// no link model is installed) — an observation point for congestion
-// assertions.
-func (f *Fabric) LinkQueueLen(dst protocol.IPv4) int {
-	f.mu.RLock()
-	l := f.links[dst]
-	f.mu.RUnlock()
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	n := len(l.queue)
-	l.mu.Unlock()
-	return n
-}
-
 // newLink returns the link toward dst, creating it on the first packet
 // sent there while the model is installed (nil if the model was removed
 // meanwhile).

@@ -214,61 +214,6 @@ func (f *Flow) TakeCounters() (ackB, ecnB uint32, frexmits uint8) {
 	return
 }
 
-// CloseState is the close-side lifecycle refinement derived from the
-// Fin*/PeerClosedFirst booleans: the classic TCP state names for the
-// teardown half of the state machine. TIME_WAIT itself is not a
-// CloseState — a flow in TIME_WAIT has left the flow table entirely
-// and lives as a compact quarantine entry (see TimeWaitTable).
-type CloseState uint8
-
-// Close-side lifecycle states.
-const (
-	CloseNone CloseState = iota // established, no FIN either way
-	CloseWait                   // peer FIN'd, we have not (CLOSE_WAIT)
-	FinWait1                    // our FIN sent, not yet acked
-	Closing                     // both FINs out, ours unacked (simultaneous close)
-	FinWait2                    // our FIN acked, waiting for the peer's
-	LastAck                     // peer closed first, our FIN unacked
-)
-
-// String names the close state.
-func (c CloseState) String() string {
-	switch c {
-	case CloseNone:
-		return "established"
-	case CloseWait:
-		return "close-wait"
-	case FinWait1:
-		return "fin-wait-1"
-	case Closing:
-		return "closing"
-	case FinWait2:
-		return "fin-wait-2"
-	case LastAck:
-		return "last-ack"
-	}
-	return "unknown"
-}
-
-// CloseState derives the flow's close-side lifecycle state. Callers
-// hold the flow spinlock.
-func (f *Flow) CloseState() CloseState {
-	switch {
-	case !f.FinSent && !f.FinReceived:
-		return CloseNone
-	case !f.FinSent:
-		return CloseWait
-	case f.FinAcked:
-		return FinWait2 // peer FIN pending; with it, the flow leaves the table
-	case f.PeerClosedFirst:
-		return LastAck
-	case f.FinReceived:
-		return Closing
-	default:
-		return FinWait1
-	}
-}
-
 // PackedSize is the paper's logical per-flow state footprint in bytes
 // (Table 3 sums to 818 bits ≈ 102 bytes). The fast path's cache working
 // set per flow is this constant; the connection-scalability experiments

@@ -51,13 +51,6 @@ func (t *ListenerTable) Remove(port uint16) {
 	t.mu.Unlock()
 }
 
-// Lookup returns the entry for port, or nil.
-func (t *ListenerTable) Lookup(port uint16) *ListenerEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m[port]
-}
-
 // ForEach visits every entry (snapshot; safe to mutate the table from
 // the callback).
 func (t *ListenerTable) ForEach(fn func(*ListenerEntry)) {
@@ -70,11 +63,4 @@ func (t *ListenerTable) ForEach(fn func(*ListenerEntry)) {
 	for _, e := range entries {
 		fn(e)
 	}
-}
-
-// Len returns the number of registered listeners.
-func (t *ListenerTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
 }

@@ -151,10 +151,10 @@ func (r *RSS) CoreForPacket(p *protocol.Packet) int {
 	return r.CoreFor(p.Hash())
 }
 
-// SetEntry explicitly steers one bucket to a core — used for targeted
-// drain during scale-down. A failed core is never a valid target: the
-// request is redirected to the eligible set instead, preserving the
-// never-steer-to-failed invariant against racing callers.
+// SetEntry explicitly steers one bucket to a core (scale events rewrite
+// the whole table with SetCores instead). A failed core is never a valid
+// target: the request is redirected to the eligible set instead,
+// preserving the never-steer-to-failed invariant against racing callers.
 func (r *RSS) SetEntry(bucket int, core int) {
 	if r.Failed(core) {
 		elig := r.eligible(r.Cores())

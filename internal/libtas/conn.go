@@ -236,7 +236,7 @@ func (cn *Conn) Recv(p []byte, timeout time.Duration) (int, error) {
 
 // SendNoWait writes as much of p as currently fits in the transmit
 // buffer without blocking. It returns ErrWouldBlock when nothing fits
-// (pair with Poller.MarkWriteInterest to learn when space frees).
+// (Send blocks until space frees).
 func (cn *Conn) SendNoWait(p []byte) (int, error) {
 	if cn.aborted.Load() {
 		return 0, cn.resetErr()
@@ -325,9 +325,6 @@ func (cn *Conn) noteConsumed(n, used int) {
 // Buffered returns the bytes currently readable.
 func (cn *Conn) Buffered() int { return cn.flow.RxBuf.Used() }
 
-// TxFree returns the writable transmit-buffer space.
-func (cn *Conn) TxFree() int { return cn.flow.TxBuf.Free() }
-
 // Aborted reports whether the connection failed (RST received or
 // retransmission budget exhausted), after dispatching pending events.
 func (cn *Conn) Aborted() bool {
@@ -340,8 +337,7 @@ func (cn *Conn) Aborted() bool {
 // fast path — the zero-copy variant of Send enabled by the shared
 // payload-buffer design: the application assembles its message in the
 // very memory the fast path segments from. Returns the bytes committed
-// (possibly 0 when the buffer is full; callers may Send-style block via
-// the poller's write interest).
+// (possibly 0 when the buffer is full).
 func (cn *Conn) SendZeroCopy(max int, fill func(first, second []byte) int) (int, error) {
 	if cn.aborted.Load() {
 		return 0, cn.resetErr()

@@ -8,184 +8,6 @@ import (
 	"repro/internal/protocol"
 )
 
-func TestPollerReadiness(t *testing.T) {
-	s1, s2, _ := newStackPair(t)
-	sctx := s2.NewContext()
-	ln, _ := sctx.Listen(90)
-	srvReady := make(chan *Conn, 1)
-	go func() {
-		c, err := ln.Accept(5 * time.Second)
-		if err != nil {
-			return
-		}
-		srvReady <- c
-	}()
-	cctx := s1.NewContext()
-	c1, err := cctx.Dial(protocol.MakeIPv4(10, 0, 0, 2), 90, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := <-srvReady
-
-	p := cctx.NewPoller()
-	p.Add(c1)
-	out := make([]Ready, 4)
-	// Nothing ready yet.
-	if _, err := p.Wait(out, 30*time.Millisecond); err != ErrTimeout {
-		t.Fatalf("expected timeout, got %v", err)
-	}
-	// Server sends: poller must wake with Readable.
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		srv.Send([]byte("ready!"), time.Second)
-	}()
-	n, err := p.Wait(out, 5*time.Second)
-	if err != nil || n != 1 {
-		t.Fatalf("wait: n=%d err=%v", n, err)
-	}
-	if !out[0].Readable || out[0].Conn != c1 {
-		t.Fatalf("readiness: %+v", out[0])
-	}
-	buf := make([]byte, 16)
-	k, _ := c1.Recv(buf, time.Second)
-	if string(buf[:k]) != "ready!" {
-		t.Fatalf("payload %q", buf[:k])
-	}
-	// Peer close surfaces as Closed.
-	srv.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		n, err = p.Wait(out, time.Second)
-		if err == nil && n > 0 && out[0].Closed {
-			return
-		}
-	}
-	t.Fatal("close never surfaced via poller")
-}
-
-func TestPollerWriteInterest(t *testing.T) {
-	s1, s2, _ := newStackPair(t)
-	sctx := s2.NewContext()
-	ln, _ := sctx.Listen(91)
-	srvConn := make(chan *Conn, 1)
-	go func() {
-		c, err := ln.Accept(5 * time.Second)
-		if err == nil {
-			srvConn <- c
-		}
-	}()
-	cctx := s1.NewContext()
-	c1, err := cctx.Dial(protocol.MakeIPv4(10, 0, 0, 2), 91, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := <-srvConn
-
-	// Fill the transmit buffer (peer not reading).
-	filler := make([]byte, 32<<10)
-	for c1.TxFree() > 0 {
-		n := c1.TxFree()
-		if n > len(filler) {
-			n = len(filler)
-		}
-		if _, err := c1.Send(filler[:n], time.Second); err != nil {
-			break
-		}
-	}
-	p := cctx.NewPoller()
-	p.Add(c1)
-	p.MarkWriteInterest(c1)
-	// Server drains: Writable must fire.
-	go func() {
-		buf := make([]byte, 64<<10)
-		for i := 0; i < 64; i++ {
-			if _, err := srv.Recv(buf, time.Second); err != nil {
-				return
-			}
-		}
-	}()
-	out := make([]Ready, 4)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		n, err := p.Wait(out, time.Second)
-		if err != nil {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if out[i].Writable {
-				return
-			}
-		}
-	}
-	t.Fatal("writable never fired")
-}
-
-func TestMsgConnFraming(t *testing.T) {
-	s1, s2, _ := newStackPair(t)
-	sctx := s2.NewContext()
-	ln, _ := sctx.Listen(92)
-	done := make(chan error, 1)
-	go func() {
-		c, err := ln.Accept(5 * time.Second)
-		if err != nil {
-			done <- err
-			return
-		}
-		mc := NewMsgConn(c, 0)
-		for i := 0; i < 3; i++ {
-			msg, err := mc.RecvMsg(5 * time.Second)
-			if err != nil {
-				done <- err
-				return
-			}
-			if err := mc.SendMsg(msg, 5*time.Second); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	cctx := s1.NewContext()
-	c, err := cctx.Dial(protocol.MakeIPv4(10, 0, 0, 2), 92, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := NewMsgConn(c, 0)
-	// Varied sizes including empty and multi-segment.
-	msgs := [][]byte{[]byte("hi"), {}, bytes.Repeat([]byte("x"), 10_000)}
-	for _, m := range msgs {
-		if err := mc.SendMsg(m, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		got, err := mc.RecvMsg(5 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, m) {
-			t.Fatalf("echo mismatch: %d vs %d bytes", len(got), len(m))
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMsgConnSizeLimit(t *testing.T) {
-	s1, s2, _ := newStackPair(t)
-	sctx := s2.NewContext()
-	ln, _ := sctx.Listen(93)
-	go ln.Accept(5 * time.Second)
-	cctx := s1.NewContext()
-	c, err := cctx.Dial(protocol.MakeIPv4(10, 0, 0, 2), 93, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := NewMsgConn(c, 128)
-	if err := mc.SendMsg(make([]byte, 129), time.Second); err == nil {
-		t.Fatal("oversized send should fail")
-	}
-}
-
 func TestConnStatsAndResize(t *testing.T) {
 	s1, s2, _ := newStackPair(t)
 	sctx := s2.NewContext()

@@ -497,6 +497,3 @@ func (l *Listener) Close() {
 	l.ctx.mu.Unlock()
 	l.ctx.fp.Wake()
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }

@@ -54,8 +54,5 @@ func (h *Host) Send(pkt *protocol.Packet) {
 	h.uplink.Send(pkt)
 }
 
-// Now returns the simulated time (convenience for stacks).
-func (h *Host) Now() sim.Time { return h.eng.Now() }
-
 // Engine returns the simulation engine.
 func (h *Host) Engine() *sim.Engine { return h.eng }

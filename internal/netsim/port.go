@@ -56,7 +56,6 @@ type Port struct {
 	queue []*protocol.Packet
 	busy  bool
 	stats PortStats
-	fault *FaultInjector
 }
 
 // NewPort returns a port feeding peer.
@@ -72,9 +71,6 @@ func NewPort(eng *sim.Engine, cfg PortConfig, peer Deliverable) *Port {
 
 // Stats returns a snapshot of the port counters.
 func (p *Port) Stats() PortStats { return p.stats }
-
-// QueueLen returns the instantaneous queue length in packets.
-func (p *Port) QueueLen() int { return len(p.queue) }
 
 // AvgQueueLen returns the time-weighted average queue length since the
 // start of the run.
@@ -95,30 +91,9 @@ func (p *Port) accountQlen() {
 	p.stats.lastQlenTime = now
 }
 
-// SetFaultInjector attaches a fault injector that filters every packet
-// offered to this port (nil detaches). The injector runs before the
-// port's own LossRate and queue admission.
-func (p *Port) SetFaultInjector(fi *FaultInjector) { p.fault = fi }
-
 // Send enqueues a packet for transmission. Overflow and injected loss
 // drop silently (counted in stats), as a real switch would.
 func (p *Port) Send(pkt *protocol.Packet) {
-	if p.fault != nil {
-		v := p.fault.filter(pkt)
-		if v.drop {
-			p.stats.LossDrops++
-			return
-		}
-		pkt = v.pkt
-		if v.dup {
-			p.enqueue(pkt.Clone())
-		}
-		if v.delay > 0 {
-			held := pkt
-			p.eng.After(v.delay, func() { p.enqueue(held) })
-			return
-		}
-	}
 	if p.cfg.LossRate > 0 && p.eng.Rand().Float64() < p.cfg.LossRate {
 		p.stats.LossDrops++
 		return

@@ -34,9 +34,6 @@ func (s *Switch) AddPort(cfg PortConfig, peer Deliverable) int {
 // Port returns the egress port at index i.
 func (s *Switch) Port(i int) *Port { return s.ports[i] }
 
-// NumPorts returns the number of egress ports.
-func (s *Switch) NumPorts() int { return len(s.ports) }
-
 // SetRoute installs the route function mapping packets to egress port
 // indexes. Returning a negative index drops the packet.
 func (s *Switch) SetRoute(fn func(pkt *protocol.Packet) int) { s.route = fn }
@@ -48,15 +45,6 @@ func (s *Switch) Deliver(pkt *protocol.Packet) {
 		return // no route: drop
 	}
 	s.ports[i].Send(pkt)
-}
-
-// TotalDrops sums queue-overflow drops across all egress ports.
-func (s *Switch) TotalDrops() uint64 {
-	var d uint64
-	for _, p := range s.ports {
-		d += p.stats.Drops
-	}
-	return d
 }
 
 // String identifies the switch.

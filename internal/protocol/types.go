@@ -103,10 +103,6 @@ const (
 	// DefaultMSS is the payload MSS for a standard 1500-byte MTU with
 	// timestamps: 1500 - 20 (IP) - 20 (TCP) - 12 (TS option).
 	DefaultMSS = 1448
-
-	// MTU is the IP MTU assumed throughout (datacenter default, no
-	// jumbo frames, never fragmented per the paper).
-	MTU = 1500
 )
 
 // Errors returned by Parse.

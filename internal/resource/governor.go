@@ -56,9 +56,8 @@ func (p Pool) String() string {
 	return poolNames[p]
 }
 
-// Degradation-ladder levels (rungs). LevelNormal is no degradation.
+// Degradation-ladder levels (rungs). Level 0 is no degradation.
 const (
-	LevelNormal  = 0
 	LevelCookies = 1 // force SYN cookies
 	LevelShedSyn = 2 // shed new SYNs
 	LevelClampTx = 3 // shrink per-flow TX grants

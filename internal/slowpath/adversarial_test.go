@@ -14,6 +14,15 @@ import (
 	"repro/internal/protocol"
 )
 
+// lookupHalf fetches a half-open entry; the handlers work under the
+// stripe lock directly.
+func (s *Slowpath) lookupHalf(key protocol.FlowKey) *halfOpen {
+	st := s.stripeOf(key)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.half[key]
+}
+
 // TestSynCookieHandshakeEndToEnd: with cookies always on, a real
 // handshake completes statelessly — the SYN-ACK's ISN is the cookie, no
 // half-open entry is stored, and the completing ACK reconstructs the

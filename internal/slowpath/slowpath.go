@@ -33,7 +33,6 @@ var (
 	ErrPortInUse  = errors.New("slowpath: port in use")
 	ErrNoListener = errors.New("slowpath: connection refused")
 	ErrNoPorts    = errors.New("slowpath: ephemeral ports exhausted")
-	ErrClosed     = errors.New("slowpath: stack closed")
 	// ErrDown: the slow path has crashed (or been killed by the fault
 	// harness) and cannot take control-plane work. Established flows
 	// keep flowing on the fast path; Connect/Listen fail fast until a
@@ -413,14 +412,6 @@ func (s *Slowpath) drainExceptions() {
 	if s.excq.Len() > 0 {
 		s.eng.WakeSlowpath()
 	}
-}
-
-// Listen registers a listening port delivering accept events to the
-// given context with the given opaque listener id, using the configured
-// default backlog.
-func (s *Slowpath) Listen(port uint16, ctxID uint16, opaque uint64) error {
-	_, err := s.ListenBacklog(port, ctxID, opaque, 0)
-	return err
 }
 
 // ListenBacklog registers a listener with an explicit backlog bound

@@ -20,6 +20,12 @@ type testNode struct {
 	ctx *fastpath.Context
 }
 
+// Listen registers a listener with the configured default backlog.
+func (s *Slowpath) Listen(port uint16, ctxID uint16, opaque uint64) error {
+	_, err := s.ListenBacklog(port, ctxID, opaque, 0)
+	return err
+}
+
 func newNode(t *testing.T, fab *fabric.Fabric, ip protocol.IPv4, scfg Config) *testNode {
 	t.Helper()
 	var eng *fastpath.Engine

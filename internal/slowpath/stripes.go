@@ -112,12 +112,3 @@ func (s *Slowpath) AcceptBacklog() int {
 	}
 	return n
 }
-
-// lookupHalf fetches a half-open entry (tests only; the handlers work
-// under the stripe lock directly).
-func (s *Slowpath) lookupHalf(key protocol.FlowKey) *halfOpen {
-	st := s.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.half[key]
-}

@@ -55,7 +55,3 @@ func (g *GilbertElliott) Drop() bool {
 	}
 	return p > 0 && g.rng.Float64() < p
 }
-
-// Bad reports whether the channel is currently in the bad (burst)
-// state.
-func (g *GilbertElliott) Bad() bool { return g.bad }

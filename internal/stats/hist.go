@@ -307,9 +307,6 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Variance()) }
-
 // Min returns the smallest observation (0 if empty).
 func (r *Running) Min() float64 { return r.min }
 

@@ -65,9 +65,6 @@ func NewCycleStats(fastCores int) *CycleStats {
 	}
 }
 
-// FastCores returns the number of fast-path rows.
-func (c *CycleStats) FastCores() int { return c.fastCores }
-
 // Rows returns the total row count (fast cores + slow + app).
 func (c *CycleStats) Rows() int { return c.fastCores + 2 }
 

@@ -99,14 +99,6 @@ func New(cfg Config, fastCores int) *Telemetry {
 	return t
 }
 
-// Now returns nanoseconds since the hub was created — the timestamp
-// clock shared by flight-recorder events, so traces from the fast path,
-// slow path, and libtas interleave on one axis. This reads the real
-// clock; hot paths use CachedNow instead (a system clock read costs
-// ~50-90ns on machines without a fast vDSO time source, which is a
-// measurable fraction of per-packet processing).
-func (t *Telemetry) Now() int64 { return time.Since(t.epoch).Nanoseconds() }
-
 // CachedNow returns the most recently published timestamp — a coarse,
 // monotone non-decreasing clock costing one atomic load. It is
 // refreshed by code that reads the real clock anyway (the fast-path

@@ -809,14 +809,6 @@ func (c *Conn) Stats() libtas.ConnStats { return c.c.Stats() }
 // ResizeBuffers grows the connection's payload buffers at runtime.
 func (c *Conn) ResizeBuffers(rx, tx int) { c.c.ResizeBuffers(rx, tx) }
 
-// MsgConn layers length-prefixed datagram framing over a connection
-// (§6, Beyond TCP).
-type MsgConn = libtas.MsgConn
-
-// NewMsgConn wraps a connection with datagram framing (maxMsg 0 =
-// 16 MiB limit).
-func NewMsgConn(c *Conn, maxMsg int) *MsgConn { return libtas.NewMsgConn(c.c, maxMsg) }
-
 // Buffered returns bytes available to Read without blocking.
 func (c *Conn) Buffered() int { return c.c.Buffered() }
 
