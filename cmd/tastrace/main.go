@@ -2,7 +2,7 @@
 // (or any classic little-endian Ethernet pcap of IPv4/TCP traffic):
 // per-flow packet/byte counts, retransmissions, handshake/teardown
 // events, ECN marking, and RTT samples from timestamp echoes. It is the
-// debugging companion to the fabric's Tap hook.
+// debugging companion to the fabric's tap (Fabric.SetTap).
 //
 // With -flight it additionally loads a flight-recorder dump (the JSON
 // served at /debug/flows or written by telemetry.Recorder.WriteJSON)

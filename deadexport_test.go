@@ -68,6 +68,8 @@ var deadExportAllow = map[string]string{
 	// Test seams: they exist for tests in more than one package.
 	"internal/flowstate.Flow.TryLock":    "seam: inline_test.go holds a flow lock to force the deferred path",
 	"internal/libtas.Conn.Flow":          "seam: appchaos_test.go reaches a connection's flow state",
+	"internal/libtas.Conn.SendNoWait":    "seam: appchaos_test.go checks that a reaped context refuses a non-blocking send",
+	"internal/netsim.NewDumbbell":        "seam: transport_test.go builds its bottleneck topology",
 	"internal/protocol.OwnershipChecked": "seam: tests gate race-only packet-ownership assertions on it",
 	"internal/sim.Engine.Run":            "seam: tests drain a simulation; experiments stop at a deadline with RunUntil",
 	"internal/trace.Recorder":            "seam: trace tests capture packets in memory",
@@ -77,18 +79,6 @@ var deadExportAllow = map[string]string{
 
 	// Build tags: the scan reads the default (non-race) build only.
 	"internal/protocol.ownerReleased": "used by pool_race.go",
-
-	// Features that only their own tests call. Deleting one deletes its
-	// test too; they are the next candidates for removal.
-	"internal/congestion.Feedback.Congested": "test-only: TestFeedbackCongested",
-	"internal/flowstate.RSS.SetEntry":        "test-only: TestRSSSetEntry, TestRSSNeverSteersToFailed",
-	"internal/libtas.Conn.SendNoWait":        "test-only: TestSendNoWait, appchaos_test.go",
-	"internal/netsim.NewDumbbell":            "test-only: netsim and transport tests build a dumbbell",
-	"internal/protocol.ECNNotECT":            "test-only: netsim_test.go; names codepoint 0 of the ECN field",
-	"internal/shmring.SPSC.Peek":             "test-only: TestSPSCPeek",
-	"internal/sim.Engine.Stop":               "test-only: sim_test.go",
-	"internal/tcp.SegmentSizes":              "test-only: TestSegmentSizes*",
-	"internal/tcp.Segments":                  "test-only: TestSegments",
 }
 
 // declInterfaces are the standard-library interfaces a method can satisfy

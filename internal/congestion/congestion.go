@@ -20,11 +20,6 @@ type Feedback struct {
 	TxRate     float64 // measured send rate over the interval, bytes/s
 }
 
-// Congested reports whether the interval showed any congestion signal.
-func (fb Feedback) Congested() bool {
-	return fb.EcnBytes > 0 || fb.Frexmits > 0 || fb.Timeouts > 0
-}
-
 // RateController is a rate-based congestion-control policy for one flow.
 // Update consumes one control interval's feedback and returns the new
 // allowed rate in bytes per second, which the fast path enforces.

@@ -311,15 +311,6 @@ func TestWindowDCTCPUnmarkedBehavesLikeReno(t *testing.T) {
 	}
 }
 
-func TestFeedbackCongested(t *testing.T) {
-	if (Feedback{}).Congested() {
-		t.Fatal("empty feedback is not congested")
-	}
-	if !(Feedback{EcnBytes: 1}).Congested() || !(Feedback{Frexmits: 1}).Congested() || !(Feedback{Timeouts: 1}).Congested() {
-		t.Fatal("signals must report congested")
-	}
-}
-
 func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig(10e9)
 	if c.MaxRate != 10e9/8 {

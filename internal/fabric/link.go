@@ -7,8 +7,8 @@ import (
 	"repro/internal/protocol"
 )
 
-// LinkConfig is the netem-grade link model for live-mode delivery. The
-// flat SetLatency model (deliver everything d later) gives every packet
+// LinkConfig is the netem-grade link model for live-mode delivery. A
+// flat delay (deliver everything d later) would give every packet
 // infinite bandwidth: packets written back-to-back arrive back-to-back
 // in an artificial burst, and any added loss produces a receiver-limited
 // TCP that collapses instead of degrading (the netem exemplar's "with
@@ -47,13 +47,6 @@ func (c LinkConfig) withDefaults() LinkConfig {
 	return c
 }
 
-// queuedPkt is one packet waiting in or transmitting on a link, with its
-// resolved destination handler captured at admission time.
-type queuedPkt struct {
-	pkt *protocol.Packet
-	h   Handler
-}
-
 // link serializes delivery toward one destination host: a bounded
 // drop-tail FIFO drained at the configured rate, then a propagation
 // delay. It is the live-time mirror of netsim.Port.
@@ -67,17 +60,18 @@ type queuedPkt struct {
 // microseconds would silently throttle the link to the timer rate.
 type link struct {
 	fab *Fabric
+	h   Handler // the destination host's
 
 	mu    sync.Mutex
 	cfg   LinkConfig
-	queue []queuedPkt
+	queue []*protocol.Packet
 	busy  bool
 	free  time.Time // when the transmitter finishes its current packet
 }
 
 // send admits one packet. Returns false when the queue is full (the
 // caller counts the drop).
-func (l *link) send(pkt *protocol.Packet, h Handler) bool {
+func (l *link) send(pkt *protocol.Packet) bool {
 	l.mu.Lock()
 	if len(l.queue) >= l.cfg.QueueCap {
 		l.mu.Unlock()
@@ -89,7 +83,7 @@ func (l *link) send(pkt *protocol.Packet, h Handler) bool {
 		pkt.ECN = protocol.ECNCE
 		l.fab.CEMarks.Add(1)
 	}
-	l.queue = append(l.queue, queuedPkt{pkt: pkt, h: h})
+	l.queue = append(l.queue, pkt)
 	if !l.busy {
 		l.busy = true
 		now := time.Now()
@@ -115,7 +109,7 @@ func (l *link) txTime(p *protocol.Packet) time.Duration {
 // virtual completion. Caller holds l.mu; exactly one timer is
 // outstanding per link, so per-destination delivery stays FIFO.
 func (l *link) armTimer(now time.Time) {
-	wait := l.free.Add(l.txTime(l.queue[0].pkt)).Sub(now)
+	wait := l.free.Add(l.txTime(l.queue[0])).Sub(now)
 	if wait <= 0 {
 		wait = time.Microsecond
 	}
@@ -132,9 +126,9 @@ func (l *link) armTimer(now time.Time) {
 func (l *link) drain() {
 	l.mu.Lock()
 	now := time.Now()
-	var out []queuedPkt
+	var out []*protocol.Packet
 	for len(l.queue) > 0 {
-		done := l.free.Add(l.txTime(l.queue[0].pkt))
+		done := l.free.Add(l.txTime(l.queue[0]))
 		if done.After(now) {
 			break
 		}
@@ -151,8 +145,8 @@ func (l *link) drain() {
 	l.mu.Unlock()
 
 	deliver := func() {
-		for _, q := range out {
-			q.h(q.pkt)
+		for _, p := range out {
+			l.h(p)
 		}
 	}
 	if prop > 0 {
@@ -166,58 +160,46 @@ func (l *link) drain() {
 
 // SetLink installs (or reconfigures) the netem-grade link model: every
 // destination host gets a bounded FIFO drained at cfg.RateBps followed
-// by cfg.PropDelay. Reconfiguring while traffic flows is safe and takes
-// effect for queued and future packets (an impairment schedule changing
-// the rate mid-run). While a link model is installed it supersedes the
-// flat SetLatency path. Panics if cfg.RateBps <= 0.
+// by cfg.PropDelay, and a host attached later gets its own at Attach.
+// Reconfiguring while traffic flows is safe and takes effect for queued
+// and future packets (an impairment schedule changing the rate mid-run).
+// Panics if cfg.RateBps <= 0.
 func (f *Fabric) SetLink(cfg LinkConfig) {
 	if cfg.RateBps <= 0 {
 		panic("fabric: link model needs a positive rate")
 	}
 	cfg = cfg.withDefaults()
-	f.mu.Lock()
-	f.linkCfg = &cfg
-	for _, l := range f.links {
-		l.mu.Lock()
-		l.cfg = cfg
-		l.mu.Unlock()
-	}
-	f.mu.Unlock()
+	f.update(func(r *routes) {
+		r.link = &cfg
+		for ip, d := range r.hosts {
+			if d.link == nil {
+				d.link = &link{fab: f, h: d.h, cfg: cfg}
+				r.hosts[ip] = d
+				continue
+			}
+			d.link.mu.Lock()
+			d.link.cfg = cfg
+			d.link.mu.Unlock()
+		}
+	})
 }
 
-// ClearLink removes the link model, returning to direct (or flat
-// SetLatency) delivery. Packets already queued on links still drain.
+// ClearLink removes the link model, returning to direct delivery.
+// Packets already queued on links still drain.
 func (f *Fabric) ClearLink() {
-	f.mu.Lock()
-	f.linkCfg = nil
-	f.links = make(map[protocol.IPv4]*link)
-	f.mu.Unlock()
+	f.update(func(r *routes) {
+		r.link = nil
+		for ip, d := range r.hosts {
+			r.hosts[ip] = host{h: d.h}
+		}
+	})
 }
 
 // LinkRate returns the link model's rate in bits/s, or 0 when no model
 // is installed.
 func (f *Fabric) LinkRate() float64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.linkCfg == nil {
-		return 0
+	if l := f.cur.Load().link; l != nil {
+		return l.RateBps
 	}
-	return f.linkCfg.RateBps
-}
-
-// newLink returns the link toward dst, creating it on the first packet
-// sent there while the model is installed (nil if the model was removed
-// meanwhile).
-func (f *Fabric) newLink(dst protocol.IPv4) *link {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.linkCfg == nil {
-		return nil
-	}
-	l := f.links[dst]
-	if l == nil {
-		l = &link{fab: f, cfg: *f.linkCfg}
-		f.links[dst] = l
-	}
-	return l
+	return 0
 }

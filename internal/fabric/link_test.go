@@ -216,9 +216,8 @@ func TestReseedReproducesLossPattern(t *testing.T) {
 }
 
 // TestPooledPacketHasOneOwnerAcrossTheFabric sends pooled packets
-// through the two deliveries that hold a packet past Output — the flat
-// latency timer and the link queue (overflowing, and CE-marking by
-// clone) — with a receiver that does what a fast-path core does: read
+// through the delivery that holds a packet past Output — the link queue
+// (overflowing, and CE-marking by clone) — with a receiver that does what a fast-path core does: read
 // the packet, then release it. Each packet carries its sequence number
 // in every payload byte. A packet the fabric released as well, or
 // delivered twice, or recycled while queued, arrives with another
@@ -232,7 +231,6 @@ func TestPooledPacketHasOneOwnerAcrossTheFabric(t *testing.T) {
 		name  string
 		setup func(f *Fabric)
 	}{
-		{"latency timer", func(f *Fabric) { f.SetLatency(200 * time.Microsecond) }},
 		{"link queue overflow", func(f *Fabric) {
 			f.SetLink(LinkConfig{RateBps: 50e6, QueueCap: 16, ECNThreshold: 4, PropDelay: 100 * time.Microsecond})
 		}},

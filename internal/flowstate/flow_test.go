@@ -233,12 +233,3 @@ func TestRSSDeterministicPerFlow(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRSSSetEntry(t *testing.T) {
-	r := NewRSS()
-	r.SetCores(4)
-	r.SetEntry(5, 3)
-	if got := r.table[5].Load(); got != 3 {
-		t.Fatalf("entry 5 = %d", got)
-	}
-}

@@ -118,14 +118,6 @@ func (r *RSS) SetFailed(core int, failed bool) {
 	}
 }
 
-// Failed reports whether a core is currently excluded from steering.
-func (r *RSS) Failed(core int) bool {
-	if core < 0 || core >= rssMaxCores {
-		return false
-	}
-	return r.failed.Load()&(1<<uint(core)) != 0
-}
-
 // FailedCount returns how many cores are currently excluded.
 func (r *RSS) FailedCount() int {
 	mask := r.failed.Load()
@@ -149,16 +141,4 @@ func (r *RSS) CoreFor(hash uint32) int {
 // CoreForPacket is CoreFor applied to the packet's 4-tuple hash.
 func (r *RSS) CoreForPacket(p *protocol.Packet) int {
 	return r.CoreFor(p.Hash())
-}
-
-// SetEntry explicitly steers one bucket to a core (scale events rewrite
-// the whole table with SetCores instead). A failed core is never a valid
-// target: the request is redirected to the eligible set instead,
-// preserving the never-steer-to-failed invariant against racing callers.
-func (r *RSS) SetEntry(bucket int, core int) {
-	if r.Failed(core) {
-		elig := r.eligible(r.Cores())
-		core = int(elig[bucket%len(elig)])
-	}
-	r.table[bucket%RSSTableSize].Store(int32(core))
 }

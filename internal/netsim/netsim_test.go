@@ -98,7 +98,7 @@ func TestPortECNIgnoresNonECT(t *testing.T) {
 	c := &collector{eng: eng}
 	p := NewPort(eng, PortConfig{RateBps: 1e9, QueueCap: 100, ECNThreshold: 1}, c)
 	pkt := mkPkt(1, 2, 100)
-	pkt.ECN = protocol.ECNNotECT
+	pkt.ECN = 0 // not ECN-capable
 	p.Send(mkPkt(1, 2, 100))
 	p.Send(pkt)
 	eng.Run()

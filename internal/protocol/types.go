@@ -79,10 +79,9 @@ type ECN uint8
 
 // IP ECN codepoints.
 const (
-	ECNNotECT ECN = 0 // not ECN-capable transport
-	ECNECT1   ECN = 1 // ECN-capable transport (1)
-	ECNECT0   ECN = 2 // ECN-capable transport (0)
-	ECNCE     ECN = 3 // congestion experienced
+	ECNECT1 ECN = 1 // ECN-capable transport (1); 0 is not ECN-capable
+	ECNECT0 ECN = 2 // ECN-capable transport (0)
+	ECNCE   ECN = 3 // congestion experienced
 )
 
 // Protocol numbers and sizes.

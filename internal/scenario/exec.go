@@ -63,7 +63,7 @@ type run struct {
 
 	// Timeline state: events fire on one goroutine, so these need no lock.
 	injectors map[*tas.Service]*faultinject.Injector // per service, on first fault
-	linkCfg   *tas.LinkConfig                        // current link model (nil = flat latency)
+	linkCfg   *tas.LinkConfig                        // current link model (nil = direct delivery)
 
 	stop     chan struct{}
 	synsSent atomic.Int64   // spoofed segments the attack windows sent

@@ -16,7 +16,7 @@ const (
 	ImpLinkDown  = "link-down"  // take Host's link down
 	ImpLinkUp    = "link-up"    // bring Host's link back
 	ImpFlap      = "flap"       // Count down/up cycles on Host (Down/Up periods)
-	ImpDelay     = "delay"      // set propagation delay to Delay
+	ImpDelay     = "delay"      // set propagation delay to Delay (needs link model)
 	ImpRate      = "rate"       // set link rate to Rate Mbps (needs link model)
 )
 
@@ -140,17 +140,16 @@ var impairKinds = map[string]impairKind{
 		},
 	},
 	ImpDelay: {
-		validate: func(_ *Spec, imp Impairment, field func(string) string) error {
+		validate: func(s *Spec, imp Impairment, field func(string) string) error {
+			if s.Link == nil {
+				return specErr(ErrBadSpec, field("kind"), "delay impairment needs the link model (spec.link)")
+			}
 			return check(imp.Delay >= 0, ErrBadSpec, field("delay"), "negative delay %v", imp.Delay.D())
 		},
 		schedule: func(r *run, _ int, imp Impairment) []schedEvent {
 			return once(imp, "", func() string {
-				if r.linkCfg != nil {
-					r.linkCfg.PropDelay = imp.Delay.D()
-					r.fab.SetLink(*r.linkCfg)
-				} else {
-					r.fab.SetLatency(imp.Delay.D())
-				}
+				r.linkCfg.PropDelay = imp.Delay.D()
+				r.fab.SetLink(*r.linkCfg)
 				return fmt.Sprintf("delay=%v", imp.Delay.D())
 			})
 		},

@@ -278,6 +278,12 @@ func TestParseSpecRejections(t *testing.T) {
 			want: ErrBadSpec,
 		},
 		{
+			name: "delay impairment without link model",
+			json: `{"name":"x","workload":{"kind":"rpc"},
+			        "impairments":[{"at":"1s","kind":"delay","delay":"5ms"}]}`,
+			want: ErrBadSpec,
+		},
+		{
 			name: "link model without rate",
 			json: `{"name":"x","workload":{"kind":"rpc"},"link":{"rate_mbps":0}}`,
 			want: ErrBadSpec,

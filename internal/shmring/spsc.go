@@ -75,15 +75,6 @@ func (q *SPSC[T]) Dequeue() (v T, ok bool) {
 	return v, true
 }
 
-// Peek returns the oldest item without removing it.
-func (q *SPSC[T]) Peek() (v T, ok bool) {
-	head := q.head.Load()
-	if head == q.tail.Load() {
-		return v, false
-	}
-	return q.buf[head&q.mask], true
-}
-
 // DequeueBatch removes up to len(out) items into out and returns the
 // count, amortizing index updates — the batching opportunity dedicated-CPU
 // stacks exploit (§2.1).

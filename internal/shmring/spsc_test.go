@@ -45,21 +45,6 @@ func TestSPSCCapacityRounding(t *testing.T) {
 	}
 }
 
-func TestSPSCPeek(t *testing.T) {
-	q := NewSPSC[string](4)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("peek at empty")
-	}
-	q.Enqueue("a")
-	q.Enqueue("b")
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Fatalf("peek = %q, %v", v, ok)
-	}
-	if q.Len() != 2 {
-		t.Fatal("peek must not consume")
-	}
-}
-
 func TestSPSCWraparound(t *testing.T) {
 	q := NewSPSC[int](4)
 	for round := 0; round < 100; round++ {

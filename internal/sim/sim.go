@@ -78,11 +78,10 @@ func (t *Timer) Stop() bool {
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // New.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	stopped bool
-	rng     *rand.Rand
+	now    Time
+	seq    uint64
+	events eventHeap
+	rng    *rand.Rand
 }
 
 // New returns an Engine whose random source is seeded with seed.
@@ -117,9 +116,6 @@ func (e *Engine) After(d Time, fn func()) *Timer {
 	return e.At(e.now+d, fn)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Pending returns the number of scheduled (non-cancelled) events.
 func (e *Engine) Pending() int {
 	n := 0
@@ -145,10 +141,9 @@ func (e *Engine) step() bool {
 	return false
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
 }
 
@@ -156,8 +151,7 @@ func (e *Engine) Run() {
 // to t (even if the queue drained earlier). Events scheduled during the
 // run are honored if they fall within the horizon.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		// Peek.
 		var next *event
 		for len(e.events) > 0 {

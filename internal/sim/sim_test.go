@@ -89,28 +89,6 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := New(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events, want 3", count)
-	}
-	// Run resumes.
-	e.Run()
-	if count != 10 {
-		t.Fatalf("after resume ran %d events, want 10", count)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New(1)
 	var fired []Time

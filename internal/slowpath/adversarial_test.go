@@ -148,12 +148,12 @@ func TestBlindRstRejectedInWindowChallenged(t *testing.T) {
 	expect := f.AckNo
 	localSeq := f.SeqNo
 	f.Unlock()
-	fab.Tap = func(ts int64, pkt *protocol.Packet) {
+	fab.SetTap(func(ts int64, pkt *protocol.Packet) {
 		if pkt.SrcIP == ipA && pkt.Flags == protocol.FlagACK && pkt.Seq == localSeq && pkt.Ack == expect {
 			challenges.Add(1)
 		}
-	}
-	defer func() { fab.Tap = nil }()
+	})
+	defer fab.SetTap(nil)
 
 	rst := func(seq uint32) {
 		a.eng.Input(&protocol.Packet{

@@ -45,27 +45,3 @@ func SeqMin(a, b uint32) uint32 {
 func SeqInWindow(seq, start uint32, size uint32) bool {
 	return SeqGEQ(seq, start) && SeqLT(seq, start+size)
 }
-
-// Segments returns the number of MSS-sized segments needed to carry n
-// bytes (ceiling division); 0 for n <= 0.
-func Segments(n int, mss int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + mss - 1) / mss
-}
-
-// SegmentSizes invokes fn once per segment for n bytes of payload split
-// at mss boundaries, passing the byte offset and length of each segment.
-// It stops early if fn returns false.
-func SegmentSizes(n, mss int, fn func(off, length int) bool) {
-	for off := 0; off < n; off += mss {
-		l := n - off
-		if l > mss {
-			l = mss
-		}
-		if !fn(off, l) {
-			return
-		}
-	}
-}

@@ -82,66 +82,6 @@ func TestSeqInWindow(t *testing.T) {
 	}
 }
 
-func TestSegments(t *testing.T) {
-	cases := []struct{ n, mss, want int }{
-		{0, 1448, 0}, {-5, 1448, 0}, {1, 1448, 1}, {1448, 1448, 1},
-		{1449, 1448, 2}, {4344, 1448, 3}, {4345, 1448, 4},
-	}
-	for _, c := range cases {
-		if got := Segments(c.n, c.mss); got != c.want {
-			t.Errorf("Segments(%d, %d) = %d, want %d", c.n, c.mss, got, c.want)
-		}
-	}
-}
-
-func TestSegmentSizes(t *testing.T) {
-	var offs, lens []int
-	SegmentSizes(3000, 1448, func(off, l int) bool {
-		offs = append(offs, off)
-		lens = append(lens, l)
-		return true
-	})
-	if len(offs) != 3 || offs[0] != 0 || offs[1] != 1448 || offs[2] != 2896 {
-		t.Fatalf("offs = %v", offs)
-	}
-	if lens[0] != 1448 || lens[1] != 1448 || lens[2] != 104 {
-		t.Fatalf("lens = %v", lens)
-	}
-}
-
-func TestSegmentSizesEarlyStop(t *testing.T) {
-	count := 0
-	SegmentSizes(10000, 1000, func(off, l int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-}
-
-func TestSegmentSizesCoversAllBytes(t *testing.T) {
-	f := func(n uint16, mssRaw uint8) bool {
-		mss := int(mssRaw)%1448 + 1
-		total := 0
-		last := -1
-		SegmentSizes(int(n), mss, func(off, l int) bool {
-			if off != last+1 && off != 0 && total != off {
-				return false
-			}
-			if l <= 0 || l > mss {
-				return false
-			}
-			total += l
-			return true
-		})
-		return total == int(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRTTEstimator(t *testing.T) {
 	r := NewRTTEstimator()
 	if r.Initialized() {

@@ -24,10 +24,11 @@ const (
 
 // Writer streams packets into a pcap file.
 type Writer struct {
-	mu  sync.Mutex
-	w   io.Writer
-	n   uint64
-	err error
+	mu     sync.Mutex
+	w      io.Writer
+	n      uint64
+	err    error
+	closed bool
 }
 
 // NewWriter writes the pcap global header and returns the writer.
@@ -51,7 +52,7 @@ func (p *Writer) WritePacket(tsNanos int64, pkt *protocol.Packet) error {
 	frame := protocol.Marshal(pkt)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil {
+	if p.err != nil || p.closed {
 		return p.err
 	}
 	var rec [16]byte
@@ -85,13 +86,16 @@ func (p *Writer) writeFull(b []byte) error {
 	return err
 }
 
-// Err returns the first error the writer encountered (nil if none).
-// Taps such as Fabric.CaptureTo ignore WritePacket's per-call return;
-// Err lets them surface a latched failure — a capture that stopped
-// mid-stream — when the capture is closed.
-func (p *Writer) Err() error {
+// Close ends the capture: a later WritePacket writes nothing, so a tap
+// that races its own removal cannot touch the underlying writer once
+// Close has returned. It returns the first error the writer encountered
+// (nil if none); taps such as Fabric.CaptureTo ignore WritePacket's
+// per-call return, and Close surfaces a latched failure — a capture
+// that stopped mid-stream.
+func (p *Writer) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.closed = true
 	return p.err
 }
 

@@ -355,12 +355,12 @@ func TestCloseSurvivesWarmRestart(t *testing.T) {
 	cfg := Config{RxBufSize: 16 << 10, TxBufSize: 16 << 10, PersistRTO: 20 * time.Millisecond, TimeWaitDuration: 5 * time.Second}
 	fab, srv, cli := newPair(t, cfg)
 	var fins atomic.Int32 // client FINs the fabric has seen; the first is lost
-	fab.f.Tap = func(_ int64, p *protocol.Packet) {
+	fab.f.SetTap(func(_ int64, p *protocol.Packet) {
 		if p.SrcIP == cli.IP && p.Flags.Has(protocol.FlagFIN) && fins.Add(1) == 1 {
 			p.DstIP = protocol.MakeIPv4(10, 0, 0, 99) // no such host
 		}
-	}
-	t.Cleanup(func() { fab.f.Tap = nil })
+	})
+	t.Cleanup(func() { fab.f.SetTap(nil) })
 
 	ln, err := srv.NewContext().Listen(8080)
 	if err != nil {

@@ -74,9 +74,6 @@ func NewFabric() *Fabric { return &Fabric{f: fabric.New()} }
 // (failure injection).
 func (f *Fabric) SetLoss(p float64) { f.f.SetLossRate(p) }
 
-// SetLatency adds one-way delivery latency.
-func (f *Fabric) SetLatency(d time.Duration) { f.f.SetLatency(d) }
-
 // GEConfig parameterizes the Gilbert–Elliott burst-loss model.
 type GEConfig = stats.GEConfig
 
@@ -146,10 +143,10 @@ func (f *Fabric) Reseed(seed int64) { f.f.Reseed(seed) }
 type LinkConfig = fabric.LinkConfig
 
 // SetLink installs (or reconfigures, mid-run) the link model on every
-// destination. Without it delivery is synchronous apart from
-// SetLatency's flat delay — infinite bandwidth, so bursts arrive as
-// bursts; with it, packets serialize at the configured rate through a
-// bounded queue, giving congestion-limited behavior under load.
+// destination. Without it delivery is a synchronous hand-off — infinite
+// bandwidth, so bursts arrive as bursts; with it, packets serialize at
+// the configured rate through a bounded queue and then wait out the
+// propagation delay, giving congestion-limited behavior under load.
 func (f *Fabric) SetLink(cfg LinkConfig) { f.f.SetLink(cfg) }
 
 // ClearLink removes the link model.
@@ -188,10 +185,10 @@ func (f *Fabric) CaptureTo(w io.Writer) (stop func() error, err error) {
 	if err != nil {
 		return nil, err
 	}
-	f.f.Tap = func(ts int64, pkt *protocol.Packet) { pw.WritePacket(ts, pkt) }
+	f.f.SetTap(func(ts int64, pkt *protocol.Packet) { pw.WritePacket(ts, pkt) })
 	return func() error {
-		f.f.Tap = nil
-		return pw.Err()
+		f.f.SetTap(nil)
+		return pw.Close()
 	}, nil
 }
 
@@ -219,9 +216,6 @@ type Service struct {
 	telem *telemetry.Telemetry // nil when telemetry is off
 	gov   *resource.Governor
 
-	// slow is atomic because Restart swaps in a fresh instance while
-	// application goroutines and metric scrapes are running.
-	slow     atomic.Pointer[slowpath.Slowpath]
 	restarts atomic.Uint64
 }
 
@@ -281,7 +275,6 @@ func (f *Fabric) NewService(addr string, cfg Config) (*Service, error) {
 	}
 	slow.Start()
 	s := &Service{IP: ip, eng: eng, fab: f, telem: telem, gov: cfg.Gov}
-	s.slow.Store(slow)
 	s.stack = libtas.NewStack(eng, slow)
 	if telem != nil {
 		s.registerMetrics()
@@ -303,12 +296,11 @@ type RecoveryStats = slowpath.RecoveryStats
 // counts into its predecessor's counter block, so every exported series
 // stays monotonic across the restart.
 func (s *Service) Restart() RecoveryStats {
-	old := s.slow.Load()
+	old := s.stack.Slow()
 	old.Kill()
 	ns := old.Successor()
 	rep := ns.Recover()
 	ns.Start()
-	s.slow.Store(ns)
 	s.stack.SetSlow(ns)
 	s.restarts.Add(1)
 	return rep
@@ -572,7 +564,7 @@ func (s *Service) Close() {
 		s.telem.Series.Stop()
 	}
 	s.fab.f.Detach(s.IP)
-	s.slow.Load().Stop()
+	s.Slow().Stop()
 	s.eng.Stop()
 }
 
@@ -583,7 +575,7 @@ func (s *Service) Engine() *fastpath.Engine { return s.eng }
 // Slow exposes the current slow-path instance (reaper and admission
 // counters, Kill) for tools and tests. Note that Restart swaps
 // the instance; do not cache the pointer across restarts.
-func (s *Service) Slow() *slowpath.Slowpath { return s.slow.Load() }
+func (s *Service) Slow() *slowpath.Slowpath { return s.stack.Slow() }
 
 // ServiceStats is a consolidated robustness snapshot of one service: the
 // slow path's counters and the fast path's drop counters under their
@@ -633,7 +625,7 @@ func (st ServiceStats) Drop(cause string) (uint64, bool) {
 
 // Stats snapshots the service's robustness counters and gauges.
 func (s *Service) Stats() ServiceStats {
-	slow := s.slow.Load()
+	slow := s.Slow()
 	gs := s.gov.Snapshot()
 	st := ServiceStats{
 		Counters:  slow.Counters(),

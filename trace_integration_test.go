@@ -2,6 +2,7 @@ package tas
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 func TestHandshakeOnTheWire(t *testing.T) {
 	fab, srv, cli := newPair(t, Config{})
 	var rec trace.Recorder
-	fab.f.Tap = rec.Tap
+	fab.f.SetTap(rec.Tap)
 
 	sctx := srv.NewContext()
 	ln, err := sctx.Listen(8085)
@@ -148,4 +149,72 @@ func TestHandshakeOnTheWire(t *testing.T) {
 	if count != len(recs) {
 		t.Fatalf("pcap round trip: %d of %d packets", count, len(recs))
 	}
+}
+
+// TestCaptureWhileTrafficFlows starts and stops a pcap capture three
+// times while a bulk transfer runs. Under -race it checks that installing
+// and removing the fabric's tap races no sender, and that nothing reaches
+// the capture's writer once stop has returned: the test reads the
+// buffer straight after.
+func TestCaptureWhileTrafficFlows(t *testing.T) {
+	fab, srv, cli := newPair(t, Config{})
+	ln, err := srv.NewContext().Listen(8086)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		c, err := ln.Accept(5 * time.Second)
+		if err == nil {
+			io.Copy(io.Discard, c)
+		}
+	}()
+	c, err := cli.NewContext().Dial("10.0.0.1", 8086)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quit, sent := make(chan struct{}), make(chan error, 1)
+	go func() {
+		chunk := make([]byte, 16<<10)
+		for {
+			select {
+			case <-quit:
+				sent <- nil
+				return
+			default:
+			}
+			if _, err := c.Write(chunk); err != nil {
+				sent <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		var buf bytes.Buffer
+		stop, err := fab.CaptureTo(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if err := stop(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; ; n++ {
+			if _, err := rd.Next(); err != nil {
+				break
+			}
+		}
+		if n == 0 {
+			t.Fatalf("capture %d saw no packet of a running transfer", i)
+		}
+	}
+	close(quit)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 }
