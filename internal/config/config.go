@@ -16,7 +16,6 @@ package config
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"time"
 
 	"repro/internal/congestion"
@@ -170,12 +169,6 @@ type Config struct {
 	// silently, so well-behaved peers retry). Default 128.
 	ListenBacklog int `json:"listen_backlog,omitempty"`
 
-	// HandshakeStripes is the number of lock stripes sharding the slow
-	// path's listener and half-open tables (default 16, rounded up to a
-	// power of two). A SYN flood on one port contends only with setup
-	// that hashes to the same stripe.
-	HandshakeStripes int `json:"handshake_stripes,omitempty"`
-
 	// SynCookies selects the SYN-cookie mode: SynCookiesAuto, Always or
 	// Off. Under cookies the SYN-ACK's initial sequence number is a keyed
 	// MAC over the 4-tuple, so a flood costs the slow path no memory and
@@ -243,8 +236,6 @@ func (c *Config) Fill() {
 	setDefault(&c.FinWait2Timeout, 5*time.Second)
 	setDefault(&c.TimeWaitDuration, time.Second)
 	setDefault(&c.ListenBacklog, 128)
-	setDefault(&c.HandshakeStripes, 16)
-	c.HandshakeStripes = 1 << bits.Len(uint(c.HandshakeStripes-1))
 	setDefault(&c.SynRateThreshold, 512)
 	setDefault(&c.IdleReclaimAge, time.Second)
 	setDefault(&c.ReclaimBatch, 32)
@@ -283,7 +274,6 @@ func (c Config) Validate() error {
 		{"FinWait2Timeout", int64(c.FinWait2Timeout)},
 		{"TimeWaitDuration", int64(c.TimeWaitDuration)},
 		{"ListenBacklog", int64(c.ListenBacklog)},
-		{"HandshakeStripes", int64(c.HandshakeStripes)},
 		{"IdleReclaimAge", int64(c.IdleReclaimAge)},
 		{"ReclaimBatch", int64(c.ReclaimBatch)},
 	} {

@@ -21,10 +21,6 @@ type TimeWaitEntry struct {
 	FinalSeq uint32 // SND.NXT: sequence just past our FIN
 	FinalAck uint32 // RCV.NXT: ack just past the peer's FIN
 	Expiry   int64  // engine-clock nanos; refreshed on peer FIN rexmit
-
-	// seqno orders entries for oldest-first eviction when the pool cap
-	// is hit (Linux-style tw-bucket recycling).
-	seqno uint64
 }
 
 // TimeWaitTable is the 2MSL quarantine. Like the flow and listener
@@ -33,10 +29,16 @@ type TimeWaitEntry struct {
 // governor charges) instead of forgetting that a previous incarnation
 // of a 4-tuple just died. Expiry deadlines use the engine clock, which
 // also survives slow-path restarts.
+//
+// Every deadline is now plus one constant quarantine, so the queue
+// holds entries in deadline order and Expire and EvictOldest pop heads
+// only. An entry the map no longer points at (removed, replaced or
+// extended) is stale: it stays queued until it reaches the head and is
+// dropped there uncounted.
 type TimeWaitTable struct {
-	mu   sync.Mutex
-	m    map[protocol.FlowKey]*TimeWaitEntry
-	next uint64
+	mu sync.Mutex
+	m  map[protocol.FlowKey]*TimeWaitEntry
+	q  []*TimeWaitEntry // insertion order
 }
 
 // NewTimeWaitTable returns an empty quarantine.
@@ -47,9 +49,8 @@ func NewTimeWaitTable() *TimeWaitTable {
 // Insert quarantines a tuple, replacing any existing entry for the key.
 func (t *TimeWaitTable) Insert(e *TimeWaitEntry) {
 	t.mu.Lock()
-	t.next++
-	e.seqno = t.next
 	t.m[e.Key] = e
+	t.q = append(t.q, e)
 	t.mu.Unlock()
 }
 
@@ -66,56 +67,63 @@ func (t *TimeWaitTable) Lookup(k protocol.FlowKey) *TimeWaitEntry {
 func (t *TimeWaitTable) Remove(k protocol.FlowKey) bool {
 	t.mu.Lock()
 	_, ok := t.m[k]
-	if ok {
-		delete(t.m, k)
-	}
+	delete(t.m, k)
 	t.mu.Unlock()
 	return ok
 }
 
 // Extend refreshes k's expiry (a retransmitted peer FIN restarts the
-// 2MSL clock, per RFC 793).
+// 2MSL clock, per RFC 793). The refreshed entry is a copy queued at the
+// tail, where its new deadline belongs.
 func (t *TimeWaitTable) Extend(k protocol.FlowKey, expiry int64) {
 	t.mu.Lock()
 	if e := t.m[k]; e != nil && expiry > e.Expiry {
-		e.Expiry = expiry
+		n := *e
+		n.Expiry = expiry
+		t.m[k] = &n
+		t.q = append(t.q, &n)
 	}
 	t.mu.Unlock()
 }
 
-// Expire removes and returns the number of entries whose deadline has
-// passed.
+// Expire removes the entries whose deadline has passed and returns how
+// many it removed.
 func (t *TimeWaitTable) Expire(now int64) int {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := 0
-	for k, e := range t.m {
-		if e.Expiry <= now {
-			delete(t.m, k)
-			n++
-		}
+	for e := t.head(); e != nil && e.Expiry <= now; e = t.head() {
+		delete(t.m, e.Key)
+		n++
 	}
-	t.mu.Unlock()
 	return n
 }
 
-// EvictOldest removes the oldest-inserted entry, reporting whether one
-// existed. Called when the quarantine pool is at capacity: recycling
-// the oldest incarnation is safer than refusing to quarantine the
-// newest.
+// EvictOldest removes the least recently inserted or extended entry,
+// reporting whether one existed. Called when the quarantine pool is at
+// capacity: recycling the oldest incarnation is safer than refusing to
+// quarantine the newest.
 func (t *TimeWaitTable) EvictOldest() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var victim *TimeWaitEntry
-	for _, e := range t.m {
-		if victim == nil || e.seqno < victim.seqno {
-			victim = e
+	e := t.head()
+	if e != nil {
+		delete(t.m, e.Key)
+	}
+	return e != nil
+}
+
+// head drops stale entries off the front of the queue and returns the
+// first live one, or nil. Caller holds mu.
+func (t *TimeWaitTable) head() *TimeWaitEntry {
+	for len(t.q) > 0 {
+		if e := t.q[0]; t.m[e.Key] == e {
+			return e
 		}
+		t.q[0] = nil
+		t.q = t.q[1:]
 	}
-	if victim == nil {
-		return false
-	}
-	delete(t.m, victim.Key)
-	return true
+	return nil
 }
 
 // Len returns the number of quarantined tuples.

@@ -50,8 +50,8 @@ type Assertions struct {
 	MinCookiesValidated int `json:"min_cookies_validated,omitempty"`
 
 	// ProbeP99 enables the control-port prober and bounds its p99 dial
-	// latency during attack windows: handshakes on a port striped away
-	// from the attacked one must stay fast while the flood runs.
+	// latency during attack windows: handshakes on a second port, not the
+	// attacked one, must stay fast while the flood runs.
 	ProbeP99 Duration `json:"probe_p99,omitempty"`
 
 	// RttP99Under bounds the server's p99 smoothed RTT over the whole
@@ -250,7 +250,7 @@ var assertions = []assertion{
 		} else {
 			bound := float64(e.a.ProbeP99.D().Microseconds()) / 1000
 			e.add("probe-p99", p.P99MS <= bound && p.Fails == 0,
-				"cross-stripe dial p99 %.2fms over %d dials, %d failed (bound %.2fms)",
+				"second-port dial p99 %.2fms over %d dials, %d failed (bound %.2fms)",
 				p.P99MS, p.Dials, p.Fails, bound)
 		}
 	}},

@@ -19,7 +19,7 @@ const (
 // (replies route nowhere, as for a real blind attacker). Entries must
 // be ordered by At. While any attack window is open, the executor's
 // control-port prober (see Assertions.ProbeP99) measures handshake
-// latency on a port striped away from the attacked one.
+// latency on a second port, not the attacked one.
 type Attack struct {
 	At   Duration `json:"at"`
 	For  Duration `json:"for"`            // attack window length
@@ -69,7 +69,7 @@ func (s *Spec) validateAttacks() error {
 // attackEvent schedules one adversarial-traffic window. The attack runs
 // on its own goroutine so the timeline player is free to fire later
 // events while the attack is still in progress; so does the window's
-// cross-stripe prober, when the run asserts on it.
+// second-port prober, when the run asserts on it.
 func (r *run) attackEvent(idx int, a Attack) schedEvent {
 	port := a.Port
 	if port == 0 {
@@ -108,10 +108,9 @@ func (r *run) attackEvent(idx int, a Attack) schedEvent {
 	return ev
 }
 
-// probe dials the probe port — striped away from the workload port —
-// until end, recording handshake latency. It is the run's striping
-// control: flood pressure on one stripe must not slow dials that take a
-// different stripe's lock.
+// probe dials the probe port — a second port, not the workload port —
+// until end, recording handshake latency. It is the run's control: a
+// flood on one port must not slow handshakes on another.
 func (r *run) probe(end time.Time) {
 	ctx := r.clients[0].NewContext()
 	for time.Now().Before(end) {

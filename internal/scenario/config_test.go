@@ -121,7 +121,7 @@ func TestEveryKnobDeclaredOnce(t *testing.T) {
 	want := []string{
 		"app_max_flows", "app_max_payload_bytes", "challenge_ack_per_sec",
 		"client_cores", "clients", "congestion_control", "core_timeout",
-		"disable_core_scaling", "fin_wait2_timeout", "handshake_rto", "handshake_stripes",
+		"disable_core_scaling", "fin_wait2_timeout", "handshake_rto",
 		"idle_reclaim_age", "keepalive_interval", "keepalive_probes", "keepalive_time",
 		"listen_backlog", "max_flows", "max_half_open", "max_payload_bytes",
 		"max_persist_probes", "max_retransmits", "persist_rto", "pressure_engage_pct",

@@ -24,10 +24,8 @@ type RunOptions struct {
 
 const (
 	serverPort = 7000
-	// probePort carries the striping control experiment: with the default
-	// 16 handshake stripes, 7000 hashes to stripe 3 and 7001 to stripe 13,
-	// so flood pressure on the workload port and probe dials never share a
-	// handshake-table lock.
+	// probePort carries the control experiment: dials to a second port
+	// while a flood hammers the workload port.
 	probePort = 7001
 	opTimeout = 2 * time.Second // bound on any single blocking Read/Write/Dial
 	maxWait   = 30 * time.Second
@@ -126,7 +124,7 @@ func serverConfig(t Topology) tas.Config {
 func clientConfig(t Topology) tas.Config {
 	cfg := serverConfig(t)
 	cfg.MaxCores = t.ClientCores
-	cfg.ListenBacklog, cfg.HandshakeStripes, cfg.ChallengeAckPerSec = 0, 0, 0
+	cfg.ListenBacklog, cfg.ChallengeAckPerSec = 0, 0
 	cfg.SynCookies, cfg.SynRateThreshold = "", 0
 	cfg.RxBufSize, cfg.TxBufSize = 0, 0
 	cfg.Limits, cfg.IdleReclaimAge, cfg.ReclaimBatch = tas.Limits{}, 0, 0

@@ -140,7 +140,7 @@ var library = map[string]Spec{
 	"syn-flood": {
 		Description: "50K pps spoofed SYN flood on the workload port for 2s: SYN cookies " +
 			"carry legitimate handshakes statelessly, transfers stay intact, and dials " +
-			"on a second port (different handshake stripe) keep a bounded p99.",
+			"on a second port keep a bounded p99.",
 		Seed:     71,
 		Duration: 60 * sec,
 		Topology: Topology{Clients: 2, Config: tas.Config{ListenBacklog: 64}},
@@ -155,7 +155,7 @@ var library = map[string]Spec{
 		Attacks:  []Attack{{At: 200 * ms, For: 2 * sec, Kind: "syn-flood", Rate: 50000}},
 		Assert: Assertions{
 			Intact: true, AllComplete: true, MinCookiesValidated: 10,
-			// Plain runs measure a ~40ms cross-stripe p99; the bound leaves
+			// Plain runs measure a ~40ms second-port p99; the bound leaves
 			// headroom for the race detector's ~10-20× slowdown because CI
 			// executes this scenario race-enabled.
 			ProbeP99:    sec,

@@ -53,7 +53,7 @@ type WorkloadResult struct {
 }
 
 // ProbeResult summarizes the control-port prober: dial-handshake
-// latency on a port striped away from the attacked one, measured only
+// latency on a second port, not the attacked one, measured only
 // while attack windows were open.
 type ProbeResult struct {
 	Dials int     `json:"dials"`

@@ -130,11 +130,6 @@ func TestParseSpecRejections(t *testing.T) {
 			want: ErrBadSpec,
 		},
 		{
-			name: "negative handshake stripes",
-			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"handshake_stripes":-16}}`,
-			want: ErrBadSpec,
-		},
-		{
 			name: "unknown syn-cookie mode",
 			json: `{"name":"x","workload":{"kind":"rpc"},"topology":{"syn_cookies":"sometimes"}}`,
 			want: ErrUnknownKind,

@@ -15,12 +15,11 @@ import (
 )
 
 // lookupHalf fetches a half-open entry; the handlers work under the
-// stripe lock directly.
+// table lock directly.
 func (s *Slowpath) lookupHalf(key protocol.FlowKey) *halfOpen {
-	st := s.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.half[key]
+	s.hs.mu.Lock()
+	defer s.hs.mu.Unlock()
+	return s.hs.half[key]
 }
 
 // TestSynCookieHandshakeEndToEnd: with cookies always on, a real
@@ -278,21 +277,18 @@ func TestSpoofedSynCannotDisturbActiveOpen(t *testing.T) {
 // only passive entries own backlog slots.
 func TestDropHalfNeverTouchesListenerFromActiveOpen(t *testing.T) {
 	l := &listener{ListenerEntry: &flowstate.ListenerEntry{Port: 80, Backlog: 8, Pending: new(atomic.Int32)}, halfCount: 3}
-	st := &stripe{
-		listeners: map[uint16]*listener{80: l},
-		half:      make(map[protocol.FlowKey]*halfOpen),
-	}
+	_, sp, _ := newWireRig(Config{})
 	key := protocol.FlowKey{LocalPort: 40000}
 	h := &halfOpen{key: key, passive: false, lst: l} // corrupt: active with lst set
-	st.half[key] = h
-	st.dropHalf(key, h)
+	sp.hs.addHalf(h)
+	sp.dropHalf(h)
 	if l.halfCount != 3 {
 		t.Fatalf("active-open drop changed listener halfCount: %d", l.halfCount)
 	}
 	// A passive entry does release its slot.
 	h2 := &halfOpen{key: key, passive: true, lst: l}
-	st.half[key] = h2
-	st.dropHalf(key, h2)
+	sp.hs.addHalf(h2)
+	sp.dropHalf(h2)
 	if l.halfCount != 2 {
 		t.Fatalf("passive drop did not release the slot: %d", l.halfCount)
 	}
@@ -313,14 +309,14 @@ func TestEstablishedSynDrawsChallengeNotReset(t *testing.T) {
 	}
 }
 
-// TestStripedDialsConcurrent exercises the striped tables under the
-// race detector: concurrent dials across many ports, against listeners
-// spread across stripes, while a spoofed flood hammers one port.
+// TestStripedDialsConcurrent exercises the handshake table under the
+// race detector: concurrent dials across many ports, against several
+// listeners, while a spoofed flood hammers one port.
 func TestStripedDialsConcurrent(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
 	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{HandshakeStripes: 8})
+	b := newNode(t, fab, ipB, Config{})
 	const listeners = 8
 	for p := 0; p < listeners; p++ {
 		if err := b.sp.Listen(uint16(7000+p), 0, uint64(p)); err != nil {
@@ -334,7 +330,7 @@ func TestStripedDialsConcurrent(t *testing.T) {
 	go func() {
 		defer floodWG.Done()
 		// Paced, not a busy loop: the point is lock contention on the
-		// flooded stripe, and an unthrottled spin starves the dialing
+		// handshake table, and an unthrottled spin starves the dialing
 		// goroutines outright when the whole repo's tests share the
 		// machine under the race detector.
 		i := 0

@@ -79,33 +79,33 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 			return
 		}
 	}
-	st := s.stripeFor(key.LocalPort)
-	st.mu.Lock()
-	if h, dup := st.half[key]; dup {
+	t := &s.hs
+	t.mu.Lock()
+	if h, dup := t.half[key]; dup {
 		if !h.passive {
 			// The key matches one of our in-flight active opens. Whether
 			// this is a simultaneous open or a spoofed SYN, it must not
 			// perturb the handshake or release the port reservation; the
 			// SYN-ACK retransmission sweep drives it to resolution.
-			st.mu.Unlock()
+			t.mu.Unlock()
 			return
 		}
 		// SYN retransmission: re-send our SYNACK.
 		iss, peer := h.iss, h.peerISS
-		st.mu.Unlock()
+		t.mu.Unlock()
 		s.sendCtl(key, protocol.FlagSYN|protocol.FlagACK, iss, peer+1, true)
 		return
 	}
-	l := st.listeners[key.LocalPort]
+	l := t.listeners[key.LocalPort]
 	if l == nil {
-		st.mu.Unlock()
+		t.mu.Unlock()
 		s.ctr.Rejected.Add(1)
 		s.sendCtl(key, protocol.FlagRST|protocol.FlagACK, 0, pkt.Seq+1, false)
 		return
 	}
 	now := s.eng.NowNanos()
 	if s.cookiesEngaged(l, now) {
-		st.mu.Unlock()
+		t.mu.Unlock()
 		// Stateless handshake: no half-open entry, no backlog slot — the
 		// completing ACK proves the initiator is reachable and carries
 		// everything needed to reconstruct the connection.
@@ -119,26 +119,26 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 	// No RST — this is overload, not refusal; the peer's handshake
 	// retransmission retries when (if) there is room.
 	if l.halfCount+int(l.Pending.Load()) >= l.Backlog ||
-		(st.gov != nil && st.gov.Acquire(resource.PoolHalfOpen, 1) != nil) {
+		(s.cfg.Gov != nil && s.cfg.Gov.Acquire(resource.PoolHalfOpen, 1) != nil) {
 		s.ctr.SynBacklogDrops.Add(1)
-		st.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	h := &halfOpen{
-		key: key, iss: st.rng.Uint32(), ctxID: l.CtxID, opaque: l.Opaque,
+		key: key, iss: t.rng.Uint32(), ctxID: l.CtxID, opaque: l.Opaque,
 		passive: true, peerISS: pkt.Seq,
 		rexmit: startRetry(now, s.cfg.HandshakeRTO), lst: l, born: now,
 	}
-	st.half[key] = h
+	t.addHalf(h)
 	l.halfCount++
-	st.mu.Unlock()
+	t.mu.Unlock()
 	s.record(key, telemetry.FESynRx, pkt.Seq, 0, 0)
 	s.sendHandshake(h)
 }
 
 // sendHandshake (re)sends h's own handshake segment — the SYN-ACK of a
 // passive open, the SYN of an active one. Everything it reads is fixed
-// at the entry's creation, so no stripe lock is needed. The segment is
+// at the entry's creation, so no table lock is needed. The segment is
 // recorded before it leaves: the fabric may deliver the answer, and the
 // event loop record it, before the send returns.
 func (s *Slowpath) sendHandshake(h *halfOpen) {
@@ -153,11 +153,10 @@ func (s *Slowpath) sendHandshake(h *halfOpen) {
 
 // handleSynAck: completion of our active open.
 func (s *Slowpath) handleSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
-	st := s.stripeOf(key)
-	st.mu.Lock()
-	h := st.half[key]
+	s.hs.mu.Lock()
+	h := s.hs.half[key]
 	if h == nil || h.passive {
-		st.mu.Unlock()
+		s.hs.mu.Unlock()
 		// Our final handshake ACK may have been lost and the peer
 		// retransmitted its SYN-ACK: re-ack from the installed flow so
 		// the passive side can establish.
@@ -170,11 +169,11 @@ func (s *Slowpath) handleSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
 		return // stale
 	}
 	if pkt.Ack != h.iss+1 {
-		st.mu.Unlock()
+		s.hs.mu.Unlock()
 		return // not for our SYN
 	}
-	st.dropHalf(key, h)
-	st.mu.Unlock()
+	s.dropHalf(h)
+	s.hs.mu.Unlock()
 
 	s.record(key, telemetry.FESynAckRx, pkt.Seq, pkt.Ack, 0)
 	if err := s.admitFlow(h.ctxID); err != nil {
@@ -198,11 +197,11 @@ func (s *Slowpath) handleSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
 // stateless (SYN-cookie) handshake, or a packet that raced flow
 // installation (re-inject it).
 func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
-	st := s.stripeOf(key)
-	st.mu.Lock()
-	if h := st.half[key]; h != nil && h.passive && pkt.Flags.Has(protocol.FlagACK) && pkt.Ack == h.iss+1 {
-		st.dropHalf(key, h)
-		st.mu.Unlock()
+	t := &s.hs
+	t.mu.Lock()
+	if h := t.half[key]; h != nil && h.passive && pkt.Flags.Has(protocol.FlagACK) && pkt.Ack == h.iss+1 {
+		s.dropHalf(h)
+		t.mu.Unlock()
 		s.completePassive(h, pkt)
 		return
 	}
@@ -210,13 +209,13 @@ func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
 	// and the flow is not already installed, this may be the ACK of a
 	// stateless handshake: validate the cookie carried in the ack
 	// number and reconstruct the connection the slow path never stored.
-	if l := st.listeners[key.LocalPort]; l != nil &&
+	if l := t.listeners[key.LocalPort]; l != nil &&
 		pkt.Flags.Has(protocol.FlagACK) && s.cookiesActive(l, s.eng.NowNanos()) &&
 		s.eng.Table.Lookup(key) == nil {
 		h, ok := s.cookieHalf(key, pkt, l)
 		if !ok {
 			s.ctr.SynCookiesRejected.Add(1)
-			st.mu.Unlock()
+			t.mu.Unlock()
 			s.record(key, telemetry.FESynCookieBad, pkt.Seq, pkt.Ack, 0)
 			return
 		}
@@ -225,17 +224,17 @@ func (s *Slowpath) handlePlain(key protocol.FlowKey, pkt *protocol.Packet) {
 			// stateless handshake already told the peer "established", so
 			// shedding must fail closed: RST, not a silent wedge.
 			s.ctr.AcceptQueueDrops.Add(1)
-			st.mu.Unlock()
+			t.mu.Unlock()
 			s.sendCtl(key, protocol.FlagRST|protocol.FlagACK, pkt.Ack, pkt.Seq, false)
 			return
 		}
-		st.mu.Unlock()
+		t.mu.Unlock()
 		s.ctr.SynCookiesValidated.Add(1)
 		s.record(key, telemetry.FESynCookieOK, pkt.Seq, pkt.Ack, 0)
 		s.completePassive(h, pkt)
 		return
 	}
-	st.mu.Unlock()
+	t.mu.Unlock()
 
 	if s.eng.Table.Lookup(key) != nil {
 		// Raced installation: back to the fast path.
@@ -491,9 +490,8 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 // with an exact-sequence RST), and anything else is dropped. All
 // rejected RSTs count in BlindRstDrops.
 func (s *Slowpath) handleRst(key protocol.FlowKey, pkt *protocol.Packet) {
-	st := s.stripeOf(key)
-	st.mu.Lock()
-	if h := st.half[key]; h != nil {
+	s.hs.mu.Lock()
+	if h := s.hs.half[key]; h != nil {
 		valid := false
 		if h.passive {
 			valid = pkt.Seq == h.peerISS+1
@@ -502,18 +500,18 @@ func (s *Slowpath) handleRst(key protocol.FlowKey, pkt *protocol.Packet) {
 		}
 		if !valid {
 			s.ctr.BlindRstDrops.Add(1)
-			st.mu.Unlock()
+			s.hs.mu.Unlock()
 			return
 		}
-		st.dropHalf(key, h)
-		st.mu.Unlock()
+		s.dropHalf(h)
+		s.hs.mu.Unlock()
 		s.ctr.Rejected.Add(1)
 		if !h.passive {
 			s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnRefused})
 		}
 		return
 	}
-	st.mu.Unlock()
+	s.hs.mu.Unlock()
 	f := s.eng.Table.Lookup(key)
 	if f == nil {
 		// Deliberately no TIME_WAIT lookup here: an RST must not cut a
@@ -596,41 +594,6 @@ func (s *Slowpath) notifyAborted(f *flowstate.Flow, cause uint32) {
 	ctxID, opaque := f.Context, f.Opaque
 	f.Unlock()
 	s.notify(ctxID, fastpath.Event{Kind: fastpath.EvAborted, Opaque: opaque, Bytes: cause, Flow: f})
-}
-
-// handshakeSweep retransmits unanswered SYNs / SYN-ACKs with
-// exponential backoff and reaps half-open entries whose retry budget is
-// exhausted — the slow path owns handshake timeouts (§3.2). An active
-// open that gives up delivers EvConnected/ConnTimedOut so the
-// application unblocks in bounded time.
-func (s *Slowpath) handshakeSweep(now int64) {
-	var resend, failed []*halfOpen
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		for key, h := range st.half {
-			if !h.rexmit.due(now) {
-				continue
-			}
-			if h.rexmit.attempts >= s.cfg.HandshakeRetries {
-				st.dropHalf(key, h)
-				s.ctr.HandshakeTimeouts.Add(1)
-				if !h.passive {
-					failed = append(failed, h)
-				}
-				continue
-			}
-			h.rexmit.backoff(now, 0)
-			s.ctr.HandshakeRexmits.Add(1)
-			resend = append(resend, h)
-		}
-		st.mu.Unlock()
-	}
-	for _, h := range resend {
-		s.sendHandshake(h)
-	}
-	for _, h := range failed {
-		s.notify(h.ctxID, fastpath.Event{Kind: fastpath.EvConnected, Opaque: h.opaque, Bytes: fastpath.ConnTimedOut})
-	}
 }
 
 // closeTick supervises a close the application asked for, from the

@@ -291,6 +291,41 @@ func BenchmarkControlTick(b *testing.B) {
 	}
 }
 
+// BenchmarkSlowTick times the whole event-loop tick over TIME_WAIT
+// tuples and half-open handshakes whose deadlines are a year off: a tick
+// that pops due deadlines only costs the same whatever those tables hold.
+func BenchmarkSlowTick(b *testing.B) {
+	for _, n := range []struct{ tw, half int }{{0, 0}, {16384, 4096}} {
+		b.Run(fmt.Sprintf("timewait=%d,halfopen=%d", n.tw, n.half), func(b *testing.B) {
+			const day = 24 * time.Hour
+			eng, sp := newTickRig(Config{HandshakeRTO: 365 * day, CoreTimeout: -1})
+			local := eng.Config().LocalIP
+			far := eng.NowNanos() + (365 * day).Nanoseconds()
+			for i := 0; i < n.tw; i++ {
+				eng.TimeWait.Insert(&flowstate.TimeWaitEntry{Expiry: far, Key: protocol.FlowKey{
+					LocalIP: local, LocalPort: 80, RemoteIP: protocol.MakeIPv4(10, 2, byte(i>>8), byte(i)), RemotePort: 4000,
+				}})
+			}
+			for i := 0; i < n.half; i++ {
+				if _, err := sp.Connect(protocol.MakeIPv4(10, 3, byte(i>>8), byte(i)), 80, 0, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			clk := &tickClock{sp: sp, now: eng.NowNanos()}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clk.now += sp.cfg.ControlInterval.Nanoseconds()
+				sp.tick(clk.now)
+			}
+			b.StopTimer()
+			if tw, half := sp.TimeWaitCount(), sp.HalfOpenCount(); tw != n.tw || half != n.half {
+				b.Fatalf("%d TIME_WAIT tuples and %d half-opens left, want %d and %d", tw, half, n.tw, n.half)
+			}
+		})
+	}
+}
+
 // TestParkResumeMatchesEveryTickSweep drives two identical controllers
 // with a burst / 200ms silence / burst script. One entry is visited at
 // every interval for the whole script — the retired sweep's behaviour —

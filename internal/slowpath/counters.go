@@ -13,9 +13,9 @@ import (
 // by. The facade registers the series and embeds the snapshot by walking
 // these tags, so adding a counter is this one line plus its Add site.
 //
-// The set is instantiated twice: live as atomics (exception handling on
-// different stripes updates them concurrently, and readers must not need
-// the event loop's cooperation), and as the plain snapshot Counters
+// The set is instantiated twice: live as atomics (the event loop and API
+// callers such as Connect update them concurrently, and readers must not
+// need the event loop's cooperation), and as the plain snapshot Counters
 // returns.
 type counterSet[T any] struct {
 	Established T `metric:"tas_slowpath_established_total" help:"Connections established."`

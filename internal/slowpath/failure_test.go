@@ -1,6 +1,7 @@
 package slowpath
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -154,6 +155,108 @@ func TestPassiveHalfOpenReapedWithoutFinalAck(t *testing.T) {
 		t.Fatal("an unfinished handshake installed a flow")
 	}
 }
+
+// TestHandshakeRetransmitSchedule pins the handshake's backoff on a
+// synthetic clock: with HandshakeRetries 3, an unanswered SYN (active) or
+// SYN-ACK (passive) goes out again R, 3R and 7R after the first, and the
+// handshake gives up at 15R — an active open posting
+// EvConnected/ConnTimedOut — each within one control interval. A
+// handshake that completes never fires again.
+func TestHandshakeRetransmitSchedule(t *testing.T) {
+	const R = 10 * time.Millisecond
+	cfg := Config{HandshakeRTO: R, HandshakeRetries: 3}
+	peer := protocol.MakeIPv4(10, 0, 0, 99)
+	// open starts one handshake and returns its key and its ISS, with the
+	// first handshake segment already taken off the wire.
+	open := func(t *testing.T, eng *fastpath.Engine, sp *Slowpath, nic *wireNIC, passive bool) *halfOpen {
+		key := protocol.FlowKey{LocalIP: eng.Config().LocalIP, RemoteIP: peer, RemotePort: 4000, LocalPort: 80}
+		if passive {
+			sp.Listen(80, 0, 1)
+			sp.handleException(ghostSyn(4000, 100))
+		} else {
+			lport, err := sp.Connect(peer, 4000, 0, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key = protocol.FlowKey{LocalIP: eng.Config().LocalIP, LocalPort: lport, RemoteIP: peer, RemotePort: 4000}
+		}
+		h := sp.lookupHalf(key)
+		if h == nil || len(nic.take(isHandshake)) != 1 {
+			t.Fatal("no handshake segment sent")
+		}
+		return h
+	}
+	for _, passive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("passive=%v", passive), func(t *testing.T) {
+			eng, sp, nic := newWireRig(cfg)
+			h := open(t, eng, sp, nic, passive)
+			clk := &tickClock{sp: sp, now: h.born}
+			var fires []time.Duration
+			gaveUp := time.Duration(-1)
+			for clk.now < h.born+(16*R).Nanoseconds() {
+				clk.run(sp.cfg.ControlInterval, nil)
+				at := time.Duration(clk.now - h.born)
+				for range nic.take(isHandshake) {
+					fires = append(fires, at)
+				}
+				if gaveUp < 0 && sp.ctr.HandshakeTimeouts.Load() > 0 {
+					gaveUp = at
+				}
+			}
+			want := []time.Duration{R, 3 * R, 7 * R}
+			if len(fires) != len(want) {
+				t.Fatalf("retransmissions at %v, want %v", fires, want)
+			}
+			for i, at := range fires {
+				if at < want[i] || at > want[i]+sp.cfg.ControlInterval {
+					t.Fatalf("retransmissions at %v, want %v", fires, want)
+				}
+			}
+			if gaveUp < 15*R || gaveUp > 15*R+sp.cfg.ControlInterval {
+				t.Fatalf("gave up at %v, want 15R = %v", gaveUp, 15*R)
+			}
+			if sp.HalfOpenCount() != 0 {
+				t.Fatal("an expired handshake left its entry")
+			}
+			var evs [4]fastpath.Event
+			n := eng.ContextByID(0).PollEvents(evs[:])
+			if passive && n != 0 {
+				t.Fatalf("a passive handshake posted %+v", evs[0])
+			}
+			if !passive && (n != 1 || evs[0].Kind != fastpath.EvConnected || evs[0].Bytes != fastpath.ConnTimedOut) {
+				t.Fatalf("events %+v, want one EvConnected/ConnTimedOut", evs[:n])
+			}
+		})
+		t.Run(fmt.Sprintf("passive=%v/completed", passive), func(t *testing.T) {
+			eng, sp, nic := newWireRig(cfg)
+			h := open(t, eng, sp, nic, passive)
+			if passive {
+				sp.handleException(&protocol.Packet{
+					SrcIP: peer, DstIP: h.key.LocalIP, SrcPort: 4000, DstPort: 80,
+					Flags: protocol.FlagACK, Seq: h.peerISS + 1, Ack: h.iss + 1, Window: 64,
+				})
+			} else {
+				sp.handleException(&protocol.Packet{
+					SrcIP: peer, DstIP: h.key.LocalIP, SrcPort: 4000, DstPort: h.key.LocalPort,
+					Flags: protocol.FlagSYN | protocol.FlagACK, Seq: 7000, Ack: h.iss + 1, Window: 64,
+				})
+			}
+			if ev := nextEvent(t, eng); ev.Flow == nil {
+				t.Fatalf("event = %+v, want an established flow", ev)
+			}
+			clk := &tickClock{sp: sp, now: h.born}
+			clk.run(16*R, nil)
+			if n := len(nic.take(isHandshake)); n != 0 || sp.ctr.HandshakeRexmits.Load() != 0 ||
+				sp.ctr.HandshakeTimeouts.Load() != 0 {
+				t.Fatalf("a completed handshake fired again: %d segments, %d rexmits, %d timeouts",
+					n, sp.ctr.HandshakeRexmits.Load(), sp.ctr.HandshakeTimeouts.Load())
+			}
+		})
+	}
+}
+
+// isHandshake matches a SYN or SYN-ACK.
+func isHandshake(p *protocol.Packet) bool { return p.Flags.Has(protocol.FlagSYN) }
 
 // establish creates a connection between two fresh nodes and returns
 // both ends' flows (a dialed, b accepted).

@@ -3,6 +3,7 @@ package slowpath
 import (
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
@@ -64,7 +65,7 @@ func FuzzStateMachine(f *testing.F) {
 			// flows, and the default 2×256KB per flow would turn large
 			// inputs into allocation storms.
 			RxBufSize: 4096, TxBufSize: 4096,
-			ListenBacklog: 4, HandshakeStripes: 4,
+			ListenBacklog:    4,
 			SynRateThreshold: 8,
 		})
 		ctx := fastpath.NewContext(0, 1, 64)
@@ -109,38 +110,51 @@ func FuzzStateMachine(f *testing.F) {
 				ctx.PollEvents(evs[:])
 			}
 		}
-		// Final sweep must also hold the invariants.
-		s.handshakeSweep(eng.NowNanos())
-		checkBacklogInvariants(t, s)
+		// The timer pass must also hold the invariants, at the first
+		// retransmission and past the last deadline.
+		for _, d := range []time.Duration{s.cfg.HandshakeRTO, time.Hour} {
+			s.handshakeSweep(eng.NowNanos() + d.Nanoseconds())
+			checkBacklogInvariants(t, s)
+		}
 	})
 }
 
-// checkBacklogInvariants asserts listener/half-open consistency across
-// all stripes: no negative or orphaned backlog accounting.
+// checkBacklogInvariants asserts listener/half-open consistency: no
+// negative or orphaned backlog accounting, and every half-open queued
+// exactly once, on the FIFO of the attempt its timer is at.
 func checkBacklogInvariants(t *testing.T, s *Slowpath) {
 	t.Helper()
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		passive := make(map[*listener]int)
-		for _, h := range st.half {
-			if h.passive && h.lst != nil {
-				passive[h.lst]++
+	s.hs.mu.Lock()
+	defer s.hs.mu.Unlock()
+	passive := make(map[*listener]int)
+	for _, h := range s.hs.half {
+		if h.passive && h.lst != nil {
+			passive[h.lst]++
+		}
+	}
+	for port, l := range s.hs.listeners {
+		if l.halfCount < 0 {
+			t.Fatalf("listener %d: negative halfCount %d", port, l.halfCount)
+		}
+		if got := passive[l]; got != l.halfCount {
+			t.Fatalf("listener %d: halfCount %d but %d passive entries", port, l.halfCount, got)
+		}
+		if l.halfCount > l.Backlog {
+			t.Fatalf("listener %d: halfCount %d exceeds backlog %d", port, l.halfCount, l.Backlog)
+		}
+	}
+	queued := 0
+	for k, q := range s.hs.wait {
+		for _, h := range q {
+			if s.hs.half[h.key] == h {
+				if h.rexmit.attempts != k {
+					t.Fatalf("half-open %v after %d firings queued on FIFO %d", h.key, h.rexmit.attempts, k)
+				}
+				queued++
 			}
 		}
-		for port, l := range st.listeners {
-			if l.halfCount < 0 {
-				st.mu.Unlock()
-				t.Fatalf("listener %d: negative halfCount %d", port, l.halfCount)
-			}
-			if got := passive[l]; got != l.halfCount {
-				st.mu.Unlock()
-				t.Fatalf("listener %d: halfCount %d but %d passive entries", port, l.halfCount, got)
-			}
-			if l.halfCount > l.Backlog {
-				st.mu.Unlock()
-				t.Fatalf("listener %d: halfCount %d exceeds backlog %d", port, l.halfCount, l.Backlog)
-			}
-		}
-		st.mu.Unlock()
+	}
+	if queued != len(s.hs.half) {
+		t.Fatalf("%d half-opens, %d of them queued", len(s.hs.half), queued)
 	}
 }

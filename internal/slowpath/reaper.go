@@ -54,28 +54,26 @@ func (s *Slowpath) ReapContext(ctx *fastpath.Context) {
 
 	// Listen ports and half-open handshakes go first so no new flows
 	// are installed for the dead app while we sweep the table.
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		for port, l := range st.listeners {
-			if l.CtxID == id {
-				delete(st.listeners, port)
-				s.eng.Listeners.Remove(port)
-				s.ctr.ListenersReaped.Add(1)
-				// Nobody will ever Accept the queued connections of a dead
-				// app's listener; return their accept-backlog charges now.
-				if p := l.Pending.Load(); p > 0 && st.gov != nil {
-					st.gov.Charge(resource.PoolAccept, -int64(p))
-				}
+	s.hs.mu.Lock()
+	for port, l := range s.hs.listeners {
+		if l.CtxID == id {
+			delete(s.hs.listeners, port)
+			s.eng.Listeners.Remove(port)
+			s.ctr.ListenersReaped.Add(1)
+			// Nobody will ever Accept the queued connections of a dead
+			// app's listener; return their accept-backlog charges now.
+			if p := l.Pending.Load(); p > 0 {
+				s.charge(resource.PoolAccept, -int64(p))
 			}
 		}
-		for key, h := range st.half {
-			if h.ctxID == id {
-				st.dropHalf(key, h)
-				s.ctr.HalfOpenReaped.Add(1)
-			}
-		}
-		st.mu.Unlock()
 	}
+	for _, h := range s.hs.half {
+		if h.ctxID == id {
+			s.dropHalf(h)
+			s.ctr.HalfOpenReaped.Add(1)
+		}
+	}
+	s.hs.mu.Unlock()
 
 	// Established flows: abort toward the peer and free everything.
 	var flows []*flowstate.Flow

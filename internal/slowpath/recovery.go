@@ -81,15 +81,14 @@ func (s *Slowpath) Recover() RecoveryStats {
 		g.Reset(resource.PoolTimeWait, int64(s.eng.TimeWait.Len()))
 	}
 
-	// Listening ports from the shared registry, re-striped by port.
+	// Listening ports from the shared registry.
 	// SYN-cookie pressure windows restart cold, but the cookie jar
 	// itself lives in the engine: cookies the crashed instance issued
 	// still validate here, under the same key epochs.
 	s.eng.Listeners.ForEach(func(e *flowstate.ListenerEntry) {
-		st := s.stripeFor(e.Port)
-		st.mu.Lock()
-		st.listeners[e.Port] = &listener{ListenerEntry: e}
-		st.mu.Unlock()
+		s.hs.mu.Lock()
+		s.hs.listeners[e.Port] = &listener{ListenerEntry: e}
+		s.hs.mu.Unlock()
 		rep.ListenersRebuilt++
 	})
 

@@ -2,8 +2,10 @@
 // control (ports, handshakes, teardown), the congestion-control loop
 // that polls per-flow feedback from fast-path state every control
 // interval — for the flows that have any; idle ones are parked off the
-// tick — and writes back rate limits, retransmission-timeout detection, and the workload-proportionality monitor that scales
-// fast-path cores with load (§3.4).
+// tick — and writes back rate limits, retransmission-timeout
+// detection, and the workload-proportionality monitor that scales
+// fast-path cores with load (§3.4). Every deadline runs from the one
+// control tick, and each pops only the timers that are due.
 //
 // In the paper the slow path is a separate thread communicating with
 // applications over a UNIX-domain-socket-bootstrapped context queue; in
@@ -14,6 +16,7 @@ package slowpath
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,12 +66,12 @@ const closeDrainLimit = 5 * time.Second
 // halfCount (in-flight handshakes) plus Pending (established connections
 // the application has not yet accepted; shared with the libtas listener,
 // which decrements it on Accept, and so living in the shared record too).
-// All fields besides Pending are guarded by the owning stripe's lock.
+// All fields besides Pending are guarded by the handshake table's lock.
 type listener struct {
 	*flowstate.ListenerEntry
 	halfCount int
 
-	// SYN-cookie pressure tracking (stripe-locked, engine-clock ns):
+	// SYN-cookie pressure tracking (engine-clock ns):
 	// synWinStart/synInWin is a one-second SYN arrival window; cookieUntil
 	// keeps cookie mode sticky briefly after the trigger so a sawtoothing
 	// flood doesn't flap between stateful and stateless handshakes.
@@ -186,14 +189,11 @@ type Slowpath struct {
 	// accounting (cc, timer, reaper modules).
 	telem *telemetry.Telemetry
 
-	// stripes shard the listener and half-open tables by local port
-	// (see stripes.go); stripeSh maps a port hash onto a stripe index.
-	stripes  []*stripe
-	stripeSh uint
+	// hs holds the listeners and half-open handshakes (handshake.go).
+	hs hsTable
 
-	// mu guards the remaining central state: the control entries. These
-	// are touched by the single event-loop goroutine plus occasional API
-	// calls — they were never the SYN-flood bottleneck.
+	// mu guards the control entries. These are touched by the single
+	// event-loop goroutine plus occasional API calls.
 	mu sync.Mutex
 	cc map[*flowstate.Flow]*ccEntry
 
@@ -232,6 +232,9 @@ type Slowpath struct {
 	// coresW is the core watchdog's per-core state; owned by the event
 	// loop (coreSweep), so it needs no lock.
 	coresW []coreWatch
+
+	// lastScale is when the tick last ran the core-scaling monitor.
+	lastScale int64
 }
 
 // New builds (but does not start) a slow path for the engine.
@@ -249,14 +252,18 @@ func newSlowpath(eng *fastpath.Engine, cfg Config, ctr *liveCounters) *Slowpath 
 	excq, wake := eng.Exceptions()
 	return &Slowpath{
 		eng: eng, cfg: cfg, ctr: ctr, telem: eng.Telemetry(),
-		stripes:  newStripes(cfg.HandshakeStripes, cfg.Gov),
-		stripeSh: stripeShift(cfg.HandshakeStripes),
-		cc:       make(map[*flowstate.Flow]*ccEntry),
-		excq:     excq,
-		excWake:  wake,
-		stop:     make(chan struct{}),
-		kill:     make(chan struct{}),
-		coresW:   make([]coreWatch, eng.MaxCores()),
+		hs: hsTable{
+			listeners: make(map[uint16]*listener),
+			half:      make(map[protocol.FlowKey]*halfOpen),
+			wait:      make([][]*halfOpen, cfg.HandshakeRetries+1),
+			rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
+		},
+		cc:      make(map[*flowstate.Flow]*ccEntry),
+		excq:    excq,
+		excWake: wake,
+		stop:    make(chan struct{}),
+		kill:    make(chan struct{}),
+		coresW:  make([]coreWatch, eng.MaxCores()),
 	}
 }
 
@@ -310,8 +317,6 @@ func (s *Slowpath) run() {
 	}()
 	ctrl := time.NewTicker(s.cfg.ControlInterval)
 	defer ctrl.Stop()
-	scale := time.NewTicker(scaleInterval)
-	defer scale.Stop()
 	for {
 		s.eng.SlowpathBeat()
 		select {
@@ -328,18 +333,14 @@ func (s *Slowpath) run() {
 		case <-ctrl.C:
 			s.eng.Fault(fastpath.FaultSlowTick, 0)
 			s.tick(s.eng.NowNanos())
-		case <-scale.C:
-			if !s.cfg.DisableCoreScaling {
-				s.scaleLoop()
-			}
 		}
 	}
 }
 
 // tick is one control interval. Every deadline the slow path keeps —
-// the control entries' timers, half-opens, TIME_WAIT, the core watchdog —
-// is compared against its one engine-clock now, which tests pass
-// directly to a slow path that was never started.
+// the control entries' timers, half-opens, TIME_WAIT, the core watchdog,
+// the core-scaling period — is compared against its one engine-clock
+// now, which tests pass directly to a slow path that was never started.
 func (s *Slowpath) tick(now int64) {
 	// SYN-cookie key epochs advance on the engine-side jar so they
 	// survive this instance's crash/restart.
@@ -356,6 +357,10 @@ func (s *Slowpath) tick(now int64) {
 	s.reapPending()
 	s.governorTick(now)
 	s.coreSweep(now)
+	if !s.cfg.DisableCoreScaling && now-s.lastScale >= scaleInterval.Nanoseconds() {
+		s.lastScale = now
+		s.scaleLoop()
+	}
 }
 
 // lap reads the telemetry clock and charges the time since the previous
@@ -427,10 +432,9 @@ func (s *Slowpath) ListenBacklog(port uint16, ctxID uint16, opaque uint64, backl
 	if backlog <= 0 {
 		backlog = s.cfg.ListenBacklog
 	}
-	st := s.stripeFor(port)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, dup := st.listeners[port]; dup {
+	s.hs.mu.Lock()
+	defer s.hs.mu.Unlock()
+	if _, dup := s.hs.listeners[port]; dup {
 		return nil, ErrPortInUse
 	}
 	e := &flowstate.ListenerEntry{
@@ -439,16 +443,15 @@ func (s *Slowpath) ListenBacklog(port uint16, ctxID uint16, opaque uint64, backl
 	if !s.eng.Listeners.Insert(e) {
 		return nil, ErrPortInUse
 	}
-	st.listeners[port] = &listener{ListenerEntry: e}
+	s.hs.listeners[port] = &listener{ListenerEntry: e}
 	return e.Pending, nil
 }
 
 // Unlisten removes a listener.
 func (s *Slowpath) Unlisten(port uint16) {
-	st := s.stripeFor(port)
-	st.mu.Lock()
-	delete(st.listeners, port)
-	st.mu.Unlock()
+	s.hs.mu.Lock()
+	delete(s.hs.listeners, port)
+	s.hs.mu.Unlock()
 	s.eng.Listeners.Remove(port)
 }
 
@@ -471,18 +474,13 @@ func (s *Slowpath) Connect(peerIP protocol.IPv4, peerPort uint16, ctxID uint16, 
 	for i := 0; i < 65536; i++ {
 		cand := uint16(32768 + s.portCtr.Add(1)%32768)
 		key := protocol.FlowKey{LocalIP: localIP, LocalPort: cand, RemoteIP: peerIP, RemotePort: peerPort}
-		st := s.stripeFor(cand)
-		st.mu.Lock()
-		if st.listeners[cand] != nil {
-			st.mu.Unlock()
-			continue
-		}
-		if _, busy := st.half[key]; busy || s.eng.Table.Lookup(key) != nil ||
-			s.eng.TimeWait.Lookup(key) != nil {
+		s.hs.mu.Lock()
+		if _, busy := s.hs.half[key]; busy || s.hs.listeners[cand] != nil ||
+			s.eng.Table.Lookup(key) != nil || s.eng.TimeWait.Lookup(key) != nil {
 			// A TIME_WAIT tuple is still quarantined: picking it would
 			// let old duplicates of the previous incarnation land in the
 			// new connection's window. Take the next ephemeral port.
-			st.mu.Unlock()
+			s.hs.mu.Unlock()
 			continue
 		}
 		// Half-open pool admission: a capped pool refuses the dial with
@@ -491,19 +489,19 @@ func (s *Slowpath) Connect(peerIP protocol.IPv4, peerPort uint16, ctxID uint16, 
 		// the matching release.
 		if g := s.cfg.Gov; g != nil {
 			if err := g.Acquire(resource.PoolHalfOpen, 1); err != nil {
-				st.mu.Unlock()
+				s.hs.mu.Unlock()
 				return 0, err
 			}
 		}
-		// Reserve the port under the stripe lock — no check-then-insert
+		// Reserve the port under the table lock — no check-then-insert
 		// window for a concurrent Dial to race into.
 		now := s.eng.NowNanos()
 		h := &halfOpen{
-			key: key, iss: st.rng.Uint32(), ctxID: ctxID, opaque: opaque,
+			key: key, iss: s.hs.rng.Uint32(), ctxID: ctxID, opaque: opaque,
 			rexmit: startRetry(now, s.cfg.HandshakeRTO), born: now,
 		}
-		st.half[key] = h
-		st.mu.Unlock()
+		s.hs.addHalf(h)
+		s.hs.mu.Unlock()
 		s.sendHandshake(h)
 		return cand, nil
 	}

@@ -18,7 +18,7 @@ import (
 
 // cookiesEngaged decides, for one inbound SYN, whether the listener
 // answers statelessly. It also advances the listener's SYN-rate window,
-// so it must be called exactly once per SYN, under the stripe lock.
+// so it must be called exactly once per SYN, under the handshake table lock.
 //
 // Auto mode engages on either pressure signal: half-open occupancy at
 // half the backlog (the flood is winning the table) or SYN arrival rate
@@ -58,7 +58,7 @@ func (s *Slowpath) cookiesEngaged(l *listener, now int64) bool {
 // not advance the rate window — ACKs are not SYNs — but it must accept
 // for the whole sticky window plus the handshake's own round trip, so
 // the tail of ACKs from cookies issued just before pressure subsided
-// still validates. Caller holds the stripe lock.
+// still validates. Caller holds the handshake table lock.
 func (s *Slowpath) cookiesActive(l *listener, now int64) bool {
 	switch s.cfg.SynCookies {
 	case config.SynCookiesAlways:
@@ -93,7 +93,7 @@ func (s *Slowpath) sendCookieSynAck(key protocol.FlowKey, pkt *protocol.Packet) 
 // handshake would have stored: iss is the cookie itself, peerISS is
 // recovered from the ACK's sequence, and mss is the class the cookie
 // encoded (capping segmentation on the installed flow). Caller holds
-// the stripe lock.
+// the handshake table lock.
 func (s *Slowpath) cookieHalf(key protocol.FlowKey, pkt *protocol.Packet, l *listener) (*halfOpen, bool) {
 	peerISS := pkt.Seq - 1
 	cookie := pkt.Ack - 1

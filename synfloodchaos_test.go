@@ -22,7 +22,6 @@ import (
 func TestChaosSynFloodRestartSurvival(t *testing.T) {
 	cfg := Config{
 		SynCookies:       "always",
-		HandshakeStripes: 16,
 		ListenBacklog:    16,
 		HandshakeRTO:     20 * time.Millisecond,
 		HandshakeRetries: 4,
