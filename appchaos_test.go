@@ -304,12 +304,12 @@ func TestAcceptBacklogOverflowShedsSyns(t *testing.T) {
 	}
 }
 
-// corruptQueue simulates a buggy or malicious application scribbling
-// over its shared-memory TX queues: it enqueues n garbage descriptors
-// (bad opcodes, nil and bogus flow references, impossible byte counts)
-// drawn from seed, returning how many were actually enqueued (the
-// queues are bounded). The fast path must drop and count every one
-// without corrupting state or panicking.
+// corruptQueue simulates a buggy or malicious application handing the
+// fast path garbage through its TX-request entry point: it pushes n
+// garbage requests (bad opcodes, nil and bogus flow references,
+// impossible byte counts) drawn from seed, returning how many were
+// actually queued (the request rings are bounded). The fast path must
+// drop and count every one without corrupting state or panicking.
 func corruptQueue(svc *Service, ctx *Context, seed int64, n int) int {
 	fp := ctx.LowLevel()
 	rng := rand.New(rand.NewSource(seed))
@@ -340,17 +340,15 @@ func corruptQueue(svc *Service, ctx *Context, seed int64, n int) int {
 			Flow:  f,
 			Bytes: rng.Uint32(),
 		}
-		core := rng.Intn(fp.Cores())
-		if fp.PushTx(core, cmd) {
+		if svc.Engine().PushTxCmd(fp, cmd) {
 			injected++
 		}
-		svc.Engine().Nudge(core)
 	}
 	return injected
 }
 
-// TestCorruptQueueInjectionHarmless: garbage descriptors injected into
-// an app's command queue are dropped and counted, and the service keeps
+// TestCorruptQueueInjectionHarmless: garbage TX requests an app pushes
+// are dropped and counted, and the service keeps
 // serving the same connection correctly afterwards.
 func TestCorruptQueueInjectionHarmless(t *testing.T) {
 	_, srv, cli := newPair(t, chaosCfg())

@@ -107,11 +107,11 @@ type view struct {
 }
 
 type coreRow struct {
-	core                   string
-	rxPPS, txPPS, ackPPS   float64
-	parkShare, pollShare   float64 // of the refresh interval
-	rxDepth, kickDepth     float64
-	ctxEvDepth, ctxTxDepth float64
+	core                 string
+	rxPPS, txPPS, ackPPS float64
+	parkShare, pollShare float64 // of the refresh interval
+	rxDepth, kickDepth   float64
+	ctxEvDepth           float64
 }
 
 type dropRow struct {
@@ -164,8 +164,6 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 				core(s).kickDepth = s.Value
 			case "ctx_ev":
 				core(s).ctxEvDepth = s.Value
-			case "ctx_tx":
-				core(s).ctxTxDepth = s.Value
 			case "excq":
 				v.gauge["excq_depth"] = s.Value
 			}
@@ -194,7 +192,7 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 	}
 	b.WriteString("\n\n")
 
-	b.WriteString("core     rx pps     tx pps    ack pps  park%  poll%    rxq  kickq  ctx-ev  ctx-tx\n")
+	b.WriteString("core     rx pps     tx pps    ack pps  park%  poll%    rxq  kickq  ctx-ev\n")
 	names := make([]string, 0, len(v.cores))
 	for c := range v.cores {
 		names = append(names, c)
@@ -202,9 +200,9 @@ func render(samples []telemetry.Sample, prev map[string]float64, elapsed time.Du
 	sort.Strings(names)
 	for _, c := range names {
 		r := v.cores[c]
-		fmt.Fprintf(&b, "%-4s %10.0f %10.0f %10.0f %6.1f %6.1f %6.0f %6.0f %7.0f %7.0f\n",
+		fmt.Fprintf(&b, "%-4s %10.0f %10.0f %10.0f %6.1f %6.1f %6.0f %6.0f %7.0f\n",
 			r.core, r.rxPPS, r.txPPS, r.ackPPS, 100*r.parkShare, 100*r.pollShare,
-			r.rxDepth, r.kickDepth, r.ctxEvDepth, r.ctxTxDepth)
+			r.rxDepth, r.kickDepth, r.ctxEvDepth)
 	}
 
 	b.WriteString("\nlatency (µs)        p0.5       p0.9      p0.99     p0.999\n")

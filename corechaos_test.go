@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -463,4 +464,89 @@ func TestChaosCombinedFailureDomains(t *testing.T) {
 	}
 	t.Logf("combined chaos: victim core %d (owned %d flows), stats %+v",
 		victim, owned, srv.Stats())
+}
+
+// TestFullRequestRingStrandsNoSend: a send on a parked flow whose TX
+// request the core's full request ring refuses is not lost. The flow's
+// core is stalled while another flow's requests and kicks fill its
+// ring, then the parked flow writes 5 bytes and the core is released:
+// the refused request put the flow back on the slow path's control
+// tick, whose kick delivers the bytes within a few control intervals.
+func TestFullRequestRingStrandsNoSend(t *testing.T) {
+	cfg := Config{MaxCores: 1, DisableCoreScaling: true, ControlInterval: 5 * time.Millisecond}
+	_, srv, cli := newPair(t, cfg)
+	ln, err := srv.NewContext().Listen(9095)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		for i := 0; i < 2; i++ {
+			c, err := ln.Accept(5 * time.Second)
+			if err != nil {
+				return
+			}
+			go func() {
+				buf := make([]byte, 16)
+				if n, err := c.Read(buf); err == nil {
+					got <- string(buf[:n])
+				}
+			}()
+		}
+	}()
+	cctx := cli.NewContext()
+	parked, err := cctx.Dial("10.0.0.1", 9095)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filler, err := cctx.Dial("10.0.0.1", 9095)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, g := parked.c.Flow(), filler.c.Flow()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		f.Lock()
+		p := f.Parked
+		f.Unlock()
+		if p {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("idle flow never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	eng := cli.Engine()
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	eng.SetFaultHook(func(at fastpath.FaultPoint, unit int) {
+		if at == fastpath.FaultCoreStep {
+			once.Do(func() { close(stalled); <-release })
+		}
+	})
+	eng.Nudge(0)
+	<-stalled
+	for eng.PushTxCmd(cctx.LowLevel(), fastpath.TxCmd{Op: fastpath.OpTx, Flow: g}) {
+	}
+	_, ringCap := eng.KickRingDepth(0)
+	for i := 0; i < ringCap; i++ {
+		eng.KickFlow(g)
+	}
+	if _, err := parked.Write([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	eng.SetFaultHook(nil)
+
+	bound := 50 * cfg.ControlInterval
+	select {
+	case s := <-got:
+		if s != "hello" {
+			t.Fatalf("server read %q, want %q", s, "hello")
+		}
+	case <-time.After(bound):
+		t.Fatalf("send on a parked flow not delivered within %v of releasing its core", bound)
+	}
 }

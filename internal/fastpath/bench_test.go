@@ -1,6 +1,7 @@
 package fastpath
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -199,5 +200,28 @@ func BenchmarkWakeParkedCore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parkWakeRound(e, pkt)
+	}
+}
+
+// BenchmarkIdleStep is one step and one hasWork on an idle core with
+// ctxs application contexts registered: what a core pays per idle loop
+// and per park re-check must not grow with the contexts it serves. The
+// contexts' event queues are tiny so that 4 096 of them stay cheap.
+func BenchmarkIdleStep(b *testing.B) {
+	for _, n := range []int{1, 64, 1024, 4096} {
+		b.Run(fmt.Sprintf("ctxs=%d", n), func(b *testing.B) {
+			e, _ := testEngine()
+			for i := 0; i < n; i++ {
+				e.RegisterContext(NewContext(0, 2, 2))
+			}
+			c := e.cores[0]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.step(c, int64(i))
+				if e.hasWork(c) {
+					b.Fatal("an idle core has work")
+				}
+			}
+		})
 	}
 }

@@ -71,9 +71,9 @@ type Event struct {
 	Flow   *flowstate.Flow // set for EvAccepted, EvConnected, EvClosed and EvAborted
 }
 
-// TX-descriptor opcodes. The application side is untrusted (§3.3): a
-// crashed or malicious app can write any bit pattern into its TX queue,
-// so the fast path treats descriptors as wire input — it validates the
+// TX-request opcodes. The application side is untrusted (§3.3): a
+// crashed or malicious app can hand Engine.PushTxCmd any bit pattern,
+// so the fast path treats a request as wire input — it validates the
 // opcode, the flow reference, and the byte count, and drops-and-counts
 // anything malformed instead of acting on it.
 const (
@@ -82,7 +82,10 @@ const (
 	OpTx uint8 = 1
 )
 
-// TxCmd is one application -> fast-path queue descriptor.
+// TxCmd is one transmit request: "flow Flow has Bytes more to send".
+// Applications push them through Engine.PushTxCmd and the slow path
+// through Engine.KickFlow; both land on the owning core's one request
+// ring.
 type TxCmd struct {
 	Op    uint8
 	Flow  *flowstate.Flow
@@ -90,14 +93,14 @@ type TxCmd struct {
 }
 
 // Context is the shared-memory attachment point of one application
-// thread: a queue pair per fast-path core (to avoid cross-core
+// thread: an event queue per fast-path core (to avoid cross-core
 // synchronization), plus a wakeup channel the application blocks on
-// (the epoll/eventfd analogue).
+// (the epoll/eventfd analogue). Its transmit requests go to the owning
+// core's request ring (Engine.PushTxCmd), not to a queue of its own.
 type Context struct {
 	ID int
 
 	rxq []*shmring.MPSC[Event] // per-core: that core (and, on index 0, the slow path) produces, app consumes
-	txq []*shmring.MPSC[TxCmd] // per-core: app threads produce (many), fast path consumes
 
 	// Wakeup is a broadcast: Wake puts a token in the channel of every
 	// registered waiter. A context may have several application
@@ -129,31 +132,26 @@ type Context struct {
 	exited atomic.Bool
 	// dead marks a context whose application the slow path has declared
 	// crashed: its resources have been (or are being) reclaimed, and the
-	// fast path ignores its queues.
+	// fast path acts on no request for its flows.
 	dead atomic.Bool
 }
 
 // NewContext allocates a context spanning `cores` fast-path cores with
-// the given per-core queue capacity.
+// the given per-core event-queue capacity.
 func NewContext(id, cores, qcap int) *Context {
 	c := &Context{ID: id}
 	for i := 0; i < cores; i++ {
 		c.rxq = append(c.rxq, shmring.NewMPSC[Event](qcap))
-		c.txq = append(c.txq, shmring.NewMPSC[TxCmd](qcap))
 	}
 	return c
 }
 
-// Cores returns the number of per-core queue pairs.
+// Cores returns the number of per-core event queues.
 func (c *Context) Cores() int { return len(c.rxq) }
 
 // EventQueueLen returns the occupancy of the context's per-core event
 // (RX) queue toward the application (scrape-time gauge reads).
 func (c *Context) EventQueueLen(core int) int { return c.rxq[core].Len() }
-
-// TxQueueLen returns the occupancy of the context's per-core TX command
-// queue toward the fast path.
-func (c *Context) TxQueueLen(core int) int { return c.txq[core].Len() }
 
 // PostEvent enqueues an event from core onto the context's RX queue and
 // wakes the application if it is blocked. It reports false if the queue
@@ -199,12 +197,6 @@ func (c *Context) Wake() {
 // Sleepers returns the number of application goroutines currently
 // registered as blocked on the context (gauge reads, tests).
 func (c *Context) Sleepers() int { return int(c.sleepers.Load()) }
-
-// PushTx enqueues a TX command toward the given core. It reports false
-// if the queue is full.
-func (c *Context) PushTx(core int, cmd TxCmd) bool {
-	return c.txq[core].Enqueue(cmd)
-}
 
 // PollEvents drains up to len(out) events across the context's per-core
 // queues, returning the count.

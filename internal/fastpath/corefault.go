@@ -22,12 +22,13 @@ import (
 //     core's bit enters the RSS exclusion mask and the table is
 //     rewritten around it, so neither this re-steer nor any later
 //     SetCores/scale event sends a bucket back to it.
-//   - DrainFailedCore requeues the packets and kicks stranded in the
-//     dead core's rings — but only once the goroutine has provably
-//     exited, and under the core's run token; a stalled core sleeps
-//     holding its token, so it still owns its rings, and its backlog is
-//     counted stranded and left to TCP retransmission. Producers step no
-//     killed, failed or exited core inline (Engine.mayInline).
+//   - DrainFailedCore requeues the packets and transmit requests
+//     stranded in the dead core's rings — but only once the goroutine
+//     has provably exited, and under the core's run token; a stalled
+//     core sleeps holding its token, so it still owns its rings, and its
+//     backlog is counted stranded and left to TCP retransmission.
+//     Producers step no killed, failed or exited core inline
+//     (Engine.mayInline).
 //   - ReviveCore relaunches the goroutine; the slow path folds the core
 //     back into steering (ClearCoreFailed) after it proves itself with
 //     clean heartbeats, the normal scale-up path.
@@ -193,11 +194,12 @@ func (e *Engine) ReviveCore(i int) bool {
 // DrainFailedCore recovers the work stranded in a failed core's queues.
 // If the goroutine has exited, its rings are consumed here once the run
 // token is free (a producer may be finishing an inline step): received
-// packets are re-Input (RSS now steers them to a survivor) and pending
-// kicks re-issued. If the goroutine is merely stalled it still owns the
-// rings; the backlog is counted stranded — those flows recover via
-// normal RTO/fast-rexmit once migration kicks them. Returns how many
-// items were requeued.
+// packets are re-Input (RSS now steers them to a survivor) and transmit
+// requests — the applications' and the slow path's alike — re-queued on
+// their flows' new cores. If the goroutine is merely stalled it still
+// owns the rings; the backlog is counted stranded — those flows recover
+// via normal RTO/fast-rexmit once migration kicks them. Returns how
+// many items were requeued.
 func (e *Engine) DrainFailedCore(i int) int {
 	if i < 0 || i >= len(e.cores) {
 		return 0
@@ -220,12 +222,13 @@ func (e *Engine) DrainFailedCore(i int) int {
 		e.Input(pkt)
 		requeued++
 	}
-	for {
-		f, ok := c.kicks.Dequeue()
-		if !ok {
-			break
+	// Bounded by the snapshot: a request naming no flow, or one whose
+	// flow still steers here (every core failed), goes back on this ring.
+	for n := c.kicks.Len(); n > 0; n-- {
+		cmd, _ := c.kicks.Dequeue()
+		if to := e.queueTx(cmd); to != nil {
+			e.notify(to)
 		}
-		e.KickFlow(f)
 		requeued++
 	}
 	return requeued

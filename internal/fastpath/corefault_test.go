@@ -105,14 +105,26 @@ func TestCorePanicContained(t *testing.T) {
 
 // TestDrainFailedCoreRequeues: packets sitting in a dead core's receive
 // ring are requeued through Input — which, after the failure re-steer,
-// delivers them to a survivor — and a stalled (not exited) core's ring
-// is left alone (single-consumer safety) with its backlog counted
-// stranded.
+// delivers them to a survivor — and so are an application's TX requests
+// on its request ring, whose bytes the survivor then sends; a stalled
+// (not exited) core's rings are left alone (single-consumer safety) with
+// their backlog counted stranded.
 func TestDrainFailedCoreRequeues(t *testing.T) {
 	e, _ := testEngine()
 	e.Start()
 	defer e.Stop()
 	f := testFlow(e)
+	ctx := NewContext(0, 2, 64)
+	e.RegisterContext(ctx)
+	f.Context = 0
+	send := func(n int) {
+		f.Lock()
+		f.TxBuf.Write(make([]byte, n))
+		f.Unlock()
+		if !e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: uint32(n)}) {
+			t.Fatal("PushTxCmd refused")
+		}
+	}
 
 	// Kill core 0 and wait for the goroutine to be provably gone, then
 	// park packets in its ring (RSS still steers to it pre-verdict).
@@ -127,6 +139,14 @@ func TestDrainFailedCoreRequeues(t *testing.T) {
 	if got := e.cores[0].rxRing.Len(); got != 5 {
 		t.Fatalf("dead core ring holds %d packets, want 5", got)
 	}
+	// Three sends, the first inline-sized: a killed core runs no inline
+	// step, so every request waits on its ring.
+	for _, n := range []int{100, 2000, 3000} {
+		send(n)
+	}
+	if got := e.cores[0].kicks.Len(); got != 3 {
+		t.Fatalf("dead core request ring holds %d requests, want 3", got)
+	}
 
 	if !e.MarkCoreFailed(0) {
 		t.Fatal("MarkCoreFailed returned false")
@@ -134,11 +154,11 @@ func TestDrainFailedCoreRequeues(t *testing.T) {
 	if e.MarkCoreFailed(0) {
 		t.Fatal("MarkCoreFailed not idempotent")
 	}
-	if requeued := e.DrainFailedCore(0); requeued != 5 {
-		t.Fatalf("DrainFailedCore requeued %d, want 5", requeued)
+	if requeued := e.DrainFailedCore(0); requeued != 8 {
+		t.Fatalf("DrainFailedCore requeued %d, want 8", requeued)
 	}
-	if got := e.cores[0].rxRing.Len(); got != 0 {
-		t.Fatalf("dead core ring still holds %d packets", got)
+	if got := e.cores[0].rxRing.Len() + e.cores[0].kicks.Len(); got != 0 {
+		t.Fatalf("dead core rings still hold %d items", got)
 	}
 	// The survivor actually processed them: the flow acked the payload,
 	// and the four duplicates are out of its ring too — the first one
@@ -149,6 +169,9 @@ func TestDrainFailedCoreRequeues(t *testing.T) {
 		defer f.Unlock()
 		return f.AckNo == 5005 && e.cores[1].rxRing.Len() == 0
 	})
+	waitFor(t, "survivor sends the requeued requests' bytes", func() bool {
+		return e.Stats(1).TxBytes.Load() == 5100
+	})
 
 	// Stalled core: goroutine alive, rings untouchable.
 	stallCore(e, 1, 10*time.Second)
@@ -158,14 +181,15 @@ func TestDrainFailedCoreRequeues(t *testing.T) {
 		return e.CoreBeat(1) == b
 	})
 	e.cores[1].rxRing.Enqueue(dataPkt(f, 6000, []byte("stuck")))
+	send(10) // the stalled core holds its token: the request waits on its ring
 	if requeued := e.DrainFailedCore(1); requeued != 0 {
-		t.Fatalf("drained %d items from a stalled core's ring", requeued)
+		t.Fatalf("drained %d items from a stalled core's rings", requeued)
 	}
-	if got := e.cores[1].stats.Stranded.Load(); got != 1 {
-		t.Fatalf("Stranded = %d, want 1", got)
+	if got := e.cores[1].stats.Stranded.Load(); got != 2 {
+		t.Fatalf("Stranded = %d, want 2", got)
 	}
-	if d := e.Drops(); d.CoreStranded != 1 {
-		t.Fatalf("Drops().CoreStranded = %d, want 1", d.CoreStranded)
+	if d := e.Drops(); d.CoreStranded != 2 {
+		t.Fatalf("Drops().CoreStranded = %d, want 2", d.CoreStranded)
 	}
 }
 
@@ -192,7 +216,8 @@ func TestStopBoundedStalledCore(t *testing.T) {
 
 // TestSetActiveCoresConcurrentTraffic is the race-regression test for
 // live re-steering: SetActiveCores rewrites RSS while cores are mid
-// processRx and drainCtxTx, and packets keep arriving throughout. The
+// receive and transmit-request batches, and packets keep arriving
+// throughout. The
 // per-flow spinlock and wrong-core tolerance must hold under -race;
 // every steering decision lands on a core inside [0, MaxCores).
 func TestSetActiveCoresConcurrentTraffic(t *testing.T) {
@@ -228,7 +253,7 @@ func TestSetActiveCoresConcurrentTraffic(t *testing.T) {
 		}
 	}()
 
-	// TX feeder: descriptors and kicks racing the rewrites.
+	// TX feeder: application requests and kicks racing the rewrites.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -87,23 +87,31 @@ func TestProcessRxInvariantFuzz(t *testing.T) {
 	}
 }
 
-// TestDescriptorQueueFuzz hurls randomized app→TAS descriptors at the
-// context TX queues — garbage opcodes, nil and fabricated flow
+// TestDescriptorQueueFuzz hurls randomized TX requests at
+// Engine.PushTxCmd — garbage opcodes, nil and fabricated flow
 // references, structurally broken flows, impossible byte counts —
-// interleaved with valid commands, and checks the fast path drops and
+// interleaved with valid ones, and checks the fast path drops and
 // counts exactly the malformed ones without panicking or corrupting the
-// live flow (§3.3: applications are untrusted, so the descriptor queue
-// is an attack surface the fast path must validate defensively).
+// live flow (§3.3: applications are untrusted, so the request ring is
+// an attack surface the fast path must validate defensively). The engine
+// is never started: one-MSS requests run inline, larger ones wait on the
+// ring for the test's steps.
 func TestDescriptorQueueFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e, _ := testEngine()
 		f := testFlow(e)
-		ctx := NewContext(0, 2, 1<<14)
+		ctx := NewContext(0, 2, 64)
 		e.RegisterContext(ctx)
 		f.Context = 0
 
-		var cmdBatch [64]TxCmd
+		step := func() int {
+			n := 0
+			for _, c := range e.cores {
+				n += e.step(c, e.nowNanos())
+			}
+			return n
+		}
 		wantBad := uint64(0)
 		for i := 0; i < 5000; i++ {
 			var cmd TxCmd
@@ -145,18 +153,19 @@ func TestDescriptorQueueFuzz(t *testing.T) {
 				cmd = TxCmd{Op: OpTx, Flow: f,
 					Bytes: uint32(f.TxBuf.Size()) + uint32(rng.Intn(1<<20)) + 1}
 			}
-			if !ctx.PushTx(0, cmd) {
-				// Queue full: drain and retry once.
-				e.drainCtxTx(e.cores[0], cmdBatch[:])
-				if !ctx.PushTx(0, cmd) {
-					t.Fatalf("seed %d cmd %d: queue still full after drain", seed, i)
+			if !e.PushTxCmd(ctx, cmd) {
+				// Ring full: drain and retry once.
+				for step() > 0 {
+				}
+				if !e.PushTxCmd(ctx, cmd) {
+					t.Fatalf("seed %d cmd %d: ring still full after drain", seed, i)
 				}
 			}
 			if bad {
 				wantBad++
 			}
 			if rng.Intn(8) == 0 {
-				e.drainCtxTx(e.cores[0], cmdBatch[:])
+				step()
 				// Ack everything so the tx buffer drains and valid commands
 				// keep fitting.
 				f.Lock()
@@ -165,11 +174,11 @@ func TestDescriptorQueueFuzz(t *testing.T) {
 				e.processRx(e.cores[0], ackPkt(f, una))
 			}
 		}
-		for e.drainCtxTx(e.cores[0], cmdBatch[:]) > 0 {
+		for step() > 0 {
 		}
 
-		if got := e.cores[0].stats.BadDescDrop.Load(); got != wantBad {
-			t.Fatalf("seed %d: BadDescDrop = %d, want %d", seed, got, wantBad)
+		if d := e.Drops(); d.BadDesc != wantBad || d.StaleDesc != 0 {
+			t.Fatalf("seed %d: bad_desc = %d, stale_desc = %d; want %d and 0", seed, d.BadDesc, d.StaleDesc, wantBad)
 		}
 		// The live flow must still be structurally sound.
 		if int(f.TxSent) > f.TxBuf.Used() {

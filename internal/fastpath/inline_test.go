@@ -307,7 +307,7 @@ func (n *lockCheckNIC) Output(p *protocol.Packet) {
 }
 
 // TestNoOutputUnderFlowLock drives every place a step produces a
-// segment — the ACK of data, a challenge ACK, a context TX descriptor, a
+// segment — the ACK of data, a challenge ACK, an application's TX request, a
 // window that an ACK reopens, a kick, a pacing retry — through the
 // inline edges of an engine whose goroutine never runs.
 func TestNoOutputUnderFlowLock(t *testing.T) {
@@ -330,7 +330,7 @@ func TestNoOutputUnderFlowLock(t *testing.T) {
 	blind.Ack = f.SeqNo - 1<<25
 	e.Input(blind) // challenge ACK
 	write(64)
-	e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: 64}) // context TX
+	e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: 64}) // application TX request
 	f.Lock()
 	f.Window = 0 // the peer closes its window
 	f.Unlock()

@@ -140,10 +140,12 @@ func TestParkPacingTimer(t *testing.T) {
 	}
 }
 
-// TestParkHammer runs closed-loop producers on all three queues against
-// a core they keep parking: on even rounds a producer waits until the
-// core is asleep before it rings, so the doorbell is hit from three
-// sides at once while the core is parking or waking; on odd rounds it
+// TestParkHammer runs closed-loop producers on both of a core's queues
+// against a core they keep parking — packets on the receive ring, and
+// the slow path's kicks and an application's requests on the request
+// ring: on even rounds a producer waits until the core is asleep before
+// it rings, so the doorbell is hit from three sides at once while the
+// core is parking or waking; on odd rounds it
 // rings after a short random pause, wherever the core happens to be. A
 // lost wakeup shows as an item served by the 100ms park beat instead of
 // a doorbell.
@@ -171,7 +173,7 @@ func TestParkHammer(t *testing.T) {
 	}{
 		{func() { e.Input(pkt) }, func() bool { return c.rxRing.Len() == 0 }},
 		{func() { e.KickFlow(f) }, func() bool { return c.kicks.Len() == 0 }},
-		{func() { e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f}) }, func() bool { return ctx.TxQueueLen(0) == 0 }},
+		{func() { e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f}) }, func() bool { return c.kicks.Len() == 0 }},
 	} {
 		wg.Add(1)
 		go func() {

@@ -1,7 +1,9 @@
 package fastpath
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/protocol"
 )
@@ -42,6 +44,27 @@ func TestContextSlotReuse(t *testing.T) {
 	if n := len(e.Contexts()); n != 2 {
 		t.Fatalf("registry grew to %d slots, want 2", n)
 	}
+}
+
+// TestNewContextBytes pins what one context allocates at 2 cores × 1 024
+// slots: its per-core event queues and little else. An application's
+// transmit requests go to the owning core's ring, not to a queue of the
+// context's.
+func TestNewContextBytes(t *testing.T) {
+	const cores, slots, n = 2, 1024, 16
+	keep := make([]*Context, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewContext(0, cores, slots)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	if limit := uint64(cores*slots)*uint64(unsafe.Sizeof(Event{})) + 4096; per > limit {
+		t.Fatalf("NewContext(%d cores, %d slots) allocates %d B, want at most %d (event queues + 4 KiB)", cores, slots, per, limit)
+	}
+	runtime.KeepAlive(keep)
 }
 
 // TestSynShedUnderExcqPressure verifies slow-path admission control:
@@ -99,7 +122,8 @@ func TestSynShedUnderExcqPressure(t *testing.T) {
 
 // TestDeadContextQuiesced verifies MarkDead makes a context inert: event
 // posting fails (no stale deliveries into a slot that may be reused) and
-// queued TX descriptors are never acted on.
+// no TX request for its flows is acted on — neither one queued before
+// the verdict nor one pushed after it, which runs inline.
 func TestDeadContextQuiesced(t *testing.T) {
 	e, _ := testEngine()
 	f := testFlow(e)
@@ -107,22 +131,28 @@ func TestDeadContextQuiesced(t *testing.T) {
 	e.RegisterContext(ctx)
 	f.Context = 0
 
+	n := 2 * protocol.DefaultMSS // above the inline edge: the request waits on the ring
 	f.Lock()
-	f.TxBuf.Write(make([]byte, 8))
+	f.TxBuf.Write(make([]byte, n))
 	f.Unlock()
-	if !ctx.PushTx(0, TxCmd{Op: OpTx, Flow: f, Bytes: 8}) {
+	if !e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: uint32(n)}) {
 		t.Fatal("push failed")
 	}
 	ctx.MarkDead()
 	if ctx.PostEvent(0, Event{Kind: EvData, Flow: f}) {
 		t.Fatal("PostEvent succeeded on a dead context")
 	}
-	var batch [16]TxCmd
-	e.drainCtxTx(e.cores[0], batch[:])
+	e.step(e.cores[e.CoreForFlow(f)], e.nowNanos())
+	if !e.PushTxCmd(ctx, TxCmd{Op: OpTx, Flow: f, Bytes: 8}) {
+		t.Fatal("push failed")
+	}
 	f.Lock()
 	sent := f.TxSent
 	f.Unlock()
 	if sent != 0 {
-		t.Fatalf("dead context's TX descriptor was executed: TxSent=%d", sent)
+		t.Fatalf("dead context's TX request was executed: TxSent=%d", sent)
+	}
+	if d := e.Drops(); d.StaleDesc != 2 || d.BadDesc != 0 {
+		t.Fatalf("stale_desc = %d, bad_desc = %d; want 2 and 0", d.StaleDesc, d.BadDesc)
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // Conn is a TCP connection backed by TAS per-flow payload buffers. Send
-// copies into the transmit buffer and posts a TX command on the context
-// queue; Recv copies out of the receive buffer (the fast path deposited
-// payload there directly). Methods must be called from the context's
-// goroutine.
+// copies into the transmit buffer and pushes a TX request to the flow's
+// fast-path core; Recv copies out of the receive buffer (the fast path
+// deposited payload there directly). Methods must be called from the
+// context's goroutine.
 type Conn struct {
 	ctx  *Context
 	flow *flowstate.Flow
@@ -179,12 +179,11 @@ func (cn *Conn) Send(p []byte, timeout time.Duration) (int, error) {
 			if f.Rec != nil {
 				f.Rec.Record(telemetry.FEAppSend, 0, 0, uint32(n), 0)
 			}
-			// Inform the fast path (issue a TX command on the context
-			// queue, §3.1); fall back to a direct kick if the command
-			// ring is full — the payload is already in the buffer.
-			if !cn.ctx.stack.Eng.PushTxCmd(cn.ctx.fp, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: uint32(n)}) {
-				cn.ctx.stack.Eng.KickFlow(f)
-			}
+			// Inform the fast path (a TX request, §3.1). A request the
+			// core's ring refuses puts the flow on the slow path's control
+			// tick instead, which kicks it: the payload is already in the
+			// buffer.
+			cn.ctx.stack.Eng.PushTxCmd(cn.ctx.fp, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: uint32(n)})
 			continue
 		}
 		if clamped {
@@ -268,9 +267,7 @@ func (cn *Conn) SendNoWait(p []byte) (int, error) {
 		return 0, ErrWouldBlock
 	}
 	f.Touch(cn.ctx.stack.Eng.CoarseNanos())
-	if !cn.ctx.stack.Eng.PushTxCmd(cn.ctx.fp, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: uint32(n)}) {
-		cn.ctx.stack.Eng.KickFlow(f)
-	}
+	cn.ctx.stack.Eng.PushTxCmd(cn.ctx.fp, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: uint32(n)})
 	return n, nil
 }
 
@@ -369,9 +366,7 @@ func (cn *Conn) SendZeroCopy(max int, fill func(first, second []byte) int) (int,
 	f.Unlock()
 	if n > 0 {
 		f.Touch(cn.ctx.stack.Eng.CoarseNanos())
-		if !cn.ctx.stack.Eng.PushTxCmd(cn.ctx.fp, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: uint32(n)}) {
-			cn.ctx.stack.Eng.KickFlow(f)
-		}
+		cn.ctx.stack.Eng.PushTxCmd(cn.ctx.fp, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: uint32(n)})
 	}
 	return n, nil
 }

@@ -7,8 +7,8 @@ import "sync"
 // the per-core packet queues have exactly one producer — the NIC's DMA
 // engine — but in this in-process reproduction the "NIC" is whichever
 // peer goroutine the fabric happens to deliver on, and the slow path,
-// application threads, and the core-failure drain all push kicks and TX
-// commands concurrently. The consumer side is untouched: the fast-path
+// application threads, and the core-failure drain all push transmit
+// requests concurrently. The consumer side is untouched: the fast-path
 // core still dequeues lock-free, and producers never contend with it,
 // only with each other.
 type MPSC[T any] struct {

@@ -259,17 +259,20 @@ func TestControlInvariantCloseHalf(t *testing.T) {
 	want("parked flow holds control work")
 }
 
-// TestStaleDescriptorIsNotMalformed: descriptors an application queued
+// TestStaleDescriptorIsNotMalformed: TX requests an application queued
 // for a flow that was then torn down — aborted, or reset and its tuple
 // reincarnated — before the owning core drained them are stale, not
-// malformed; a flow that was never installed is still bad_desc.
+// malformed; a flow that was never installed is still bad_desc. Each
+// request is larger than one MSS, so it waits on the ring instead of
+// running inline.
 func TestStaleDescriptorIsNotMalformed(t *testing.T) {
 	eng, sp, _ := newWireRig(Config{})
 	ctx := eng.ContextByID(0)
+	n := 2 * protocol.DefaultMSS
 	send := func(f *flowstate.Flow) {
-		queue(f, 100)
-		if !ctx.PushTx(0, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: 100}) {
-			t.Fatal("TX queue full")
+		queue(f, n)
+		if !eng.PushTxCmd(ctx, fastpath.TxCmd{Op: fastpath.OpTx, Flow: f, Bytes: uint32(n)}) {
+			t.Fatal("request ring full")
 		}
 	}
 	aborted := rigFlow(eng, sp, 1, eng.NowNanos())
@@ -289,9 +292,9 @@ func TestStaleDescriptorIsNotMalformed(t *testing.T) {
 		RxBuf: shmring.NewPayloadBuffer(1 << 10), TxBuf: shmring.NewPayloadBuffer(1 << 10),
 	})
 
-	eng.Start() // the owning core drains the queue only now
+	eng.Start() // the owning core drains the ring only now
 	defer eng.Stop()
-	waitCond(t, "the descriptors drained", time.Second, func() bool {
+	waitCond(t, "the requests drained", time.Second, func() bool {
 		d := eng.Drops()
 		return d.StaleDesc+d.BadDesc == 3
 	})

@@ -663,7 +663,7 @@ func (s *Slowpath) finishClose(f *flowstate.Flow) {
 func (s *Slowpath) removeFlow(f *flowstate.Flow) {
 	// The table entry, payload buffers and governor charges go back
 	// exactly once, however many teardown paths race here: Retire is the
-	// latch, taken before the table forgets the flow so a descriptor the
+	// latch, taken before the table forgets the flow so a TX request the
 	// fast path no longer finds installed reads as stale, not malformed.
 	// It is taken under the flow lock, where ResizeBuffers checks it, so
 	// the sizes released here are the last the buffers will have. The

@@ -485,7 +485,7 @@ func (s *Slowpath) ControlSet() (active, parked int) {
 // It is meant for tests and the scenario executor's assertion points,
 // and is safe against a running stack. Two conditions are asynchronous by
 // construction — the application appends bytes to a parked flow's
-// transmit buffer before the fast path sees the descriptor and activates
+// transmit buffer before the fast path sees the TX request and activates
 // it, and a closing flow's buffer drains between the ticks that would
 // send its FIN — so a flow found in either state is re-examined for a
 // grace period before it is reported.

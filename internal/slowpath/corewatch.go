@@ -162,8 +162,8 @@ func (s *Slowpath) migrateFlow(f *flowstate.Flow, from int) bool {
 		e.consecTimeouts = 0
 		if e.idx < 0 {
 			// A parked victim has nothing to rewind, but the kick below may
-			// find bytes a descriptor on the dead core never announced:
-			// supervise the new owner's first transmission from the start.
+			// find unsent bytes: supervise the new owner's first
+			// transmission from the start.
 			s.unpark(e, s.eng.NowNanos())
 		}
 	}

@@ -478,26 +478,22 @@ func (s *Service) registerMetrics() {
 		lbls := append([]telemetry.Label{telemetry.L("ring", ring)}, labels...)
 		r.GaugeFunc("tas_ring_depth", "Queue occupancy by ring and core.", read, lbls...)
 	}
-	// Context queues are aggregated across live app contexts per core:
-	// contexts come and go with applications, so per-context series would
-	// churn the registry.
-	ctxDepth := func(core int, qlen func(*fastpath.Context, int) int) func() float64 {
-		return func() float64 {
-			var n int
-			for _, ctx := range eng.Contexts() {
-				if ctx != nil && core < ctx.Cores() {
-					n += qlen(ctx, core)
-				}
-			}
-			return float64(n)
-		}
-	}
 	for i := 0; i < eng.MaxCores(); i++ {
 		lbl := telemetry.L("core", fmt.Sprintf("%d", i))
 		depth("rx", func() float64 { d, _ := eng.RxRingDepth(i); return float64(d) }, lbl)
 		depth("kick", func() float64 { d, _ := eng.KickRingDepth(i); return float64(d) }, lbl)
-		depth("ctx_ev", ctxDepth(i, (*fastpath.Context).EventQueueLen), lbl)
-		depth("ctx_tx", ctxDepth(i, (*fastpath.Context).TxQueueLen), lbl)
+		// Event queues are aggregated across live app contexts per core:
+		// contexts come and go with applications, so per-context series
+		// would churn the registry.
+		depth("ctx_ev", func() float64 {
+			var n int
+			for _, ctx := range eng.Contexts() {
+				if ctx != nil && i < ctx.Cores() {
+					n += ctx.EventQueueLen(i)
+				}
+			}
+			return float64(n)
+		}, lbl)
 	}
 	depth("excq", func() float64 { d, _ := eng.ExcqDepth(); return float64(d) })
 	r.GaugeFunc("tas_ring_capacity", "Ring capacity by ring (per core).",
